@@ -5,8 +5,7 @@ This package reimplements, in pure Python/NumPy, the system described in
 Fusion* (EuroSys 2025).  It contains the CacheBlend core (selective KV
 recompute, HKVD token selection, loading controller, load/compute pipeline),
 every substrate the paper depends on (a transformer model, a tokenizer, a
-retrieval stack, a KV cache store with storage-device models, a serving
-simulator), the baselines the paper compares against, synthetic stand-ins for
+KV cache store with storage-device models, a serving simulator), the baselines the paper compares against, synthetic stand-ins for
 the evaluation datasets, and an experiment harness that regenerates every
 figure of the paper's evaluation.
 
@@ -21,7 +20,6 @@ from repro.model.transformer import TransformerModel
 from repro.kvstore.store import KVCacheStore
 from repro.kvstore.device import StorageDevice, DEVICE_PRESETS
 from repro.tokenizer.tokenizer import Tokenizer
-from repro.retrieval.retriever import Retriever
 from repro.serving.costmodel import ServingCostModel
 
 __version__ = "1.0.0"
@@ -39,7 +37,6 @@ __all__ = [
     "StorageDevice",
     "DEVICE_PRESETS",
     "Tokenizer",
-    "Retriever",
     "ServingCostModel",
     "__version__",
 ]

@@ -1173,11 +1173,10 @@ def run_proxy_probe(
     """End-to-end run of the real fusion pipeline (NumPy proxy model).
 
     Serves a small batch over a shared chunk set through
-    :meth:`~repro.core.blend_engine.BlendEngine.run_batch` with
-    ``execution="pipelined"`` — every request goes through the
-    :class:`~repro.core.executor.PipelinedExecutor` with cross-request
-    pipelining and carries a *measured* trace-derived TTFT, reported beside
-    the analytical estimate.  The traces feed *calibration* (shared with the
+    :meth:`~repro.core.blend_engine.BlendEngine.run_batch` — every request
+    goes through the :class:`~repro.core.executor.PipelinedExecutor` with
+    cross-request pipelining and carries a *measured* trace-derived TTFT,
+    reported beside the analytical estimate.  The traces feed *calibration* (shared with the
     sweep cells when the runner passes one in).
 
     Also measures, on profile-sized synthetic caches at the calibrated
@@ -1220,9 +1219,9 @@ def run_proxy_probe(
     ]
     # max_new_tokens exercises the co-batched DecodeSession generation path:
     # the batch decodes in lock-step (one session step per iteration), the
-    # shared measured first step is folded into every measured_ttft, and
+    # shared measured first step is folded into every measured TTFT, and
     # each step feeds the width-aware decode calibration buckets.
-    results = engine.run_batch(batch, execution="pipelined", max_new_tokens=4)
+    results = engine.run_batch(batch, max_new_tokens=4)
 
     # Measured load/compute pipelining: the text chunks above are only a few
     # tokens (per-layer compute well under the sleep/thread granularity), so
@@ -1261,7 +1260,7 @@ def run_proxy_probe(
         ),
         "recompute_ratios_decided": [r.decision.recompute_ratio for r in results],
         "estimated_ttfts": [r.ttft_estimate for r in results],
-        "measured_ttfts": [r.measured_ttft for r in results],
+        "measured_ttfts": [r.ttft for r in results],
         "measured_stall_s": [r.measured_stall for r in results],
         "measured_first_decode_s": [r.measured_first_decode_s for r in results],
         "decode_batch_widths": [r.decode_batch_width for r in results],

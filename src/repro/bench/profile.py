@@ -3,12 +3,12 @@
 Times the hot-path primitives on a fixed, seeded workload — chunk prefill,
 sequential vs pipelined fuse (through the *executing*
 :class:`~repro.core.executor.PipelinedExecutor`, not the analytical model),
-session vs batched vs sequential decode (one persistent
+session vs sequential decode (one persistent
 :class:`~repro.model.tensors.DecodeSession` pad stepping B requests
-lock-step, vs per-call ``decode_batch`` re-gathers, vs per-request
-``decode_step`` loops; plus per-token and batch-width scaling probes), KV
-serialize/deserialize — and writes a ``BENCH_profile_*.json`` so every PR
-has a perf trajectory to regress against.
+lock-step, vs B width-1 sessions in turn; plus per-token and batch-width
+scaling probes), KV serialize/deserialize — and writes a
+``BENCH_profile_*.json`` so every PR has a perf trajectory to regress
+against.
 
 The pipelined/sequential comparison is run at the calibrated load≈compute
 operating point: a zero-delay sequential pass measures the mean per-layer
@@ -39,7 +39,7 @@ from repro.core.executor import ExecutionResult, PipelinedExecutor
 from repro.core.fusor import FusorConfig, KVFusor
 from repro.kvstore.serialization import deserialize_kv, serialize_kv
 from repro.model.config import get_config
-from repro.model.tensors import GrowableKVCache
+from repro.model.tensors import KVCache
 from repro.model.transformer import TransformerModel
 
 #: v2 added the decode ops (``decode_batched``/``decode_sequential``) and the
@@ -56,8 +56,11 @@ from repro.model.transformer import TransformerModel
 #: overhead) and the top-level ``fleet`` block with per-policy decision
 #: timings; v7 adds ``dequant_int8`` (full int8 store round-trip of the
 #: fused cache: per-layer quantise + scale recovery on the deserialize
-#: path — the extra CPU the narrower store dtype costs per request).
-PROFILE_SCHEMA_VERSION = 7
+#: path — the extra CPU the narrower store dtype costs per request); v8
+#: drops ``decode_batched`` and the ``batched_*``/``session_vs_batched``
+#: fields with the per-call re-gather decode path, and runs
+#: ``decode_sequential`` and the per-token scaling probe on width-1 sessions.
+PROFILE_SCHEMA_VERSION = 8
 
 _REQUIRED_OPS = (
     "chunk_prefill",
@@ -65,7 +68,6 @@ _REQUIRED_OPS = (
     "fuse_pipelined",
     "serve_pipelined",
     "decode_sequential",
-    "decode_batched",
     "decode_session",
     "preempt_resume",
     "store_lookup",
@@ -90,7 +92,7 @@ class ProfileConfig:
     seed: int = 0
     #: Batched-decode workload: ``decode_batch_size`` requests stepped
     #: together for ``decode_tokens`` tokens (vs the same work through
-    #: sequential per-request ``decode_step`` loops).
+    #: one width-1 session per request, in turn).
     decode_batch_size: int = 4
     decode_tokens: int = 64
 
@@ -224,10 +226,10 @@ def _measure_served_ttfts(
 
     Builds a serving stack around the profile's proxy *model* (word-level
     tokenizer, cpu_ram-backed store, loading controller) and serves the same
-    request ``config.repeats`` times with ``execution="pipelined"``, after one
-    cold warmup that populates the store.  Each sample is a trace-derived
-    wall-clock TTFT — the end-to-end measured serving number the baseline
-    gate regresses on, one level above the bare fuse timings.
+    request ``config.repeats`` times, after one cold warmup that populates
+    the store.  Each sample is a trace-derived wall-clock TTFT — the
+    end-to-end measured serving number the baseline gate regresses on, one
+    level above the bare fuse timings.
     """
     from repro.core.blend_engine import BlendEngine
     from repro.core.controller import LoadingController
@@ -253,9 +255,9 @@ def _measure_served_ttfts(
     question = " ".join(f"q{i}" for i in range(config.suffix_tokens))
     engine.precompute_chunks(chunks)
     for _ in range(config.warmup):
-        engine.run(chunks, question, execution="pipelined")
+        engine.run(chunks, question)
     return [
-        engine.run(chunks, question, execution="pipelined").measured_ttft
+        engine.run(chunks, question).ttft
         for _ in range(config.repeats)
     ]
 
@@ -282,53 +284,39 @@ def _decode_prompt_caches(
     return prefills, tokens
 
 
+def _decode_lockstep(
+    model: TransformerModel, prompts: list[KVCache], tokens: np.ndarray
+) -> None:
+    """Join *prompts* to one session and decode ``tokens[i]`` for prompt i,
+    one lock-step :meth:`~repro.model.transformer.TransformerModel.
+    decode_session_step` per column; the session is drained on return."""
+    n_tokens = tokens.shape[1]
+    session = model.new_decode_session(slot_capacity=len(prompts))
+    for i, cache in enumerate(prompts):
+        session.join(i, cache, reserve=n_tokens)
+    for step in range(n_tokens):
+        model.decode_session_step(session, tokens[:, step])
+    for i in range(len(prompts)):
+        session.leave(i)
+
+
 def measure_decode_ops(
     model: TransformerModel, config: "ProfileConfig", rng: np.random.Generator
 ) -> tuple[dict[str, dict[str, float | int]], dict[str, object]]:
-    """Time session vs batched vs sequential decode of one B×T workload.
+    """Time session vs sequential decode of one B×T workload.
 
-    ``decode_sequential`` steps each of the B requests alone — one
-    :meth:`~repro.model.transformer.TransformerModel.decode_step` per token
-    per request, B·T single-token passes.  ``decode_batched`` steps all B
-    requests per :meth:`~repro.model.transformer.TransformerModel.
-    decode_batch` call — T batched passes, amortising the per-layer dispatch
-    overhead across the batch, but re-gathering every request's full K/V
-    into per-call scratch each step.  ``decode_session`` runs the same T
-    lock-step passes on a persistent
-    :class:`~repro.model.tensors.DecodeSession` pad — steady-state steps
-    write only each request's appended row (the serving loop's decode path).
-    All three consume identical token streams, so the comparison isolates
-    the batching and the buffer strategy.
+    ``decode_sequential`` decodes each of the B requests alone on its own
+    width-1 :class:`~repro.model.tensors.DecodeSession` — B·T single-token
+    passes.  ``decode_session`` runs the same work as T lock-step passes of
+    one width-B session — steady-state steps write only each request's
+    appended row (the serving loop's decode path).  Both consume identical
+    token streams, so the comparison isolates the batching.
     """
     prefills, tokens = _decode_prompt_caches(model, config, rng)
-    n_tokens = config.decode_tokens
-
-    def fresh_caches():
-        return [
-            GrowableKVCache.from_kv_cache(cache, reserve=n_tokens)
-            for cache in prefills
-        ]
 
     def run_sequential() -> None:
-        for i, cache in enumerate(fresh_caches()):
-            for step in range(n_tokens):
-                model.decode_step(cache, int(tokens[i, step]))
-
-    def run_batched() -> None:
-        caches = fresh_caches()
-        for step in range(n_tokens):
-            model.decode_batch(caches, tokens[:, step])
-
-    def run_session() -> None:
-        session = model.new_decode_session(
-            slot_capacity=config.decode_batch_size
-        )
-        for i, cache in enumerate(prefills):
-            session.join(i, cache, reserve=n_tokens)
-        for step in range(n_tokens):
-            model.decode_session_step(session, tokens[:, step])
         for i in range(len(prefills)):
-            session.leave(i)
+            _decode_lockstep(model, prefills[i : i + 1], tokens[i : i + 1])
 
     # One preemption round-trip on a live session: pause member 0 (extract
     # its decode state, free the slot), re-admit it and take one lock-step
@@ -348,24 +336,21 @@ def measure_decode_ops(
 
     ops = {
         "decode_sequential": _time_op(run_sequential, config.repeats, config.warmup),
-        "decode_batched": _time_op(run_batched, config.repeats, config.warmup),
-        "decode_session": _time_op(run_session, config.repeats, config.warmup),
+        "decode_session": _time_op(
+            lambda: _decode_lockstep(model, prefills, tokens), config.repeats, config.warmup
+        ),
         "preempt_resume": _time_op(run_preempt_resume, config.repeats, config.warmup),
     }
     sequential = float(ops["decode_sequential"]["min_s"])
-    batched = float(ops["decode_batched"]["min_s"])
     session = float(ops["decode_session"]["min_s"])
     block: dict[str, object] = {
         "batch_size": config.decode_batch_size,
-        "n_tokens": n_tokens,
+        "n_tokens": config.decode_tokens,
         "sequential_total_s": sequential,
-        "batched_total_s": batched,
-        "batched_speedup": sequential / batched if batched > 0 else float("inf"),
         "session_total_s": session,
         "session_speedup_vs_sequential": (
             sequential / session if session > 0 else float("inf")
         ),
-        "session_vs_batched": batched / session if session > 0 else float("inf"),
         "preempt_resume_s": float(ops["preempt_resume"]["min_s"]),
     }
     return ops, block
@@ -382,9 +367,7 @@ def measure_decode_width_scaling(
     For each width W, W requests (prompts of ``chunk_tokens`` tokens) join a
     :class:`~repro.model.tensors.DecodeSession` and decode ``decode_tokens``
     tokens in lock-step; the best-of-``repeats`` per-step wall-clock is
-    reported beside a per-call :meth:`~repro.model.transformer.
-    TransformerModel.decode_batch` reference over the same caches.  The
-    amortisation column is what the width-aware
+    reported.  The amortisation column is what the width-aware
     :class:`~repro.serving.costmodel.OnlineCostCalibration` buckets model:
     one width-W step costs far less than W × the width-1 step.
     """
@@ -399,52 +382,28 @@ def measure_decode_width_scaling(
     repeats = max(config.repeats, 3)
     warmup = max(config.warmup, 1)
     prefills, tokens = _decode_prompt_caches(model, config, rng, n_requests=max(widths))
-
-    s_per_step: list[float] = []
-    batched_s_per_step: list[float] = []
-    for width in widths:
-
-        def run_session() -> None:
-            session = model.new_decode_session(slot_capacity=width)
-            for i in range(width):
-                session.join(i, prefills[i], reserve=n_tokens)
-            for step in range(n_tokens):
-                model.decode_session_step(session, tokens[:width, step])
-            for i in range(width):
-                session.leave(i)
-
-        def run_batched() -> None:
-            caches = [
-                GrowableKVCache.from_kv_cache(prefills[i], reserve=n_tokens)
-                for i in range(width)
-            ]
-            for step in range(n_tokens):
-                model.decode_batch(caches, tokens[:width, step])
-
-        # Interleave the two runners so clock drift and scheduler bursts hit
-        # both sides of the session-vs-batched comparison equally.
-        session_samples: list[float] = []
-        batched_samples: list[float] = []
-        for _ in range(warmup):
-            run_session()
-            run_batched()
-        for _ in range(repeats):
+    runs = [
+        lambda width=width: _decode_lockstep(model, prefills[:width], tokens[:width])
+        for width in widths
+    ]
+    # Interleave the widths so clock drift and scheduler bursts hit every
+    # width of the comparison alike.
+    for _ in range(warmup):
+        for run in runs:
+            run()
+    samples: list[list[float]] = [[] for _ in widths]
+    for _ in range(repeats):
+        for run, width_samples in zip(runs, samples):
             start = time.perf_counter()
-            run_session()
-            session_samples.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            run_batched()
-            batched_samples.append(time.perf_counter() - start)
-        s_per_step.append(min(session_samples) / n_tokens)
-        batched_s_per_step.append(min(batched_samples) / n_tokens)
-
+            run()
+            width_samples.append(time.perf_counter() - start)
+    s_per_step = [min(width_samples) / n_tokens for width_samples in samples]
     baseline_width = 1 if 1 in widths else min(widths)
     baseline = s_per_step[widths.index(baseline_width)]
     return {
         "widths": list(widths),
         "n_tokens": n_tokens,
         "session_s_per_step": s_per_step,
-        "batched_s_per_step": batched_s_per_step,
         "tokens_per_s": [
             w / s if s > 0 else float("inf") for w, s in zip(widths, s_per_step)
         ],
@@ -635,26 +594,25 @@ def measure_decode_scaling(
 ) -> dict[str, float | int]:
     """Per-token decode cost at the start vs the end of a long generation.
 
-    On the preallocated cache, appending is O(1) and only attention's reads
-    grow with the context, so the mean per-token cost of the last *window*
-    tokens stays within a small factor of the first *window*'s — whereas the
-    legacy concatenate-per-token path re-copied every layer's full K/V each
-    step and grew linearly (O(T²) for the generation).  The profile commits
-    the measured growth ratio so the regression test can assert the decode
-    path stays out of the quadratic regime.
+    On a width-1 session's preallocated pad, appending is O(1) and only
+    attention's reads grow with the context, so the mean per-token cost of
+    the last *window* tokens stays within a small factor of the first
+    *window*'s — whereas a concatenate-per-token cache would re-copy every
+    layer's full K/V each step and grow linearly (O(T²) for the generation).
+    The profile commits the measured growth ratio so the regression test can
+    assert the decode path stays out of the quadratic regime.
     """
     if n_tokens < 2 * window:
         raise ValueError("n_tokens must cover two measurement windows")
     rng = np.random.default_rng(seed)
     prompt = _random_token_ids(model, prompt_tokens, rng)
     tokens = _random_token_ids(model, n_tokens, rng)
-    cache = GrowableKVCache.from_kv_cache(
-        model.full_prefill(prompt).kv_cache, reserve=n_tokens
-    )
+    session = model.new_decode_session(slot_capacity=1)
+    session.join(0, model.full_prefill(prompt).kv_cache, reserve=n_tokens)
     per_token = np.zeros(n_tokens)
     for step in range(n_tokens):
         start = time.perf_counter()
-        model.decode_step(cache, int(tokens[step]))
+        model.decode_session_step(session, tokens[step : step + 1])
         per_token[step] = time.perf_counter() - start
     first = float(np.median(per_token[:window]))
     last = float(np.median(per_token[-window:]))
@@ -721,7 +679,7 @@ def run_profile(config: ProfileConfig | None = None) -> dict[str, object]:
     routing_ops, fleet_block = measure_routing_ops(config, rng)
     ops.update(routing_ops)
 
-    # ---- session vs batched vs sequential decode + scaling ---------------
+    # ---- session vs sequential decode + scaling ---------------------------
     decode_ops, decode_block = measure_decode_ops(model, config, rng)
     ops.update(decode_ops)
     decode_block["scaling"] = measure_decode_scaling(
@@ -796,10 +754,8 @@ def validate_profile_report(document: dict[str, object]) -> None:
     for key in (
         "batch_size",
         "n_tokens",
-        "batched_speedup",
         "session_total_s",
         "session_speedup_vs_sequential",
-        "session_vs_batched",
         "preempt_resume_s",
         "scaling",
         "width_scaling",
@@ -808,8 +764,6 @@ def validate_profile_report(document: dict[str, object]) -> None:
             raise ValueError(f"decode block is missing key {key!r}")
     if decode["preempt_resume_s"] < 0:
         raise ValueError("preempt_resume_s must be non-negative")
-    if decode["batched_speedup"] <= 0:
-        raise ValueError("batched_speedup must be positive")
     if decode["session_speedup_vs_sequential"] <= 0:
         raise ValueError("session_speedup_vs_sequential must be positive")
     if "per_token_growth" not in decode["scaling"]:
@@ -817,12 +771,7 @@ def validate_profile_report(document: dict[str, object]) -> None:
     if decode["scaling"]["per_token_growth"] <= 0:
         raise ValueError("per_token_growth must be positive")
     width_scaling = decode["width_scaling"]
-    for key in (
-        "widths",
-        "session_s_per_step",
-        "batched_s_per_step",
-        "amortisation_vs_sequential",
-    ):
+    for key in ("widths", "session_s_per_step", "amortisation_vs_sequential"):
         if key not in width_scaling:
             raise ValueError(f"decode width_scaling block is missing key {key!r}")
         if key != "widths" and len(width_scaling[key]) != len(width_scaling["widths"]):
@@ -881,7 +830,6 @@ def check_against_baseline(
         "fuse_sequential",
         "fuse_pipelined",
         "serve_pipelined",
-        "decode_batched",
         "decode_session",
         "preempt_resume",
         "store_lookup",
@@ -896,9 +844,8 @@ def check_against_baseline(
     CI runners doesn't trip the gate; ``max_regression`` absorbs hardware
     differences between the baseline machine and the runner.  Gated ops are
     the fuse wall-clocks, the measured end-to-end serving TTFT
-    (``serve_pipelined``), the batched decode wall-clock (``decode_batched``),
-    the session decode wall-clock (``decode_session``, the serving loop's
-    steady-state path), the preemption round-trip (``preempt_resume``, the
+    (``serve_pipelined``), the session decode wall-clock
+    (``decode_session``, the serving loop's steady-state path), the preemption round-trip (``preempt_resume``, the
     SLO scheduler's per-preemption overhead) *and* the tiered trie lookup
     (``store_lookup``, the gather path's store work) and the fleet routing
     decision (``routing_decision``, the router tier's per-request overhead
@@ -945,18 +892,12 @@ def format_profile_summary(document: dict[str, object]) -> str:
     decode = document["decode"]
     scaling = decode["scaling"]
     lines.append(
-        f"batched vs sequential decode ({decode['batch_size']}x"
-        f"{decode['n_tokens']} tokens): {decode['batched_speedup']:.2f}x "
-        f"(seq {decode['sequential_total_s'] * 1e3:.1f} ms, "
-        f"batched {decode['batched_total_s'] * 1e3:.1f} ms); "
-        f"per-token growth over {scaling['n_tokens']} tokens: "
-        f"{scaling['per_token_growth']:.2f}x"
-    )
-    lines.append(
-        f"decode session (persistent pad, same workload): "
+        f"decode session ({decode['batch_size']}x{decode['n_tokens']} tokens): "
         f"{decode['session_total_s'] * 1e3:.1f} ms "
-        f"({decode['session_speedup_vs_sequential']:.2f}x vs sequential, "
-        f"{decode['session_vs_batched']:.2f}x vs per-call batched); "
+        f"({decode['session_speedup_vs_sequential']:.2f}x vs sequential width-1 "
+        f"sessions, {decode['sequential_total_s'] * 1e3:.1f} ms); "
+        f"per-token growth over {scaling['n_tokens']} tokens: "
+        f"{scaling['per_token_growth']:.2f}x; "
         f"preempt/resume round-trip {decode['preempt_resume_s'] * 1e3:.2f} ms"
     )
     store = document["store"]

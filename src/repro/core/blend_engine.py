@@ -5,41 +5,32 @@ KV fusion and deviation measurement), the KV cache store, the loading
 controller and the serving cost model (for TTFT estimates on the paper's
 real model architectures).
 
-Two execution modes serve a request:
-
-* ``execution="analytic"`` (default) fuses through the in-memory fusor and
-  *estimates* TTFT with the analytical cost model — fast, deterministic,
-  device-parameterised;
-* ``execution="pipelined"`` routes the fuse through the
-  :class:`~repro.core.executor.PipelinedExecutor`: each layer's KV streams
-  off the (simulated) storage device on a background thread while earlier
-  layers recompute, and the request carries a *measured*
-  :class:`~repro.core.pipeline.PipelineTrace` whose load/compute/stall spans
-  are wall-clock facts.  ``run_batch`` additionally pipelines *across*
-  requests — request B's layer 0 loads while request A's tail layers
-  recompute — and decodes the whole batch in lock-step on one persistent
-  :class:`~repro.model.tensors.DecodeSession`, one session step per
-  scheduler iteration.  Measured spans feed the cost model's
-  :class:`~repro.serving.costmodel.OnlineCostCalibration` so scheduler cost
-  estimates track observed rates.
-
-Both modes run identical fusor numerics over identical store bytes, so the
-fused KV is bitwise-equal between them.
+A request is served one way.  Its fuse runs through the
+:class:`~repro.core.executor.PipelinedExecutor`: each layer's KV streams off
+the (simulated) storage device on a background thread while earlier layers
+recompute their HKVD tokens, and the request carries a *measured*
+:class:`~repro.core.pipeline.PipelineTrace` whose load/compute/stall spans
+are wall-clock facts.  ``run_batch`` additionally pipelines *across*
+requests — request B's layer 0 loads while request A's tail layers
+recompute — and decodes the whole batch in lock-step on one persistent
+:class:`~repro.model.tensors.DecodeSession`, one session step per scheduler
+iteration.  Measured spans feed the cost model's
+:class:`~repro.serving.costmodel.OnlineCostCalibration` so scheduler cost
+estimates track observed rates; the cost model's own TTFT for the paper's
+architecture rides along as ``ttft_estimate``.
 
 Typical use::
 
     engine = BlendEngine.build(paper_model="Mistral-7B", device="nvme_ssd")
     engine.precompute_chunks(["chunk one text ...", "chunk two text ..."])
     result = engine.run(["chunk one text ...", "chunk two text ..."],
-                        question="who proposed using RAG?",
-                        execution="pipelined")
+                        question="who proposed using RAG?")
     print(result.ttft, result.trace.stall_time)
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -66,9 +57,6 @@ from repro.model.transformer import TransformerModel
 from repro.serving.costmodel import GPUSpec, OnlineCostCalibration, ServingCostModel
 from repro.tokenizer.tokenizer import Tokenizer
 
-#: Supported request execution modes.
-EXECUTION_MODES = ("analytic", "pipelined")
-
 #: Per-request fault-recovery counters, all initialised to zero.
 _FAULT_STAT_KEYS = (
     "fault_retries",
@@ -78,6 +66,14 @@ _FAULT_STAT_KEYS = (
     "fault_fallbacks",
     "fallback_recompute_tokens",
 )
+
+
+def _check_execution(execution: str) -> None:
+    """``execution=`` names the one serving path; anything else is an error."""
+    if execution != "pipelined":
+        raise ValueError(
+            f"unknown execution mode {execution!r}; the only mode is 'pipelined'"
+        )
 
 
 @dataclass(frozen=True)
@@ -113,18 +109,15 @@ class LookupRetryPolicy:
 class BlendResult:
     """Outcome of answering one request through CacheBlend.
 
-    ``ttft`` is the headline time-to-first-token: the *measured* (trace
-    derived) wall-clock under ``execution="pipelined"``, the analytical
-    estimate under ``execution="analytic"``.  ``ttft_estimate`` always
-    carries the analytical estimate so the two can be compared side by side;
-    ``measured_ttft``/``trace`` are populated by the pipelined path only.
-    A pipelined ``measured_ttft`` runs to the first emitted token: it folds
-    in ``measured_first_decode_s``, the wall-clock of the first co-batched
-    :class:`~repro.model.tensors.DecodeSession` step (the analytic
-    ``ttft_estimate`` prices that step with the cost model, so the two stay
-    comparable).  Generation is decoded in lock-step across the whole
-    pipelined batch — one session step per iteration — so the first step is
-    shared: every request of the batch carries the same
+    ``ttft`` is the measured time-to-first-token: the request's pipelined
+    fuse (from its :class:`~repro.core.pipeline.PipelineTrace`, queueing
+    behind earlier batch requests included), the wall-clock of prefilling
+    any cold chunks, and ``measured_first_decode_s``, the first co-batched
+    :class:`~repro.model.tensors.DecodeSession` step.  ``ttft_estimate`` is
+    the cost model's number for the same request on the paper architecture,
+    so the two can be compared side by side.  Generation is decoded in
+    lock-step across the whole batch — one session step per iteration — so
+    the first step is shared: every request of the batch carries the same
     ``measured_first_decode_s``, and ``decode_batch_width`` records how many
     requests that step decoded together.
 
@@ -142,19 +135,17 @@ class BlendResult:
     generated_ids: list[int] = field(default_factory=list)
     n_context_tokens: int = 0
     n_suffix_tokens: int = 0
-    execution: str = "analytic"
     ttft_estimate: float = 0.0
-    measured_ttft: float | None = None
     #: Measured load-wait inside this request's pipeline (queueing behind
-    #: earlier batch requests excluded); pipelined mode only.
-    measured_stall: float | None = None
+    #: earlier batch requests excluded).
+    measured_stall: float = 0.0
     #: Measured wall-clock of the first decode step (one co-batched
-    #: ``DecodeSession`` step shared by the whole pipelined batch), already
-    #: folded into ``measured_ttft``; pipelined mode only.
-    measured_first_decode_s: float | None = None
+    #: ``DecodeSession`` step shared by the whole batch), already folded
+    #: into ``ttft``.
+    measured_first_decode_s: float = 0.0
     #: How many requests the first decode step was co-batched with (the
-    #: session width at that step); pipelined mode only.
-    decode_batch_width: int | None = None
+    #: session width at that step).
+    decode_batch_width: int = 1
     trace: PipelineTrace | None = None
     cache_stats: dict[str, int] = field(default_factory=dict)
 
@@ -238,15 +229,12 @@ class BlendEngine:
         fusor_config: FusorConfig | None = None,
         timing_model: ModelConfig | None = None,
         encoding_cache_size: int = 1024,
-        execution: str = "analytic",
+        execution: str = "pipelined",
         executor: PipelinedExecutor | None = None,
         precision: PrecisionPolicy | str | None = None,
         retry_policy: LookupRetryPolicy | None = None,
     ) -> None:
-        if execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {execution!r}; expected one of {EXECUTION_MODES}"
-            )
+        _check_execution(execution)
         self.model = model
         self.tokenizer = tokenizer
         #: Any :class:`~repro.kvstore.protocol.ChunkStore` backend — whole
@@ -255,7 +243,7 @@ class BlendEngine:
         #: Store precision policy; chunk caches are round-tripped through it
         #: before ``put`` so fusion sees exactly the stored precision, and
         #: every load span is priced at its per-layer payload bytes.
-        #: Defaults to the store's own policy when it carries one.
+        #: Defaults to the store's own policy.
         if precision is None:
             precision = getattr(kv_store, "precision", None)
         self.precision = PrecisionPolicy.get(precision)
@@ -263,9 +251,7 @@ class BlendEngine:
         self.fusor = KVFusor(model, fusor_config or FusorConfig())
         #: Architecture used for the TTFT estimates (defaults to the proxy).
         self.timing_model = timing_model or model.config
-        #: Default execution mode of :meth:`run`/:meth:`run_batch`.
-        self.execution = execution
-        #: The measured serving path; shares the store's device model and
+        #: The serving path; shares the store's device model and
         #: the engine's precision policy.
         self.executor = executor or PipelinedExecutor(
             model, self.fusor.config, device=kv_store.device, precision=self.precision
@@ -276,11 +262,6 @@ class BlendEngine:
         #: Engine-global fault-recovery counters, aggregated across requests
         #: (the per-request counts live in each result's ``cache_stats``).
         self._fault_totals: dict[str, int] = {key: 0 for key in _FAULT_STAT_KEYS}
-
-    @property
-    def kv_dtype(self) -> str:
-        """Legacy name for the store precision policy's preset name."""
-        return self.precision.name
 
     # ------------------------------------------------------------------
     # Tokenization (memoized)
@@ -318,9 +299,8 @@ class BlendEngine:
         recompute_ratio: float = 0.15,
         seed: int = 0,
         n_gpus: int | None = None,
-        store_capacity_bytes: int | None = None,
         vocab_size: int | None = None,
-        execution: str = "analytic",
+        execution: str = "pipelined",
         calibration: OnlineCostCalibration | None = None,
         store: StoreConfig | ChunkStore | None = None,
         faults: FaultConfig | None = None,
@@ -339,8 +319,6 @@ class BlendEngine:
         :class:`~repro.kvstore.config.StoreConfig` recipe (chunk / trie /
         tiered), or a pre-built :class:`~repro.kvstore.protocol.ChunkStore`.
         The default is a whole-chunk store on ``device``.
-        ``store_capacity_bytes`` is deprecated — pass
-        ``store=StoreConfig(capacity_bytes=...)`` instead.
 
         ``faults`` (a :class:`~repro.kvstore.faults.FaultConfig` with
         ``rate > 0``) wraps the built store in a
@@ -348,6 +326,7 @@ class BlendEngine:
         ``retry_policy`` tunes how the gather path retries and degrades
         when those (or real) store faults surface.
         """
+        _check_execution(execution)
         if paper_model not in PAPER_MODEL_PAIRS:
             known = ", ".join(sorted(PAPER_MODEL_PAIRS))
             raise KeyError(f"unknown paper model {paper_model!r}; known: {known}")
@@ -360,19 +339,6 @@ class BlendEngine:
         timing_config = get_config(timing_name)
         if n_gpus is None:
             n_gpus = 2 if paper_model == "Llama-70B" else 1
-
-        if store_capacity_bytes is not None:
-            if store is not None:
-                raise ValueError(
-                    "pass either store= or the deprecated store_capacity_bytes=, not both"
-                )
-            warnings.warn(
-                "store_capacity_bytes= is deprecated; pass "
-                "store=StoreConfig(capacity_bytes=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            store = StoreConfig(capacity_bytes=store_capacity_bytes)
 
         model = TransformerModel(proxy_config, seed=seed)
         tokenizer = Tokenizer(vocab_size=proxy_config.vocab_size)
@@ -405,7 +371,6 @@ class BlendEngine:
             controller=controller,
             fusor_config=FusorConfig(recompute_ratio=recompute_ratio),
             timing_model=timing_config,
-            execution=execution,
             precision=precision,
             retry_policy=retry_policy,
         )
@@ -440,14 +405,6 @@ class BlendEngine:
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
-    def _resolve_execution(self, execution: str | None) -> str:
-        mode = self.execution if execution is None else execution
-        if mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-            )
-        return mode
-
     def _lookup_with_retry(
         self, key: str, stats: dict[str, int]
     ) -> tuple[StoreLookup, float, bool]:
@@ -580,8 +537,8 @@ class BlendEngine:
     def _executor_for(self, device: StorageDevice) -> PipelinedExecutor:
         """The engine's executor, re-targeted when the controller picked a
         different storage device than the KV store's (``candidate_devices``):
-        the measured transfer delays must simulate the device the analytic
-        estimate beside them is priced at."""
+        the measured transfer delays must simulate the device the
+        ``ttft_estimate`` beside them is priced at."""
         if device.name == self.executor.device.name:
             return self.executor
         return PipelinedExecutor(
@@ -613,15 +570,14 @@ class BlendEngine:
     def _decode_session_batch(
         self, fusions: list[FusionResult], max_new_tokens: int
     ) -> tuple[float, list[list[int]]]:
-        """Co-batched generation for every pipelined request of a batch.
+        """Co-batched generation for every request of a batch.
 
         All requests join one persistent
         :class:`~repro.model.tensors.DecodeSession` (their fused caches are
         copied into the padded slots once — setup, outside the timed spans;
         a persistent engine would have prefilled into the pad directly), and
         generation runs Orca-style lock-step: **one session step per
-        scheduler iteration**, replacing the former N independent
-        ``generate`` calls.  Steady-state steps write only each member's
+        scheduler iteration**.  Steady-state steps write only each member's
         appended row; requests leave the session — freeing their slot — the
         moment they finish, so peak resident KV tracks the live batch.
 
@@ -643,8 +599,8 @@ class BlendEngine:
         for index, fusion in enumerate(fusions):
             session.join(index, fusion.kv_cache, reserve=max(1, max_new_tokens))
         # The first token of every request is decoded in one shared, measured
-        # step (mirroring the per-request measured first step this replaces,
-        # which also ran regardless of EOS or a zero token budget).
+        # step; it runs regardless of EOS or a zero token budget, because
+        # TTFT is measured to the first token.
         first_ids = [int(np.argmax(fusion.last_logits)) for fusion in fusions]
         start = time.perf_counter()
         step_logits = self.model.decode_session_step(session, first_ids)
@@ -679,55 +635,38 @@ class BlendEngine:
         fusion: FusionResult,
         decision: ControllerDecision,
         ratio: float,
-        mode: str,
-        max_new_tokens: int,
-        measured_ttft: float | None = None,
-        measured_stall: float | None = None,
-        trace: PipelineTrace | None = None,
-        generated: list[int] | None = None,
-        measured_first_decode_s: float | None = None,
-        decode_batch_width: int | None = None,
+        pipeline_s: float,
+        measured_stall: float,
+        trace: PipelineTrace,
+        generated: list[int],
+        first_decode_s: float,
+        decode_batch_width: int,
     ) -> BlendResult:
         """Assemble one request's :class:`BlendResult`.
 
-        Pipelined callers pass the request's share of the co-batched session
-        decode (``generated``, the shared ``measured_first_decode_s`` and
-        the ``decode_batch_width``); the first decode step is folded into
-        the measured TTFT here.  Analytic callers generate per request
-        through the legacy (unbatched) path.
+        The measured TTFT is the request's pipeline completion
+        (``pipeline_s``), its cold-chunk prefill wall-clock and the shared
+        first decode step of the co-batched session.
         """
-        ttft_estimate = self._estimate_ttft(
-            inputs.context_tokens,
-            int(inputs.suffix_ids.size),
-            inputs.miss_tokens,
-            ratio,
-            decision.device,
-            store_read_delay_s=inputs.store_read_delay_s,
-        )
-        if mode == "pipelined":
-            if measured_ttft is not None and measured_first_decode_s is not None:
-                measured_ttft += measured_first_decode_s
-        elif max_new_tokens > 0:
-            generated = self.model.generate(
-                fusion.kv_cache,
-                fusion.last_logits,
-                max_new_tokens=max_new_tokens,
-                eos_id=self.tokenizer.eos_id,
-            )
         return BlendResult(
             fusion=fusion,
-            ttft=measured_ttft if measured_ttft is not None else ttft_estimate,
+            ttft=pipeline_s + inputs.miss_prefill_s + first_decode_s,
             decision=decision,
             cache_hits=inputs.hits,
             cache_misses=inputs.misses,
-            generated_ids=generated or [],
+            generated_ids=generated,
             n_context_tokens=inputs.context_tokens,
             n_suffix_tokens=int(inputs.suffix_ids.size),
-            execution=mode,
-            ttft_estimate=ttft_estimate,
-            measured_ttft=measured_ttft,
+            ttft_estimate=self._estimate_ttft(
+                inputs.context_tokens,
+                int(inputs.suffix_ids.size),
+                inputs.miss_tokens,
+                ratio,
+                decision.device,
+                store_read_delay_s=inputs.store_read_delay_s,
+            ),
             measured_stall=measured_stall,
-            measured_first_decode_s=measured_first_decode_s,
+            measured_first_decode_s=first_decode_s,
             decode_batch_width=decode_batch_width,
             trace=trace,
             cache_stats=dict(inputs.stats),
@@ -740,51 +679,41 @@ class BlendEngine:
         recompute_ratio: float | None = None,
         max_new_tokens: int = 0,
         candidate_devices: list[StorageDevice] | None = None,
-        execution: str | None = None,
+        execution: str = "pipelined",
     ) -> BlendResult:
         """Answer one request whose input is *chunk_texts* followed by *question*.
 
-        ``execution`` overrides the engine's default mode for this request:
-        ``"pipelined"`` executes the load/recompute pipeline and returns a
-        measured TTFT (cold-chunk prefill wall-clock included) plus the
-        per-layer :class:`~repro.core.pipeline.PipelineTrace`;
-        ``"analytic"`` estimates TTFT with the cost model as before.
+        The request's load/recompute pipeline executes and the result
+        carries a measured TTFT (cold-chunk prefill wall-clock included)
+        plus the per-layer :class:`~repro.core.pipeline.PipelineTrace`.
+        ``execution`` accepts only ``"pipelined"``.
         """
-        mode = self._resolve_execution(execution)
+        _check_execution(execution)
         inputs = self._gather_request(chunk_texts, question)
         decision, ratio = self._decide(inputs, recompute_ratio, candidate_devices)
-
-        if mode == "pipelined":
-            executed = self._executor_for(decision.device).execute(
-                inputs.chunk_caches,
-                inputs.suffix_ids,
-                recompute_ratio=ratio,
-                pipelined=True,
-                extra_load_delay=inputs.store_read_delay_s,
-            )
-            self._observe(executed.trace, inputs, executed.fusion)
-            first_decode_s, generated = self._decode_session_batch(
-                [executed.fusion], max_new_tokens
-            )
-            return self._finish(
-                inputs,
-                executed.fusion,
-                decision,
-                ratio,
-                mode,
-                max_new_tokens,
-                measured_ttft=executed.total_time + inputs.miss_prefill_s,
-                measured_stall=executed.stall_time,
-                trace=executed.trace,
-                generated=generated[0],
-                measured_first_decode_s=first_decode_s,
-                decode_batch_width=1,
-            )
-
-        fusion = self.fusor.fuse(
-            inputs.chunk_caches, inputs.suffix_ids, recompute_ratio=ratio
+        executed = self._executor_for(decision.device).execute(
+            inputs.chunk_caches,
+            inputs.suffix_ids,
+            recompute_ratio=ratio,
+            pipelined=True,
+            extra_load_delay=inputs.store_read_delay_s,
         )
-        return self._finish(inputs, fusion, decision, ratio, mode, max_new_tokens)
+        self._observe(executed.trace, inputs, executed.fusion)
+        first_decode_s, generated = self._decode_session_batch(
+            [executed.fusion], max_new_tokens
+        )
+        return self._finish(
+            inputs,
+            executed.fusion,
+            decision,
+            ratio,
+            pipeline_s=executed.total_time,
+            measured_stall=executed.stall_time,
+            trace=executed.trace,
+            generated=generated[0],
+            first_decode_s=first_decode_s,
+            decode_batch_width=1,
+        )
 
     # ------------------------------------------------------------------
     # Batch execution (used by the bench subsystem)
@@ -794,7 +723,7 @@ class BlendEngine:
         batch: list[tuple[list[str], str]],
         recompute_ratio: float | None = None,
         max_new_tokens: int = 0,
-        execution: str | None = None,
+        execution: str = "pipelined",
     ) -> list[BlendResult]:
         """Answer a batch of ``(chunk_texts, question)`` requests in order.
 
@@ -804,7 +733,7 @@ class BlendEngine:
         ``cache_stats`` (the engine-global :attr:`cache_stats` aggregates
         across requests and batches).
 
-        Under ``execution="pipelined"`` the whole batch runs through
+        The whole batch runs through
         :meth:`~repro.core.executor.PipelinedExecutor.execute_batch` with
         *cross-request* pipelining — while request A's tail layers recompute,
         request B's layer-0 KV is already streaming off the device — and each
@@ -814,20 +743,9 @@ class BlendEngine:
         :class:`~repro.model.tensors.DecodeSession` and the batch decodes in
         lock-step, one session step per iteration (the measured first step,
         shared across the batch, is folded into each measured TTFT).
+        ``execution`` accepts only ``"pipelined"``.
         """
-        mode = self._resolve_execution(execution)
-        if mode == "analytic":
-            return [
-                self.run(
-                    chunk_texts,
-                    question,
-                    recompute_ratio=recompute_ratio,
-                    max_new_tokens=max_new_tokens,
-                    execution=mode,
-                )
-                for chunk_texts, question in batch
-            ]
-
+        _check_execution(execution)
         gathered = [
             self._gather_request(chunk_texts, question) for chunk_texts, question in batch
         ]
@@ -843,27 +761,23 @@ class BlendEngine:
         first_decode_s, generated = self._decode_session_batch(
             [request.fusion for request in executed], max_new_tokens
         )
-        results: list[BlendResult] = []
-        for index, (inputs, (decision, ratio), request) in enumerate(
-            zip(gathered, decisions, executed)
-        ):
-            results.append(
-                self._finish(
-                    inputs,
-                    request.fusion,
-                    decision,
-                    ratio,
-                    mode,
-                    max_new_tokens,
-                    measured_ttft=request.total_time + inputs.miss_prefill_s,
-                    measured_stall=request.stall_time,
-                    trace=request.trace,
-                    generated=generated[index],
-                    measured_first_decode_s=first_decode_s,
-                    decode_batch_width=len(executed),
-                )
+        return [
+            self._finish(
+                inputs,
+                request.fusion,
+                decision,
+                ratio,
+                pipeline_s=request.total_time,
+                measured_stall=request.stall_time,
+                trace=request.trace,
+                generated=generated[index],
+                first_decode_s=first_decode_s,
+                decode_batch_width=len(executed),
             )
-        return results
+            for index, (inputs, (decision, ratio), request) in enumerate(
+                zip(gathered, decisions, executed)
+            )
+        ]
 
     @property
     def cache_stats(self) -> dict[str, float]:

@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.model.tensors import KVCache, LayerKV
 
@@ -101,8 +100,15 @@ def layer_rank_correlation(deviation_a: np.ndarray, deviation_b: np.ndarray) -> 
         raise ValueError("need at least two tokens to compute a rank correlation")
     if np.allclose(deviation_a, deviation_a[0]) or np.allclose(deviation_b, deviation_b[0]):
         return 0.0
-    result = stats.spearmanr(deviation_a, deviation_b)
-    return float(result.correlation)
+    return float(np.corrcoef(_mean_ranks(deviation_a), _mean_ranks(deviation_b))[0, 1])
+
+
+def _mean_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks of *values*, with tied values sharing their mean rank."""
+    ranks = np.empty(values.size)
+    ranks[np.argsort(values, kind="stable")] = np.arange(values.size)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.bincount(inverse, weights=ranks) / counts)[inverse]
 
 
 def deviation_cdf(deviation: np.ndarray, n_points: int = 50) -> tuple[np.ndarray, np.ndarray]:

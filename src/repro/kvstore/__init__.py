@@ -7,7 +7,7 @@ whole-chunk store with LRU eviction, a radix-trie store deduplicating shared
 token prefixes, and a multi-tier store (RAM + SSD) with promotion/demotion.
 """
 
-from repro.kvstore.config import KV_DTYPE_BYTES, STORE_BACKENDS, StoreConfig
+from repro.kvstore.config import STORE_BACKENDS, StoreConfig
 from repro.kvstore.device import DEVICE_PRESETS, StorageDevice, get_device
 from repro.kvstore.faults import (
     ALL_FAULT_KINDS,
@@ -74,7 +74,6 @@ __all__ = [
     "TierLookup",
     "StoreConfig",
     "STORE_BACKENDS",
-    "KV_DTYPE_BYTES",
     "PrecisionPolicy",
     "PRECISION_PRESETS",
     "KV_ELEM_DTYPES",

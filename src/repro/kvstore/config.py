@@ -1,11 +1,9 @@
 """Declarative store configuration: pick a backend, build a ChunkStore.
 
-:class:`~repro.core.blend_engine.BlendEngine.build` used to take a single
-``store_capacity_bytes`` knob and always construct a whole-chunk
-:class:`~repro.kvstore.store.KVCacheStore`.  With multiple backends (chunk /
-trie dedup / tiered hierarchies) the store choice is its own axis, so the
-engine now accepts a :class:`StoreConfig` — a frozen, JSON-friendly recipe —
-or any pre-built :class:`~repro.kvstore.protocol.ChunkStore`.
+With multiple backends (chunk / trie dedup / tiered hierarchies) the store
+choice is its own axis: :class:`~repro.core.blend_engine.BlendEngine.build`
+accepts a :class:`StoreConfig` — a frozen, JSON-friendly recipe — or any
+pre-built :class:`~repro.kvstore.protocol.ChunkStore`.
 """
 
 from __future__ import annotations
@@ -14,16 +12,12 @@ from dataclasses import dataclass
 
 from repro.kvstore.device import get_device
 from repro.kvstore.hierarchy import TieredKVStore
-from repro.kvstore.precision import ELEM_BYTES, PRECISION_PRESETS, PrecisionPolicy
+from repro.kvstore.precision import PRECISION_PRESETS, PrecisionPolicy
 from repro.kvstore.store import EvictionPolicy, KVCacheStore
 from repro.kvstore.trie import RadixTrieStore
 
 #: Store backends :meth:`StoreConfig.build` can construct.
 STORE_BACKENDS = ("chunk", "trie", "tiered", "tiered_trie")
-
-#: Bytes per stored KV element for each *uniform* store dtype (per-layer
-#: policies like ``mixed`` have no scalar width — use ``precision``).
-KV_DTYPE_BYTES = dict(ELEM_BYTES)
 
 
 @dataclass(frozen=True)
@@ -90,45 +84,22 @@ class StoreConfig:
         return PrecisionPolicy.get(self.kv_dtype)
 
     @property
-    def dtype_bytes(self) -> int:
-        """Scalar element width of a *uniform* ``kv_dtype``.
-
-        Per-layer policies (``mixed``) have no single width — callers that
-        need byte accounting should go through :attr:`precision` instead.
-        """
-        try:
-            return KV_DTYPE_BYTES[self.kv_dtype]
-        except KeyError:
-            raise ValueError(
-                f"kv_dtype {self.kv_dtype!r} has no scalar element width; "
-                "use the per-layer precision policy"
-            ) from None
-
-    @property
     def tiered(self) -> bool:
         return self.backend in ("tiered", "tiered_trie")
 
-    def build(self, device=None, dtype_bytes: int | None = None):
+    def build(self, device=None):
         """Construct the configured :class:`ChunkStore`.
 
         ``device`` overrides the single-tier storage device (the engine
-        passes the device its controller picked); ``dtype_bytes`` overrides
-        the payload width when the caller's timing model disagrees with
-        ``kv_dtype`` (legacy paths; ignored for byte accounting, which the
-        precision policy governs).
+        passes the device its controller picked).  Every store accounts
+        bytes at :attr:`precision`.
         """
         precision = self.precision
-        if dtype_bytes is not None:
-            width = dtype_bytes
-        else:
-            uniform = precision.uniform_dtype
-            width = ELEM_BYTES[uniform] if uniform is not None else 2
         if not self.tiered:
             storage = device if device is not None else get_device(self.tier_devices[0])
             cls = KVCacheStore if self.backend == "chunk" else RadixTrieStore
             kwargs = dict(
                 device=storage,
-                dtype_bytes=width,
                 policy=self.policy,
                 capacity_bytes=self.capacity_bytes,
                 precision=precision,
@@ -143,7 +114,6 @@ class StoreConfig:
         for name, capacity in zip(self.tier_devices, capacities):
             kwargs = dict(
                 device=get_device(name),
-                dtype_bytes=width,
                 policy=self.policy,
                 capacity_bytes=capacity,
                 precision=precision,

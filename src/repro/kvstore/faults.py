@@ -12,7 +12,7 @@ story.  Four fault kinds model how a real KV store degrades:
   round-trips the entry through :func:`~repro.kvstore.serialization.
   serialize_kv`, flips a payload byte, and decodes — so the resulting
   :class:`~repro.kvstore.serialization.KVCorruptionError` is raised by the
-  *real* RPKV4 blake2b integrity check, end to end, not simulated.
+  *real* RPKV5 blake2b integrity check, end to end, not simulated.
 * ``slow_read``: the read succeeds but the returned
   :class:`~repro.kvstore.protocol.StoreLookup` carries an inflated
   ``read_delay`` (a stalled slow tier) — what a per-lookup timeout policy
@@ -161,7 +161,7 @@ class FaultyStore:
         return self.lookup(key).cache
 
     def _corrupt(self, cache: KVCache) -> None:
-        """Trip the real RPKV4 integrity check on a damaged copy of *cache*."""
+        """Trip the real RPKV5 integrity check on a damaged copy of *cache*."""
         blob = bytearray(serialize_kv(cache))
         flip = len(blob) - 1 - int(self._rng.integers(max(1, cache.n_tokens * 8)))
         blob[max(0, flip)] ^= 0xFF

@@ -157,12 +157,8 @@ class TieredKVStore:
         return self.tiers[0].device
 
     @property
-    def dtype_bytes(self) -> int:
-        return self.tiers[0].dtype_bytes
-
-    @property
     def precision(self):
-        """The tiers' precision policy (``None`` for scalar-width tiers)."""
+        """The tiers' precision policy."""
         return self.tiers[0].precision
 
     def cache_nbytes(self, cache: KVCache) -> int:

@@ -1,12 +1,11 @@
 """Unified KV precision policy.
 
-One :class:`PrecisionPolicy` replaces the three dtype knobs that used to
-govern KV precision independently (``ModelConfig.dtype_bytes`` for pricing,
-``StoreConfig.kv_dtype`` for the store put-path, ``BlendEngine.kv_dtype``
-for the in-memory round-trip).  A policy is a per-layer dtype map: every
-layer of a KV cache is stored, priced, serialized and loaded at the dtype
-the policy assigns it, so byte accounting, eviction pressure, load-span
-pricing and the serialized wire format all agree by construction.
+One :class:`PrecisionPolicy` governs KV precision everywhere it matters:
+store pricing, the store put-path and the engine's in-memory round-trip
+(``StoreConfig.kv_dtype`` names the policy).  A policy is a per-layer dtype
+map: every layer of a KV cache is stored, priced, serialized and loaded at
+the dtype the policy assigns it, so byte accounting, eviction pressure,
+load-span pricing and the serialized wire format all agree by construction.
 
 Presets
 -------
@@ -144,14 +143,6 @@ class PrecisionPolicy:
     def layer_dtype_table(self, n_layers: int) -> tuple[str, ...]:
         """The full per-layer dtype table (what ``RPKV5`` headers carry)."""
         return tuple(self.dtype_for_layer(i, n_layers) for i in range(n_layers))
-
-    @property
-    def uniform_dtype(self) -> str | None:
-        """The single element dtype when the map is uniform, else ``None``."""
-        if self.layer_dtypes is not None:
-            first = self.layer_dtypes[0]
-            return first if all(d == first for d in self.layer_dtypes) else None
-        return self.name if self.name in KV_ELEM_DTYPES else None
 
     # ------------------------------------------------------------------
     # Byte accounting

@@ -1,67 +1,45 @@
 """KV cache serialization and size accounting.
 
-KV caches are stored as float16 (or int8-scaled, for the quantised presets)
-blobs.  ``kv_nbytes`` is the size accounting the storage devices and the
-loading-delay estimator use; ``serialize_kv``/``deserialize_kv`` produce real
-byte buffers so the store can optionally persist caches to files on disk.
+KV caches are stored as float16, float32 or int8-scaled blobs, per layer as
+a :class:`~repro.kvstore.precision.PrecisionPolicy` assigns.  ``kv_nbytes``
+is the size accounting the storage devices and the loading-delay estimator
+use; ``serialize_kv``/``deserialize_kv`` produce real byte buffers so the
+store can optionally persist caches to files on disk.
 
-Five wire formats exist:
-
-* ``RPKV5`` (current, written by :func:`serialize_kv` whenever a
-  :class:`~repro.kvstore.precision.PrecisionPolicy` — or any dtype the
-  uniform legacy formats cannot express, e.g. ``float32`` or the
-  ``mixed`` preset — selects the payload): the RPKV4 layout generalised
-  with a **per-layer dtype table** in the header.  Each layer's payload is
-  packed at its own dtype (raw float32/float16 bytes, or the int8 scale
-  pair + quantised bytes), so one blob can mix precisions across layers.
-  Always checksummed.
-* ``RPKV4`` (written by :func:`serialize_kv` for the uniform
-  ``float16``/``int8`` dtypes): the RPKV2/RPKV3 layout with the payload
-  dtype recorded in the header plus a blake2b digest of the payload bytes
-  (token ids, positions and layers).  :func:`deserialize_kv` verifies the
-  digest before decoding and raises :class:`KVCorruptionError` on
-  mismatch — a flipped bit in a stored blob surfaces as a typed,
-  retryable failure instead of silently decoding garbage KV.
-* ``RPKV3`` (legacy int8, still readable): the JSON header followed by
-  token ids, positions, then per layer a ``float32`` (k_scale, v_scale)
-  pair and the int8-quantised K/V bytes.  The symmetric per-tensor scale
-  (``max|x| / 127``) executes the 1-byte KV round-trip the cost model's
-  ``dtype_bytes=1`` presets already price.
-* ``RPKV2`` (legacy fp16, still readable): a JSON shape/dtype header
-  followed by the raw C-order array bytes of the token ids, positions
-  and per-layer fp16 K/V tensors.  Loading is a zero-copy
-  ``np.frombuffer`` + ``reshape`` per array — no zip container, no pickle.
-* ``RPKV1`` (legacy): the same header followed by an ``np.savez`` archive.
-  Still readable behind the magic check so caches persisted by older
-  versions keep loading.
+The wire format is ``RPKV5``: the magic, a little-endian header length, a
+JSON header (shape, a **per-layer dtype table**, index and scale dtypes,
+and a blake2b digest of the payload), then the payload — token ids,
+positions, and each layer's K+V packed at its own dtype (raw float32 or
+float16 bytes, or an int8 (k_scale, v_scale) float32 pair followed by the
+quantised bytes).  One blob can therefore mix precisions across layers.
+:func:`deserialize_kv` verifies the digest before decoding and raises
+:class:`KVCorruptionError` on a mismatch, so a flipped bit in a stored blob
+surfaces as a typed, retryable failure instead of silently decoding garbage
+KV.  Loading is a zero-copy ``np.frombuffer`` + ``reshape`` per float array
+— no zip container, no pickle.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 
 import numpy as np
 
-from repro.kvstore.precision import PrecisionPolicy
+from repro.kvstore.precision import PrecisionPolicy, layer_payload_nbytes
 from repro.model.tensors import KVCache, LayerKV
 
-_MAGIC_V1 = b"RPKV1\n"
-_MAGIC_V2 = b"RPKV2\n"
-_MAGIC_V3 = b"RPKV3\n"
-_MAGIC_V4 = b"RPKV4\n"
-_MAGIC_V5 = b"RPKV5\n"
+_MAGIC = b"RPKV5\n"
 
-#: blake2b digest width of the RPKV4 payload checksum (hex in the header).
+#: blake2b digest width of the payload checksum (hex in the header).
 _CHECKSUM_BYTES = 16
 
 
 class KVCorruptionError(ValueError):
     """A serialized KV payload failed its integrity check.
 
-    Raised by :func:`deserialize_kv` when an ``RPKV4`` blob's payload bytes
-    do not hash to the header checksum (bit rot, a torn write, or an
+    Raised by :func:`deserialize_kv` when a blob's payload bytes do not
+    hash to the header checksum (bit rot, a torn write, or an
     injected corruption fault).  Typed so store consumers can retry or fall
     back to recompute instead of crashing on garbage KV.
     """
@@ -72,11 +50,6 @@ _F32_DTYPE = np.dtype(np.float32)
 _INT8_DTYPE = np.dtype(np.int8)
 _SCALE_DTYPE = np.dtype(np.float32)
 _IDX_DTYPE = np.dtype(np.int64)
-
-#: Uniform KV payload dtypes the legacy ``RPKV2``–``4`` formats can write;
-#: ``float32``, ``mixed`` and explicit per-layer policies go through
-#: ``RPKV5`` (see :func:`serialize_kv`).
-KV_STORE_DTYPES = ("float16", "int8")
 
 
 def kv_nbytes(cache: KVCache, dtype_bytes: int = 2) -> int:
@@ -159,10 +132,6 @@ def unpack_layer_kv_int8(
     return LayerKV(dequantize_int8(keys, scales[0]), dequantize_int8(values, scales[1]))
 
 
-def _int8_layer_nbytes(n_tokens: int, n_kv_heads: int, head_dim: int) -> int:
-    return 2 * _SCALE_DTYPE.itemsize + 2 * n_tokens * n_kv_heads * head_dim
-
-
 def pack_layer_kv_f32(layer: LayerKV) -> bytes:
     """Raw float32 bytes of one layer: keys then values, C order."""
     return (
@@ -215,7 +184,7 @@ def unpack_layer_kv_as(
 
 
 def _resolve_kv_dtype(kv_dtype: str | PrecisionPolicy) -> PrecisionPolicy:
-    """Resolve a ``kv_dtype`` argument, keeping the legacy error wording."""
+    """Resolve a ``kv_dtype`` argument, naming it in the error message."""
     try:
         return PrecisionPolicy.get(kv_dtype)
     except ValueError as error:
@@ -297,8 +266,16 @@ def _uniform_layer_shape(cache: KVCache) -> tuple[int, int]:
     return n_kv_heads, head_dim
 
 
-def _serialize_v5(cache: KVCache, policy: PrecisionPolicy) -> bytes:
-    """Write the ``RPKV5`` per-layer-dtype format (always checksummed)."""
+def serialize_kv(cache: KVCache, kv_dtype: str | PrecisionPolicy = "float16") -> bytes:
+    """Serialise *cache* into a self-describing, checksummed ``RPKV5`` blob.
+
+    ``kv_dtype`` is a precision preset name (``"float32"``, ``"float16"``,
+    ``"int8"``, ``"mixed"``) or a
+    :class:`~repro.kvstore.precision.PrecisionPolicy`; each layer is packed
+    at the dtype the resolved policy assigns it, and the header carries the
+    full per-layer dtype table.
+    """
+    policy = _resolve_kv_dtype(kv_dtype)
     n_kv_heads, head_dim = _uniform_layer_shape(cache)
     table = list(policy.layer_dtype_table(cache.n_layers)) if cache.layers else []
     header = {
@@ -322,151 +299,26 @@ def _serialize_v5(cache: KVCache, policy: PrecisionPolicy) -> bytes:
     header["checksum"] = _payload_checksum(payload)
     header_bytes = json.dumps(header).encode("utf-8")
     return b"".join(
-        [_MAGIC_V5, len(header_bytes).to_bytes(4, "little"), header_bytes, payload]
-    )
-
-
-def serialize_kv(
-    cache: KVCache, kv_dtype: str | PrecisionPolicy = "float16", *, checksum: bool = True
-) -> bytes:
-    """Serialise *cache* into a self-describing byte string.
-
-    For the uniform legacy dtypes the default writes ``RPKV4``: header
-    (shape, payload dtype, blake2b payload checksum), token ids,
-    positions, then the per-layer payload — fp16 K/V bytes back to back
-    for ``kv_dtype="float16"``, or for ``kv_dtype="int8"`` each layer
-    prefixed by its float32 (k_scale, v_scale) pair with the K/V quantised
-    to one byte per element (the executed counterpart of the
-    ``dtype_bytes=1`` pricing presets).
-
-    Any other precision — ``"float32"``, the ``"mixed"`` preset, or a
-    :class:`~repro.kvstore.precision.PrecisionPolicy` whose per-layer map
-    the uniform formats cannot express — writes ``RPKV5``, whose header
-    carries the full per-layer dtype table (always checksummed).
-
-    ``checksum=False`` writes the previous-generation ``RPKV2``/``RPKV3``
-    formats (no integrity digest) — kept for back-compat round-trip tests
-    and readers pinned to the legacy layout.
-    """
-    if not (isinstance(kv_dtype, str) and kv_dtype in KV_STORE_DTYPES):
-        policy = _resolve_kv_dtype(kv_dtype)
-        uniform = policy.uniform_dtype
-        if uniform in KV_STORE_DTYPES:
-            # Uniform fp16/int8 policies keep the RPKV4/2/3 wire format
-            # (bitwise-identical blobs to the pre-policy code).
-            kv_dtype = uniform
-        else:
-            return _serialize_v5(cache, policy)
-    n_kv_heads, head_dim = _uniform_layer_shape(cache)
-    int8 = kv_dtype == "int8"
-    header = {
-        "n_layers": cache.n_layers,
-        "n_tokens": cache.n_tokens,
-        "n_kv_heads": n_kv_heads,
-        "head_dim": head_dim,
-        "kv_dtype": _INT8_DTYPE.name if int8 else _KV_DTYPE.name,
-        "idx_dtype": _IDX_DTYPE.name,
-    }
-    if int8:
-        header["scale_dtype"] = _SCALE_DTYPE.name
-    payload_parts = [
-        np.ascontiguousarray(cache.token_ids, dtype=_IDX_DTYPE).tobytes(),
-        np.ascontiguousarray(cache.positions, dtype=_IDX_DTYPE).tobytes(),
-    ]
-    for layer in cache.layers:
-        payload_parts.append(
-            pack_layer_kv_int8(layer) if int8 else pack_layer_kv(layer)
-        )
-    payload = b"".join(payload_parts)
-    if checksum:
-        magic = _MAGIC_V4
-        header["checksum"] = _payload_checksum(payload)
-    else:
-        magic = _MAGIC_V3 if int8 else _MAGIC_V2
-    header_bytes = json.dumps(header).encode("utf-8")
-    return b"".join(
-        [magic, len(header_bytes).to_bytes(4, "little"), header_bytes, payload]
+        [_MAGIC, len(header_bytes).to_bytes(4, "little"), header_bytes, payload]
     )
 
 
 def deserialize_kv(data: bytes) -> KVCache:
-    """Inverse of :func:`serialize_kv`; reads all of ``RPKV1``–``5``.
+    """Inverse of :func:`serialize_kv`.
 
-    ``RPKV4``/``RPKV5`` payloads are integrity-checked first — a blake2b
-    mismatch raises :class:`KVCorruptionError` before any bytes are
-    decoded.  Float payloads are up-cast to the float32 compute dtype by
-    :class:`~repro.model.tensors.LayerKV` (not to float64 as older versions
-    did); int8 payloads are dequantised at their per-tensor scales.
+    The payload is integrity-checked first — a blake2b mismatch raises
+    :class:`KVCorruptionError` before any bytes are decoded.  Float payloads
+    are up-cast to the float32 compute dtype by
+    :class:`~repro.model.tensors.LayerKV`; int8 payloads are dequantised at
+    their per-tensor scales.
     """
-    if data.startswith(_MAGIC_V5):
-        return _deserialize_v5(data)
-    if data.startswith(_MAGIC_V4):
-        return _deserialize_v4(data)
-    if data.startswith(_MAGIC_V3):
-        return _deserialize_v3(data)
-    if data.startswith(_MAGIC_V2):
-        return _deserialize_v2(data)
-    if data.startswith(_MAGIC_V1):
-        return _deserialize_v1(data)
-    raise ValueError("not a serialized KV cache (bad magic)")
-
-
-def _read_header(data: bytes, magic: bytes) -> tuple[dict, int]:
-    offset = len(magic)
+    if not data.startswith(_MAGIC):
+        raise ValueError("not a serialized KV cache (bad magic)")
+    offset = len(_MAGIC)
     header_len = int.from_bytes(data[offset : offset + 4], "little")
     offset += 4
     header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-    return header, offset + header_len
-
-
-def _decode_raw_payload(data: bytes, header: dict, offset: int) -> KVCache:
-    """Decode the RPKV2/3/4 raw payload (ids, positions, layers) at *offset*."""
-    n_layers = header["n_layers"]
-    n_tokens = header["n_tokens"]
-    n_kv_heads = header["n_kv_heads"]
-    head_dim = header["head_dim"]
-    kv_dtype = np.dtype(header["kv_dtype"])
-    idx_dtype = np.dtype(header["idx_dtype"])
-    int8 = kv_dtype == _INT8_DTYPE
-
-    token_ids = np.frombuffer(data, dtype=idx_dtype, count=n_tokens, offset=offset)
-    offset += n_tokens * idx_dtype.itemsize
-    positions = np.frombuffer(data, dtype=idx_dtype, count=n_tokens, offset=offset)
-    offset += n_tokens * idx_dtype.itemsize
-
-    if int8:
-        layer_bytes = _int8_layer_nbytes(n_tokens, n_kv_heads, head_dim)
-        unpack = unpack_layer_kv_int8
-    else:
-        layer_bytes = 2 * n_tokens * n_kv_heads * head_dim * kv_dtype.itemsize
-        unpack = unpack_layer_kv
-    layers = []
-    for _ in range(n_layers):
-        layers.append(unpack(data, n_tokens, n_kv_heads, head_dim, offset=offset))
-        offset += layer_bytes
-    return KVCache(layers, token_ids, positions)
-
-
-def _check_payload_dtype(header: dict, magic: bytes, allowed: tuple) -> None:
-    kv_dtype = np.dtype(header["kv_dtype"])
-    if kv_dtype not in allowed:
-        raise ValueError(
-            f"unsupported kv_dtype {kv_dtype.name!r} in "
-            f"{magic[:-1].decode()} header"
-        )
-    if kv_dtype == _INT8_DTYPE and (
-        np.dtype(header.get("scale_dtype", _SCALE_DTYPE.name)) != _SCALE_DTYPE
-    ):
-        raise ValueError(
-            f"unsupported scale_dtype {header['scale_dtype']!r} in "
-            f"{magic[:-1].decode()} header"
-        )
-
-
-def _deserialize_v5(data: bytes) -> KVCache:
-    from repro.kvstore.precision import layer_payload_nbytes
-
-    header, offset = _read_header(data, _MAGIC_V5)
+    offset += header_len
     expected = header.get("checksum")
     if not expected:
         raise KVCorruptionError("RPKV5 header is missing its payload checksum")
@@ -500,54 +352,12 @@ def _deserialize_v5(data: bytes) -> KVCache:
     return KVCache(layers, token_ids, positions)
 
 
-def _deserialize_v4(data: bytes) -> KVCache:
-    header, offset = _read_header(data, _MAGIC_V4)
-    _check_payload_dtype(header, _MAGIC_V4, (_KV_DTYPE, _INT8_DTYPE))
-    expected = header.get("checksum")
-    if not expected:
-        raise KVCorruptionError("RPKV4 header is missing its payload checksum")
-    actual = _payload_checksum(data, offset)
-    if actual != expected:
-        raise KVCorruptionError(
-            f"KV payload checksum mismatch: header {expected!r} vs "
-            f"payload {actual!r} (corrupted or truncated blob)"
-        )
-    return _decode_raw_payload(data, header, offset)
-
-
-def _deserialize_v2(data: bytes) -> KVCache:
-    header, offset = _read_header(data, _MAGIC_V2)
-    _check_payload_dtype(header, _MAGIC_V2, (_KV_DTYPE,))
-    return _decode_raw_payload(data, header, offset)
-
-
-def _deserialize_v3(data: bytes) -> KVCache:
-    header, offset = _read_header(data, _MAGIC_V3)
-    _check_payload_dtype(header, _MAGIC_V3, (_INT8_DTYPE,))
-    return _decode_raw_payload(data, header, offset)
-
-
-def _deserialize_v1(data: bytes) -> KVCache:
-    """Legacy ``np.savez``-based format."""
-    buffer = io.BytesIO(data)
-    buffer.read(len(_MAGIC_V1))
-    header_len = int.from_bytes(buffer.read(4), "little")
-    header = json.loads(buffer.read(header_len).decode("utf-8"))
-    archive = np.load(buffer)
-    layers = [
-        LayerKV(archive[f"k{i}"], archive[f"v{i}"])
-        for i in range(header["n_layers"])
-    ]
-    return KVCache(layers, archive["token_ids"], archive["positions"])
-
-
 def save_kv(
     cache: KVCache, path: str, kv_dtype: str | PrecisionPolicy = "float16"
 ) -> int:
     """Persist *cache* to *path*; returns the number of bytes written.
 
-    ``kv_dtype`` selects the payload precision exactly as in
-    :func:`serialize_kv`.
+    ``kv_dtype`` selects the payload precision as in :func:`serialize_kv`.
     """
     payload = serialize_kv(cache, kv_dtype=kv_dtype)
     with open(path, "wb") as handle:

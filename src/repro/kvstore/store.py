@@ -19,7 +19,6 @@ import numpy as np
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.precision import PrecisionPolicy
 from repro.kvstore.protocol import StoreLookup
-from repro.kvstore.serialization import kv_nbytes
 from repro.model.tensors import KVCache
 
 #: Version prefix of :func:`chunk_key`.  v1 hashed a ","-joined decimal
@@ -114,9 +113,6 @@ class KVCacheStore:
         The storage device the caches live on; determines capacity and the
         simulated read/write delays reported by :meth:`read_delay` /
         :meth:`write_delay`.
-    dtype_bytes:
-        Bytes per stored KV element (matches the model's KV dtype).
-        Ignored for byte accounting when ``precision`` is set.
     policy:
         Eviction policy (LRU by default, FIFO available for ablation).
     capacity_bytes:
@@ -128,15 +124,14 @@ class KVCacheStore:
         TieredKVStore` uses to demote victims to the next tier instead of
         dropping them.
     precision:
-        Optional :class:`~repro.kvstore.precision.PrecisionPolicy` (or
-        preset name).  When set, byte accounting and eviction pressure use
-        the policy's per-layer element widths — an int8 policy literally
-        doubles the chunk count the same ``capacity_bytes`` holds vs fp16.
-        When ``None``, the scalar ``dtype_bytes`` width applies (legacy).
+        :class:`~repro.kvstore.precision.PrecisionPolicy` (or preset name;
+        ``None`` means ``float16``).  Byte accounting and eviction pressure
+        use the policy's per-layer element widths — an int8 policy
+        literally doubles the chunk count the same ``capacity_bytes`` holds
+        vs fp16.
     """
 
     device: StorageDevice
-    dtype_bytes: int = 2
     policy: EvictionPolicy = EvictionPolicy.LRU
     capacity_bytes: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
@@ -149,14 +144,11 @@ class KVCacheStore:
             self.capacity_bytes = self.device.capacity_bytes
         if self.capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if self.precision is not None:
-            self.precision = PrecisionPolicy.get(self.precision)
+        self.precision = PrecisionPolicy.get(self.precision)
 
     def cache_nbytes(self, cache: KVCache) -> int:
-        """Stored bytes of *cache* under this store's precision/width."""
-        if self.precision is not None:
-            return self.precision.cache_nbytes(cache)
-        return kv_nbytes(cache, self.dtype_bytes)
+        """Stored bytes of *cache* under this store's precision."""
+        return self.precision.cache_nbytes(cache)
 
     # ------------------------------------------------------------------
     # Core operations

@@ -39,7 +39,6 @@ import numpy as np
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.precision import PrecisionPolicy
 from repro.kvstore.protocol import StoreLookup
-from repro.kvstore.serialization import kv_nbytes
 from repro.kvstore.store import CacheStats, EvictionPolicy
 from repro.model.tensors import KVCache, LayerKV
 
@@ -98,7 +97,6 @@ class RadixTrieStore:
     """
 
     device: StorageDevice
-    dtype_bytes: int = 2
     policy: EvictionPolicy = EvictionPolicy.LRU
     capacity_bytes: int | None = None
     #: Optional time-to-live; entries older than this are lazily expired on
@@ -106,10 +104,9 @@ class RadixTrieStore:
     ttl_s: float | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     on_evict: Callable[[str, KVCache], None] | None = field(default=None, repr=False)
-    #: Optional per-layer precision policy; when set, row/entry byte
-    #: accounting uses the policy's per-layer element widths instead of the
-    #: scalar ``dtype_bytes`` (element widths are token-proportional, so
-    #: edge splits still conserve bytes exactly).
+    #: Per-layer precision policy (``None`` means ``float16``); row/entry
+    #: byte accounting uses its per-layer element widths (element widths
+    #: are token-proportional, so edge splits conserve bytes exactly).
     precision: PrecisionPolicy | str | None = None
     _entries: "OrderedDict[str, _TrieEntry]" = field(default_factory=OrderedDict)
     _root: _TrieNode = field(
@@ -126,14 +123,11 @@ class RadixTrieStore:
             raise ValueError("capacity_bytes must be positive")
         if self.ttl_s is not None and self.ttl_s <= 0:
             raise ValueError("ttl_s must be positive when set")
-        if self.precision is not None:
-            self.precision = PrecisionPolicy.get(self.precision)
+        self.precision = PrecisionPolicy.get(self.precision)
 
     def cache_nbytes(self, cache: KVCache) -> int:
         """Logical stored bytes of *cache* under this store's precision."""
-        if self.precision is not None:
-            return self.precision.cache_nbytes(cache)
-        return kv_nbytes(cache, self.dtype_bytes)
+        return self.precision.cache_nbytes(cache)
 
     # ------------------------------------------------------------------
     # Core operations
@@ -326,9 +320,7 @@ class RadixTrieStore:
             self.stats.expirations += 1
 
     def _rows_nbytes(self, layers: list[LayerKV]) -> int:
-        if self.precision is not None:
-            return self.precision.rows_nbytes(layers)
-        return sum(layer.nbytes(self.dtype_bytes) for layer in layers)
+        return self.precision.rows_nbytes(layers)
 
     def _make_node(
         self, ids: np.ndarray, positions: np.ndarray, cache: KVCache, start: int,

@@ -11,7 +11,7 @@ Three entry points are provided:
 * :func:`batched_decode_attention` — one decode query per request, batched
   across N requests whose caches may have different lengths (padded keys plus
   a length mask).  This is the layer primitive behind
-  :meth:`~repro.model.transformer.TransformerModel.decode_batch`.
+  :meth:`~repro.model.transformer.TransformerModel.decode_session_step`.
 
 The two prefill entry points return the attention weights of a trailing
 "query window" (the last few tokens of the input, i.e. the user question in a

@@ -5,21 +5,13 @@ token sequence, together with the absolute positions at which the keys were
 rotary-embedded.  Chunk caches record those positions so the CacheBlend fusor
 can re-align them when the chunk is placed at a different offset.
 
-:class:`GrowableKVCache` is the decode-path counterpart: per-layer K/V
-buffers preallocated with spare capacity and grown geometrically, so
-appending one decode token is an in-place row write (amortised O(1)) instead
-of the O(T) re-concatenation of every layer's full arrays that made the
-legacy decode loop O(T²) in memory traffic.
-
-:class:`DecodeSession` is the *batch*-decode counterpart: one persistent
+:class:`DecodeSession` is the decode-path counterpart: one persistent
 padded ``(slots, tokens, kv_heads, head_dim)`` buffer pair per layer that
 lives **across** decode steps.  A steady-state step writes only each
-member's newly appended row (O(batch) traffic) — never the per-call
-re-gather of every member's full K/V that
-:meth:`~repro.model.transformer.TransformerModel.decode_batch` performs —
+member's newly appended row (O(batch) traffic, amortised O(1) per token),
 and membership changes (a request joining on admission, leaving on
 EOS/length) refill only the affected slots.  Both axes of the pad grow
-geometrically, like :class:`GrowableKVCache`.
+geometrically.
 """
 
 from __future__ import annotations
@@ -160,242 +152,6 @@ class KVCache:
         return KVCache(layers, token_ids, positions)
 
 
-class GrowableKVCache:
-    """Per-layer K/V buffers with spare capacity and amortised O(1) appends.
-
-    The buffers hold ``capacity`` token rows of which the first ``n_tokens``
-    are live; appending a decode token writes one row per layer in place.
-    When capacity runs out, the buffers grow geometrically (at least
-    doubling), so a generation of T tokens costs O(T) total copy traffic
-    instead of the O(T²) of re-concatenating every layer per token.
-
-    ``next_position`` is tracked on the cache (the position the *next*
-    appended token embeds at, one past the last row's position) so decode
-    steps never rescan the positions array — and, unlike the former
-    ``positions.max()`` scan, it anchors on the *last* token rather than the
-    numerically largest position, so decoding continues the sequence order
-    after chunk-derived positions that are non-contiguous or out of order.
-    Note that an out-of-order cache is best re-aligned (the fusor always
-    does) before long decodes: its absolute positions may then repeat, and
-    RoPE cannot distinguish two keys rotated to the same position.
-    """
-
-    def __init__(
-        self,
-        n_layers: int,
-        n_kv_heads: int,
-        head_dim: int,
-        dtype: np.dtype | str = np.float32,
-        capacity: int = 64,
-    ) -> None:
-        if n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._capacity = capacity
-        self._length = 0
-        self._keys = [
-            np.zeros((capacity, n_kv_heads, head_dim), dtype=dtype)
-            for _ in range(n_layers)
-        ]
-        self._values = [np.zeros_like(k) for k in self._keys]
-        self._token_ids = np.zeros(capacity, dtype=np.int64)
-        self._positions = np.zeros(capacity, dtype=np.int64)
-        self.next_position = 0
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_kv_cache(cls, cache: KVCache, reserve: int = 0) -> "GrowableKVCache":
-        """Copy a legacy :class:`KVCache` into preallocated buffers.
-
-        ``reserve`` extra rows are preallocated beyond the cache's tokens
-        (e.g. the expected number of decode tokens), so a generation of that
-        length never reallocates.
-        """
-        if not cache.layers:
-            raise ValueError("cannot grow an empty KVCache")
-        n = cache.n_tokens
-        first = cache.layers[0]
-        grown = cls(
-            cache.n_layers,
-            first.keys.shape[1],
-            first.keys.shape[2],
-            dtype=first.keys.dtype,
-            capacity=max(1, n + max(0, reserve)),
-        )
-        for layer_idx, layer in enumerate(cache.layers):
-            grown._keys[layer_idx][:n] = layer.keys
-            grown._values[layer_idx][:n] = layer.values
-        if cache.token_ids.size:
-            grown._token_ids[:n] = cache.token_ids
-        if cache.positions.size:
-            grown._positions[:n] = cache.positions
-            grown.next_position = int(cache.positions[-1]) + 1
-        else:
-            grown._positions[:n] = np.arange(n, dtype=np.int64)
-            grown.next_position = n
-        grown._length = n
-        return grown
-
-    # ------------------------------------------------------------------
-    @property
-    def n_layers(self) -> int:
-        return len(self._keys)
-
-    @property
-    def n_tokens(self) -> int:
-        return self._length
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def token_ids(self) -> np.ndarray:
-        """Live token ids (a view into the buffer; do not resize)."""
-        self._check_live()
-        return self._token_ids[: self._length]
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Live embedding positions (a view into the buffer; do not resize)."""
-        self._check_live()
-        return self._positions[: self._length]
-
-    @property
-    def layers(self) -> list[LayerKV]:
-        """Per-layer :class:`LayerKV` views of the live rows (zero-copy)."""
-        return [self.layer(i) for i in range(self.n_layers)]
-
-    def layer(self, layer_idx: int) -> LayerKV:
-        return LayerKV(self.layer_keys(layer_idx), self.layer_values(layer_idx))
-
-    def layer_keys(self, layer_idx: int) -> np.ndarray:
-        self._check_live()
-        return self._keys[layer_idx][: self._length]
-
-    def layer_values(self, layer_idx: int) -> np.ndarray:
-        self._check_live()
-        return self._values[layer_idx][: self._length]
-
-    # ------------------------------------------------------------------
-    def reserve(self, n_extra: int) -> None:
-        """Ensure capacity for *n_extra* more rows, growing geometrically."""
-        self._check_live()
-        needed = self._length + max(0, n_extra)
-        if needed <= self._capacity:
-            return
-        new_capacity = max(needed, 2 * self._capacity)
-        for buffers in (self._keys, self._values):
-            for layer_idx, old in enumerate(buffers):
-                grown = np.zeros((new_capacity, *old.shape[1:]), dtype=old.dtype)
-                grown[: self._length] = old[: self._length]
-                buffers[layer_idx] = grown
-        for name in ("_token_ids", "_positions"):
-            old = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=old.dtype)
-            grown[: self._length] = old[: self._length]
-            setattr(self, name, grown)
-        self._capacity = new_capacity
-
-    def append_token(self, token_id: int, position: int | None = None) -> int:
-        """Claim the next row for one token; returns its row index.
-
-        The row's K/V entries are written afterwards via :meth:`write_layer`
-        (the decode loop fills them layer by layer).  ``position`` defaults
-        to the tracked :attr:`next_position`.
-        """
-        self.reserve(1)
-        row = self._length
-        if position is None:
-            position = self.next_position
-        self._token_ids[row] = token_id
-        self._positions[row] = position
-        self._length += 1
-        self.next_position = int(position) + 1
-        return row
-
-    def write_layer(
-        self, layer_idx: int, row: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Write one token's K/V for one layer in place (no reallocation)."""
-        self._check_live()
-        self._keys[layer_idx][row] = keys
-        self._values[layer_idx][row] = values
-
-    def append(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        token_id: int,
-        position: int | None = None,
-    ) -> int:
-        """Append one token's stacked ``(n_layers, n_kv_heads, head_dim)`` K/V."""
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        if keys.shape[0] != self.n_layers or values.shape[0] != self.n_layers:
-            raise ValueError("append expects one K/V row per layer")
-        row = self.append_token(token_id, position)
-        for layer_idx in range(self.n_layers):
-            self.write_layer(layer_idx, row, keys[layer_idx], values[layer_idx])
-        return row
-
-    # ------------------------------------------------------------------
-    def view(self) -> KVCache:
-        """Zero-copy legacy :class:`KVCache` view of the live rows.
-
-        The views alias the growable buffers: valid until the next append
-        that triggers a reallocation.
-        """
-        return KVCache(self.layers, self.token_ids, self.positions)
-
-    def to_kv_cache(self) -> KVCache:
-        """Deep copy into an exactly-sized legacy :class:`KVCache`."""
-        self._check_live()
-        n = self._length
-        return KVCache(
-            [
-                LayerKV(self._keys[i][:n].copy(), self._values[i][:n].copy())
-                for i in range(self.n_layers)
-            ],
-            self._token_ids[:n].copy(),
-            self._positions[:n].copy(),
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def released(self) -> bool:
-        """True once :meth:`release` has dropped the buffers."""
-        return self._capacity == 0
-
-    def resident_bytes(self) -> int:
-        """Bytes currently held by the preallocated buffers (capacity, not
-        just the live rows) — what the cache keeps resident in memory."""
-        return sum(k.nbytes + v.nbytes for k, v in zip(self._keys, self._values)) + (
-            self._token_ids.nbytes + self._positions.nbytes
-        )
-
-    def release(self) -> None:
-        """Drop the K/V buffers so the memory is reclaimable immediately.
-
-        Called when the request owning this cache completes or is evicted:
-        peak resident KV then tracks the *live* batch instead of waiting on
-        garbage collection of whole preallocated buffers.  The cache is dead
-        afterwards — any further append or read raises ``RuntimeError``.
-        """
-        empty_kv = np.zeros((0, 0, 0), dtype=self._keys[0].dtype)
-        self._keys = [empty_kv for _ in self._keys]
-        self._values = [empty_kv for _ in self._values]
-        self._token_ids = np.zeros(0, dtype=np.int64)
-        self._positions = np.zeros(0, dtype=np.int64)
-        self._length = 0
-        self._capacity = 0
-
-    def _check_live(self) -> None:
-        if self.released:
-            raise RuntimeError("GrowableKVCache was released; buffers are gone")
-
-
 @dataclass
 class DecodeSessionStats:
     """Copy/step instrumentation of one :class:`DecodeSession`.
@@ -403,8 +159,7 @@ class DecodeSessionStats:
     ``append_rows`` counts token rows written by per-step appends (one per
     member per step); ``refill_rows`` counts token rows copied by membership
     changes and pad growth (joins, leave compaction, reallocations).  On
-    stable membership a steady-state step performs *no* refills — the
-    regression test for the per-call re-gather ``decode_batch`` pays.
+    stable membership a steady-state step performs *no* refills.
     """
 
     joins: int = 0
@@ -434,17 +189,13 @@ class DecodeSession:
     One ``(n_slots, token_capacity, n_kv_heads, head_dim)`` key/value buffer
     pair per layer holds every member's live K/V rows side by side.  The
     batched decode attention reads the pad *directly* (a zero-copy slice per
-    layer), so a steady-state step costs one appended row per member —
-    unlike :meth:`~repro.model.transformer.TransformerModel.decode_batch`,
-    which re-gathers every request's full cache into per-call scratch on
-    every token (an O(batch × T) copy per step on top of attention's reads).
+    layer), so a steady-state step costs one appended row per member.
 
     Members occupy slots ``0..n_members-1`` densely (so the per-layer view
     is a plain slice); :meth:`leave` fills the hole by moving the last slot
     into it, and shrinks the slot axis geometrically when occupancy drops,
     so peak resident KV tracks the *live* batch.  Both pad axes grow
-    geometrically, like :class:`GrowableKVCache`.  All copy traffic is
-    counted in :attr:`stats`.
+    geometrically.  All copy traffic is counted in :attr:`stats`.
 
     Members are identified by caller-chosen hashable ids; the member order
     of a step's inputs/outputs is :attr:`member_ids` (which changes only on
@@ -523,12 +274,17 @@ class DecodeSession:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def join(self, member_id, cache: "KVCache | GrowableKVCache", reserve: int = 0) -> int:
-        """Copy *cache*'s live rows into a free slot; returns the slot index.
+    def join(self, member_id, cache: KVCache, reserve: int = 0) -> int:
+        """Copy *cache*'s rows into a free slot; returns the slot index.
 
         The one O(T) refill a member ever pays on stable membership.
         ``reserve`` extra token rows are preallocated (e.g. the decode
         budget) so the generation never regrows the token axis.
+
+        The member's next decode position is one past its *last* row's
+        position, not past the largest one, so decoding continues the
+        sequence order after chunk positions that are non-contiguous or out
+        of order.  A cache without positions decodes from ``n_tokens``.
         """
         if member_id in self._slots:
             raise ValueError(f"member {member_id!r} already joined")
@@ -539,7 +295,7 @@ class DecodeSession:
             raise ValueError(
                 f"cache has {cache.n_layers} layers, session has {self.n_layers}"
             )
-        first = cache.layers[0].keys if isinstance(cache, KVCache) else cache.layer_keys(0)
+        first = cache.layers[0].keys
         if first.shape[1:] != self._keys[0].shape[2:]:
             raise ValueError(
                 f"cache KV shape {first.shape[1:]} does not match session "
@@ -550,16 +306,11 @@ class DecodeSession:
         if n + max(0, reserve) > self._token_capacity:
             self._grow_tokens(max(n + max(0, reserve), 2 * self._token_capacity))
         slot = self.n_members
-        for layer_idx in range(self.n_layers):
-            if isinstance(cache, GrowableKVCache):
-                keys, values = cache.layer_keys(layer_idx), cache.layer_values(layer_idx)
-            else:
-                layer = cache.layers[layer_idx]
-                keys, values = layer.keys, layer.values
-            self._keys[layer_idx][slot, :n] = keys
-            self._values[layer_idx][slot, :n] = values
-        token_ids = np.asarray(cache.token_ids)
-        positions = np.asarray(cache.positions)
+        for layer_idx, layer in enumerate(cache.layers):
+            self._keys[layer_idx][slot, :n] = layer.keys
+            self._values[layer_idx][slot, :n] = layer.values
+        token_ids = cache.token_ids
+        positions = cache.positions
         # Always overwrite the slot rows: a reused slot still holds the
         # previous occupant's ids, which must not leak into extract().
         self._token_ids[slot, :n] = token_ids if token_ids.size else 0
@@ -612,7 +363,7 @@ class DecodeSession:
             self._shrink_slots(max(self._min_slot_capacity, self._slot_capacity // 2))
 
     def extract(self, member_id) -> KVCache:
-        """Deep copy of one member's live rows as a legacy :class:`KVCache`."""
+        """Deep copy of one member's live rows as a :class:`KVCache`."""
         slot = self._slot_of(member_id)
         n = int(self._lengths[slot])
         return KVCache(

@@ -5,11 +5,10 @@ faithful: RMSNorm pre-normalisation, grouped-query attention with rotary
 positional embeddings, SwiGLU MLP, residual connections and a tied LM head.
 It exposes the exact primitives the paper's implementation adds to vLLM
 (§6): per-layer prefill with an optional subset of recomputed tokens, and
-access to the forward attention matrix of each layer.  Decoding runs on
-preallocated :class:`~repro.model.tensors.GrowableKVCache` buffers —
-:meth:`TransformerModel.decode_batch` steps N requests per call with padded
-batched attention, and :meth:`TransformerModel.decode_step` is its
-batch-of-one special case.
+access to the forward attention matrix of each layer.  Decoding runs on a
+persistent :class:`~repro.model.tensors.DecodeSession`:
+:meth:`TransformerModel.decode_session_step` steps every member at once with
+padded batched attention, and a single request is a width-1 session.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.model.attention import (
 from repro.model.config import ModelConfig
 from repro.model.layers import ModelWeights, init_weights, rms_norm, swiglu
 from repro.model.rope import apply_rope
-from repro.model.tensors import DecodeSession, GrowableKVCache, KVCache, LayerKV
+from repro.model.tensors import DecodeSession, KVCache, LayerKV
 
 
 @dataclass
@@ -271,111 +270,6 @@ class TransformerModel:
         return result.kv_cache
 
     # ------------------------------------------------------------------
-    # Decoding
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _as_growable(
-        kv_cache: KVCache | GrowableKVCache, reserve: int = 0
-    ) -> GrowableKVCache:
-        if isinstance(kv_cache, GrowableKVCache):
-            return kv_cache
-        return GrowableKVCache.from_kv_cache(kv_cache, reserve=reserve)
-
-    def decode_step(
-        self, kv_cache: KVCache | GrowableKVCache, token_id: int
-    ) -> tuple[np.ndarray, GrowableKVCache]:
-        """Append one token to *kv_cache* and return its LM-head logits.
-
-        A :class:`GrowableKVCache` is extended in place — one row write per
-        layer, amortised O(1), using the cache's tracked ``next_position``
-        rather than a per-token positions scan.  A legacy :class:`KVCache` is
-        converted first (one O(T) copy); pass the *returned* cache to
-        subsequent steps so the conversion happens once per generation, not
-        per token.
-        """
-        cache = self._as_growable(kv_cache, reserve=1)
-        logits = self.decode_batch([cache], [int(token_id)])
-        return logits[0], cache
-
-    def decode_batch(
-        self,
-        caches: list[GrowableKVCache],
-        token_ids: list[int] | np.ndarray,
-    ) -> np.ndarray:
-        """One decode step for N requests, batched across the request axis.
-
-        Every cache is extended in place with its request's token; the
-        forward pass runs once per layer over the ``(n_requests, ...)``
-        batch, so the per-layer Python/NumPy dispatch overhead is amortised
-        across the batch instead of paid per request.  Requests may have
-        different cache lengths — attention pads keys to the longest and
-        masks the padding (see
-        :func:`~repro.model.attention.batched_decode_attention`).
-
-        A single request attends over zero-copy views of its cache (no
-        padding at all).  With several requests, each call gathers the live
-        K/V rows into one padded scratch pair per call — a copy of the same
-        order as the K/V reads attention inherently performs that step, so
-        it is a constant factor on the attention traffic, not a return of
-        the per-token cache *reallocation* the growable buffers eliminate.
-        Keeping persistent per-batch padded buffers filled incrementally
-        would drop that factor too (see ROADMAP: batch-aware serving
-        decode).
-
-        Returns the LM-head logits of the appended tokens, shape
-        ``(n_requests, vocab_size)``.
-        """
-        if not caches:
-            raise ValueError("decode_batch needs at least one request")
-        token_arr = np.asarray(token_ids, dtype=np.int64)
-        if token_arr.shape != (len(caches),):
-            raise ValueError("need exactly one token id per cache")
-        for cache in caches:
-            if not isinstance(cache, GrowableKVCache):
-                raise TypeError(
-                    "decode_batch requires GrowableKVCache instances; convert "
-                    "legacy caches once via GrowableKVCache.from_kv_cache"
-                )
-        cfg = self.config
-        n_requests = len(caches)
-        # Embed first: it validates the token ids, so a bad id fails before
-        # any cache has been extended (no phantom rows on error).
-        hidden = self.embed(token_arr)
-        positions = np.array([cache.next_position for cache in caches], dtype=np.int64)
-        rows = [
-            cache.append_token(int(token)) for cache, token in zip(caches, token_arr)
-        ]
-        lengths = np.array([cache.n_tokens for cache in caches], dtype=np.int64)
-        max_tokens = int(lengths.max())
-
-        if n_requests == 1:
-            # Single request: attend over zero-copy views of the live rows.
-            keys_pad = values_pad = None
-        else:
-            keys_pad = np.zeros(
-                (n_requests, max_tokens, cfg.n_kv_heads, cfg.head_dim),
-                dtype=cfg.np_dtype,
-            )
-            values_pad = np.zeros_like(keys_pad)
-
-        for layer_idx in range(cfg.n_layers):
-            _, q, k, v = self._project_qkv(layer_idx, hidden, positions)
-            for i, cache in enumerate(caches):
-                cache.write_layer(layer_idx, rows[i], k[i], v[i])
-            if n_requests == 1:
-                keys_all = caches[0].layer_keys(layer_idx)[None]
-                values_all = caches[0].layer_values(layer_idx)[None]
-            else:
-                for i, cache in enumerate(caches):
-                    keys_pad[i, : lengths[i]] = cache.layer_keys(layer_idx)
-                    values_pad[i, : lengths[i]] = cache.layer_values(layer_idx)
-                keys_all, values_all = keys_pad, values_pad
-            context = batched_decode_attention(q, keys_all, values_all, lengths)
-            hidden = self._finish_layer(layer_idx, hidden, context)
-        normalised = rms_norm(hidden, self.weights.norm_final)
-        return normalised @ self.weights.lm_head
-
-    # ------------------------------------------------------------------
     # Decode sessions (persistent padded batch buffers across steps)
     # ------------------------------------------------------------------
     def new_decode_session(
@@ -397,12 +291,10 @@ class TransformerModel:
     ) -> np.ndarray:
         """One decode step for every session member, on the persistent pad.
 
-        Numerically identical to :meth:`decode_batch` over the members'
-        caches (same padded/masked attention), but the per-layer K/V the
-        attention reads is a zero-copy *slice of the session pad* — a
-        steady-state step writes only each member's newly appended row,
-        instead of re-gathering every member's full K/V into per-call
-        scratch (the O(batch × T) copy ``decode_batch`` pays every token).
+        The per-layer K/V the padded/masked attention reads is a zero-copy
+        *slice of the session pad*, so a steady-state step writes only each
+        member's newly appended row.  Each member's next position follows
+        its last token (see :meth:`DecodeSession.join`).
 
         ``token_ids`` is one token per member in :attr:`DecodeSession.
         member_ids` order; returns the appended tokens' LM-head logits,
@@ -442,10 +334,11 @@ class TransformerModel:
         """Greedy lock-step decoding of every session member, one
         :meth:`decode_session_step` per iteration.
 
-        Token-for-token identical to :meth:`generate_batch` over the same
-        caches, but members *leave the session* the moment they finish (EOS
-        or token budget) — their slot is freed immediately, so peak resident
-        KV tracks the live batch; the session is fully drained on return.
+        Members *leave the session* the moment they finish (EOS or token
+        budget) — their slot is freed immediately, so peak resident KV
+        tracks the live batch; the session is fully drained on return.  EOS
+        ends a member's generation and is not part of its tokens unless
+        ``include_eos``.
         ``start_logits`` is aligned with the session's ``member_ids`` at
         entry, and so is the returned list of generations.  ``on_step``
         (if given) receives ``(wall_clock_seconds, batch_width)`` of every
@@ -487,76 +380,3 @@ class TransformerModel:
         for member in list(session.member_ids):
             session.leave(member)
         return [generated[m] for m in members]
-
-    def generate(
-        self,
-        kv_cache: KVCache | GrowableKVCache,
-        start_logits: np.ndarray,
-        max_new_tokens: int = 16,
-        eos_id: int | None = None,
-        include_eos: bool = False,
-    ) -> list[int]:
-        """Greedy decode *max_new_tokens* tokens starting from *start_logits*.
-
-        The EOS token terminates generation and is **not** part of the return
-        value (it is not generated text); pass ``include_eos=True`` for the
-        legacy behaviour of emitting it, if a caller really needs the marker.
-        """
-        return self.generate_batch(
-            [kv_cache],
-            [start_logits],
-            max_new_tokens=max_new_tokens,
-            eos_id=eos_id,
-            include_eos=include_eos,
-        )[0]
-
-    def generate_batch(
-        self,
-        caches: list[KVCache | GrowableKVCache],
-        start_logits: list[np.ndarray],
-        max_new_tokens: int = 16,
-        eos_id: int | None = None,
-        include_eos: bool = False,
-    ) -> list[list[int]]:
-        """Greedy decode N requests in lock-step via :meth:`decode_batch`.
-
-        Requests drop out of the batch as they hit EOS; the rest keep
-        decoding together.  Legacy :class:`KVCache` inputs are converted once
-        with ``max_new_tokens`` rows of reserve, so no request reallocates
-        mid-generation — and those internal scratch conversions are
-        *released* on return (the generation is complete; the caller never
-        sees them), so their preallocated buffers don't linger until GC.
-        Caller-provided :class:`GrowableKVCache` inputs are left untouched.
-        The final sampled token of each request is recorded but not appended
-        to its cache (its KV is only needed to decode a further token).
-        """
-        if len(caches) != len(start_logits):
-            raise ValueError("need exactly one start_logits row per cache")
-        grown = [self._as_growable(c, reserve=max_new_tokens) for c in caches]
-        generated: list[list[int]] = [[] for _ in grown]
-        logits: list[np.ndarray] = list(start_logits)
-        active = list(range(len(grown)))
-        for step in range(max_new_tokens):
-            decoding: list[int] = []
-            next_ids: dict[int, int] = {}
-            for index in active:
-                next_id = int(np.argmax(logits[index]))
-                if eos_id is not None and next_id == eos_id:
-                    if include_eos:
-                        generated[index].append(next_id)
-                    continue
-                generated[index].append(next_id)
-                decoding.append(index)
-                next_ids[index] = next_id
-            if not decoding or step == max_new_tokens - 1:
-                break
-            batch_logits = self.decode_batch(
-                [grown[i] for i in decoding], [next_ids[i] for i in decoding]
-            )
-            for row, index in enumerate(decoding):
-                logits[index] = batch_logits[row]
-            active = decoding
-        for cache, scratch in zip(caches, grown):
-            if scratch is not cache:
-                scratch.release()
-        return generated

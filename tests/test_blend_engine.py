@@ -126,35 +126,69 @@ class TestBlendEngineRun:
         question = "which device is faster?"
         # Pin the recompute ratio: the controller otherwise adapts it upward
         # on fast devices, which is the point of Figure 10 but not this test.
-        fast_ttft = fast.run(CHUNKS[:2], question, recompute_ratio=0.15).ttft
-        slow_ttft = slow.run(CHUNKS[:2], question, recompute_ratio=0.15).ttft
+        fast_ttft = fast.run(CHUNKS[:2], question, recompute_ratio=0.15).ttft_estimate
+        slow_ttft = slow.run(CHUNKS[:2], question, recompute_ratio=0.15).ttft_estimate
         assert fast_ttft < slow_ttft
+
+    def test_ttft_estimate_is_deterministic(self):
+        """The cost model's TTFT depends on the request, not on the host:
+        equal requests on equal engines price identically, while the
+        measured ``ttft`` is wall-clock."""
+        engines = [
+            BlendEngine.build(paper_model="Mistral-7B", device="nvme_ssd", seed=0)
+            for _ in range(2)
+        ]
+        estimates = []
+        for e in engines:
+            e.precompute_chunks(CHUNKS[:2])
+            for _ in range(2):
+                result = e.run(CHUNKS[:2], "is the estimate stable?", recompute_ratio=0.15)
+                assert result.ttft > 0.0
+                estimates.append(result.ttft_estimate)
+        assert estimates[0] > 0.0
+        assert estimates == [estimates[0]] * 4
+
+    def test_ttft_is_measured_to_the_first_token(self, engine):
+        engine.precompute_chunks(CHUNKS[:2])
+        result = engine.run(CHUNKS[:2], "what does the ttft measure?")
+        assert result.trace is not None
+        assert result.measured_first_decode_s > 0.0
+        assert result.ttft == pytest.approx(
+            result.trace.total_time + result.measured_first_decode_s
+        )
+
+    def test_execution_accepts_only_pipelined(self, engine):
+        with pytest.raises(ValueError, match="execution mode"):
+            BlendEngine.build(paper_model="Mistral-7B", execution="analytic")
+        with pytest.raises(ValueError, match="execution mode"):
+            BlendEngine(
+                model=engine.model,
+                tokenizer=engine.tokenizer,
+                kv_store=engine.kv_store,
+                controller=engine.controller,
+                execution="analytic",
+            )
+        with pytest.raises(ValueError, match="execution mode"):
+            engine.run(CHUNKS[:1], "which mode?", execution="analytic")
+        with pytest.raises(ValueError, match="execution mode"):
+            engine.run_batch([(CHUNKS[:1], "which mode?")], execution="sequential")
+        result = engine.run(CHUNKS[:1], "which mode?", execution="pipelined")
+        assert result.trace is not None
 
 
 class TestStoreParameter:
-    """The `store=` API and the `store_capacity_bytes=` deprecation path."""
+    """The `store=` API: a StoreConfig recipe or a pre-built store."""
 
-    def test_store_capacity_bytes_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="store_capacity_bytes"):
-            engine = BlendEngine.build(
-                paper_model="Mistral-7B",
-                device="cpu_ram",
-                seed=0,
-                store_capacity_bytes=1 << 20,
-            )
-        assert engine.kv_store.capacity_bytes == 1 << 20
-
-    def test_store_and_store_capacity_bytes_are_mutually_exclusive(self):
+    def test_store_config_sets_the_capacity(self):
         from repro.kvstore.config import StoreConfig
 
-        with pytest.raises(ValueError, match="store_capacity_bytes"):
-            BlendEngine.build(
-                paper_model="Mistral-7B",
-                device="cpu_ram",
-                seed=0,
-                store=StoreConfig(),
-                store_capacity_bytes=1 << 20,
-            )
+        engine = BlendEngine.build(
+            paper_model="Mistral-7B",
+            device="cpu_ram",
+            seed=0,
+            store=StoreConfig(capacity_bytes=1 << 20),
+        )
+        assert engine.kv_store.capacity_bytes == 1 << 20
 
     def test_tiered_trie_store_serves_the_engine(self):
         from repro.kvstore.config import StoreConfig

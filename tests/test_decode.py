@@ -1,18 +1,20 @@
-"""Batched decode on preallocated KV buffers.
+"""Decode positions, pad buffers and greedy generation on a :class:`DecodeSession`.
 
-Locks down the decode-path refactor: :class:`GrowableKVCache` round-trips
-bitwise to the legacy :class:`KVCache`, grows geometrically instead of
-re-concatenating per token, tracks the next decode position on the cache
-(regression for the former per-token ``positions.max()`` scan), and
-``decode_batch`` over N requests matches N sequential ``decode_step`` loops
-token-for-token.
+Locks down where decoding continues — a member's next position follows its
+*last* token, not the numerically largest position (regression for the
+former per-token ``positions.max()`` scan), so non-contiguous chunk
+positions decode in sequence order — how the session pad holds K/V (joins
+and extracts copy bitwise, steps append in place, the token axis grows
+geometrically, pad capacity never changes the logits) — and that greedy
+generation on a shared session is token-for-token the generation of width-1
+sessions and of greedy full prefill.
 """
 
 import numpy as np
 import pytest
 
 from repro.model.config import get_config
-from repro.model.tensors import GrowableKVCache, KVCache, LayerKV
+from repro.model.tensors import DecodeSession, KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
 
@@ -26,82 +28,28 @@ def _random_prompt(model: TransformerModel, n_tokens: int, seed: int) -> np.ndar
     return rng.integers(4, model.config.vocab_size, size=n_tokens).astype(np.int64)
 
 
-def _prefill_caches(model: TransformerModel, lengths, seed: int = 0):
-    return [
-        model.full_prefill(_random_prompt(model, n, seed + i))
-        for i, n in enumerate(lengths)
-    ]
+def _width1(model: TransformerModel, cache: KVCache, reserve: int = 0) -> DecodeSession:
+    session = model.new_decode_session(slot_capacity=1)
+    session.join(0, cache, reserve=reserve)
+    return session
 
 
-def _caches_equal(a: GrowableKVCache, b: GrowableKVCache, atol: float) -> None:
-    assert a.n_tokens == b.n_tokens
-    np.testing.assert_array_equal(a.token_ids, b.token_ids)
-    np.testing.assert_array_equal(a.positions, b.positions)
-    for layer_idx in range(a.n_layers):
-        np.testing.assert_allclose(
-            a.layer_keys(layer_idx), b.layer_keys(layer_idx), atol=atol, rtol=0
-        )
-        np.testing.assert_allclose(
-            a.layer_values(layer_idx), b.layer_values(layer_idx), atol=atol, rtol=0
-        )
-
-
-class TestGrowableKVCache:
-    def test_round_trip_to_legacy_kv_cache_is_bitwise(self, model):
-        cache = _prefill_caches(model, [17])[0].kv_cache
-        round_tripped = GrowableKVCache.from_kv_cache(cache, reserve=5).to_kv_cache()
-        for original, back in zip(cache.layers, round_tripped.layers):
-            np.testing.assert_array_equal(original.keys, back.keys)
-            np.testing.assert_array_equal(original.values, back.values)
-        np.testing.assert_array_equal(cache.token_ids, round_tripped.token_ids)
-        np.testing.assert_array_equal(cache.positions, round_tripped.positions)
-
-    def test_view_aliases_the_buffers(self, model):
-        grown = GrowableKVCache.from_kv_cache(
-            _prefill_caches(model, [6])[0].kv_cache
-        )
-        view = grown.view()
-        grown._keys[0][2, 0, 0] = 123.0
-        assert view.layers[0].keys[2, 0, 0] == 123.0
-
-    def test_append_writes_rows_in_place(self):
-        grown = GrowableKVCache(n_layers=2, n_kv_heads=1, head_dim=4, capacity=8)
-        keys = np.arange(2 * 1 * 4, dtype=np.float32).reshape(2, 1, 4)
-        row = grown.append(keys, keys * 2.0, token_id=9)
-        assert row == 0
-        assert grown.n_tokens == 1
-        assert grown.next_position == 1
-        np.testing.assert_array_equal(grown.layer_keys(1)[0], keys[1])
-        np.testing.assert_array_equal(grown.layer_values(0)[0], keys[0] * 2.0)
-        assert grown.token_ids[0] == 9
-        assert grown.positions[0] == 0
-
-    def test_growth_is_geometric_not_per_token(self):
-        grown = GrowableKVCache(n_layers=1, n_kv_heads=1, head_dim=2, capacity=4)
-        kv = np.zeros((1, 1, 2), dtype=np.float32)
-        capacities = set()
-        for token in range(200):
-            grown.append(kv, kv, token_id=token)
-            capacities.add(grown.capacity)
-        # Doubling from 4 to >=200 passes through at most ~log2 capacities.
-        assert grown.n_tokens == 200
-        assert len(capacities) <= 7
-        assert grown.capacity >= 200
-
-    def test_reserve_prevents_mid_generation_reallocation(self):
-        grown = GrowableKVCache(n_layers=1, n_kv_heads=1, head_dim=2, capacity=1)
-        grown.reserve(64)
-        buffer_before = grown._keys[0]
-        kv = np.zeros((1, 1, 2), dtype=np.float32)
-        for token in range(64):
-            grown.append(kv, kv, token_id=token)
-        assert grown._keys[0] is buffer_before
+class TestSessionPositions:
+    def test_appends_at_tracked_position(self, model):
+        prefill = model.full_prefill(_random_prompt(model, 9, 0))
+        session = _width1(model, prefill.kv_cache, reserve=1)
+        logits = model.decode_session_step(session, [42])
+        assert logits.shape == (1, model.config.vocab_size)
+        cache = session.extract(0)
+        assert cache.n_tokens == 10
+        assert cache.positions[-1] == 9
+        assert cache.token_ids[-1] == 42
 
     def test_next_position_follows_last_token_not_max(self):
-        """Regression: with non-contiguous (unsorted) chunk positions the
-        next decode position follows the *last* token, not the numerically
-        largest position (the legacy ``positions.max()`` scan got this
-        wrong, besides being O(T) per token)."""
+        """With non-contiguous (unsorted) chunk positions the next decode
+        position follows the *last* token, not the numerically largest
+        position (the legacy ``positions.max()`` scan got this wrong,
+        besides being O(T) per token)."""
         layer = LayerKV(
             np.zeros((5, 1, 2), dtype=np.float32), np.zeros((5, 1, 2), dtype=np.float32)
         )
@@ -110,192 +58,201 @@ class TestGrowableKVCache:
             token_ids=np.arange(5),
             positions=np.array([5, 6, 7, 2, 3], dtype=np.int64),
         )
-        grown = GrowableKVCache.from_kv_cache(cache)
-        assert grown.next_position == 4  # positions.max() + 1 would say 8
-
-    def test_rejects_empty_cache_and_bad_append(self):
-        with pytest.raises(ValueError):
-            GrowableKVCache.from_kv_cache(KVCache([]))
-        grown = GrowableKVCache(n_layers=2, n_kv_heads=1, head_dim=2)
-        with pytest.raises(ValueError):
-            grown.append(
-                np.zeros((1, 1, 2), dtype=np.float32),
-                np.zeros((1, 1, 2), dtype=np.float32),
-                token_id=0,
-            )
-
-
-class TestDecodeStep:
-    def test_appends_at_tracked_position(self, model):
-        prefill = _prefill_caches(model, [9])[0]
-        logits, cache = model.decode_step(prefill.kv_cache, 42)
-        assert isinstance(cache, GrowableKVCache)
-        assert logits.shape == (model.config.vocab_size,)
-        assert cache.n_tokens == 10
-        assert cache.positions[-1] == 9
-        assert cache.next_position == 10
-        assert cache.token_ids[-1] == 42
+        session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2)
+        session.join("r", cache)
+        positions = session.claim_rows(np.array([9]))
+        assert positions[0] == 4  # positions.max() + 1 would say 8
 
     def test_position_regression_non_contiguous_chunk_positions(self, model):
         """The appended token continues after the last chunk token even when
         an earlier chunk was embedded at larger absolute positions."""
-        cfg = model.config
         chunk_a = model.chunk_prefill(_random_prompt(model, 4, 1), start_position=10)
         chunk_b = model.chunk_prefill(_random_prompt(model, 3, 2), start_position=0)
         combined = KVCache.concat([chunk_a, chunk_b])
         assert combined.positions.max() == 13  # the legacy scan's anchor
-        _, cache = model.decode_step(combined, 7)
-        assert cache.positions[-1] == 3  # follows chunk_b's last token (2) + 1
-        assert cfg.n_layers == cache.n_layers
+        session = _width1(model, combined, reserve=1)
+        model.decode_session_step(session, [7])
+        assert session.extract(0).positions[-1] == 3  # chunk_b's last (2) + 1
 
     def test_decode_attends_to_context_beyond_the_query_position(self, model):
-        """Regression: cached tokens embedded at positions *larger* than the
-        decode token's must still be attended — causality during decode is
-        cache membership, not position order.  A positional mask would make
-        the high-position chunk invisible, collapsing the logits onto those
-        of a cache holding only the low-position chunk."""
+        """Cached tokens embedded at positions *larger* than the decode
+        token's must still be attended — causality during decode is cache
+        membership, not position order.  A positional mask would make the
+        high-position chunk invisible, collapsing the logits onto those of a
+        cache holding only the low-position chunk."""
         chunk_high = model.chunk_prefill(_random_prompt(model, 4, 1), start_position=10)
         chunk_low = model.chunk_prefill(_random_prompt(model, 3, 2), start_position=0)
         combined = KVCache.concat([chunk_high, chunk_low])
-        with_context, _ = model.decode_step(combined, 7)
-        without_context, _ = model.decode_step(combined.slice_tokens(4, 7), 7)
+        with_context = model.decode_session_step(_width1(model, combined), [7])
+        without_context = model.decode_session_step(
+            _width1(model, combined.slice_tokens(4, 7)), [7]
+        )
         assert not np.allclose(with_context, without_context)
 
-    def test_steps_on_growable_cache_are_in_place(self, model):
-        prefill = _prefill_caches(model, [8])[0]
-        cache = GrowableKVCache.from_kv_cache(prefill.kv_cache, reserve=4)
-        buffer_before = cache._keys[0]
-        for token in (5, 6, 7, 8):
-            _, cache = model.decode_step(cache, token)
-        assert cache._keys[0] is buffer_before  # no reallocation, no concat
-        assert cache.n_tokens == 12
+
+def _append(session: DecodeSession, token_id: int, keys: np.ndarray, values: np.ndarray):
+    """Append one row to a width-1 session the way a decode step does."""
+    position = session.claim_rows(np.array([token_id]))[0]
+    for layer_idx in range(session.n_layers):
+        session.write_layer(layer_idx, keys[layer_idx][None], values[layer_idx][None])
+    return position
 
 
-class TestDecodeBatchEquivalence:
-    """decode_batch over N requests vs N sequential decode_step loops."""
+class TestSessionBuffers:
+    def test_join_then_extract_round_trip_is_bitwise(self, model):
+        cache = model.full_prefill(_random_prompt(model, 17, 0)).kv_cache
+        round_tripped = _width1(model, cache, reserve=5).extract(0)
+        for original, back in zip(cache.layers, round_tripped.layers):
+            np.testing.assert_array_equal(original.keys, back.keys)
+            np.testing.assert_array_equal(original.values, back.values)
+        np.testing.assert_array_equal(cache.token_ids, round_tripped.token_ids)
+        np.testing.assert_array_equal(cache.positions, round_tripped.positions)
 
+    def test_layer_kv_aliases_the_pad(self, model):
+        cache = model.full_prefill(_random_prompt(model, 6, 0)).kv_cache
+        session = _width1(model, cache, reserve=4)
+        keys_before, values_before = session.layer_kv(0)
+        model.decode_session_step(session, [5])
+        keys_after, values_after = session.layer_kv(0)
+        # Zero-copy views of one buffer: the step wrote into the same pad.
+        assert np.shares_memory(keys_before, keys_after)
+        assert np.shares_memory(values_before, values_after)
+        np.testing.assert_array_equal(keys_after[0, :6], cache.layers[0].keys)
+
+    def test_append_writes_rows_in_place(self):
+        layer = LayerKV(np.ones((1, 1, 4), dtype=np.float32), np.ones((1, 1, 4), dtype=np.float32))
+        session = DecodeSession(n_layers=2, n_kv_heads=1, head_dim=4, token_capacity=8)
+        session.join("r", KVCache([layer, layer.copy()], np.array([3]), np.array([0])))
+        keys = np.arange(2 * 1 * 4, dtype=np.float32).reshape(2, 1, 4)
+        assert _append(session, 9, keys, keys * 2.0) == 1
+        assert session.length_of("r") == 2
+        assert session.stats.grows == 0
+        extracted = session.extract("r")
+        np.testing.assert_array_equal(extracted.layers[1].keys[1], keys[1])
+        np.testing.assert_array_equal(extracted.layers[0].values[1], keys[0] * 2.0)
+        np.testing.assert_array_equal(extracted.token_ids, [3, 9])
+        np.testing.assert_array_equal(extracted.positions, [0, 1])
+
+    def test_growth_is_geometric_not_per_token(self):
+        kv = np.zeros((1, 1, 2), dtype=np.float32)
+        session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2, token_capacity=4)
+        session.join("r", KVCache([LayerKV(kv, kv.copy())]))
+        capacities = {session.token_capacity}
+        for token in range(200):
+            _append(session, token, kv, kv)
+            capacities.add(session.token_capacity)
+        # Doubling from 4 to >=201 passes through at most ~log2 capacities.
+        assert session.length_of("r") == 201
+        assert len(capacities) <= 7
+        assert session.stats.grows == len(capacities) - 1
+        assert session.token_capacity >= 201
+
+    def test_reserve_prevents_mid_generation_reallocation(self):
+        kv = np.zeros((1, 1, 2), dtype=np.float32)
+        session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2, token_capacity=1)
+        session.join("r", KVCache([LayerKV(kv, kv.copy())]), reserve=64)
+        grows_after_join = session.stats.grows
+        keys_before, _ = session.layer_kv(0)
+        for token in range(64):
+            _append(session, token, kv, kv)
+        assert session.stats.grows == grows_after_join
+        assert np.shares_memory(keys_before, session.layer_kv(0)[0])
+
+    def test_rejects_mismatched_caches_and_bad_claims(self, model):
+        cache = model.full_prefill(_random_prompt(model, 4, 0)).kv_cache
+        session = model.new_decode_session()
+        with pytest.raises(ValueError, match="no members"):
+            session.claim_rows(np.array([1]))
+        with pytest.raises(ValueError, match="layers"):
+            session.join("short", KVCache(cache.layers[:-1]))
+        session.join("r", cache)
+        with pytest.raises(ValueError, match="one token id per member"):
+            session.claim_rows(np.array([1, 2]))
+        assert session.length_of("r") == 4
+
+    def test_join_and_extract_copy_rather_than_alias(self, model):
+        cache = model.full_prefill(_random_prompt(model, 5, 0)).kv_cache
+        original = cache.copy()
+        session = _width1(model, cache)
+        cache.layers[0].keys[:] = 7.0  # the caller's cache is not the pad
+        extracted = session.extract(0)
+        np.testing.assert_array_equal(extracted.layers[0].keys, original.layers[0].keys)
+        extracted.layers[0].keys[:] = -1.0  # nor is an extracted copy
+        np.testing.assert_array_equal(
+            session.extract(0).layers[0].keys, original.layers[0].keys
+        )
+
+    def test_pad_capacity_is_bitwise_invisible(self, model):
+        """Spare slots and token rows never reach the logits: a member on a
+        large, mostly empty pad decodes bitwise like on a tight one (which
+        regrows along the way)."""
+        prefill = model.full_prefill(_random_prompt(model, 11, 3))
+        tight = model.new_decode_session(token_capacity=12, slot_capacity=1)
+        roomy = model.new_decode_session(token_capacity=256, slot_capacity=8)
+        for session in (tight, roomy):
+            session.join(0, prefill.kv_cache)
+        for token in (5, 9, 13, 200, 31, 7):
+            np.testing.assert_array_equal(
+                model.decode_session_step(tight, [token]),
+                model.decode_session_step(roomy, [token]),
+            )
+        assert tight.stats.grows == 1
+        assert roomy.stats.grows == 0
+
+
+class TestGreedyGeneration:
     LENGTHS = (12, 7, 19, 9)
-    N_STEPS = 8
-
-    @pytest.fixture(scope="class")
-    def streams(self, model):
-        rng = np.random.default_rng(3)
-        return rng.integers(
-            4, model.config.vocab_size, size=(len(self.LENGTHS), self.N_STEPS)
-        ).astype(np.int64)
-
-    def test_stepwise_logits_and_caches_match(self, model, streams):
-        prefills = _prefill_caches(model, self.LENGTHS)
-        sequential = [
-            GrowableKVCache.from_kv_cache(p.kv_cache, reserve=self.N_STEPS)
-            for p in prefills
-        ]
-        batched = [
-            GrowableKVCache.from_kv_cache(p.kv_cache, reserve=self.N_STEPS)
-            for p in prefills
-        ]
-        for step in range(self.N_STEPS):
-            batch_logits = model.decode_batch(batched, streams[:, step])
-            for i, cache in enumerate(sequential):
-                logits, _ = model.decode_step(cache, int(streams[i, step]))
-                assert int(np.argmax(logits)) == int(np.argmax(batch_logits[i]))
-                np.testing.assert_allclose(
-                    logits, batch_logits[i], rtol=1e-4, atol=1e-5
-                )
-        for seq, bat in zip(sequential, batched):
-            _caches_equal(seq, bat, atol=1e-4)
+    N_TOKENS = 24
 
     def test_greedy_generation_token_for_token(self, model):
-        prefills = _prefill_caches(model, self.LENGTHS, seed=11)
-        sequential = [
-            model.generate(
-                GrowableKVCache.from_kv_cache(p.kv_cache, reserve=24),
-                p.last_logits,
-                max_new_tokens=24,
-            )
+        prompts = [_random_prompt(model, n, 11 + i) for i, n in enumerate(self.LENGTHS)]
+        prefills = [model.full_prefill(prompt) for prompt in prompts]
+        shared = model.new_decode_session()
+        for i, prefill in enumerate(prefills):
+            shared.join(i, prefill.kv_cache, reserve=self.N_TOKENS)
+        together = model.generate_session(
+            shared, [p.last_logits for p in prefills], max_new_tokens=self.N_TOKENS
+        )
+        alone = [
+            model.generate_session(
+                _width1(model, p.kv_cache, reserve=self.N_TOKENS),
+                [p.last_logits],
+                max_new_tokens=self.N_TOKENS,
+            )[0]
             for p in prefills
         ]
-        batched = model.generate_batch(
-            [GrowableKVCache.from_kv_cache(p.kv_cache, reserve=24) for p in prefills],
-            [p.last_logits for p in prefills],
-            max_new_tokens=24,
-        )
-        assert batched == sequential
-        assert all(len(tokens) == 24 for tokens in batched)
-
-    def test_batch_of_one_is_exactly_decode_step(self, model):
-        prefill = _prefill_caches(model, [10])[0]
-        a = GrowableKVCache.from_kv_cache(prefill.kv_cache, reserve=1)
-        b = GrowableKVCache.from_kv_cache(prefill.kv_cache, reserve=1)
-        logits_step, _ = model.decode_step(a, 33)
-        logits_batch = model.decode_batch([b], [33])
-        np.testing.assert_array_equal(logits_step, logits_batch[0])
-        _caches_equal(a, b, atol=0.0)
-
-    def test_input_validation(self, model):
-        prefill = _prefill_caches(model, [5])[0]
-        grown = GrowableKVCache.from_kv_cache(prefill.kv_cache)
-        with pytest.raises(ValueError):
-            model.decode_batch([grown], [1, 2])
-        with pytest.raises(ValueError):
-            model.decode_batch([], [])
-        with pytest.raises(TypeError):
-            model.decode_batch([prefill.kv_cache], [1])
-
-    def test_invalid_token_id_leaves_caches_untouched(self, model):
-        """Regression: token validation must run before any cache append, or
-        a caught-and-retried error leaves phantom all-zero rows behind."""
-        prefill = _prefill_caches(model, [5])[0]
-        grown = GrowableKVCache.from_kv_cache(prefill.kv_cache, reserve=2)
-        with pytest.raises(ValueError):
-            model.decode_batch([grown], [model.config.vocab_size])
-        assert grown.n_tokens == 5
-        assert grown.next_position == 5
-        logits = model.decode_batch([grown], [7])  # retry decodes cleanly
-        assert logits.shape == (1, model.config.vocab_size)
-        assert grown.n_tokens == 6
+        assert together == alone
+        assert all(len(tokens) == self.N_TOKENS for tokens in together)
+        # Each token is what greedy full prefill of everything before it picks.
+        for prompt, tokens in zip(prompts, together):
+            for step, token in enumerate(tokens):
+                context = np.concatenate([prompt, tokens[:step]]).astype(np.int64)
+                assert int(np.argmax(model.full_prefill(context).last_logits)) == token
 
 
 class TestGenerateEos:
     def test_eos_is_not_emitted(self, model):
-        prefill = _prefill_caches(model, [6])[0]
+        prefill = model.full_prefill(_random_prompt(model, 6, 0))
         eos_id = int(np.argmax(prefill.last_logits))  # force EOS immediately
-        generated = model.generate(
-            prefill.kv_cache, prefill.last_logits, max_new_tokens=4, eos_id=eos_id
+        generated = model.generate_session(
+            _width1(model, prefill.kv_cache), [prefill.last_logits],
+            max_new_tokens=4, eos_id=eos_id,
         )
-        assert generated == []
+        assert generated == [[]]
 
     def test_include_eos_restores_the_marker(self, model):
-        prefill = _prefill_caches(model, [6])[0]
+        prefill = model.full_prefill(_random_prompt(model, 6, 0))
         eos_id = int(np.argmax(prefill.last_logits))
-        generated = model.generate(
-            prefill.kv_cache,
-            prefill.last_logits,
-            max_new_tokens=4,
-            eos_id=eos_id,
-            include_eos=True,
+        generated = model.generate_session(
+            _width1(model, prefill.kv_cache), [prefill.last_logits],
+            max_new_tokens=4, eos_id=eos_id, include_eos=True,
         )
-        assert generated == [eos_id]
+        assert generated == [[eos_id]]
 
     def test_token_count_matches_budget_without_eos(self, model):
-        prefill = _prefill_caches(model, [6])[0]
-        generated = model.generate(
-            prefill.kv_cache, prefill.last_logits, max_new_tokens=5, eos_id=None
+        prefill = model.full_prefill(_random_prompt(model, 6, 0))
+        generated = model.generate_session(
+            _width1(model, prefill.kv_cache, reserve=5), [prefill.last_logits],
+            max_new_tokens=5,
         )
-        assert len(generated) == 5
-
-    def test_finished_requests_drop_out_of_the_batch(self, model):
-        prefills = _prefill_caches(model, [6, 8], seed=21)
-        eos_id = int(np.argmax(prefills[0].last_logits))
-        batched = model.generate_batch(
-            [p.kv_cache for p in prefills],
-            [p.last_logits for p in prefills],
-            max_new_tokens=6,
-            eos_id=eos_id,
-        )
-        assert batched[0] == []  # hit EOS on its first token
-        expected = model.generate(
-            prefills[1].kv_cache, prefills[1].last_logits, max_new_tokens=6,
-            eos_id=eos_id,
-        )
-        assert batched[1] == expected
+        assert len(generated[0]) == 5

@@ -80,6 +80,41 @@ class TestAttentionDeviation:
         deviation = np.array([1.0, 2.0, 3.0, 4.0])
         assert layer_rank_correlation(deviation, deviation[::-1]) == pytest.approx(-1.0)
 
+    def test_rank_correlation_gives_ties_their_mean_rank(self):
+        # Ranks [1, 2.5, 2.5, 4] vs [1, 2, 3, 4]: r = 4.5 / sqrt(4.5 * 5).
+        tied = np.array([1.0, 2.0, 2.0, 3.0])
+        assert layer_rank_correlation(tied, np.array([10.0, 20.0, 30.0, 40.0])) == (
+            pytest.approx(3.0 / np.sqrt(10.0), abs=1e-12)
+        )
+        # Ties apart in the input: ranks [3.5, 1, 3.5, 2] vs [1, 2, 3, 4].
+        scattered = np.array([3.0, 1.0, 3.0, 2.0])
+        assert layer_rank_correlation(scattered, np.arange(4.0)) == (
+            pytest.approx(-1.0 / np.sqrt(22.5), abs=1e-12)
+        )
+        # Ties on both sides: ranks [1.5, 1.5, 3, 4] vs [4, 1.5, 1.5, 3].
+        assert layer_rank_correlation(
+            np.array([1.0, 1.0, 2.0, 3.0]), np.array([3.0, 1.0, 1.0, 2.0])
+        ) == pytest.approx(-1.0 / 18.0, abs=1e-12)
+
+
+    def test_rank_correlation_matches_the_spearman_formula_without_ties(self):
+        # Rank differences d = [-1, 1, -1, 1, 0]: 1 - 6 * 4 / (5 * (25 - 1)) = 0.8.
+        ranked = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        swapped = np.array([0.2, 0.1, 0.4, 0.3, 0.5])
+        assert layer_rank_correlation(ranked, swapped) == pytest.approx(0.8, abs=1e-12)
+
+    def test_rank_correlation_sees_only_the_order(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=40)
+        b = a + rng.normal(scale=0.8, size=40)
+        rho = layer_rank_correlation(a, b)
+        assert 0.0 < rho < 1.0
+        # Strictly increasing transforms keep every rank; the statistic is symmetric.
+        assert layer_rank_correlation(np.exp(a), 10.0 * b**3 + 3.0) == pytest.approx(
+            rho, abs=1e-12
+        )
+        assert layer_rank_correlation(b, a) == pytest.approx(rho, abs=1e-12)
+
 
 class TestLayerRankCorrelationEdgeCases:
     def test_shape_mismatch_raises(self):

@@ -26,12 +26,10 @@ def _tiered(ram_entries: int = 2, ssd_entries: int = 8) -> TieredKVStore:
         tiers=[
             KVCacheStore(
                 device=get_device("cpu_ram"),
-                dtype_bytes=2,
                 capacity_bytes=ram_entries * ENTRY_BYTES,
             ),
             KVCacheStore(
                 device=get_device("nvme_ssd"),
-                dtype_bytes=2,
                 capacity_bytes=ssd_entries * ENTRY_BYTES,
             ),
         ]
@@ -100,10 +98,9 @@ class TestDemotionCascade:
             tiers=[
                 KVCacheStore(
                     device=get_device("cpu_ram"),
-                    dtype_bytes=2,
                     capacity_bytes=2 * ENTRY_BYTES,
                 ),
-                KVCacheStore(device=get_device("nvme_ssd"), dtype_bytes=2),
+                KVCacheStore(device=get_device("nvme_ssd")),
             ],
             demote_on_evict=False,
         )

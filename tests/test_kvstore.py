@@ -26,7 +26,6 @@ def _store(capacity_entries: int) -> KVCacheStore:
     entry_bytes = _make_cache().nbytes(2)
     return KVCacheStore(
         device=get_device("cpu_ram"),
-        dtype_bytes=2,
         capacity_bytes=capacity_entries * entry_bytes,
     )
 

@@ -1,4 +1,4 @@
-"""Property-style invariants of cross-request pipelining and execution modes.
+"""Property-style invariants of cross-request pipelining and fusion.
 
 Two families:
 
@@ -6,9 +6,10 @@ Two families:
   depth) configurations, checked on the deterministic analytic
   :func:`~repro.core.pipeline.cross_request_schedule` (no thread noise) and
   once on the threaded executor at a delay-dominated operating point;
-* numerical equivalence: the fused KV is bitwise-equal between
-  ``execution="pipelined"`` and ``"analytic"`` BlendEngine paths, and
-  between the executor's pipelined and sequential schedules.
+* numerical equivalence: the fused KV BlendEngine serves (through the
+  executor's byte-level load path) is bitwise-equal to the in-memory
+  :meth:`~repro.core.fusor.KVFusor.fuse` reference over the same stored
+  caches, and the executor's pipelined and sequential schedules agree.
 """
 
 import numpy as np
@@ -119,6 +120,8 @@ class TestThreadedBatchInvariant:
 
 
 class TestExecutionModeEquivalence:
+    """The served fuse equals the in-memory fusor on the same store bytes."""
+
     CHUNKS = [
         "the first chunk talks about retrieval and caching of key values",
         "the second chunk talks about selective recompute of tokens",
@@ -134,19 +137,20 @@ class TestExecutionModeEquivalence:
     @pytest.mark.parametrize("ratio", [0.0, 0.15, 0.5])
     def test_fused_kv_bitwise_equal_between_modes(self, engine, ratio):
         question = "which chunk mentions storage?"
-        analytic = engine.run(
-            self.CHUNKS, question, recompute_ratio=ratio, execution="analytic"
+        caches = [
+            engine.kv_store.peek(engine.chunk_cache_key(engine.encode(text)))
+            for text in self.CHUNKS
+        ]
+        reference = engine.fusor.fuse(
+            caches, engine.encode(question), recompute_ratio=ratio
         )
-        pipelined = engine.run(
-            self.CHUNKS, question, recompute_ratio=ratio, execution="pipelined"
-        )
-        for a, b in zip(
-            analytic.fusion.kv_cache.layers, pipelined.fusion.kv_cache.layers
-        ):
+        served = engine.run(self.CHUNKS, question, recompute_ratio=ratio)
+        assert served.cache_hits == len(self.CHUNKS)
+        for a, b in zip(reference.kv_cache.layers, served.fusion.kv_cache.layers):
             assert np.array_equal(a.keys, b.keys)
             assert np.array_equal(a.values, b.values)
-        assert np.array_equal(analytic.fusion.last_logits, pipelined.fusion.last_logits)
-        assert analytic.fusion.recompute_counts == pipelined.fusion.recompute_counts
+        assert np.array_equal(reference.last_logits, served.fusion.last_logits)
+        assert reference.recompute_counts == served.fusion.recompute_counts
 
     def test_executor_pipelined_bitwise_equals_sequential(self, engine):
         caches = [

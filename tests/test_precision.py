@@ -1,14 +1,13 @@
 """Unified KV precision policy: per-layer dtype maps end to end.
 
 Covers the precision tentpole: the :class:`PrecisionPolicy` map itself, the
-RPKV1–5 wire-format matrix, int8 quantisation idempotence, store byte
+RPKV5 wire format at every preset, int8 quantisation idempotence, store byte
 accounting (whole-chunk / trie dedup / tiered demotion at non-fp16 widths),
 the backend-pricing parity regression (identical payloads used to be priced
 differently on chunk vs trie backends), fp16 equivalence with the
 pre-policy behaviour, and the executor's per-layer wire precision.
 """
 
-import io
 import json
 
 import numpy as np
@@ -118,12 +117,6 @@ class TestLayerMap:
         assert PrecisionPolicy("mixed").layer_dtype_table(1) == ("float16",)
         assert PrecisionPolicy("mixed").layer_dtype_table(2) == ("float16", "int8")
 
-    def test_uniform_dtype_detection(self):
-        assert PrecisionPolicy("int8").uniform_dtype == "int8"
-        assert PrecisionPolicy("mixed").uniform_dtype is None
-        assert PrecisionPolicy(layer_dtypes=("int8", "int8")).uniform_dtype == "int8"
-        assert PrecisionPolicy(layer_dtypes=("float16", "int8")).uniform_dtype is None
-
 
 class TestByteAccounting:
     def test_mean_elem_bytes(self):
@@ -190,23 +183,13 @@ class TestQuantizeIdempotence:
 
 
 class TestWireFormatMatrix:
-    """RPKV1–5 × checksum × dtype: every combination stays readable."""
+    """RPKV5 at every precision preset round-trips to the in-memory quantisation."""
 
-    @pytest.mark.parametrize(
-        "kv_dtype,checksum,magic",
-        [
-            ("float16", True, b"RPKV4\n"),
-            ("float16", False, b"RPKV2\n"),
-            ("int8", True, b"RPKV4\n"),
-            ("int8", False, b"RPKV3\n"),
-            ("float32", True, b"RPKV5\n"),
-            ("mixed", True, b"RPKV5\n"),
-        ],
-    )
-    def test_format_round_trips(self, kv_dtype, checksum, magic):
+    @pytest.mark.parametrize("kv_dtype", PRECISION_PRESETS)
+    def test_format_round_trips(self, kv_dtype):
         cache = _make_cache(seed=11)
-        payload = serialize_kv(cache, kv_dtype, checksum=checksum)
-        assert payload.startswith(magic)
+        payload = serialize_kv(cache, kv_dtype)
+        assert payload.startswith(b"RPKV5\n")
         restored = deserialize_kv(payload)
         assert np.array_equal(restored.token_ids, cache.token_ids)
         assert np.array_equal(restored.positions, cache.positions)
@@ -223,7 +206,7 @@ class TestWireFormatMatrix:
         assert np.array_equal(restored.layers[0].keys, cache.layers[0].keys)
 
     def test_uniform_fp16_policy_blob_is_bitwise_legacy(self):
-        """The fp16 policy path must not change the wire format."""
+        """A policy writes the same blob as its preset name (fp16 default)."""
         cache = _make_cache(seed=17)
         assert serialize_kv(cache, PrecisionPolicy("float16")) == serialize_kv(cache)
         assert serialize_kv(cache, PrecisionPolicy("int8")) == serialize_kv(
@@ -245,27 +228,11 @@ class TestWireFormatMatrix:
         with pytest.raises(KVCorruptionError):
             deserialize_kv(bytes(blob))
 
-    def test_v1_legacy_still_readable(self):
-        cache = _make_cache(seed=29)
-        buffer = io.BytesIO()
-        buffer.write(b"RPKV1\n")
-        header = json.dumps(
-            {"n_layers": cache.n_layers, "n_tokens": cache.n_tokens}
-        ).encode("utf-8")
-        buffer.write(len(header).to_bytes(4, "little"))
-        buffer.write(header)
-        arrays = {
-            "token_ids": cache.token_ids.astype(np.int64),
-            "positions": cache.positions.astype(np.int64),
-        }
-        for i, layer in enumerate(cache.layers):
-            arrays[f"k{i}"] = layer.keys.astype(np.float16)
-            arrays[f"v{i}"] = layer.values.astype(np.float16)
-        np.savez(buffer, **arrays)
-        restored = deserialize_kv(buffer.getvalue())
-        assert restored.n_layers == cache.n_layers
-        for layer, ref in zip(restored.layers, cache.layers):
-            assert np.allclose(layer.keys, ref.keys, rtol=1e-2, atol=1e-2)
+    @pytest.mark.parametrize("magic", [b"RPKV1\n", b"RPKV2\n", b"RPKV3\n", b"RPKV4\n"])
+    def test_older_wire_formats_are_rejected(self, magic):
+        blob = serialize_kv(_make_cache(seed=29))
+        with pytest.raises(ValueError, match="bad magic"):
+            deserialize_kv(magic + blob[len(magic):])
 
 
 class TestStoreAccounting:
@@ -293,6 +260,30 @@ class TestStoreAccounting:
         assert fp16_store.n_entries == 2
         assert int8_store.n_entries == 4
         assert int8_store.bytes_stored == fp16_store.bytes_stored
+
+    @pytest.mark.parametrize(
+        "make_store",
+        [
+            lambda: KVCacheStore(device=get_device("cpu_ram")),
+            lambda: RadixTrieStore(device=get_device("cpu_ram")),
+            lambda: TieredKVStore(
+                tiers=[
+                    KVCacheStore(device=get_device("cpu_ram")),
+                    KVCacheStore(device=get_device("nvme_ssd")),
+                ]
+            ),
+        ],
+        ids=["chunk", "trie", "tiered"],
+    )
+    def test_default_width_is_float16_at_two_bytes_per_element(self, make_store):
+        """Precision is a store's only width; unset, it is the float16
+        policy, which accounts two bytes per K/V element."""
+        store = make_store()
+        assert store.precision.name == "float16"
+        cache = _deterministic_cache(range(8))
+        store.put("c", cache)
+        assert store.bytes_stored == cache.nbytes(2)
+        assert _caches_equal(store.get("c"), cache)
 
     @pytest.mark.parametrize("dtype", ["int8", "mixed"])
     def test_trie_suffix_dedup_conserves_bytes(self, dtype):
@@ -371,7 +362,7 @@ class TestBackendPricingParity:
                 store=StoreConfig(backend=backend, kv_dtype="int8"),
             )
             assert engine.precision.name == "int8"
-            assert engine.kv_dtype == "int8"
+            assert engine.kv_store.precision.name == "int8"
 
 
 class TestEnginePrecision:

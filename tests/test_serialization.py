@@ -1,11 +1,11 @@
-"""KV serialization: checksummed v4, raw v2/v3, per-layer payloads, legacy v1."""
+"""KV serialization: the checksummed RPKV5 wire format and per-layer payloads."""
 
-import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.kvstore.precision import PRECISION_PRESETS
 from repro.kvstore.serialization import (
     KVCorruptionError,
     deserialize_kv,
@@ -56,7 +56,7 @@ class TestRawFormatRoundTrip:
     def test_no_zip_container(self):
         """The raw payload has no np.savez zip archive inside."""
         payload = serialize_kv(_make_cache())
-        assert payload.startswith(b"RPKV4\n")
+        assert payload.startswith(b"RPKV5\n")
         assert b"PK\x03\x04" not in payload  # zip local-file-header magic
 
     def test_header_describes_shapes(self):
@@ -66,7 +66,7 @@ class TestRawFormatRoundTrip:
         assert header["n_tokens"] == 5
         assert header["n_layers"] == 2
         assert header["n_kv_heads"] == 3
-        assert header["kv_dtype"] == "float16"
+        assert header["layer_dtypes"] == ["float16", "float16"]
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -82,11 +82,11 @@ class TestRawFormatRoundTrip:
             serialize_kv(cache)
 
     def test_unknown_kv_dtype_rejected(self):
-        """RPKV2 decodes fp16 payloads only — a tampered header is refused."""
-        payload = bytearray(serialize_kv(_make_cache(), checksum=False))
+        """A header naming a layer dtype no codec decodes is refused."""
+        payload = bytearray(serialize_kv(_make_cache()))
         header_len = int.from_bytes(payload[6:10], "little")
         header = json.loads(payload[10 : 10 + header_len])
-        header["kv_dtype"] = "int8"
+        header["layer_dtypes"][0] = "int4"
         new_header = json.dumps(header).encode("utf-8")
         rebuilt = (
             bytes(payload[:6])
@@ -94,7 +94,7 @@ class TestRawFormatRoundTrip:
             + new_header
             + bytes(payload[10 + header_len :])
         )
-        with pytest.raises(ValueError, match="kv_dtype"):
+        with pytest.raises(ValueError, match="layer dtype"):
             deserialize_kv(rebuilt)
 
     def test_file_round_trip(self, tmp_path):
@@ -118,35 +118,6 @@ class TestLayerPayloads:
         layer = _make_cache(n_layers=1).layers[0]
         blob = pack_layer_kv(layer)
         assert len(blob) == 2 * layer.keys.size * 2  # K and V, 2 bytes each
-
-
-class TestLegacyFormat:
-    def _legacy_payload(self, cache: KVCache) -> bytes:
-        """Re-create the RPKV1 (np.savez) wire format the old code wrote."""
-        buffer = io.BytesIO()
-        buffer.write(b"RPKV1\n")
-        header = json.dumps(
-            {"n_layers": cache.n_layers, "n_tokens": cache.n_tokens}
-        ).encode("utf-8")
-        buffer.write(len(header).to_bytes(4, "little"))
-        buffer.write(header)
-        arrays = {
-            "token_ids": cache.token_ids.astype(np.int64),
-            "positions": cache.positions.astype(np.int64),
-        }
-        for i, layer in enumerate(cache.layers):
-            arrays[f"k{i}"] = layer.keys.astype(np.float16)
-            arrays[f"v{i}"] = layer.values.astype(np.float16)
-        np.savez(buffer, **arrays)
-        return buffer.getvalue()
-
-    def test_v1_still_readable(self):
-        cache = _make_cache()
-        restored = deserialize_kv(self._legacy_payload(cache))
-        assert restored.n_layers == cache.n_layers
-        assert np.array_equal(restored.token_ids, cache.token_ids)
-        for layer, ref in zip(restored.layers, cache.layers):
-            assert np.allclose(layer.keys, ref.keys, rtol=1e-2, atol=1e-2)
 
 
 class TestInt8Format:
@@ -177,8 +148,8 @@ class TestInt8Format:
 
     def test_payload_is_one_byte_per_element(self):
         cache = _make_cache(n_tokens=32)
-        int8 = serialize_kv(cache, kv_dtype="int8", checksum=False)
-        assert int8.startswith(b"RPKV3\n")
+        int8 = serialize_kv(cache, kv_dtype="int8")
+        assert int8.startswith(b"RPKV5\n")
         header_len = int.from_bytes(int8[6:10], "little")
         kv_elements = sum(2 * layer.keys.size for layer in cache.layers)
         index_bytes = 2 * 8 * cache.n_tokens  # int64 token ids + positions
@@ -198,12 +169,6 @@ class TestInt8Format:
         restored = deserialize_kv(serialize_kv(cache, kv_dtype="int8"))
         assert np.all(restored.layers[0].keys == 0.0)
 
-    def test_legacy_writer_still_emits_v2_and_v3(self):
-        assert serialize_kv(_make_cache(), checksum=False).startswith(b"RPKV2\n")
-        assert serialize_kv(
-            _make_cache(), kv_dtype="int8", checksum=False
-        ).startswith(b"RPKV3\n")
-
     def test_unknown_store_dtype_rejected(self):
         with pytest.raises(ValueError, match="kv_dtype"):
             serialize_kv(_make_cache(), kv_dtype="int4")
@@ -215,17 +180,17 @@ class TestInt8Format:
         path = tmp_path / "cache_int8.rpkv"
         nbytes = save_kv(cache, str(path), kv_dtype="int8")
         assert path.stat().st_size == nbytes
-        assert path.read_bytes().startswith(b"RPKV4\n")
+        assert path.read_bytes().startswith(b"RPKV5\n")
         restored = load_kv(str(path))
         assert restored.n_tokens == cache.n_tokens
 
 
 class TestChecksum:
-    """RPKV4: blake2b payload digest, typed corruption failures, back-compat."""
+    """blake2b payload digest and typed corruption failures."""
 
-    def test_default_writes_v4_with_checksum_header(self):
+    def test_default_writes_v5_with_checksum_header(self):
         payload = serialize_kv(_make_cache())
-        assert payload.startswith(b"RPKV4\n")
+        assert payload.startswith(b"RPKV5\n")
         header_len = int.from_bytes(payload[6:10], "little")
         header = json.loads(payload[10 : 10 + header_len])
         assert len(header["checksum"]) == 32  # 16-byte blake2b, hex
@@ -237,7 +202,7 @@ class TestChecksum:
         assert restored.n_layers == cache.n_layers
         assert np.array_equal(restored.token_ids, cache.token_ids)
 
-    @pytest.mark.parametrize("kv_dtype", ["float16", "int8"])
+    @pytest.mark.parametrize("kv_dtype", PRECISION_PRESETS)
     def test_flipped_payload_byte_raises_typed_error(self, kv_dtype):
         blob = bytearray(serialize_kv(_make_cache(), kv_dtype=kv_dtype))
         blob[-1] ^= 0xFF
@@ -268,13 +233,3 @@ class TestChecksum:
         )
         with pytest.raises(KVCorruptionError):
             deserialize_kv(rebuilt)
-
-    @pytest.mark.parametrize("kv_dtype", ["float16", "int8"])
-    def test_legacy_blobs_still_readable(self, kv_dtype):
-        cache = _make_cache(seed=5)
-        legacy = serialize_kv(cache, kv_dtype=kv_dtype, checksum=False)
-        via_v4 = deserialize_kv(serialize_kv(cache, kv_dtype=kv_dtype))
-        via_legacy = deserialize_kv(legacy)
-        for a, b in zip(via_v4.layers, via_legacy.layers):
-            np.testing.assert_array_equal(a.keys, b.keys)
-            np.testing.assert_array_equal(a.values, b.values)

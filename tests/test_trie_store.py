@@ -33,7 +33,7 @@ def _cache(token_ids, n_layers: int = 2) -> KVCache:
 
 
 def _trie(**kwargs) -> RadixTrieStore:
-    return RadixTrieStore(device=get_device("cpu_ram"), dtype_bytes=2, **kwargs)
+    return RadixTrieStore(device=get_device("cpu_ram"), **kwargs)
 
 
 class TestTrieDedup:
@@ -65,7 +65,7 @@ class TestTrieDedup:
     def test_read_delay_priced_at_logical_size(self):
         # Dedup changes residency, never the simulated read: a trie hit is
         # priced at the full-chunk bytes, same as the whole-chunk store.
-        trie, flat = _trie(), KVCacheStore(device=get_device("cpu_ram"), dtype_bytes=2)
+        trie, flat = _trie(), KVCacheStore(device=get_device("cpu_ram"))
         a = _cache([1, 2, 3, 4, 5, 6, 7, 8])
         b = _cache([1, 2, 3, 4, 9, 10, 11, 12])
         for store in (trie, flat):
