@@ -593,11 +593,15 @@ class BlendEngine:
             if calibration is not None:
                 calibration.observe_decode(step_seconds, batch_width=batch_width)
 
+        # Sized for the whole generation up front, so no join or step
+        # reallocates the pad.
+        reserve = max(1, max_new_tokens)
         session = self.model.new_decode_session(
-            slot_capacity=max(1, len(fusions))
+            token_capacity=max(fusion.kv_cache.n_tokens for fusion in fusions) + reserve,
+            slot_capacity=len(fusions),
         )
         for index, fusion in enumerate(fusions):
-            session.join(index, fusion.kv_cache, reserve=max(1, max_new_tokens))
+            session.join(index, fusion.kv_cache, reserve=reserve)
         # The first token of every request is decoded in one shared, measured
         # step; it runs regardless of EOS or a zero token budget, because
         # TTFT is measured to the first token.

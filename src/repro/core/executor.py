@@ -46,6 +46,10 @@ from repro.kvstore.serialization import pack_layer_kv_as, unpack_layer_kv_as
 from repro.model.tensors import KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
+#: Shortest sleep that blocks the loader thread and so drops the GIL (the
+#: kernel rounds it up to its timer slack, ~50 µs on Linux).
+_GIL_HANDOFF_S = 1e-6
+
 
 @dataclass
 class ExecutionResult:
@@ -331,8 +335,16 @@ class PipelinedExecutor:
                         lookahead.acquire()
                         if abort.is_set():
                             return
-                        plans[req_idx].materialize(n_layers)
+                        plan = plans[req_idx]
+                        plan.materialize(n_layers)
                         for layer_idx in range(n_layers):
+                            if not plan.layer_delays[layer_idx]:
+                                # No simulated transfer, so this load would not
+                                # block. Block briefly anyway: otherwise the
+                                # loader keeps the GIL through the rest of the
+                                # request's decode while the compute thread,
+                                # woken by the layer just published, waits.
+                                time.sleep(_GIL_HANDOFF_S)
                             load_layer(req_idx, layer_idx)
                 except BaseException as exc:  # surface in the compute thread
                     load_error.append(exc)

@@ -58,7 +58,9 @@ def _attend(
 
     GQA is handled by viewing the query heads as ``(n_kv_heads, group)`` and
     broadcasting the keys/values across the group axis, so the KV tensors are
-    never materialised ``group`` times.  Scores and the causal mask are only
+    never materialised ``group`` times.  Both contractions are batched
+    ``np.matmul`` calls over that ``(n_kv_heads, group)`` stack, which NumPy
+    hands to BLAS one GEMM per pair.  Scores and the causal mask are only
     allocated for the actual query rows — ``(n_queries, n_keys)`` — never the
     full ``n_keys × n_keys``.
     """
@@ -66,16 +68,18 @@ def _attend(
     n_kv_heads = keys.shape[1]
     group = n_heads // n_kv_heads
 
-    q_grouped = queries.reshape(n_queries, n_kv_heads, group, head_dim)
-    # scores[h, g, q, k] with h the KV head and g the query head within its group
-    scores = np.einsum("qhgd,khd->hgqk", q_grouped, keys)
+    # (h, g, q, d) with h the KV head and g the query head within its group.
+    q_grouped = queries.reshape(n_queries, n_kv_heads, group, head_dim).transpose(1, 2, 0, 3)
+    # scores[h, g, q, k]: one (q, d) @ (d, k) product per (h, g); the right
+    # operand is a transposed view of keys[:, h], broadcast over g.
+    scores = np.matmul(q_grouped, keys.transpose(1, 2, 0)[:, None])
     scores *= scores.dtype.type(1.0 / np.sqrt(head_dim))
     mask = key_positions[None, :] > query_positions[:, None]  # (n_queries, n_keys)
     np.copyto(scores, scores.dtype.type(-1e30), where=mask[None, None, :, :])
     weights = softmax(scores, axis=-1)
 
-    context = np.einsum("hgqk,khd->qhgd", weights, values)
-    context = context.reshape(n_queries, n_heads, head_dim)
+    context = np.matmul(weights, values.transpose(1, 0, 2)[:, None])  # (h, g, q, d)
+    context = context.transpose(2, 0, 1, 3).reshape(n_queries, n_heads, head_dim)
 
     forward_attention = None
     if window_rows is not None and window_rows.size:
@@ -184,12 +188,13 @@ def batched_decode_attention(
     group = n_heads // n_kv_heads
 
     q_grouped = queries.reshape(n_requests, n_kv_heads, group, head_dim)
-    scores = np.einsum("nhgd,nthd->nhgt", q_grouped, keys)
+    # scores[n, h, g, t]: one (g, d) @ (d, t) product per (request, KV head).
+    scores = np.matmul(q_grouped, keys.transpose(0, 2, 3, 1))
     scores *= scores.dtype.type(1.0 / np.sqrt(head_dim))
     token_index = np.arange(keys.shape[1])
     padding = token_index[None, :] >= np.asarray(lengths)[:, None]
     if padding.any():
         np.copyto(scores, scores.dtype.type(-1e30), where=padding[:, None, None, :])
     weights = softmax(scores, axis=-1)
-    context = np.einsum("nhgt,nthd->nhgd", weights, values)
+    context = np.matmul(weights, values.transpose(0, 2, 1, 3))  # (n, h, g, d)
     return context.reshape(n_requests, n_heads, head_dim)

@@ -31,10 +31,16 @@ def swiglu(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarr
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
+    """Numerically stable softmax.
+
+    ``exp`` and the normalisation run in place in the fresh ``scores - max``
+    buffer, so *scores* is left untouched and no other full-size temporary
+    is allocated.
+    """
     shifted = scores - np.max(scores, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= np.sum(shifted, axis=axis, keepdims=True)
+    return shifted
 
 
 @dataclass

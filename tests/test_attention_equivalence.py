@@ -1,18 +1,28 @@
 """Equivalence of the vectorized attention/GQA path against a naive reference.
 
-The broadcast-GQA ``_attend`` (no ``np.repeat`` materialisation, in-place
-mask fill, grouped einsum) must match a straightforward reference
-implementation bit-for-bit up to float accumulation order — well within 1e-6.
+The broadcast-GQA kernels (no ``np.repeat`` materialisation, in-place mask
+fill, batched ``np.matmul`` over ``(kv_head, group)`` stacks) must match a
+straightforward einsum reference up to float accumulation order.  Each case
+runs in float32, the serving path's compute dtype, and in float64; both are
+checked against the float64 reference computed from the same inputs, at
+``atol`` 1e-5 and 1e-6 respectively.
 """
 
 import numpy as np
 import pytest
 
-from repro.model.attention import full_attention, selective_attention
+from repro.model.attention import (
+    batched_decode_attention,
+    full_attention,
+    selective_attention,
+)
 from repro.model.config import get_config
 from repro.model.layers import softmax
 from repro.model.tensors import LayerKV
 from repro.model.transformer import TransformerModel
+
+ATOL = {np.float32: 1e-5, np.float64: 1e-6}
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 
 
 def _reference_attend(queries, keys, values, query_positions, key_positions, window_rows):
@@ -34,6 +44,17 @@ def _reference_attend(queries, keys, values, query_positions, key_positions, win
     return context, forward
 
 
+def _reference_decode(query, keys, values):
+    """One decode query over one request's live rows: repeat KV heads, no mask."""
+    n_heads, head_dim = query.shape
+    group = n_heads // keys.shape[1]
+    keys = np.repeat(keys, group, axis=1)
+    values = np.repeat(values, group, axis=1)
+    scores = np.einsum("hd,thd->ht", query, keys) / np.sqrt(head_dim)
+    weights = softmax(scores, axis=-1)
+    return np.einsum("ht,thd->hd", weights, values)
+
+
 def _random_qkv(rng, n_tokens, n_heads, n_kv_heads, head_dim):
     q = rng.normal(size=(n_tokens, n_heads, head_dim))
     k = rng.normal(size=(n_tokens, n_kv_heads, head_dim))
@@ -41,21 +62,51 @@ def _random_qkv(rng, n_tokens, n_heads, n_kv_heads, head_dim):
     return q, k, v
 
 
+def _f64(*arrays):
+    return tuple(a.astype(np.float64) for a in arrays)
+
+
+class TestSoftmax:
+    @DTYPES
+    def test_in_place_softmax_is_bitwise_the_out_of_place_formula(self, dtype):
+        rng = np.random.default_rng(6)
+        scores = (rng.normal(size=(3, 5, 7)) * 10.0).astype(dtype)
+        scores[0, 0, 3:] = -1e30  # masked tail, as the kernels fill it
+        before = scores.copy()
+        shifted = scores - np.max(scores, axis=-1, keepdims=True)
+        expected = np.exp(shifted) / np.sum(np.exp(shifted), axis=-1, keepdims=True)
+
+        weights = softmax(scores, axis=-1)
+        np.testing.assert_array_equal(weights, expected)
+        assert weights.dtype == dtype
+        np.testing.assert_array_equal(scores, before)  # the input is untouched
+
+
 class TestFullAttentionEquivalence:
-    @pytest.mark.parametrize("n_heads,n_kv_heads", [(4, 4), (8, 2), (6, 3)])
-    def test_matches_reference(self, n_heads, n_kv_heads):
+    @DTYPES
+    @pytest.mark.parametrize(
+        "n_tokens,n_heads,n_kv_heads,head_dim",
+        # The last shape is the serving benchmark's: 152 tokens, 8/4 GQA heads.
+        [(17, 4, 4, 8), (17, 8, 2, 8), (17, 6, 3, 8), (152, 8, 4, 16)],
+    )
+    def test_matches_reference(self, n_tokens, n_heads, n_kv_heads, head_dim, dtype):
         rng = np.random.default_rng(0)
-        n_tokens, head_dim, window = 17, 8, 5
-        q, k, v = _random_qkv(rng, n_tokens, n_heads, n_kv_heads, head_dim)
+        window = 5
+        q, k, v = (
+            a.astype(dtype) for a in _random_qkv(rng, n_tokens, n_heads, n_kv_heads, head_dim)
+        )
         positions = np.arange(n_tokens)
 
         out = full_attention(q, k, v, positions, query_window=window)
         window_rows = np.arange(n_tokens - window, n_tokens)
         ref_context, ref_forward = _reference_attend(
-            q, k, v, positions, positions, window_rows
+            *_f64(q, k, v), positions, positions, window_rows
         )
-        assert np.allclose(out.context, ref_context, atol=1e-6)
-        assert np.allclose(out.forward_attention, ref_forward, atol=1e-6)
+        assert out.context.dtype == dtype
+        np.testing.assert_allclose(out.context, ref_context, rtol=0, atol=ATOL[dtype])
+        np.testing.assert_allclose(
+            out.forward_attention, ref_forward, rtol=0, atol=ATOL[dtype]
+        )
 
     def test_causality(self):
         """Changing a future key never changes an earlier query's output."""
@@ -72,22 +123,27 @@ class TestFullAttentionEquivalence:
 
 
 class TestSelectiveAttentionEquivalence:
+    @DTYPES
     @pytest.mark.parametrize("n_heads,n_kv_heads", [(4, 4), (8, 2)])
-    def test_matches_reference(self, n_heads, n_kv_heads):
+    def test_matches_reference(self, n_heads, n_kv_heads, dtype):
         rng = np.random.default_rng(2)
         n_tokens, head_dim, window = 21, 8, 6
         _, k, v = _random_qkv(rng, n_tokens, n_heads, n_kv_heads, head_dim)
         selected = np.array([0, 3, 4, 11, 18, 19, 20])
         q_sel = rng.normal(size=(selected.size, n_heads, head_dim))
+        q_sel, k, v = (a.astype(dtype) for a in (q_sel, k, v))
         positions = np.arange(n_tokens)
 
         out = selective_attention(q_sel, k, v, selected, positions, query_window=window)
         window_rows = np.nonzero(selected >= n_tokens - window)[0]
         ref_context, ref_forward = _reference_attend(
-            q_sel, k, v, positions[selected], positions, window_rows
+            *_f64(q_sel, k, v), positions[selected], positions, window_rows
         )
-        assert np.allclose(out.context, ref_context, atol=1e-6)
-        assert np.allclose(out.forward_attention, ref_forward, atol=1e-6)
+        assert out.context.dtype == dtype
+        np.testing.assert_allclose(out.context, ref_context, rtol=0, atol=ATOL[dtype])
+        np.testing.assert_allclose(
+            out.forward_attention, ref_forward, rtol=0, atol=ATOL[dtype]
+        )
 
     def test_selective_rows_match_full_attention(self):
         """Selecting every token degenerates to full attention."""
@@ -98,6 +154,44 @@ class TestSelectiveAttentionEquivalence:
         full = full_attention(q, k, v, positions)
         sel = selective_attention(q, k, v, np.arange(n_tokens), positions)
         assert np.allclose(full.context, sel.context, atol=1e-6)
+
+
+class TestBatchedDecodeAttention:
+    """Each member of a padded decode batch attends to its live rows only."""
+
+    @DTYPES
+    @pytest.mark.parametrize("n_heads,n_kv_heads", [(8, 2), (4, 4)])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_each_member_matches_its_own_reference(self, width, n_heads, n_kv_heads, dtype):
+        rng = np.random.default_rng(width)
+        head_dim = 8
+        # Unequal live lengths in shuffled slot order; the pad runs past the
+        # longest member too.
+        lengths = rng.permutation(np.arange(5, 5 + 3 * width, 3))
+        max_tokens = int(lengths.max()) + 3
+        queries = rng.normal(size=(width, n_heads, head_dim)).astype(dtype)
+        # Every row, padding included, holds finite random values, as a
+        # reused session slot does.
+        keys = rng.normal(size=(width, max_tokens, n_kv_heads, head_dim)).astype(dtype)
+        values = rng.normal(size=(width, max_tokens, n_kv_heads, head_dim)).astype(dtype)
+
+        context = batched_decode_attention(queries, keys, values, lengths)
+        assert context.shape == (width, n_heads, head_dim)
+        assert context.dtype == dtype
+        for member, length in enumerate(lengths):
+            reference = _reference_decode(
+                *_f64(queries[member], keys[member, :length], values[member, :length])
+            )
+            np.testing.assert_allclose(
+                context[member], reference, rtol=0, atol=ATOL[dtype]
+            )
+
+        # New padding values change nothing: the pad never leaks.
+        padding = np.arange(max_tokens)[None, :] >= lengths[:, None]
+        keys[padding] = rng.normal(size=keys[padding].shape) * 100.0
+        values[padding] = rng.normal(size=values[padding].shape) * 100.0
+        repadded = batched_decode_attention(queries, keys, values, lengths)
+        np.testing.assert_array_equal(repadded, context)
 
 
 class TestLayerSelectiveInPlace:

@@ -157,6 +157,34 @@ class TestBlendEngineRun:
             result.trace.total_time + result.measured_first_decode_s
         )
 
+    @pytest.mark.parametrize("max_new_tokens", [1, 8])
+    def test_decode_session_opens_at_its_final_size(self, engine, monkeypatch, max_new_tokens):
+        """The decode pad is sized for the longest fused cache plus the token
+        budget, so neither a join nor a step regrows it."""
+        long_chunks = [f"{text} and {text}" for text in CHUNKS]
+        engine.precompute_chunks(long_chunks)
+        sessions = []
+        open_session = engine.model.new_decode_session
+
+        def capture(*args, **kwargs):
+            sessions.append(open_session(*args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(engine.model, "new_decode_session", capture)
+        single = engine.run(long_chunks, "how is the pad sized?", max_new_tokens=max_new_tokens)
+        engine.run_batch(
+            [
+                (long_chunks, "how is the pad sized for a batch of unequal requests?"),
+                (long_chunks[:1], "short?"),
+            ],
+            max_new_tokens=max_new_tokens,
+        )
+        # Past the session's default 64-row capacity.
+        assert single.fusion.kv_cache.n_tokens > 64
+        assert len(sessions) == 2
+        assert all(session.stats.steps >= 1 for session in sessions)
+        assert [session.stats.grows for session in sessions] == [0, 0]
+
     def test_execution_accepts_only_pipelined(self, engine):
         with pytest.raises(ValueError, match="execution mode"):
             BlendEngine.build(paper_model="Mistral-7B", execution="analytic")
