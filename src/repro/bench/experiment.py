@@ -420,9 +420,9 @@ class ExperimentRunner:
 
         With a ready *calibration* (measured per-layer rates and decode steps
         from the proxy probe), CacheBlend cells additionally report the
-        trace-calibrated ``mean_ttft_service_measured`` (first decode step
-        included) beside the analytic estimate, and the continuous-batching
-        scheduler paces decode iterations at the measured per-step rate.
+        trace-calibrated ``mean_ttft_service_measured`` beside the analytic
+        estimate, and the continuous-batching scheduler paces decode
+        iterations at the measured per-step rate.
 
         Under ``admission_policy="slo"`` the continuous scheduler rejects
         requests whose predicted TTFT misses their deadline and preempts
@@ -1218,9 +1218,9 @@ def run_proxy_probe(
         (chunks[1:], "where are kv caches stored?"),
     ]
     # max_new_tokens exercises the co-batched DecodeSession generation path:
-    # the batch decodes in lock-step (one session step per iteration), the
-    # shared measured first step is folded into every measured TTFT, and
-    # each step feeds the width-aware decode calibration buckets.
+    # after the prefill's first token the batch decodes in lock-step (one
+    # session step per iteration), and each step feeds the width-aware
+    # decode calibration buckets.
     results = engine.run_batch(batch, max_new_tokens=4)
 
     # Measured load/compute pipelining: the text chunks above are only a few
@@ -1262,8 +1262,6 @@ def run_proxy_probe(
         "estimated_ttfts": [r.ttft_estimate for r in results],
         "measured_ttfts": [r.ttft for r in results],
         "measured_stall_s": [r.measured_stall for r in results],
-        "measured_first_decode_s": [r.measured_first_decode_s for r in results],
-        "decode_batch_widths": [r.decode_batch_width for r in results],
         "n_generated": [len(r.generated_ids) for r in results],
         "cache": engine.cache_stats,
         "store": {

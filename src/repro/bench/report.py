@@ -5,7 +5,7 @@ One report is a single JSON document with a versioned schema:
 .. code-block:: text
 
     {
-      "schema_version": 4,
+      "schema_version": 7,
       "created": "<ISO-8601 UTC timestamp>",
       "tag": "<free-form label, e.g. 'smoke'>",
       "config": { ...ExperimentConfig fields... },
@@ -41,8 +41,10 @@ from repro.bench.experiment import ExperimentReport
 #: null when the sweep runs without ``fleet_sizes``); v6 adds the KV
 #: precision axis columns (``kv_dtype``, ``mean_kv_deviation``,
 #: ``mean_attention_deviation`` — null when the sweep runs without
-#: ``kv_dtypes``) and the ``dtype_*_vs_float16`` comparison rows.
-SCHEMA_VERSION = 6
+#: ``kv_dtypes``) and the ``dtype_*_vs_float16`` comparison rows; v7
+#: ends every TTFT column at the first token (no decode step) and drops the
+#: proxy block's per-request first-decode-step times and batch widths.
+SCHEMA_VERSION = 7
 
 _REQUIRED_TOP_LEVEL = ("schema_version", "created", "tag", "config", "workload", "cells")
 _REQUIRED_CELL_FIELDS = (

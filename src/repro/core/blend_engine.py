@@ -12,7 +12,9 @@ recompute their HKVD tokens, and the request carries a *measured*
 :class:`~repro.core.pipeline.PipelineTrace` whose load/compute/stall spans
 are wall-clock facts.  ``run_batch`` additionally pipelines *across*
 requests — request B's layer 0 loads while request A's tail layers
-recompute — and decodes the whole batch in lock-step on one persistent
+recompute.  The first token is the argmax of the fused prefill's last
+logits, so TTFT ends with the fuse; budgets beyond one token decode the
+whole batch in lock-step on one
 :class:`~repro.model.tensors.DecodeSession`, one session step per scheduler
 iteration.  Measured spans feed the cost model's
 :class:`~repro.serving.costmodel.OnlineCostCalibration` so scheduler cost
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.controller import ControllerDecision, LoadingController
-from repro.core.executor import PipelinedExecutor
+from repro.core.executor import ExecutionResult, PipelinedExecutor
 from repro.core.fusor import FusionResult, FusorConfig, KVFusor
 from repro.core.pipeline import PipelineTrace
 from repro.kvstore.config import StoreConfig
@@ -111,15 +113,11 @@ class BlendResult:
 
     ``ttft`` is the measured time-to-first-token: the request's pipelined
     fuse (from its :class:`~repro.core.pipeline.PipelineTrace`, queueing
-    behind earlier batch requests included), the wall-clock of prefilling
-    any cold chunks, and ``measured_first_decode_s``, the first co-batched
-    :class:`~repro.model.tensors.DecodeSession` step.  ``ttft_estimate`` is
-    the cost model's number for the same request on the paper architecture,
-    so the two can be compared side by side.  Generation is decoded in
-    lock-step across the whole batch — one session step per iteration — so
-    the first step is shared: every request of the batch carries the same
-    ``measured_first_decode_s``, and ``decode_batch_width`` records how many
-    requests that step decoded together.
+    behind earlier batch requests included) plus the wall-clock of
+    prefilling any cold chunks.  The first token is the argmax of the
+    fusion's ``last_logits``, so no decode step is part of it.
+    ``ttft_estimate`` is the cost model's number for the same request on the
+    paper architecture, so the two can be compared side by side.
 
     ``cache_stats`` is this request's *own* hit/miss accounting (KV store and
     tokenizer), counted locally while the request executed — it never reads
@@ -139,13 +137,6 @@ class BlendResult:
     #: Measured load-wait inside this request's pipeline (queueing behind
     #: earlier batch requests excluded).
     measured_stall: float = 0.0
-    #: Measured wall-clock of the first decode step (one co-batched
-    #: ``DecodeSession`` step shared by the whole batch), already folded
-    #: into ``ttft``.
-    measured_first_decode_s: float = 0.0
-    #: How many requests the first decode step was co-batched with (the
-    #: session width at that step).
-    decode_batch_width: int = 1
     trace: PipelineTrace | None = None
     cache_stats: dict[str, int] = field(default_factory=dict)
 
@@ -534,23 +525,11 @@ class BlendEngine:
             store_read_delay_s=store_read_delay_s,
         )
 
-    def _executor_for(self, device: StorageDevice) -> PipelinedExecutor:
-        """The engine's executor, re-targeted when the controller picked a
-        different storage device than the KV store's (``candidate_devices``):
-        the measured transfer delays must simulate the device the
-        ``ttft_estimate`` beside them is priced at."""
-        if device.name == self.executor.device.name:
-            return self.executor
-        return PipelinedExecutor(
-            self.model, self.fusor.config, device=device, precision=self.precision
-        )
-
-    def _decide(self, inputs: _RequestInputs, recompute_ratio, candidate_devices):
+    def _decide(self, inputs: _RequestInputs, recompute_ratio):
         decision = self.controller.decide(
             n_context_tokens=inputs.context_tokens,
             n_suffix_tokens=int(inputs.suffix_ids.size),
-            devices=candidate_devices,
-            device=None if candidate_devices else self.kv_store.device,
+            device=self.kv_store.device,
         )
         ratio = (
             recompute_ratio if recompute_ratio is not None else decision.recompute_ratio
@@ -567,94 +546,64 @@ class BlendEngine:
                 recompute_counts=fusion.recompute_counts,
             )
 
-    def _decode_session_batch(
+    def _generate(
         self, fusions: list[FusionResult], max_new_tokens: int
-    ) -> tuple[float, list[list[int]]]:
-        """Co-batched generation for every request of a batch.
+    ) -> list[list[int]]:
+        """Greedy generation for every request of a batch, from each
+        fusion's ``last_logits``.
 
-        All requests join one persistent
-        :class:`~repro.model.tensors.DecodeSession` (their fused caches are
-        copied into the padded slots once — setup, outside the timed spans;
-        a persistent engine would have prefilled into the pad directly), and
-        generation runs Orca-style lock-step: **one session step per
-        scheduler iteration**.  Steady-state steps write only each member's
-        appended row; requests leave the session — freeing their slot — the
-        moment they finish, so peak resident KV tracks the live batch.
-
-        The first step is timed exactly (the per-iteration unit the
-        continuous-batching scheduler paces decode with) and every executed
-        step feeds the cost model's width-aware decode calibration, tagged
-        with its batch width.  Returns ``(first_step_seconds,
-        generated_ids_per_request)``.
+        The first token is ``argmax(last_logits)``, ready when the fuse
+        ends, so a budget of at most one token opens no session and runs no
+        decode step.  Larger budgets co-batch: every request joins one
+        persistent :class:`~repro.model.tensors.DecodeSession` (its fused
+        cache is copied into a padded slot once — setup; a persistent
+        engine would have prefilled into the pad directly), and
+        :meth:`~repro.model.transformer.TransformerModel.generate_session`
+        decodes Orca-style in lock-step, one session step per scheduler
+        iteration, each request leaving the moment it finishes.  Every step
+        feeds the cost model's width-aware decode calibration.
         """
-        calibration = self.controller.cost_model.calibration
-
-        def observe(step_seconds: float, batch_width: int) -> None:
-            if calibration is not None:
-                calibration.observe_decode(step_seconds, batch_width=batch_width)
-
-        # Sized for the whole generation up front, so no join or step
-        # reallocates the pad.
-        reserve = max(1, max_new_tokens)
+        eos = self.tokenizer.eos_id
+        if max_new_tokens <= 1:
+            first_ids = [int(np.argmax(fusion.last_logits)) for fusion in fusions]
+            return [
+                [first] if max_new_tokens == 1 and first != eos else []
+                for first in first_ids
+            ]
+        # The steps append max_new_tokens - 1 rows per member; sizing the pad
+        # for them up front means no join or step reallocates it.
+        reserve = max_new_tokens - 1
         session = self.model.new_decode_session(
             token_capacity=max(fusion.kv_cache.n_tokens for fusion in fusions) + reserve,
             slot_capacity=len(fusions),
         )
         for index, fusion in enumerate(fusions):
             session.join(index, fusion.kv_cache, reserve=reserve)
-        # The first token of every request is decoded in one shared, measured
-        # step; it runs regardless of EOS or a zero token budget, because
-        # TTFT is measured to the first token.
-        first_ids = [int(np.argmax(fusion.last_logits)) for fusion in fusions]
-        start = time.perf_counter()
-        step_logits = self.model.decode_session_step(session, first_ids)
-        first_step_s = time.perf_counter() - start
-        observe(first_step_s, session.n_members)
-
-        generated: list[list[int]] = [[] for _ in fusions]
-        for index, first_id in enumerate(first_ids):
-            if max_new_tokens > 0 and first_id != self.tokenizer.eos_id:
-                generated[index] = [first_id]
-            else:
-                session.leave(index)
-        if session.n_members and max_new_tokens > 1:
-            order = list(session.member_ids)
-            rest = self.model.generate_session(
-                session,
-                [step_logits[index] for index in order],
-                max_new_tokens=max_new_tokens - 1,
-                eos_id=self.tokenizer.eos_id,
-                on_step=observe,
-            )
-            for index, tokens in zip(order, rest):
-                generated[index].extend(tokens)
-        else:
-            for index in list(session.member_ids):
-                session.leave(index)
-        return first_step_s, generated
+        calibration = self.controller.cost_model.calibration
+        return self.model.generate_session(
+            session,
+            [fusion.last_logits for fusion in fusions],
+            max_new_tokens=max_new_tokens,
+            eos_id=eos,
+            on_step=None if calibration is None else calibration.observe_decode,
+        )
 
     def _finish(
         self,
         inputs: _RequestInputs,
-        fusion: FusionResult,
+        executed: ExecutionResult,
         decision: ControllerDecision,
         ratio: float,
-        pipeline_s: float,
-        measured_stall: float,
-        trace: PipelineTrace,
         generated: list[int],
-        first_decode_s: float,
-        decode_batch_width: int,
     ) -> BlendResult:
         """Assemble one request's :class:`BlendResult`.
 
-        The measured TTFT is the request's pipeline completion
-        (``pipeline_s``), its cold-chunk prefill wall-clock and the shared
-        first decode step of the co-batched session.
+        The measured TTFT is the request's pipeline completion plus its
+        cold-chunk prefill wall-clock.
         """
         return BlendResult(
-            fusion=fusion,
-            ttft=pipeline_s + inputs.miss_prefill_s + first_decode_s,
+            fusion=executed.fusion,
+            ttft=executed.total_time + inputs.miss_prefill_s,
             decision=decision,
             cache_hits=inputs.hits,
             cache_misses=inputs.misses,
@@ -669,10 +618,8 @@ class BlendEngine:
                 decision.device,
                 store_read_delay_s=inputs.store_read_delay_s,
             ),
-            measured_stall=measured_stall,
-            measured_first_decode_s=first_decode_s,
-            decode_batch_width=decode_batch_width,
-            trace=trace,
+            measured_stall=executed.stall_time,
+            trace=executed.trace,
             cache_stats=dict(inputs.stats),
         )
 
@@ -682,45 +629,16 @@ class BlendEngine:
         question: str,
         recompute_ratio: float | None = None,
         max_new_tokens: int = 0,
-        candidate_devices: list[StorageDevice] | None = None,
         execution: str = "pipelined",
     ) -> BlendResult:
-        """Answer one request whose input is *chunk_texts* followed by *question*.
-
-        The request's load/recompute pipeline executes and the result
-        carries a measured TTFT (cold-chunk prefill wall-clock included)
-        plus the per-layer :class:`~repro.core.pipeline.PipelineTrace`.
-        ``execution`` accepts only ``"pipelined"``.
-        """
-        _check_execution(execution)
-        inputs = self._gather_request(chunk_texts, question)
-        decision, ratio = self._decide(inputs, recompute_ratio, candidate_devices)
-        executed = self._executor_for(decision.device).execute(
-            inputs.chunk_caches,
-            inputs.suffix_ids,
-            recompute_ratio=ratio,
-            pipelined=True,
-            extra_load_delay=inputs.store_read_delay_s,
-        )
-        self._observe(executed.trace, inputs, executed.fusion)
-        first_decode_s, generated = self._decode_session_batch(
-            [executed.fusion], max_new_tokens
-        )
-        return self._finish(
-            inputs,
-            executed.fusion,
-            decision,
-            ratio,
-            pipeline_s=executed.total_time,
-            measured_stall=executed.stall_time,
-            trace=executed.trace,
-            generated=generated[0],
-            first_decode_s=first_decode_s,
-            decode_batch_width=1,
-        )
+        """Answer one request whose input is *chunk_texts* followed by *question*:
+        :meth:`run_batch` of that single request."""
+        return self.run_batch(
+            [(chunk_texts, question)], recompute_ratio, max_new_tokens, execution
+        )[0]
 
     # ------------------------------------------------------------------
-    # Batch execution (used by the bench subsystem)
+    # Batch execution
     # ------------------------------------------------------------------
     def run_batch(
         self,
@@ -742,18 +660,19 @@ class BlendEngine:
         *cross-request* pipelining — while request A's tail layers recompute,
         request B's layer-0 KV is already streaming off the device — and each
         result's measured TTFT is its completion offset in the batch
-        (queueing behind earlier requests included).  Generation is then
-        co-batched: every request joins one persistent
-        :class:`~repro.model.tensors.DecodeSession` and the batch decodes in
-        lock-step, one session step per iteration (the measured first step,
-        shared across the batch, is folded into each measured TTFT).
+        (queueing behind earlier requests included) plus its cold-chunk
+        prefill.  Each request's first token is the argmax of its fused
+        prefill's last logits; with ``max_new_tokens > 1`` the batch then
+        decodes in lock-step on one
+        :class:`~repro.model.tensors.DecodeSession`.  ``max_new_tokens=1`` is
+        therefore the prefill-only call a caller-owned session joins after.
         ``execution`` accepts only ``"pipelined"``.
         """
         _check_execution(execution)
         gathered = [
             self._gather_request(chunk_texts, question) for chunk_texts, question in batch
         ]
-        decisions = [self._decide(inputs, recompute_ratio, None) for inputs in gathered]
+        decisions = [self._decide(inputs, recompute_ratio) for inputs in gathered]
         executed = self.executor.execute_batch(
             [(inputs.chunk_caches, inputs.suffix_ids) for inputs in gathered],
             recompute_ratio=[ratio for _, ratio in decisions],
@@ -762,24 +681,11 @@ class BlendEngine:
         )
         for inputs, request in zip(gathered, executed):
             self._observe(request.trace, inputs, request.fusion)
-        first_decode_s, generated = self._decode_session_batch(
-            [request.fusion for request in executed], max_new_tokens
-        )
+        generated = self._generate([request.fusion for request in executed], max_new_tokens)
         return [
-            self._finish(
-                inputs,
-                request.fusion,
-                decision,
-                ratio,
-                pipeline_s=request.total_time,
-                measured_stall=request.stall_time,
-                trace=request.trace,
-                generated=generated[index],
-                first_decode_s=first_decode_s,
-                decode_batch_width=len(executed),
-            )
-            for index, (inputs, (decision, ratio), request) in enumerate(
-                zip(gathered, decisions, executed)
+            self._finish(inputs, request, decision, ratio, tokens)
+            for inputs, (decision, ratio), request, tokens in zip(
+                gathered, decisions, executed, generated
             )
         ]
 
@@ -831,7 +737,4 @@ class BlendEngine:
             ttft += cost_model.prefill_time(n_miss)
         # Hits served from a slow store tier read slower than `device`; the
         # excess extends the load side of the pipeline.
-        ttft += store_read_delay_s
-        # Include the first decode step, as TTFT is measured to the first token.
-        ttft += cost_model.decode_time_per_token(context_tokens=n_total)
-        return ttft
+        return ttft + store_read_delay_s

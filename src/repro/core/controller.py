@@ -141,7 +141,11 @@ class LoadingController:
             load_time_per_layer=self.cost_model.kv_load_time_per_layer(
                 n_context_tokens, device
             ),
-            recompute_time_per_layer=self.cost_model.recompute_layer_time(n_total, ratio),
+            # Priced on the context tokens the ratio applies to, as the
+            # break-even in pick_recompute_ratio is.
+            recompute_time_per_layer=self.cost_model.recompute_layer_time(
+                n_context_tokens, ratio
+            ),
             estimated_ttft=ttft,
             storage_cost_per_month=self.cost_model.kv_store_cost(n_context_tokens, device),
         )

@@ -77,7 +77,12 @@ def select_top_fraction(
         chosen = np.empty(0, dtype=np.int64)
     if always_include is not None and np.asarray(always_include).size:
         chosen = np.concatenate([chosen, np.asarray(always_include, dtype=np.int64)])
-    return np.unique(chosen)
+    # Sort, then drop repeats: what np.unique returns, without the numpy.ma
+    # import (~15 ms) its first call costs on the request path.
+    chosen = np.sort(chosen)
+    keep = np.ones(chosen.size, dtype=bool)
+    keep[1:] = chosen[1:] != chosen[:-1]
+    return chosen[keep]
 
 
 @dataclass

@@ -7,8 +7,10 @@ delays that matter for end-to-end serving:
   what limits throughput; KV loading from RAM/SSD overlaps and does not
   occupy the GPU);
 * ``ttft_service`` — the service part of TTFT (prefill or pipelined
-  load+recompute, plus the first decode step);
-* ``decode_time`` — the remaining decoding after the first token.
+  load+recompute; the first token is the argmax of the prefill's last
+  logits, so no decode step is part of it);
+* ``decode_time`` — the ``n_output_tokens - 1`` decode steps after the first
+  token.
 
 Supported schemes mirror the paper's baselines: ``full_recompute``,
 ``prefix_caching``, ``full_reuse`` and ``cacheblend``.
@@ -42,16 +44,11 @@ class EngineResult:
 
     ``ttft_service_measured`` is the trace-calibrated pipeline delay from
     :meth:`~repro.serving.costmodel.ServingCostModel.ttft_cacheblend_measured`
-    *plus the first decode step*, attached (CacheBlend only) when the cost
-    model carries a ready
+    (plus any slow-tier read excess), attached (CacheBlend only) when the
+    cost model carries a ready
     :class:`~repro.serving.costmodel.OnlineCostCalibration`; ``None``
-    otherwise.  The decode step is the calibration's *measured* per-step
-    delay whenever pipelined serving has observed one (the serving loop
-    measures every co-batched :class:`~repro.model.tensors.DecodeSession`
-    step, width-tagged; the first step of every pipelined batch seeds it),
-    falling back to the analytic per-token delay until then.  It sits beside
-    the analytic ``ttft_service`` so sweeps can report measured vs analytic
-    TTFT side by side.
+    otherwise.  It sits beside the analytic ``ttft_service`` so sweeps can
+    report measured vs analytic TTFT side by side.
     """
 
     scheme: str
@@ -161,9 +158,9 @@ class InferenceEngine:
                 ttft_service += cold
                 gpu_time += cold
 
-        first_token = self.cost_model.decode_time_per_token(context_tokens=n_total)
-        # The first token's KV is already appended when the remaining tokens
-        # decode, so their growing-context integration starts at n_total + 1.
+        # The first token comes from the prefill; each later one is one decode
+        # step, the first of them against n_total + 1 rows (the first token's
+        # KV is appended when it is fed back).
         remaining_decode = self.cost_model.decode_time(
             max(0, request.n_output_tokens - 1), context_tokens=n_total + 1
         )
@@ -176,14 +173,6 @@ class InferenceEngine:
         ):
             measured = self.cost_model.ttft_cacheblend_measured(
                 cached_context + n_suffix, n_suffix, self.recompute_ratio
-            )
-            # TTFT runs to the first emitted token: add the measured first
-            # decode step when one has been observed, the analytic one until
-            # then (mirroring the `+ first_token` on the analytic estimate).
-            measured += (
-                calibration.decode_step_time()
-                if calibration.decode_ready
-                else first_token
             )
             if slow_context > 0 and self.fast_device is not None:
                 # The calibrated per-layer load rate reflects fast-tier
@@ -200,8 +189,8 @@ class InferenceEngine:
         stall = max(0.0, ttft_service - gpu_time - self.cost_model.gpu.overhead_s)
         return EngineResult(
             scheme=self.scheme,
-            gpu_time=gpu_time + first_token,
-            ttft_service=ttft_service + first_token,
+            gpu_time=gpu_time,
+            ttft_service=ttft_service,
             decode_time=remaining_decode,
             recomputed_fraction=min(1.0, recomputed / max(1, n_total)),
             stall_time=stall,

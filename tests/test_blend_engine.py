@@ -1,7 +1,15 @@
 """End-to-end BlendEngine smoke tests on the NumPy proxy model."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro
 from repro.core.blend_engine import BlendEngine
 
 CHUNKS = [
@@ -148,19 +156,44 @@ class TestBlendEngineRun:
         assert estimates[0] > 0.0
         assert estimates == [estimates[0]] * 4
 
-    def test_ttft_is_measured_to_the_first_token(self, engine):
+    def test_ttft_is_measured_to_the_first_token(self, engine, monkeypatch):
+        """The first token is the argmax of the fused prefill's last logits,
+        so a warm request's TTFT is its pipeline alone and a budget of at
+        most one token runs no decode step."""
         engine.precompute_chunks(CHUNKS[:2])
-        result = engine.run(CHUNKS[:2], "what does the ttft measure?")
-        assert result.trace is not None
-        assert result.measured_first_decode_s > 0.0
-        assert result.ttft == pytest.approx(
-            result.trace.total_time + result.measured_first_decode_s
-        )
+        calls = []
+
+        def counted(name):
+            real = getattr(engine.model, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("new_decode_session", "decode_session_step"):
+            monkeypatch.setattr(engine.model, name, counted(name))
+        for max_new_tokens in (0, 1):
+            result = engine.run(
+                CHUNKS[:2], "what does the ttft measure?", max_new_tokens=max_new_tokens
+            )
+            (batched,) = engine.run_batch(
+                [(CHUNKS[:2], "and in a batch?")], max_new_tokens=max_new_tokens
+            )
+            for served in (result, batched):
+                assert served.cache_misses == 0
+                assert served.ttft == served.trace.total_time
+                first = int(np.argmax(served.fusion.last_logits))
+                emitted = max_new_tokens and first != engine.tokenizer.eos_id
+                assert served.generated_ids == ([first] if emitted else [])
+        assert calls == []
 
     @pytest.mark.parametrize("max_new_tokens", [1, 8])
     def test_decode_session_opens_at_its_final_size(self, engine, monkeypatch, max_new_tokens):
-        """The decode pad is sized for the longest fused cache plus the token
-        budget, so neither a join nor a step regrows it."""
+        """The decode pad is sized for the longest fused cache plus the rows
+        the steps append, so neither a join nor a step regrows it; a
+        one-token budget opens no session at all."""
         long_chunks = [f"{text} and {text}" for text in CHUNKS]
         engine.precompute_chunks(long_chunks)
         sessions = []
@@ -181,6 +214,9 @@ class TestBlendEngineRun:
         )
         # Past the session's default 64-row capacity.
         assert single.fusion.kv_cache.n_tokens > 64
+        if max_new_tokens == 1:
+            assert sessions == []
+            return
         assert len(sessions) == 2
         assert all(session.stats.steps >= 1 for session in sessions)
         assert [session.stats.grows for session in sessions] == [0, 0]
@@ -202,6 +238,34 @@ class TestBlendEngineRun:
             engine.run_batch([(CHUNKS[:1], "which mode?")], execution="sequential")
         result = engine.run(CHUNKS[:1], "which mode?", execution="pipelined")
         assert result.trace is not None
+
+
+def test_a_request_does_not_import_numpy_ma():
+    """Importing ``numpy.ma`` costs ~15 ms; a call on the request path that
+    pulls it in makes every process's first request pay it."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro.core.blend_engine import BlendEngine
+
+        engine = BlendEngine.build(paper_model="Mistral-7B", device="nvme_ssd", seed=0)
+        chunks = ["a warm chunk of text", "another warm chunk"]
+        engine.precompute_chunks(chunks)
+        engine.run(chunks + ["a cold chunk"], "which modules load?", max_new_tokens=4)
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestStoreParameter:

@@ -65,6 +65,22 @@ class TestSelectTopFraction:
         chosen = select_top_fraction(deviation, ratio=0.0, always_include=np.array([7]))
         assert chosen.tolist() == [7]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_np_unique_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_tokens = int(rng.integers(1, 40))
+        # Integer deviations tie often; the stable sort must break ties alike.
+        deviation = rng.integers(0, 4, size=n_tokens).astype(float)
+        ratio = float(rng.random())
+        candidates = rng.choice(n_tokens, size=int(rng.integers(0, n_tokens + 1)), replace=False)
+        always = rng.integers(0, n_tokens, size=int(rng.integers(0, 6)))
+        chosen = select_top_fraction(deviation, ratio, candidates, always_include=always)
+        n_select = min(int(round(ratio * n_tokens)), candidates.size)
+        order = np.argsort(deviation[candidates], kind="stable")[::-1]
+        reference = np.unique(np.concatenate([candidates[order[:n_select]], always]))
+        assert chosen.dtype == np.int64
+        assert chosen.tolist() == reference.tolist()
+
 
 class TestHKVDSelector:
     def test_gradual_filtering_shrinks_selection(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.kvstore.device import get_device
 from repro.model.config import get_config
-from repro.serving.costmodel import ServingCostModel
+from repro.serving.costmodel import OnlineCostCalibration, ServingCostModel
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest
 from repro.serving.scheduler import (
@@ -182,6 +182,77 @@ class TestDecodeTimeIntegratesKVGrowth:
     def test_zero_or_negative_tokens_cost_nothing(self, cost_model):
         assert cost_model.decode_time(0, context_tokens=1_000) == 0.0
         assert cost_model.decode_time(-3, context_tokens=1_000) == 0.0
+
+
+class TestServicePricing:
+    """The first token is the prefill's: a request is priced its prefill plus
+    ``n_output_tokens - 1`` decode steps, the first of them against the
+    prompt plus the first token."""
+
+    #: 200 context tokens, half of them cached, a 20-token question, 5 tokens out.
+    REQUEST = GenerationRequest(
+        request_id=0,
+        n_chunks=2,
+        chunk_tokens=100,
+        n_suffix_tokens=20,
+        n_output_tokens=5,
+        cached_chunk_fraction=0.5,
+    )
+
+    @pytest.fixture(scope="class")
+    def cost_model(self):
+        return ServingCostModel(get_config("mistral-7b"))
+
+    def _decode_steps(self, cost_model) -> float:
+        return sum(
+            cost_model.decode_time_per_token(context_tokens=220 + 1 + k) for k in range(4)
+        )
+
+    def test_full_recompute_by_hand(self, cost_model):
+        result = InferenceEngine(cost_model, scheme="full_recompute").serve(self.REQUEST)
+        prefill = cost_model.prefill_time(220)
+        steps = self._decode_steps(cost_model)
+        assert result.ttft_service == prefill
+        assert result.gpu_time == prefill
+        assert result.gpu_time + result.decode_time == pytest.approx(prefill + steps)
+        (timing,) = FCFSScheduler().schedule([self.REQUEST], [result])
+        assert timing.first_token_time == prefill
+        assert timing.completion_time - timing.first_token_time == pytest.approx(steps)
+
+    def test_cacheblend_by_hand(self, cost_model):
+        device = get_device("nvme_ssd")
+        calibration = OnlineCostCalibration(
+            load_s_per_token=1e-6,
+            compute_s_per_token=2e-6,
+            n_observations=1,
+            decode_s_per_step=0.5,
+            n_decode_observations=1,
+        )
+        calibrated = ServingCostModel(get_config("mistral-7b"), calibration=calibration)
+        result = InferenceEngine(
+            calibrated, scheme="cacheblend", device=device, recompute_ratio=0.15
+        ).serve(self.REQUEST)
+        cached, cold, suffix = 100, 100, 20
+        n_tokens = cached + suffix
+        cold_prefill = cost_model.prefill_time(cold)
+        recomputed = (0.15 * cached + suffix) / n_tokens
+        gpu = (
+            (cost_model.model.n_layers - 1)
+            * cost_model.recompute_layer_time(n_tokens, recomputed)
+            + cost_model.prefill_layer_time(n_tokens)
+            + cold_prefill
+        )
+        ttft = cost_model.ttft_cacheblend(n_tokens, suffix, 0.15, device) + cold_prefill
+        assert result.ttft_service == pytest.approx(ttft)
+        assert result.gpu_time == pytest.approx(gpu)
+        assert result.gpu_time + result.decode_time == pytest.approx(
+            gpu + self._decode_steps(cost_model)
+        )
+        # The measured column ends at the first token too, even with a
+        # decode-ready calibration.
+        assert result.ttft_service_measured == calibrated.ttft_cacheblend_measured(
+            n_tokens, suffix, 0.15
+        )
 
 
 class TestWidthAwareDecodePacing:

@@ -92,27 +92,34 @@ class TestMeasuredTraces:
             assert math.isfinite(result.ttft)
             assert result.ttft > 0.0
 
-    def test_measured_ttft_includes_a_measured_first_decode_step(self, served_batch):
-        """Acceptance: TTFT runs to the first token — the fused pipeline's
-        trace plus one *measured* step of the batch's decode session."""
+    def test_measured_ttft_ends_at_the_fused_prefill(self, served_batch):
+        """Acceptance: TTFT runs to the first token, the argmax of the fused
+        prefill's last logits — no decode step is part of it."""
         for result in served_batch:
-            assert math.isfinite(result.measured_first_decode_s)
-            assert result.measured_first_decode_s > 0.0
             # Warm store: no cold-chunk prefill, so the measured TTFT is
-            # exactly the pipeline trace plus the first decode step.
+            # exactly the pipeline trace.
             assert result.cache_stats["misses"] == 0
-            assert result.ttft == pytest.approx(
-                result.trace.total_time + result.measured_first_decode_s
-            )
+            assert result.ttft == result.trace.total_time
 
-    def test_generation_is_cobatched_across_the_batch(self, served_batch):
+    def test_generation_is_cobatched_across_the_batch(self, engine, monkeypatch):
         """Acceptance: the serving loop decodes the whole pipelined batch in
-        lock-step on one DecodeSession — the first decode step is one shared
-        batched step, not N per-request steps."""
-        widths = {result.decode_batch_width for result in served_batch}
-        assert widths == {len(served_batch)}
-        first_steps = {result.measured_first_decode_s for result in served_batch}
-        assert len(first_steps) == 1  # one measured step, shared by the batch
+        lock-step on one DecodeSession — its first step is one batched
+        calibration observation at the batch's width, not N per-request
+        steps."""
+        calibration = engine.controller.cost_model.calibration
+        observed = []
+        monkeypatch.setattr(
+            calibration,
+            "observe_decode",
+            lambda seconds, batch_width=1: observed.append((seconds, batch_width)),
+        )
+        batch = [
+            (_CHUNK_POOL[i : i + 2], f"cobatched question {i}?") for i in range(3)
+        ]
+        results = engine.run_batch(batch, max_new_tokens=3)
+        assert all(len(result.generated_ids) == 3 for result in results)
+        assert [width for _, width in observed] == [len(batch)] * 2
+        assert all(seconds > 0.0 for seconds, _ in observed)
 
     def test_analytic_estimate_reported_beside_measured(self, served_batch):
         for result in served_batch:
@@ -187,7 +194,7 @@ class TestMeasuredFeedsScheduling:
         )
         chunks = _CHUNK_POOL[:3]
         e.precompute_chunks(chunks)
-        e.run_batch([(chunks[:2], "first?"), (chunks[1:], "second?")])
+        e.run_batch([(chunks[:2], "first?"), (chunks[1:], "second?")], max_new_tokens=2)
         return cal
 
     def test_calibration_ready_after_pipelined_serving(self, calibration):
@@ -197,10 +204,10 @@ class TestMeasuredFeedsScheduling:
         assert calibration.compute_s_per_token > 0.0
 
     def test_decode_calibration_ready_after_pipelined_serving(self, calibration):
-        """The batch's first decode step is one co-batched session step, so
-        it lands as a *single* observation tagged with the batch width —
-        never one observation per request (that would double-count the
-        amortised step)."""
+        """The batch's one decode step (its second token) is one co-batched
+        session step, so it lands as a *single* observation tagged with the
+        batch width — never one observation per request (that would
+        double-count the amortised step)."""
         assert calibration.decode_ready
         assert calibration.n_decode_observations == 1
         assert calibration.decode_step_time() > 0.0
@@ -208,7 +215,9 @@ class TestMeasuredFeedsScheduling:
         assert set(calibration.decode_s_per_step_by_width) == {2}
         assert calibration.decode_step_time(2) == calibration.decode_step_time()
 
-    def test_measured_ttft_service_includes_the_decode_step(self, calibration):
+    def test_measured_ttft_service_is_the_calibrated_fuse(self, calibration):
+        """The measured TTFT column ends at the first token: the calibrated
+        pipeline alone, with no decode step on top."""
         cost_model = ServingCostModel(
             get_config("mistral-7b"), GPUSpec(), calibration=calibration
         )
@@ -220,13 +229,11 @@ class TestMeasuredFeedsScheduling:
         cached_context = int(
             round(request.cached_chunk_fraction * request.n_context_tokens)
         )
-        fuse_only = cost_model.ttft_cacheblend_measured(
+        assert calibration.decode_ready
+        assert result.ttft_service_measured == cost_model.ttft_cacheblend_measured(
             cached_context + request.n_suffix_tokens,
             request.n_suffix_tokens,
             inference.recompute_ratio,
-        )
-        assert result.ttft_service_measured == pytest.approx(
-            fuse_only + calibration.decode_step_time()
         )
 
     def test_scheduler_paces_decode_at_the_measured_rate(self, calibration):
@@ -378,21 +385,42 @@ class TestSweepReportsMeasured:
         assert calibration["load_s_per_token"] > 0.0
         assert calibration["compute_s_per_token"] > 0.0
 
-    def test_proxy_reports_measured_first_decode_steps(self, report):
+    def test_proxy_reports_session_decode_steps(self, report):
+        """The probe's first tokens come from the fused prefill; only the
+        later tokens are session steps, each one calibration observation."""
         proxy = report.proxy
-        assert len(proxy["measured_first_decode_s"]) == proxy["n_requests"]
-        for first_decode in proxy["measured_first_decode_s"]:
-            assert math.isfinite(first_decode) and first_decode > 0.0
+        assert not [key for key in proxy if "first_decode" in key or "decode_batch" in key]
         # The probe generates through the batched decode path.
         assert all(n > 0 for n in proxy["n_generated"])
         calibration = report.proxy["calibration"]
         assert calibration["n_decode_observations"] >= 2
         assert calibration["decode_s_per_step"] > 0.0
 
-    def test_measured_column_exceeds_the_fuse_only_delay(self, report):
-        """The measured sweep column runs to the first token: it must carry
-        more than the fused pipeline alone (the first decode step)."""
-        decode_step = report.proxy["calibration"]["decode_s_per_step"]
-        for cell in report.cells:
-            if cell.scheme == "cacheblend":
-                assert cell.mean_ttft_service_measured > decode_step
+    def test_measured_column_is_the_calibrated_fuse_alone(self, report):
+        """The measured sweep column ends at the first token: each CacheBlend
+        cell reports the mean calibrated fuse of its requests, with no decode
+        step on top."""
+        snapshot = report.proxy["calibration"]
+        cost_model = ServingCostModel(
+            get_config("mistral-7b"),
+            calibration=OnlineCostCalibration(
+                load_s_per_token=snapshot["load_s_per_token"],
+                compute_s_per_token=snapshot["compute_s_per_token"],
+                n_observations=snapshot["n_observations"],
+            ),
+        )
+        requests, _, _ = ExperimentRunner(report.config)._generate_workload()
+        cells = [cell for cell in report.cells if cell.scheme == "cacheblend"]
+        assert cells
+        for cell in cells:
+            fuses = []
+            for request in requests:
+                cached = int(round(request.cached_chunk_fraction * request.n_context_tokens))
+                fuses.append(
+                    cost_model.ttft_cacheblend_measured(
+                        cached + request.n_suffix_tokens,
+                        request.n_suffix_tokens,
+                        cell.recompute_ratio,
+                    )
+                )
+            assert cell.mean_ttft_service_measured == pytest.approx(np.mean(fuses))
