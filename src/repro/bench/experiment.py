@@ -1,8 +1,10 @@
 """Scheme × model × device × recompute-ratio experiment sweeps.
 
 :class:`ExperimentRunner` replays one synthesized workload (the same request
-stream, for fairness) through an :class:`~repro.serving.engine.InferenceEngine`
-per sweep cell, schedules it with FCFS or continuous batching, and aggregates
+stream, for fairness) per sweep cell: its chunk accesses go through real chunk
+KV stores (:mod:`repro.bench.replay`), an :class:`~repro.serving.engine.
+InferenceEngine` prices each request from what its store held, FCFS or
+continuous batching schedules the stream, and the runner aggregates
 the serving metrics the paper reports: TTFT percentiles, throughput, queueing
 delay, GPU utilisation and the fraction of prefill compute actually spent
 (recompute fraction).  Optionally a small :class:`~repro.core.blend_engine.
@@ -22,18 +24,21 @@ so "fast but wrong" baselines can be compared against CacheBlend on one axis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from repro.bench.replay import FleetRun, chunk_store_config, simulate_fleet
 from repro.bench.workload import ARRIVAL_PATTERNS, WorkloadGenerator
+from repro.kvstore.config import StoreConfig
 from repro.kvstore.device import get_device
-from repro.kvstore.precision import PRECISION_PRESETS, PrecisionPolicy
+from repro.kvstore.precision import PRECISION_PRESETS
 from repro.model.config import get_config
 from repro.serving.costmodel import OnlineCostCalibration, ServingCostModel
 from repro.serving.engine import SCHEMES, InferenceEngine
 from repro.serving.request import GenerationRequest, RequestTiming
-from repro.serving.router import ROUTING_POLICIES, simulate_fleet
+from repro.serving.router import ROUTING_POLICIES
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
     FCFSScheduler,
@@ -87,11 +92,12 @@ class ExperimentConfig:
     zipf_alpha: float = 1.0
     cache_chunk_capacity: int = 160
     #: Optional store-capacity axis: RAM-tier capacities (in chunks) of a
-    #: RAM→slow tiered chunk store.  For each capacity the workload's access
-    #: trace is replayed through the tiered store and every cell is served
-    #: with the resulting per-request cached/slow-tier fractions — exposing
-    #: the hit-rate/TTFT hockey-stick as the store thrashes under Zipf.
-    #: Empty (default) keeps the single ``cache_chunk_capacity`` behaviour.
+    #: RAM→slow :class:`~repro.kvstore.hierarchy.TieredKVStore`.  For each
+    #: capacity every cell replays the workload's access trace through that
+    #: real (inclusive) tiered store and is served with the resulting
+    #: per-request cached/slow-tier fractions — exposing the hit-rate/TTFT
+    #: hockey-stick as the store thrashes under Zipf.  Empty (default) keeps
+    #: the single LRU store of ``cache_chunk_capacity`` chunks.
     store_capacity_chunks: tuple[int, ...] = ()
     #: Slow-tier capacity as a multiple of the RAM-tier capacity.
     store_slow_capacity_factor: float = 4.0
@@ -117,9 +123,10 @@ class ExperimentConfig:
     #: Fleet axis: replica counts to sweep (e.g. ``(1, 2, 4, 8)``).  For
     #: each size × routing policy the workload's chunk access trace is
     #: routed over that many engine replicas — each with a *private* chunk
-    #: store of ``cache_chunk_capacity`` entries and its own scheduler —
-    #: and the cell reports aggregate throughput, per-replica hit rates and
-    #: utilisation skew.  Empty (default) keeps the single-server sweep.
+    #: store (the cell's store point) and its own scheduler — and the cell
+    #: reports aggregate throughput, per-replica hit rates and utilisation
+    #: skew.  Empty (default) keeps the single-server sweep.  Like every
+    #: axis, it composes with the others.
     fleet_sizes: tuple[int, ...] = ()
     #: Routing policies of the fleet axis (see
     #: :data:`~repro.serving.router.ROUTING_POLICIES`).
@@ -182,26 +189,6 @@ class ExperimentConfig:
                     f"unknown kv_dtype {dtype!r}; "
                     f"expected one of {PRECISION_PRESETS}"
                 )
-        if self.kv_dtypes and self.fleet_sizes:
-            # The fleet axis prices every replica with the legacy model-width
-            # cost model; crossing it with per-dtype pricing would multiply
-            # the sweep without a baseline to compare against.
-            raise ValueError(
-                "kv_dtypes and fleet_sizes are mutually exclusive sweep axes"
-            )
-        if self.fleet_sizes:
-            # The fleet axis owns the store model (one private tracker per
-            # replica) and the request stream (per-replica relabelling), so
-            # it stays orthogonal to the tiered-store and fault axes.
-            if self.store_capacity_chunks:
-                raise ValueError(
-                    "fleet_sizes and store_capacity_chunks are mutually "
-                    "exclusive sweep axes"
-                )
-            if self.fault_rate > 0.0:
-                raise ValueError(
-                    "fleet_sizes and fault_rate are mutually exclusive sweep axes"
-                )
         if any(capacity < 1 for capacity in self.store_capacity_chunks):
             raise ValueError("store_capacity_chunks entries must be >= 1")
         if self.store_slow_capacity_factor < 1.0:
@@ -260,11 +247,11 @@ class CellResult:
     #: measured width-aware pacing this is where co-batched decode
     #: amortisation shows up at the sweep level.
     mean_decode_tokens_per_s: float = 0.0
-    #: Store-capacity axis columns (``None`` when the axis is off): the
-    #: RAM-tier capacity in chunks this cell was served under, the tiered
-    #: store's chunk hit rate over the workload replay, the KV bytes
-    #: resident across tiers at this model's KV width, and the share of
-    #: hits served from the slow tier.
+    #: Store columns (``None`` unless the capacity or precision axis is on):
+    #: the RAM-tier capacity in chunks this cell was served under (capacity
+    #: axis only), the chunk hit rate of the cell's stores over the workload
+    #: replay, the KV bytes resident across their tiers at the cell's KV
+    #: width, and the share of hits served from a slow tier.
     store_capacity_chunks: int | None = None
     store_hit_rate: float | None = None
     store_bytes_stored: int | None = None
@@ -355,7 +342,7 @@ class ExperimentRunner:
 
     def _generate_workload(
         self,
-    ) -> tuple[list[GenerationRequest], dict[str, object], WorkloadGenerator]:
+    ) -> tuple[list[GenerationRequest], dict[str, object], list[list[int]]]:
         generator = WorkloadGenerator(
             dataset=self.config.dataset,
             request_rate=self.config.request_rate,
@@ -367,56 +354,46 @@ class ExperimentRunner:
             seed=self.config.seed,
         )
         requests = generator.generate(self.config.n_requests)
-        return requests, generator.stats.as_dict(), generator
+        return requests, generator.stats.as_dict(), generator.chunk_ids
 
-    def _inject_store_faults(
-        self, requests: list[GenerationRequest]
-    ) -> tuple[list[GenerationRequest], int]:
-        """Relabel fault-hit cached chunks as cold (recompute fallback).
+    def store_config(self, capacity: int | None) -> StoreConfig:
+        """The store each replica replays through at a capacity-axis point.
 
-        Each cached chunk independently fails its store lookup with
-        probability ``fault_rate`` — the sweep-level model of the engine's
-        retry-exhausted recompute fallback: the request still completes
-        correctly, but the faulted chunks are priced as full prefill.
-        Prefix-cached fractions are clamped to the surviving cached fraction
-        (a faulted chunk breaks the reusable prefix at that point).
+        ``None`` (the axis off) is one LRU store of ``cache_chunk_capacity``
+        chunks; a capacity is a RAM tier of that many chunks over a slow tier
+        ``store_slow_capacity_factor`` times larger.
         """
-        rng = np.random.default_rng((self.config.seed, 0xFA017))
-        faulted: list[GenerationRequest] = []
-        n_recovered = 0
-        for request in requests:
-            n_cached = int(round(request.cached_chunk_fraction * request.n_chunks))
-            n_faults = int(rng.binomial(n_cached, self.config.fault_rate))
-            if n_faults == 0:
-                faulted.append(request)
-                continue
-            n_recovered += n_faults
-            cached = (n_cached - n_faults) / request.n_chunks
-            faulted.append(
-                replace(
-                    request,
-                    cached_chunk_fraction=cached,
-                    prefix_cached_fraction=min(
-                        request.prefix_cached_fraction, cached
-                    ),
-                )
-            )
-        return faulted, n_recovered
+        if capacity is None:
+            return chunk_store_config(self.config.cache_chunk_capacity)
+        slow = max(1, int(round(capacity * self.config.store_slow_capacity_factor)))
+        return chunk_store_config(capacity, slow)
 
     # ------------------------------------------------------------------
     def run_cell(
         self,
         requests: list[GenerationRequest],
+        chunk_ids: list[list[int]],
         model: str,
         device: str,
         scheme: str,
         recompute_ratio: float,
         calibration: OnlineCostCalibration | None = None,
         admission_policy: str = "none",
-        clean_requests: list[GenerationRequest] | None = None,
         kv_dtype: str | None = None,
+        store_capacity: int | None = None,
+        fleet: tuple[str, int] | None = None,
     ) -> CellResult:
         """Serve the shared workload in one sweep cell and aggregate it.
+
+        The cell replays the workload's access trace (*chunk_ids*) through
+        real chunk stores built by :meth:`store_config` at *store_capacity*
+        (:func:`~repro.bench.replay.simulate_fleet`): one replica run by
+        ``n_servers`` servers, or, with *fleet* ``(routing_policy,
+        n_replicas)``, that many single-server replicas behind the router.
+        Each request is served with the cached/prefix/slow-tier fractions
+        its home store gave it.  With a ``fault_rate`` the seeded fault draw
+        recomputes that share of the cached chunks, and a fault-free twin run
+        gives ``fault_ttft_inflation`` — the TTFT cost of the recomputes.
 
         With a ready *calibration* (measured per-layer rates and decode steps
         from the proxy probe), CacheBlend cells additionally report the
@@ -428,14 +405,12 @@ class ExperimentRunner:
         requests whose predicted TTFT misses their deadline and preempts
         decode slots for at-risk prefills; rejected requests are excluded
         from the service-quality aggregates but counted in
-        ``rejection_rate`` and ``slo_attainment``.  With *clean_requests*
-        (the fault axis's no-fault twin of the same stream) the cell also
-        reports ``fault_ttft_inflation`` — the measured TTFT cost of
-        recomputing fault-hit chunks.
+        ``rejection_rate`` and ``slo_attainment``.
 
         *kv_dtype* (the precision axis) prices the cell's KV traffic — load
-        bandwidth and decode memory reads — at that store precision policy's
-        bytes per token instead of the model preset's native width.
+        bandwidth, decode memory reads and resident store bytes — at that
+        store precision policy's bytes per token instead of the model
+        preset's native width.
         """
         cost_model = ServingCostModel(
             get_config(model), calibration=calibration, precision=kv_dtype
@@ -447,90 +422,61 @@ class ExperimentRunner:
             device=get_device(device) if needs_device else None,
             recompute_ratio=recompute_ratio,
             # Tiered pricing: requests carrying a slow_tier_fraction split
-            # their cached loads between the RAM tier and `device`; legacy
-            # requests (fraction None) ignore it entirely.
+            # their cached loads between the RAM tier and `device`; requests
+            # from a single-tier store (fraction None) ignore it entirely.
             fast_device=get_device("cpu_ram") if needs_device else None,
         )
-        results = engine.serve_batch(requests)
-        scheduler = self._build_scheduler(calibration, admission_policy)
-        timings = scheduler.schedule(requests, results)
-        cell = self._aggregate(
-            model, device, scheme, recompute_ratio, requests, results, timings,
-            admission_policy=admission_policy,
-        )
-        if clean_requests is not None:
-            clean_results = engine.serve_batch(clean_requests)
-            clean_timings = self._build_scheduler(
-                calibration, admission_policy
-            ).schedule(clean_requests, clean_results)
-            clean_ttfts = [t.ttft for t in clean_timings if not t.rejected]
-            clean_mean = float(np.mean(clean_ttfts)) if clean_ttfts else 0.0
-            if clean_mean > 0.0 and cell.mean_ttft > 0.0:
-                cell = replace(
-                    cell, fault_ttft_inflation=cell.mean_ttft / clean_mean
-                )
-        return cell
+        policy, n_replicas = fleet or ("least_loaded", 1)
+        n_servers = 1 if fleet else None
 
-    def run_fleet_cell(
-        self,
-        requests: list[GenerationRequest],
-        chunk_ids_per_request: list[list[int]],
-        model: str,
-        device: str,
-        scheme: str,
-        recompute_ratio: float,
-        routing_policy: str,
-        n_replicas: int,
-        calibration: OnlineCostCalibration | None = None,
-        admission_policy: str = "none",
-    ) -> CellResult:
-        """Serve the workload over a fleet of *n_replicas* replicas.
-
-        Each replica wraps its own engine (scheme/model/device as the cell)
-        and a private chunk store of ``cache_chunk_capacity`` entries; the
-        *routing_policy* decides placement from the workload's chunk access
-        trace.  Cached/prefix fractions are relabelled per replica (the
-        global workload labels describe a shared store), so the routing
-        policy's chunk-locality quality shows up directly in hit rates and
-        TTFT.  Aggregation treats the fleet as ``n_replicas`` servers.
-        """
-        needs_device = scheme in ("full_reuse", "cacheblend")
-
-        def engine_factory(replica_id: int) -> InferenceEngine:
-            cost_model = ServingCostModel(get_config(model), calibration=calibration)
-            return InferenceEngine(
-                cost_model,
-                scheme=scheme,
-                device=get_device(device) if needs_device else None,
-                recompute_ratio=recompute_ratio,
+        def serve(fault_rate: float) -> FleetRun:
+            return simulate_fleet(
+                requests,
+                chunk_ids,
+                policy=policy,
+                n_replicas=n_replicas,
+                engine=engine,
+                scheduler_factory=lambda _: self._build_scheduler(
+                    calibration, admission_policy, n_servers=n_servers
+                ),
+                store=self.store_config(store_capacity),
+                fault_rate=fault_rate,
+                seed=self.config.seed,
             )
 
-        fleet = simulate_fleet(
-            requests,
-            chunk_ids_per_request,
-            policy=routing_policy,
-            n_replicas=n_replicas,
-            engine_factory=engine_factory,
-            scheduler_factory=lambda replica_id: self._build_scheduler(
-                calibration, admission_policy, n_servers=1
-            ),
-            store_capacity_chunks=self.config.cache_chunk_capacity,
-        )
+        run = serve(self.config.fault_rate)
         cell = self._aggregate(
             model, device, scheme, recompute_ratio,
-            fleet.requests, fleet.results, fleet.timings,
+            run.requests, run.results, run.timings,
             admission_policy=admission_policy,
-            n_servers=n_replicas,
+            n_servers=n_replicas if fleet else None,
         )
-        return replace(
-            cell,
-            routing_policy=routing_policy,
-            n_replicas=n_replicas,
-            aggregate_throughput=cell.throughput,
-            per_replica_hit_rates=list(fleet.per_replica_hit_rates),
-            fleet_hit_rate=fleet.aggregate_hit_rate,
-            utilisation_skew=fleet.utilisation_skew,
-        )
+        columns: dict[str, object] = {
+            "kv_dtype": kv_dtype,
+            "fault_recovered_chunks": run.n_faulted,
+        }
+        if self.config.fault_rate > 0.0:
+            clean_ttfts = [t.ttft for t in serve(0.0).timings if not t.rejected]
+            clean_mean = float(np.mean(clean_ttfts)) if clean_ttfts else 0.0
+            if clean_mean > 0.0 and cell.mean_ttft > 0.0:
+                columns["fault_ttft_inflation"] = cell.mean_ttft / clean_mean
+        if store_capacity is not None or kv_dtype is not None:
+            columns.update(
+                store_capacity_chunks=store_capacity,
+                store_hit_rate=run.aggregate_hit_rate,
+                store_bytes_stored=cost_model.kv_bytes(run.resident_tokens),
+                store_slow_tier_hit_share=run.slow_tier_hit_share,
+            )
+        if fleet is not None:
+            columns.update(
+                routing_policy=policy,
+                n_replicas=n_replicas,
+                aggregate_throughput=cell.throughput,
+                per_replica_hit_rates=run.per_replica_hit_rates,
+                fleet_hit_rate=run.aggregate_hit_rate,
+                utilisation_skew=run.utilisation_skew,
+            )
+        return replace(cell, **columns)
 
     def _aggregate(
         self,
@@ -634,9 +580,13 @@ class ExperimentRunner:
     def run(self, with_proxy: bool = False) -> ExperimentReport:
         """Run the full sweep; optionally attach a BlendEngine probe.
 
-        Only ``cacheblend`` actually depends on the recompute ratio; the
-        baseline schemes are served once per (model, device) and their cell
-        is replicated across ratios so every comparison row stays complete.
+        The axes compose: the cells are the product of store capacity ×
+        fleet (size × routing policy) × model × KV dtype × device × scheme ×
+        admission policy × recompute ratio, each axis a single point when
+        it is off.  Only ``cacheblend`` actually depends on the recompute
+        ratio; the baseline schemes are served once per sweep point and
+        their cell is replicated across ratios so every comparison row stays
+        complete.
 
         With ``with_proxy`` the measured probe runs *first*: it executes the
         real pipelined fusion (cross-request) and its traces calibrate an
@@ -656,189 +606,56 @@ class ExperimentRunner:
                 fault_rate=self.config.fault_rate,
             )
 
-        requests, workload_stats, generator = self._generate_workload()
-
-        # Fleet axis: route the same stream over n_replicas × routing_policy
-        # fleets instead of the single-server store sweep.  The per-policy
-        # saturation story lives in the routing comparisons (affinity vs
-        # least-loaded hit-rate gain, utilisation skew, tail TTFT).
-        if self.config.fleet_sizes:
-            chunk_ids_per_request = [
-                chunk_ids for chunk_ids, _ in generator.last_chunk_accesses
-            ]
-            fleet_cells: list[CellResult] = []
-            for n_replicas in self.config.fleet_sizes:
-                for routing_policy in self.config.routing_policies:
-                    for model in self.config.models:
-                        for device in self.config.devices:
-                            for scheme in self.config.schemes:
-                                for policy in self.config.admission_policies:
-                                    ratio_dependent = scheme == "cacheblend"
-                                    base: CellResult | None = None
-                                    for ratio in self.config.recompute_ratios:
-                                        if ratio_dependent or base is None:
-                                            base = self.run_fleet_cell(
-                                                requests,
-                                                chunk_ids_per_request,
-                                                model, device, scheme, ratio,
-                                                routing_policy=routing_policy,
-                                                n_replicas=n_replicas,
-                                                calibration=calibration,
-                                                admission_policy=policy,
-                                            )
-                                            fleet_cells.append(base)
-                                        else:
-                                            fleet_cells.append(
-                                                replace(base, recompute_ratio=ratio)
-                                            )
-            return ExperimentReport(
-                config=self.config,
-                workload=workload_stats,
-                cells=fleet_cells,
-                comparisons=build_comparisons(fleet_cells),
-                proxy=proxy,
-            )
-
-        # The store-capacity axis replays the same access trace through a
-        # RAM→slow tiered store per capacity; each point serves requests
-        # re-labelled with that capacity's cached/prefix/slow fractions.
-        store_points: list[tuple[int | None, list[GenerationRequest], object]] = []
-        if self.config.store_capacity_chunks:
-            for capacity in self.config.store_capacity_chunks:
-                slow_capacity = max(
-                    1, int(round(capacity * self.config.store_slow_capacity_factor))
-                )
-                simulation = generator.simulate_tiered_store(capacity, slow_capacity)
-                relabelled = [
-                    replace(
-                        request,
-                        cached_chunk_fraction=cached,
-                        prefix_cached_fraction=prefix,
-                        slow_tier_fraction=slow,
-                    )
-                    for request, (cached, prefix, slow) in zip(
-                        requests, simulation.per_request
-                    )
-                ]
-                store_points.append((capacity, relabelled, simulation))
-        else:
-            store_points.append((None, requests, None))
-
-        # KV precision axis: measure each dtype's fusion quality once on the
-        # proxy model (the probe is scheme- and device-independent, so every
-        # cell at that dtype shares it), and — when the capacity axis is off
-        # — replay the access trace through the default-capacity tiered
-        # store so the policy-priced resident-byte column stays measurable.
-        dtype_points: list[str | None] = list(self.config.kv_dtypes) or [None]
+        requests, workload_stats, chunk_ids = self._generate_workload()
+        # The precision axis's measured fusion quality: one proxy-model probe
+        # per dtype, shared by every cell at that dtype (it is scheme- and
+        # device-independent).
         dtype_quality: dict[str, dict[str, float]] = {}
-        dtype_simulation = None
         if self.config.kv_dtypes:
             dtype_quality = run_quality_probe(
                 self.config.kv_dtypes,
                 seed=self.config.seed,
                 recompute_ratio=self.config.recompute_ratios[0],
             )
-            if not self.config.store_capacity_chunks:
-                slow_capacity = max(
-                    1,
-                    int(
-                        round(
-                            self.config.cache_chunk_capacity
-                            * self.config.store_slow_capacity_factor
-                        )
-                    ),
-                )
-                dtype_simulation = generator.simulate_tiered_store(
-                    self.config.cache_chunk_capacity, slow_capacity
-                )
+        fleets: list[tuple[str, int] | None] = [
+            (policy, n_replicas)
+            for n_replicas in self.config.fleet_sizes
+            for policy in self.config.routing_policies
+        ] or [None]
 
         cells: list[CellResult] = []
-        for capacity, point_requests, simulation in store_points:
-            # Fault axis: relabel fault-hit cached chunks as cold (recompute
-            # fallback) and keep the clean stream as the TTFT-inflation twin.
-            clean_requests: list[GenerationRequest] | None = None
-            n_fault_recovered = 0
-            if self.config.fault_rate > 0.0:
-                clean_requests = point_requests
-                point_requests, n_fault_recovered = self._inject_store_faults(
-                    point_requests
-                )
-            for model in self.config.models:
-                store_columns: dict[str, object] = {}
-                if simulation is not None:
-                    store_columns = {
-                        "store_capacity_chunks": capacity,
-                        "store_hit_rate": simulation.hit_rate,
-                        "store_bytes_stored": sum(simulation.resident_tokens)
-                        * get_config(model).kv_bytes_per_token(),
-                        "store_slow_tier_hit_share": simulation.slow_tier_hit_share,
-                    }
-                for kv_dtype in dtype_points:
-                    dtype_columns: dict[str, object] = {}
-                    if kv_dtype is not None:
-                        # Policy-priced resident bytes: the same resident
-                        # tokens, at the sweep dtype's width instead of the
-                        # model preset's native KV width (this is the
-                        # density leg of the frontier; fp16 vs int8 is
-                        # exactly the policies' mean-element-width ratio).
-                        policy = PrecisionPolicy.get(kv_dtype)
-                        model_config = get_config(model)
-                        bytes_per_token = (
-                            model_config.n_layers
-                            * policy.kv_bytes_per_token_per_layer(
-                                model_config.n_kv_heads,
-                                model_config.head_dim,
-                                model_config.n_layers,
-                            )
-                        )
-                        byte_simulation = (
-                            simulation if simulation is not None else dtype_simulation
-                        )
-                        quality_probe = dtype_quality.get(kv_dtype, {})
-                        dtype_columns = {
-                            "kv_dtype": kv_dtype,
-                            "store_hit_rate": byte_simulation.hit_rate,
-                            "store_bytes_stored": int(
-                                round(
-                                    sum(byte_simulation.resident_tokens)
-                                    * bytes_per_token
-                                )
-                            ),
-                            "store_slow_tier_hit_share": (
-                                byte_simulation.slow_tier_hit_share
-                            ),
-                            "mean_kv_deviation": quality_probe.get(
-                                "mean_kv_deviation"
-                            ),
-                            "mean_attention_deviation": quality_probe.get(
-                                "mean_attention_deviation"
-                            ),
-                        }
-                    columns = {**store_columns, **dtype_columns}
-                    for device in self.config.devices:
-                        for scheme in self.config.schemes:
-                            for policy_name in self.config.admission_policies:
-                                ratio_dependent = scheme == "cacheblend"
-                                base_cell: CellResult | None = None
-                                for ratio in self.config.recompute_ratios:
-                                    if ratio_dependent or base_cell is None:
-                                        base_cell = replace(
-                                            self.run_cell(
-                                                point_requests, model, device,
-                                                scheme, ratio,
-                                                calibration=calibration,
-                                                admission_policy=policy_name,
-                                                clean_requests=clean_requests,
-                                                kv_dtype=kv_dtype,
-                                            ),
-                                            fault_recovered_chunks=n_fault_recovered,
-                                            **columns,
-                                        )
-                                        cells.append(base_cell)
-                                    else:
-                                        cells.append(
-                                            replace(base_cell, recompute_ratio=ratio)
-                                        )
+        for capacity, fleet, model, kv_dtype, device, scheme, admission in (
+            itertools.product(
+                self.config.store_capacity_chunks or (None,),
+                fleets,
+                self.config.models,
+                self.config.kv_dtypes or (None,),
+                self.config.devices,
+                self.config.schemes,
+                self.config.admission_policies,
+            )
+        ):
+            quality = dtype_quality.get(kv_dtype, {})
+            base: CellResult | None = None
+            for ratio in self.config.recompute_ratios:
+                if scheme == "cacheblend" or base is None:
+                    base = replace(
+                        self.run_cell(
+                            requests, chunk_ids, model, device, scheme, ratio,
+                            calibration=calibration,
+                            admission_policy=admission,
+                            kv_dtype=kv_dtype,
+                            store_capacity=capacity,
+                            fleet=fleet,
+                        ),
+                        mean_kv_deviation=quality.get("mean_kv_deviation"),
+                        mean_attention_deviation=quality.get(
+                            "mean_attention_deviation"
+                        ),
+                    )
+                    cells.append(base)
+                else:
+                    cells.append(replace(base, recompute_ratio=ratio))
         return ExperimentReport(
             config=self.config,
             workload=workload_stats,
@@ -846,6 +663,14 @@ class ExperimentRunner:
             comparisons=build_comparisons(cells),
             proxy=proxy,
         )
+
+
+def _axis_columns(cell: CellResult, *names: str) -> dict[str, object]:
+    """The named sweep-axis columns of *cell* that are set, for labelling
+    comparison rows when several axes compose."""
+    return {
+        name: getattr(cell, name) for name in names if getattr(cell, name) is not None
+    }
 
 
 def build_comparisons(cells: list[CellResult]) -> list[dict[str, object]]:
@@ -943,13 +768,15 @@ def build_dtype_comparisons(cells: list[CellResult]) -> list[dict[str, object]]:
             cell.recompute_ratio,
             cell.admission_policy,
             cell.store_capacity_chunks,
+            cell.routing_policy,
+            cell.n_replicas,
         )
         by_point.setdefault(key, {})[cell.kv_dtype] = cell
     rows: list[dict[str, object]] = []
     for key, dtypes in sorted(
         by_point.items(), key=lambda item: tuple(map(str, item[0]))
     ):
-        model, device, scheme, ratio, _admission, capacity = key
+        model, device, scheme, ratio = key[:4]
         baseline = dtypes.get("float16")
         if baseline is None:
             continue
@@ -983,8 +810,9 @@ def build_dtype_comparisons(cells: list[CellResult]) -> list[dict[str, object]]:
                     (cell.store_bytes_stored or 0) < base_bytes
                 ),
             }
-            if capacity is not None:
-                row["store_capacity_chunks"] = capacity
+            row.update(
+                _axis_columns(cell, "store_capacity_chunks", "routing_policy", "n_replicas")
+            )
             rows.append(row)
     return rows
 
@@ -1009,11 +837,13 @@ def build_routing_comparisons(cells: list[CellResult]) -> list[dict[str, object]
             cell.recompute_ratio,
             cell.admission_policy,
             cell.n_replicas,
+            cell.store_capacity_chunks,
+            cell.kv_dtype,
         )
         by_point.setdefault(key, {})[cell.routing_policy] = cell
     rows: list[dict[str, object]] = []
     for key, policies in sorted(by_point.items(), key=lambda item: tuple(map(str, item[0]))):
-        model, device, scheme, ratio, admission, n_replicas = key
+        model, device, scheme, ratio, _admission, n_replicas = key[:6]
         baseline = policies.get("least_loaded")
         if baseline is None:
             continue
@@ -1042,6 +872,7 @@ def build_routing_comparisons(cells: list[CellResult]) -> list[dict[str, object]
                     f"{routing}_beats_least_loaded_hit_rate": (
                         (cell.fleet_hit_rate or 0.0) > base_hit
                     ),
+                    **_axis_columns(cell, "store_capacity_chunks", "kv_dtype"),
                 }
             )
     return rows
@@ -1066,10 +897,12 @@ def build_admission_comparisons(cells: list[CellResult]) -> list[dict[str, objec
             cell.store_capacity_chunks,
             cell.routing_policy,
             cell.n_replicas,
+            cell.kv_dtype,
         )
         by_point.setdefault(key, {})[cell.admission_policy] = cell
     rows: list[dict[str, object]] = []
-    for (model, device, scheme, ratio, _capacity, _routing, _size), policies in by_point.items():
+    for key, policies in by_point.items():
+        model, device, scheme, ratio = key[:4]
         plain, slo = policies.get("none"), policies.get("slo")
         if plain is None or slo is None:
             continue
@@ -1090,6 +923,9 @@ def build_admission_comparisons(cells: list[CellResult]) -> list[dict[str, objec
                 "rejection_rate": slo.rejection_rate,
                 "preemption_count": slo.preemption_count,
                 "admission_improves_goodput": slo.goodput > plain.goodput,
+                **_axis_columns(
+                    slo, "store_capacity_chunks", "routing_policy", "n_replicas", "kv_dtype"
+                ),
             }
         )
     return rows

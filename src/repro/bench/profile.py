@@ -506,10 +506,11 @@ def measure_routing_ops(
     ``routing_decision`` sample then routes a fresh batch of requests
     *without* placing them — pure decisions on frozen fleet state, so timed
     repeats are identical work.  The gated op is the ``affinity`` policy
-    (the most expensive: it scans every replica's resident set per
-    decision); the ``fleet`` block reports all three policies side by side.
+    (the most expensive: it checks every replica's store for each of the
+    request's chunks); the ``fleet`` block reports all three policies side
+    by side.
     """
-    from repro.kvstore.store import ChunkUsageTracker
+    from repro.bench.replay import chunk_store_config, replay_request
     from repro.serving.request import GenerationRequest
     from repro.serving.router import ROUTING_POLICIES, Replica, build_router
 
@@ -546,15 +547,13 @@ def measure_routing_ops(
     for policy in ROUTING_POLICIES:
         router = build_router(policy, n_replicas)
         replicas = [
-            Replica(
-                replica_id=r,
-                store=ChunkUsageTracker(capacity_entries=store_capacity),
-            )
+            Replica(replica_id=r, store=chunk_store_config(store_capacity).build())
             for r in range(n_replicas)
         ]
         for request, chunks in zip(warm_requests, warm_sets):
             home = router.route(request, chunks, replicas)
-            replicas[home].place(request.request_id, request, chunks)
+            local, _ = replay_request(request, chunks, replicas[home].store)
+            replicas[home].place(request.request_id, local, chunks)
 
         placements = [0] * n_replicas
 

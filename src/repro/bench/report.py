@@ -5,7 +5,7 @@ One report is a single JSON document with a versioned schema:
 .. code-block:: text
 
     {
-      "schema_version": 7,
+      "schema_version": 8,
       "created": "<ISO-8601 UTC timestamp>",
       "tag": "<free-form label, e.g. 'smoke'>",
       "config": { ...ExperimentConfig fields... },
@@ -43,8 +43,11 @@ from repro.bench.experiment import ExperimentReport
 #: ``mean_attention_deviation`` — null when the sweep runs without
 #: ``kv_dtypes``) and the ``dtype_*_vs_float16`` comparison rows; v7
 #: ends every TTFT column at the first token (no decode step) and drops the
-#: proxy block's per-request first-decode-step times and batch widths.
-SCHEMA_VERSION = 7
+#: proxy block's per-request first-decode-step times and batch widths; v8
+#: takes the capacity-axis store columns from the real inclusive tiered
+#: store, lets every sweep axis compose (comparison rows name the composed
+#: axes they belong to) and drops ``workload.cache.bytes_stored``.
+SCHEMA_VERSION = 8
 
 _REQUIRED_TOP_LEVEL = ("schema_version", "created", "tag", "config", "workload", "cells")
 _REQUIRED_CELL_FIELDS = (
@@ -196,6 +199,13 @@ def save_report(
     return out_path
 
 
+def _axes_label(row: dict[str, object], *keys: str) -> str:
+    """``" [key=value, ...]"`` for the sweep axes *row* carries, else ``""``:
+    with composed axes, otherwise identical summary lines stay apart."""
+    parts = [f"{key}={row[key]}" for key in keys if key in row]
+    return f" [{', '.join(parts)}]" if parts else ""
+
+
 def format_summary(document: dict[str, object]) -> str:
     """Human-readable table of the comparisons, for CLI output."""
     lines = [
@@ -224,6 +234,14 @@ def format_summary(document: dict[str, object]) -> str:
             f"{row.get('full_recompute_mean_ttft', float('nan')):>12.3f} "
             f"{row.get('full_reuse_quality_adjusted_ttft', float('nan')):>14.3f} "
             f"{row.get('speedup_vs_full_recompute', float('nan')):>7.2f}x"
+            + _axes_label(
+                row,
+                "store_capacity_chunks",
+                "kv_dtype",
+                "routing_policy",
+                "n_replicas",
+                "admission_policy",
+            )
         )
     for row in admission_rows:
         if row["scheme"] != "cacheblend":
@@ -234,6 +252,9 @@ def format_summary(document: dict[str, object]) -> str:
             f"({row['goodput_gain']:.2f}x), rejected "
             f"{row['rejection_rate'] * 100:.0f}%, "
             f"{row['preemption_count']} preemptions"
+            + _axes_label(
+                row, "store_capacity_chunks", "kv_dtype", "routing_policy", "n_replicas"
+            )
         )
     for row in routing_rows:
         if row["scheme"] != "cacheblend":
@@ -250,6 +271,7 @@ def format_summary(document: dict[str, object]) -> str:
             f"{row['utilisation_skew_least_loaded']:.2f}, p99 TTFT "
             f"{row[f'p99_ttft_{routing}']:.3f}s vs "
             f"{row['p99_ttft_least_loaded']:.3f}s"
+            + _axes_label(row, "store_capacity_chunks", "kv_dtype")
         )
     for row in dtype_rows:
         if row["scheme"] != "cacheblend":
@@ -265,6 +287,7 @@ def format_summary(document: dict[str, object]) -> str:
             f"{row[f'mean_ttft_{dtype}']:.3f}s vs {row['mean_ttft_float16']:.3f}s, "
             f"KV deviation {row[f'mean_kv_deviation_{dtype}']:.4f} vs "
             f"{row['mean_kv_deviation_float16']:.4f}"
+            + _axes_label(row, "store_capacity_chunks", "routing_policy", "n_replicas")
         )
     proxy = document.get("proxy")
     if proxy and proxy.get("measured_ttfts"):

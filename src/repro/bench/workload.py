@@ -13,9 +13,9 @@ synthetically:
 * per-request chunk count, chunk length, suffix length and output length are
   sampled from per-dataset distributions (:class:`DatasetSpec` presets);
 * chunk *identity* is sampled from a Zipf popularity law over a corpus of
-  unique chunks, and a key-only LRU model of the chunk KV store
-  (:class:`~repro.kvstore.store.ChunkUsageTracker`) converts the resulting
-  reuse into per-request ``cached_chunk_fraction`` / ``prefix_cached_fraction``
+  unique chunks, and replaying the accesses through a real LRU chunk KV store
+  (:func:`~repro.bench.replay.replay_request`) converts the resulting reuse
+  into per-request ``cached_chunk_fraction`` / ``prefix_cached_fraction``
   values, so prefix-caching and full-reuse hit rates vary realistically with
   popularity skew and cache capacity.
 """
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kvstore.hierarchy import TieredChunkTracker
-from repro.kvstore.store import CacheStats, ChunkUsageTracker
+from repro.bench.replay import chunk_store_config, replay_request
 from repro.serving.request import GenerationRequest
 
 
@@ -165,8 +164,8 @@ class WorkloadGenerator:
         Higher values concentrate traffic on few hot chunks and raise hit
         rates; ``0`` is uniform.
     cache_chunk_capacity:
-        Capacity (in chunks) of the simulated chunk KV store used to derive
-        per-request cached fractions.
+        Capacity (in chunks) of the LRU chunk KV store the accesses are
+        replayed through to derive per-request cached fractions.
     seed:
         RNG seed; streams are fully deterministic given the configuration.
     """
@@ -197,10 +196,9 @@ class WorkloadGenerator:
         if self.zipf_alpha < 0:
             raise ValueError("zipf_alpha must be >= 0")
         self.stats = WorkloadStats()
-        #: Per-request ``(chunk_ids, chunk_tokens)`` of the last
-        #: :meth:`generate` call — the raw access trace
-        #: :meth:`simulate_tiered_store` replays under other capacities.
-        self.last_chunk_accesses: list[tuple[list[int], int]] = []
+        #: Per-request chunk ids of the last :meth:`generate` call — the
+        #: access trace a sweep replays through other stores.
+        self.chunk_ids: list[list[int]] = []
 
     # ------------------------------------------------------------------
     def _popularity(self) -> np.ndarray:
@@ -264,14 +262,10 @@ class WorkloadGenerator:
         rng = np.random.default_rng(self.seed)
         arrivals = self._arrivals(rng, n_requests)
         popularity = self._popularity()
-        tracker = ChunkUsageTracker(
-            capacity_entries=self.cache_chunk_capacity, stats=CacheStats()
-        )
+        store = chunk_store_config(self.cache_chunk_capacity).build()
 
         requests: list[GenerationRequest] = []
-        cached_fractions: list[float] = []
-        prefix_fractions: list[float] = []
-        self.last_chunk_accesses = []
+        self.chunk_ids = []
         for i in range(n_requests):
             n_chunks = int(rng.integers(spec.min_chunks, spec.max_chunks + 1))
             chunk_tokens = self._clipped_int(
@@ -283,128 +277,40 @@ class WorkloadGenerator:
             n_output = self._clipped_int(
                 rng, spec.output_tokens_mean, spec.output_tokens_std, 1
             )
-            chunk_ids = rng.choice(
-                self.n_unique_chunks, size=n_chunks, replace=False, p=popularity
-            )
-            self.last_chunk_accesses.append(
-                ([int(chunk) for chunk in chunk_ids], chunk_tokens)
-            )
-            hits = [tracker.access(int(chunk)) for chunk in chunk_ids]
-            cached_fraction = sum(hits) / n_chunks
-            prefix_hits = 0
-            for hit in hits:
-                if not hit:
-                    break
-                prefix_hits += 1
-            prefix_fraction = prefix_hits / n_chunks
-            cached_fractions.append(cached_fraction)
-            prefix_fractions.append(prefix_fraction)
-            requests.append(
-                GenerationRequest(
-                    request_id=i,
-                    n_chunks=n_chunks,
-                    chunk_tokens=chunk_tokens,
-                    n_suffix_tokens=n_suffix,
-                    n_output_tokens=n_output,
-                    arrival_time=float(arrivals[i]),
-                    cached_chunk_fraction=cached_fraction,
-                    prefix_cached_fraction=prefix_fraction,
-                    deadline_s=self.ttft_slo_s,
+            chunk_ids = [
+                int(chunk)
+                for chunk in rng.choice(
+                    self.n_unique_chunks, size=n_chunks, replace=False, p=popularity
                 )
+            ]
+            self.chunk_ids.append(chunk_ids)
+            request = GenerationRequest(
+                request_id=i,
+                n_chunks=n_chunks,
+                chunk_tokens=chunk_tokens,
+                n_suffix_tokens=n_suffix,
+                n_output_tokens=n_output,
+                arrival_time=float(arrivals[i]),
+                deadline_s=self.ttft_slo_s,
             )
+            requests.append(replay_request(request, chunk_ids, store)[0])
 
+        # The store's bytes count placeholder entries, not KV: left out.
+        cache = store.stats.as_dict()
+        del cache["bytes_stored"]
         self.stats = WorkloadStats(
             n_requests=n_requests,
-            n_chunk_accesses=tracker.stats.lookups,
-            chunk_hit_rate=tracker.stats.hit_rate,
-            mean_cached_chunk_fraction=float(np.mean(cached_fractions)),
-            mean_prefix_cached_fraction=float(np.mean(prefix_fractions)),
+            n_chunk_accesses=store.stats.lookups,
+            chunk_hit_rate=store.stats.hit_rate,
+            mean_cached_chunk_fraction=float(
+                np.mean([r.cached_chunk_fraction for r in requests])
+            ),
+            mean_prefix_cached_fraction=float(
+                np.mean([r.prefix_cached_fraction for r in requests])
+            ),
             mean_context_tokens=float(
                 np.mean([r.n_context_tokens for r in requests])
             ),
-            cache=tracker.stats.as_dict(),
+            cache=cache,
         )
         return requests
-
-    # ------------------------------------------------------------------
-    def simulate_tiered_store(
-        self, ram_capacity_chunks: int, slow_capacity_chunks: int
-    ) -> "TieredStoreSimulation":
-        """Replay the recorded access trace through a RAM→slow tiered store.
-
-        Uses the ``(chunk_ids, chunk_tokens)`` trace of the last
-        :meth:`generate` call, so every store capacity sees the *same*
-        request stream.  Hits promote to the RAM tier; RAM eviction victims
-        demote to the slow tier; slow-tier victims fall out of the store.
-        Returns per-request cached/prefix/slow-tier fractions plus the
-        aggregate hit/residency statistics a sweep cell reports.
-        """
-        if not self.last_chunk_accesses:
-            raise RuntimeError("generate() must run before simulate_tiered_store()")
-        tracker = TieredChunkTracker(
-            tier_capacities=(ram_capacity_chunks, slow_capacity_chunks)
-        )
-        chunk_tokens_by_id: dict[int, int] = {}
-        per_request: list[tuple[float, float, float]] = []
-        for chunk_ids, chunk_tokens in self.last_chunk_accesses:
-            tiers = [tracker.access(chunk) for chunk in chunk_ids]
-            for chunk in chunk_ids:
-                chunk_tokens_by_id[chunk] = chunk_tokens
-            n_chunks = len(chunk_ids)
-            hits = [tier is not None for tier in tiers]
-            n_hits = sum(hits)
-            prefix_hits = 0
-            for hit in hits:
-                if not hit:
-                    break
-                prefix_hits += 1
-            slow_hits = sum(1 for tier in tiers if tier is not None and tier > 0)
-            per_request.append(
-                (
-                    n_hits / n_chunks,
-                    prefix_hits / n_chunks,
-                    slow_hits / n_hits if n_hits else 0.0,
-                )
-            )
-        resident = tracker.resident_keys_by_tier()
-        resident_tokens = [
-            sum(chunk_tokens_by_id.get(key, 0) for key in keys) for keys in resident
-        ]
-        return TieredStoreSimulation(
-            per_request=per_request,
-            hit_rate=tracker.stats.hit_rate,
-            tier_hits=list(tracker.tier_hits),
-            evictions=tracker.stats.evictions,
-            resident_chunks=[len(keys) for keys in resident],
-            resident_tokens=resident_tokens,
-        )
-
-
-@dataclass
-class TieredStoreSimulation:
-    """Outcome of replaying one access trace through a tiered chunk store."""
-
-    #: Per request: ``(cached_fraction, prefix_fraction, slow_tier_fraction)``
-    #: where the slow fraction is of the *cached* chunks, matching
-    #: :attr:`~repro.serving.request.GenerationRequest.slow_tier_fraction`.
-    per_request: list[tuple[float, float, float]]
-    hit_rate: float
-    tier_hits: list[int]
-    evictions: int
-    resident_chunks: list[int]
-    resident_tokens: list[int]
-
-    @property
-    def slow_tier_hit_share(self) -> float:
-        total = sum(self.tier_hits)
-        return self.tier_hits[-1] / total if total else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "hit_rate": self.hit_rate,
-            "tier_hits": list(self.tier_hits),
-            "slow_tier_hit_share": self.slow_tier_hit_share,
-            "evictions": self.evictions,
-            "resident_chunks": list(self.resident_chunks),
-            "resident_tokens": list(self.resident_tokens),
-        }

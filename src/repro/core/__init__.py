@@ -4,8 +4,6 @@ This package contains the paper's primary contribution:
 
 * :mod:`repro.core.deviation` — KV deviation and attention deviation metrics
   (paper §4.1, Table 1).
-* :mod:`repro.core.positional` — RoPE re-alignment of cached keys when a chunk
-  is reused at a new position (paper §4.3 footnote, Appendix A).
 * :mod:`repro.core.hkvd` — High-KV-Deviation token selection with gradual
   filtering across layers (paper §4.3, Figure 9).
 * :mod:`repro.core.fusor` — the KV cache fusor performing selective KV
@@ -23,7 +21,6 @@ from repro.core.deviation import attention_deviation, kv_deviation
 from repro.core.fusor import FusorConfig, FusionResult, KVFusor
 from repro.core.hkvd import HKVDSelector, ratio_schedule
 from repro.core.pipeline import PipelineTrace, pipelined_time, sequential_time
-from repro.core.positional import realign_chunk_cache
 
 __all__ = [
     "BlendEngine",
@@ -40,5 +37,4 @@ __all__ = [
     "PipelineTrace",
     "pipelined_time",
     "sequential_time",
-    "realign_chunk_cache",
 ]

@@ -111,11 +111,6 @@ class BatchExecutionResult:
     def __iter__(self):
         return iter(self.requests)
 
-    @property
-    def completion_offsets(self) -> list[float]:
-        """Per-request completion offsets from the batch origin (seconds)."""
-        return [r.total_time for r in self.requests]
-
 
 @dataclass
 class _RequestPlan:
@@ -183,10 +178,6 @@ class PipelinedExecutor:
     device:
         Storage device (preset name or instance) whose read bandwidth and
         access latency set the simulated per-layer transfer delay.
-    time_scale:
-        Multiplier on the device transfer delay.  The proxy model's layers
-        are tiny, so scaling lets experiments hit the load≈compute operating
-        point the paper's pipelining targets without terabyte caches.
     layer_load_time:
         When set, a fixed simulated transfer delay in seconds per layer,
         overriding the device model entirely (used by the profile harness to
@@ -203,18 +194,14 @@ class PipelinedExecutor:
         model: TransformerModel,
         fusor_config: FusorConfig | None = None,
         device: StorageDevice | str = "nvme_ssd",
-        time_scale: float = 1.0,
         layer_load_time: float | None = None,
         precision: PrecisionPolicy | str | None = None,
     ) -> None:
         self.model = model
         self.fusor = KVFusor(model, fusor_config)
         self.device = device if isinstance(device, StorageDevice) else get_device(device)
-        if time_scale < 0:
-            raise ValueError("time_scale must be non-negative")
         if layer_load_time is not None and layer_load_time < 0:
             raise ValueError("layer_load_time must be non-negative")
-        self.time_scale = time_scale
         self.layer_load_time = layer_load_time
         self.precision = PrecisionPolicy.get(precision)
 
@@ -458,7 +445,6 @@ class PipelinedExecutor:
                         for cache in chunk_caches
                     )
                 )
-                * self.time_scale
                 for layer_idx in range(n_layers)
             ]
         if extra_load_delay > 0.0 and n_layers:

@@ -96,14 +96,6 @@ def sequential_time(load_times: list[float], compute_times: list[float]) -> floa
     return float(sum(load_times) + sum(compute_times))
 
 
-def pipeline_speedup(load_times: list[float], compute_times: list[float]) -> float:
-    """Ratio of sequential to pipelined delay (>= 1)."""
-    pipelined = pipelined_time(load_times, compute_times)
-    if pipelined == 0.0:
-        return 1.0
-    return sequential_time(load_times, compute_times) / pipelined
-
-
 # ----------------------------------------------------------------------
 # Cross-request pipelining (multi-request extension of the §5 schedule)
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.kvstore.faults import (
     StoreReadTimeout,
     StoreUnavailable,
 )
-from repro.kvstore.hierarchy import TieredChunkTracker, TieredKVStore, TierLookup
+from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.precision import (
     ELEM_BYTES,
     KV_ELEM_DTYPES,
@@ -37,7 +37,6 @@ from repro.kvstore.serialization import (
 from repro.kvstore.store import (
     CHUNK_KEY_VERSION,
     CacheStats,
-    ChunkUsageTracker,
     EvictionPolicy,
     KVCacheStore,
     chunk_key,
@@ -65,13 +64,10 @@ __all__ = [
     "KVCacheStore",
     "RadixTrieStore",
     "CacheStats",
-    "ChunkUsageTracker",
     "EvictionPolicy",
     "chunk_key",
     "CHUNK_KEY_VERSION",
     "TieredKVStore",
-    "TieredChunkTracker",
-    "TierLookup",
     "StoreConfig",
     "STORE_BACKENDS",
     "PrecisionPolicy",

@@ -60,15 +60,6 @@ class StorageDevice:
         """Seconds to write *nbytes* to this device."""
         return self.access_latency + nbytes / self.write_bandwidth
 
-    def read_excess_over(self, faster: "StorageDevice", nbytes: int) -> float:
-        """Extra seconds reading *nbytes* here costs versus *faster*.
-
-        A tiered store prices hits served from a slow tier as the fast
-        tier's delay (already part of the pipelined load span) plus this
-        excess; clamped at zero so a mis-ordered pair never credits time.
-        """
-        return max(0.0, self.read_time(nbytes) - faster.read_time(nbytes))
-
     def monthly_cost(self, nbytes: int) -> float:
         """Dollar cost of storing *nbytes* for one month."""
         return (nbytes / _GB) * self.cost_per_gb_month

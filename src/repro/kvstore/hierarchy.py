@@ -24,12 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.protocol import StoreLookup
-from repro.kvstore.store import CacheStats, EvictionPolicy
+from repro.kvstore.store import CacheStats
 from repro.model.tensors import KVCache
-
-#: Backward-compatible alias: tiered lookups used to return a dedicated
-#: ``TierLookup``; the unified protocol folded it into ``StoreLookup``.
-TierLookup = StoreLookup
 
 
 @dataclass
@@ -170,10 +166,6 @@ class TieredKVStore:
         return sum(tier.bytes_stored for tier in self.tiers)
 
     @property
-    def total_bytes_stored(self) -> int:
-        return self.bytes_stored
-
-    @property
     def n_entries(self) -> int:
         return sum(tier.n_entries for tier in self.tiers)
 
@@ -183,79 +175,3 @@ class TieredKVStore:
             {"device": tier.device.name, **tier.stats.as_dict()}
             for tier in self.tiers
         ]
-
-
-@dataclass
-class TieredChunkTracker:
-    """Key-only model of a tiered chunk store, for hit-rate accounting.
-
-    The tiered analogue of :class:`~repro.kvstore.store.ChunkUsageTracker`:
-    tracks which chunk keys each tier would hold — LRU replacement, hits
-    promoted to tier 0, victims demoted one tier down — without
-    materialising KV tensors.  The workload generator replays recorded chunk
-    accesses through it to derive, per request, how much cached context is
-    resident in each tier under a given capacity.
-    """
-
-    tier_capacities: tuple[int, ...]
-    promote_on_hit: bool = True
-    demote_on_evict: bool = True
-    policy: EvictionPolicy = EvictionPolicy.LRU
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self) -> None:
-        if not self.tier_capacities:
-            raise ValueError("need at least one tier capacity")
-        if any(cap < 1 for cap in self.tier_capacities):
-            raise ValueError("tier capacities must be >= 1")
-        from collections import OrderedDict
-
-        self._tiers: list = [OrderedDict() for _ in self.tier_capacities]
-        self.tier_hits: list[int] = [0 for _ in self.tier_capacities]
-
-    def access(self, key: object) -> int | None:
-        """Record one chunk access; returns the serving tier index, or None.
-
-        A miss inserts the chunk at tier 0 (the real system precomputes and
-        stores it there), cascading demotions down the hierarchy.
-        """
-        for index, keys in enumerate(self._tiers):
-            if key in keys:
-                self.stats.hits += 1
-                self.tier_hits[index] += 1
-                if self.policy is EvictionPolicy.LRU:
-                    keys.move_to_end(key)
-                if self.promote_on_hit and index > 0:
-                    del keys[key]
-                    self._insert(0, key)
-                return index
-        self.stats.misses += 1
-        self._insert(0, key)
-        self.stats.inserts += 1
-        return None
-
-    def _insert(self, tier: int, key: object) -> None:
-        keys = self._tiers[tier]
-        while len(keys) >= self.tier_capacities[tier]:
-            victim, _ = keys.popitem(last=False)
-            self.stats.evictions += 1
-            if self.demote_on_evict and tier + 1 < len(self._tiers):
-                if victim not in self._tiers[tier + 1]:
-                    self._insert(tier + 1, victim)
-        keys[key] = None
-
-    def contains(self, key: object) -> bool:
-        return any(key in keys for keys in self._tiers)
-
-    def tier_of(self, key: object) -> int | None:
-        for index, keys in enumerate(self._tiers):
-            if key in keys:
-                return index
-        return None
-
-    def resident_keys_by_tier(self) -> list[list[object]]:
-        return [list(keys) for keys in self._tiers]
-
-    @property
-    def n_entries(self) -> int:
-        return sum(len(keys) for keys in self._tiers)

@@ -1,10 +1,7 @@
 """The ``ChunkStore`` protocol: one substitutable interface for KV stores.
 
-Historically :class:`~repro.kvstore.store.KVCacheStore` returned the cache
-entry from ``get`` while :class:`~repro.kvstore.hierarchy.TieredKVStore`
-returned a ``TierLookup`` wrapper — so the two could not be swapped under a
-:class:`~repro.core.blend_engine.BlendEngine`.  This module defines the
-shared contract every store backend implements:
+Every store backend implements the same contract, so any of them can sit
+under a :class:`~repro.core.blend_engine.BlendEngine`:
 
 * ``get(key)`` always returns the :class:`~repro.model.tensors.KVCache`
   itself (or ``None``), updating recency and hit/miss statistics;

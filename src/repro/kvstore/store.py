@@ -266,77 +266,3 @@ class KVCacheStore:
 
     def keys(self) -> list[str]:
         return list(self._entries.keys())
-
-
-@dataclass
-class ChunkUsageTracker:
-    """Key-only LRU model of a chunk KV cache, for hit-rate accounting.
-
-    The workload generator and the experiment runner use it to answer "would
-    this chunk's KV have been cached?" without materialising actual KV
-    tensors: it tracks which chunk keys a store of ``capacity_entries``
-    entries would currently hold under LRU (or FIFO) replacement, and counts
-    hits/misses/evictions in a shared :class:`CacheStats`.
-
-    Beyond the aggregate counters it keeps a per-key lifetime access count
-    (:meth:`access_count`) and exposes the currently resident key set
-    (:meth:`resident_keys`) — the two signals the fleet tier's affinity
-    router scores placement against: "which replica already holds this
-    request's chunks, weighted by how hot those chunks are there?".
-    """
-
-    capacity_entries: int
-    policy: EvictionPolicy = EvictionPolicy.LRU
-    stats: CacheStats = field(default_factory=CacheStats)
-    _keys: "OrderedDict[object, None]" = field(default_factory=OrderedDict)
-    _counts: dict[object, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.capacity_entries < 1:
-            raise ValueError("capacity_entries must be >= 1")
-
-    def access(self, key: object) -> bool:
-        """Record one chunk access; returns True on a hit.
-
-        On a miss the chunk is inserted (as the real system would precompute
-        and store it), evicting the replacement victim when full.
-        """
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if key in self._keys:
-            self.stats.hits += 1
-            if self.policy is EvictionPolicy.LRU:
-                self._keys.move_to_end(key)
-            return True
-        self.stats.misses += 1
-        while len(self._keys) >= self.capacity_entries:
-            self._keys.popitem(last=False)
-            self.stats.evictions += 1
-        self._keys[key] = None
-        self.stats.inserts += 1
-        return False
-
-    def contains(self, key: object) -> bool:
-        return key in self._keys
-
-    def resident_keys(self) -> list[object]:
-        """Currently stored keys, eviction order first (LRU/FIFO front)."""
-        return list(self._keys)
-
-    def access_count(self, key: object) -> int:
-        """Lifetime access count of *key* (hits + misses), 0 if never seen."""
-        return self._counts.get(key, 0)
-
-    def hottest_keys(self, n: int = 1) -> list[object]:
-        """The *n* most-accessed keys ever seen, hottest first.
-
-        Ties break on first-seen order (insertion order of ``_counts``), so
-        the ranking is deterministic for a deterministic access stream.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        ranked = sorted(self._counts.items(), key=lambda item: -item[1])
-        return [key for key, _ in ranked[:n]]
-
-    @property
-    def n_entries(self) -> int:
-        return len(self._keys)

@@ -88,11 +88,6 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.hidden_size // self.n_heads
 
-    @property
-    def gqa_group_size(self) -> int:
-        """Number of query heads sharing one KV head."""
-        return self.n_heads // self.n_kv_heads
-
     def kv_bytes_per_token_per_layer(self) -> int:
         """Bytes of K plus V stored for one token on one layer."""
         return 2 * self.n_kv_heads * self.head_dim * self.dtype_bytes

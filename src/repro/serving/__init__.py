@@ -21,12 +21,10 @@ from repro.serving.router import (
     ROUTING_POLICIES,
     AffinityRouter,
     ConsistentHashRouter,
-    FleetRun,
     LeastLoadedRouter,
     Replica,
     Router,
     build_router,
-    simulate_fleet,
 )
 from repro.serving.simulator import LoadSimulator, SimulationResult, WorkloadSpec
 
@@ -50,6 +48,4 @@ __all__ = [
     "ConsistentHashRouter",
     "AffinityRouter",
     "build_router",
-    "FleetRun",
-    "simulate_fleet",
 ]

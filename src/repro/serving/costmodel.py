@@ -403,13 +403,6 @@ class ServingCostModel:
     # ------------------------------------------------------------------
     # End-to-end TTFT estimates per serving scheme
     # ------------------------------------------------------------------
-    def ttft_full_recompute(self, n_tokens: int) -> float:
-        return self.prefill_time(n_tokens)
-
-    def ttft_prefix_caching(self, n_tokens: int, n_prefix: int) -> float:
-        """Prefix caching TTFT with the paper's idealised zero loading delay."""
-        return self.prefill_time_with_prefix(n_tokens, n_prefix)
-
     def _tiered_layer_load(
         self,
         n_tokens: int,

@@ -59,10 +59,6 @@ class EngineResult:
     stall_time: float = 0.0
     ttft_service_measured: float | None = None
 
-    @property
-    def total_service_time(self) -> float:
-        return self.ttft_service + self.decode_time
-
 
 @dataclass
 class InferenceEngine:

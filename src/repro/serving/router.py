@@ -19,23 +19,22 @@ chunks hit.  The router places each arrival on one replica:
   replica holds anything relevant.  Hot Zipf chunks concentrate on their
   home replicas, trading utilisation skew for aggregate hit rate.
 
-:func:`simulate_fleet` runs the whole placement + per-replica scheduling loop
-and reports the fleet metrics of the sweep axis: aggregate throughput,
-per-replica hit rates, and ``utilisation_skew`` (max/mean replica busy
-share — 1.0 is perfectly even).
+:func:`repro.bench.replay.simulate_fleet` runs the whole placement +
+per-replica scheduling loop and reports the fleet metrics of the sweep axis:
+aggregate throughput, per-replica hit rates, and ``utilisation_skew``
+(max/mean replica busy share — 1.0 is perfectly even).
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol, runtime_checkable
+from dataclasses import dataclass, field
+from typing import Protocol, runtime_checkable
 
-from repro.kvstore.store import ChunkUsageTracker
+from repro.kvstore.protocol import ChunkStore
 from repro.serving.engine import EngineResult, InferenceEngine
-from repro.serving.request import GenerationRequest, RequestTiming
-from repro.serving.scheduler import Scheduler
+from repro.serving.request import GenerationRequest
 
 ROUTING_POLICIES = ("least_loaded", "consistent_hash", "affinity")
 
@@ -44,22 +43,25 @@ ROUTING_POLICIES = ("least_loaded", "consistent_hash", "affinity")
 class Replica:
     """One engine replica with a private chunk store and its own scheduler.
 
-    The store is a key-only :class:`ChunkUsageTracker`: placement relabels
-    each request's ``cached_chunk_fraction`` / ``prefix_cached_fraction``
-    from *this replica's* resident set, so the same request costs more on a
-    replica that has never seen its chunks.  ``available_at`` is a cheap
-    FCFS projection of when the replica would start its next request — the
-    load signal the least-loaded policy (and affinity tie-breaks) read;
-    the authoritative timings come from the per-replica scheduler pass in
-    :func:`simulate_fleet`.
+    ``store`` is a real :class:`~repro.kvstore.protocol.ChunkStore` keyed by
+    chunk id; whoever places a request looks its chunks up there first (the
+    sweep's :func:`~repro.bench.replay.replay_request`), so the same request
+    costs more on a replica that has never seen its chunks.
+    ``access_counts`` is each chunk's lifetime access count on this replica
+    (it survives eviction) — with ``store`` residency, the hotness signal
+    :class:`AffinityRouter` scores.  ``available_at`` is a cheap FCFS
+    projection of when the replica would start its next request — the load
+    signal the least-loaded policy (and affinity tie-breaks) read; the
+    authoritative timings come from a per-replica scheduler pass.
     """
 
     replica_id: int
-    store: ChunkUsageTracker
+    store: ChunkStore
     engine: InferenceEngine | None = None
     available_at: float = 0.0
     #: Total FCFS-projected occupancy assigned so far (load tie-breaker).
     assigned_work_s: float = 0.0
+    access_counts: dict[int, int] = field(default_factory=dict, repr=False)
     indices: list[int] = field(default_factory=list, repr=False)
     requests: list[GenerationRequest] = field(default_factory=list, repr=False)
     results: list[EngineResult] = field(default_factory=list, repr=False)
@@ -68,42 +70,20 @@ class Replica:
         """When a request arriving at *arrival_time* would start here."""
         return max(self.available_at, arrival_time)
 
-    def resident_chunks(self) -> set[object]:
-        return set(self.store.resident_keys())
-
     def place(
         self, index: int, request: GenerationRequest, chunk_ids: list[int]
-    ) -> GenerationRequest:
-        """Accept *request*: look its chunks up in the private store and serve.
-
-        Returns the request relabelled with this replica's cached/prefix
-        fractions (the global workload's labels describe a *shared* store
-        and do not apply here).  Tier placement inside the replica is not
-        modelled at fleet level, so ``slow_tier_fraction`` is cleared.
-        """
-        hits = [self.store.access(chunk) for chunk in chunk_ids]
-        n_chunks = max(1, len(chunk_ids))
-        cached_fraction = sum(hits) / n_chunks
-        prefix_hits = 0
-        for hit in hits:
-            if not hit:
-                break
-            prefix_hits += 1
-        local = replace(
-            request,
-            cached_chunk_fraction=cached_fraction,
-            prefix_cached_fraction=min(prefix_hits / n_chunks, cached_fraction),
-            slow_tier_fraction=None,
-        )
+    ) -> None:
+        """Accept *request*: count its chunk accesses and serve it here."""
+        for chunk in chunk_ids:
+            self.access_counts[chunk] = self.access_counts.get(chunk, 0) + 1
         self.indices.append(index)
-        self.requests.append(local)
+        self.requests.append(request)
         if self.engine is not None:
-            result = self.engine.serve(local)
+            result = self.engine.serve(request)
             self.results.append(result)
             occupancy = max(result.ttft_service, result.gpu_time) + result.decode_time
             self.available_at = self.projected_start(request.arrival_time) + occupancy
             self.assigned_work_s += occupancy
-        return local
 
 
 @runtime_checkable
@@ -208,7 +188,7 @@ class ConsistentHashRouter:
 class AffinityRouter:
     """Hottest-chunk-overlap scoring against each replica's resident store.
 
-    A replica scores ``sum(1 + access_count(c))`` over the request chunks it
+    A replica scores ``sum(1 + access_counts[c])`` over the request chunks it
     currently holds: overlap counts, and overlap on chunks that replica has
     served often (its hot set) counts more — so a hot chunk's home replica
     outbids a replica that merely happens to hold a cold copy.  Ties break
@@ -235,9 +215,12 @@ class AffinityRouter:
 
     @staticmethod
     def score(replica: Replica, chunk_ids: list[int]) -> float:
-        resident = replica.resident_chunks()
         return float(
-            sum(1 + replica.store.access_count(c) for c in chunk_ids if c in resident)
+            sum(
+                1 + replica.access_counts.get(c, 0)
+                for c in chunk_ids
+                if replica.store.contains(c)
+            )
         )
 
     def route(
@@ -281,113 +264,4 @@ def build_router(policy: str, n_replicas: int) -> Router:
         return AffinityRouter()
     raise ValueError(
         f"unknown routing policy {policy!r}; expected one of {ROUTING_POLICIES}"
-    )
-
-
-@dataclass
-class FleetRun:
-    """Outcome of one :func:`simulate_fleet` pass, in global request order."""
-
-    policy: str
-    n_replicas: int
-    #: Requests relabelled with their home replica's cached/prefix fractions.
-    requests: list[GenerationRequest]
-    results: list[EngineResult]
-    timings: list[RequestTiming]
-    #: Home replica index of every request.
-    replica_of: list[int]
-    #: Per-replica store hit rate over the chunks routed there.
-    per_replica_hit_rates: list[float]
-    #: Fleet-wide store hit rate (total hits / total lookups).
-    aggregate_hit_rate: float
-    #: Per-replica busy time (occupancy of served, non-rejected requests).
-    per_replica_busy_s: list[float]
-    #: max/mean replica busy share; 1.0 is a perfectly even fleet.
-    utilisation_skew: float
-    per_replica_n_requests: list[int] = field(default_factory=list)
-
-
-def simulate_fleet(
-    requests: list[GenerationRequest],
-    chunk_ids_per_request: list[list[int]],
-    *,
-    policy: str,
-    n_replicas: int,
-    engine_factory: Callable[[int], InferenceEngine],
-    scheduler_factory: Callable[[int], Scheduler],
-    store_capacity_chunks: int,
-) -> FleetRun:
-    """Route *requests* over *n_replicas* replicas and schedule each replica.
-
-    ``chunk_ids_per_request[i]`` is request *i*'s retrieved chunk identity
-    list (the workload generator's access trace) — the routing key.  Each
-    replica gets a private store of ``store_capacity_chunks`` entries, its
-    own engine from ``engine_factory(replica_id)`` and its own scheduler
-    from ``scheduler_factory(replica_id)``; scheduling is fully
-    replica-local (a request never migrates after placement).
-    """
-    if len(requests) != len(chunk_ids_per_request):
-        raise ValueError("requests and chunk_ids_per_request must have the same length")
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
-    router = build_router(policy, n_replicas)
-    replicas = [
-        Replica(
-            replica_id=r,
-            store=ChunkUsageTracker(capacity_entries=store_capacity_chunks),
-            engine=engine_factory(r),
-        )
-        for r in range(n_replicas)
-    ]
-
-    order = sorted(range(len(requests)), key=lambda i: requests[i].arrival_time)
-    replica_of = [0] * len(requests)
-    for index in order:
-        request = requests[index]
-        chunk_ids = chunk_ids_per_request[index]
-        home = router.route(request, chunk_ids, replicas)
-        replicas[home].place(index, request, chunk_ids)
-        replica_of[index] = home
-
-    local_requests: list[GenerationRequest | None] = [None] * len(requests)
-    local_results: list[EngineResult | None] = [None] * len(requests)
-    local_timings: list[RequestTiming | None] = [None] * len(requests)
-    per_replica_busy: list[float] = []
-    for replica in replicas:
-        timings = (
-            scheduler_factory(replica.replica_id).schedule(
-                replica.requests, replica.results
-            )
-            if replica.requests
-            else []
-        )
-        busy = 0.0
-        for index, request, result, timing in zip(
-            replica.indices, replica.requests, replica.results, timings
-        ):
-            local_requests[index] = request
-            local_results[index] = result
-            local_timings[index] = timing
-            if not timing.rejected:
-                busy += max(result.ttft_service, result.gpu_time) + result.decode_time
-        per_replica_busy.append(busy)
-
-    hit_rates = [replica.store.stats.hit_rate for replica in replicas]
-    total_hits = sum(replica.store.stats.hits for replica in replicas)
-    total_lookups = sum(replica.store.stats.lookups for replica in replicas)
-    mean_busy = sum(per_replica_busy) / n_replicas
-    return FleetRun(
-        policy=policy,
-        n_replicas=n_replicas,
-        requests=[request for request in local_requests if request is not None],
-        results=[result for result in local_results if result is not None],
-        timings=[timing for timing in local_timings if timing is not None],
-        replica_of=replica_of,
-        per_replica_hit_rates=hit_rates,
-        aggregate_hit_rate=total_hits / total_lookups if total_lookups else 0.0,
-        per_replica_busy_s=per_replica_busy,
-        utilisation_skew=(
-            max(per_replica_busy) / mean_busy if mean_busy > 0.0 else 1.0
-        ),
-        per_replica_n_requests=[len(replica.requests) for replica in replicas],
     )

@@ -213,17 +213,3 @@ class LoadSimulator:
     def sweep(self, request_rates: list[float], n_requests: int = 200) -> list[SimulationResult]:
         """Run the simulation for every rate in *request_rates*."""
         return [self.run(rate, n_requests=n_requests) for rate in request_rates]
-
-    def max_sustainable_rate(
-        self,
-        ttft_limit: float,
-        rate_grid: list[float],
-        n_requests: int = 200,
-    ) -> float:
-        """Largest rate in *rate_grid* whose mean TTFT stays under *ttft_limit*."""
-        best = 0.0
-        for rate in sorted(rate_grid):
-            result = self.run(rate, n_requests=n_requests)
-            if result.mean_ttft <= ttft_limit:
-                best = rate
-        return best

@@ -42,20 +42,12 @@ class Tokenizer:
         return self.vocab.special
 
     @property
-    def pad_id(self) -> int:
-        return self.special.pad
-
-    @property
     def bos_id(self) -> int:
         return self.special.bos
 
     @property
     def eos_id(self) -> int:
         return self.special.eos
-
-    @property
-    def sep_id(self) -> int:
-        return self.special.sep
 
     def tokenize(self, text: str) -> list[str]:
         """Split *text* into word/punctuation pieces."""
@@ -81,10 +73,6 @@ class Tokenizer:
                 continue
             words.append(self.vocab.id_to_word(int(token_id)))
         return " ".join(words)
-
-    def count_tokens(self, text: str) -> int:
-        """Return the number of tokens *text* encodes to (no special tokens)."""
-        return len(self.tokenize(text))
 
     def __len__(self) -> int:
         return self.vocab_size

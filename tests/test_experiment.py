@@ -1,7 +1,9 @@
 """Experiment runner: sweep semantics, report schema and paper-level claims."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.bench.experiment import (
@@ -9,6 +11,14 @@ from repro.bench.experiment import (
     ExperimentConfig,
     ExperimentRunner,
 )
+from repro.bench.replay import simulate_fleet
+from repro.bench.workload import WorkloadGenerator
+from repro.kvstore.config import StoreConfig
+from repro.model.config import get_config
+from repro.model.tensors import KVCache, LayerKV
+from repro.serving.costmodel import ServingCostModel
+from repro.serving.engine import InferenceEngine
+from repro.serving.scheduler import FCFSScheduler
 from repro.bench.report import (
     SCHEMA_VERSION,
     report_to_dict,
@@ -244,6 +254,70 @@ class TestStoreCapacityAxis:
         # Less resident KV means more recompute and more slow-tier reads:
         # measured TTFT (per-tier read delays included) rises.
         assert small.mean_ttft > large.mean_ttft
+
+    def test_capacity_axis_replays_through_the_real_tiered_store(self):
+        """The axis reports what the real inclusive TieredKVStore does with
+        the smoke workload at RAM 8 / slow 32 chunks, replayed here by hand
+        (a promoted chunk stays in the slow tier too)."""
+        config = replace(
+            ExperimentConfig.smoke(),
+            models=("mistral-7b",),
+            devices=("nvme_ssd",),
+            schemes=("cacheblend",),
+            store_capacity_chunks=(8,),
+        )
+        generator = WorkloadGenerator(
+            request_rate=config.request_rate, seed=config.seed
+        )
+        requests = generator.generate(config.n_requests)
+        entry = KVCache([LayerKV(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))])
+        nbytes = StoreConfig().precision.cache_nbytes(entry)
+        store_config = StoreConfig(
+            backend="tiered", tier_capacity_bytes=(8 * nbytes, 32 * nbytes)
+        )
+        store = store_config.build()
+        expected = []
+        for chunk_ids in generator.chunk_ids:
+            tiers = []
+            for chunk in chunk_ids:
+                found = store.lookup(chunk)
+                if not found.hit:
+                    store.put(chunk, entry)
+                tiers.append(found.tier_index)
+            hits = [tier is not None for tier in tiers]
+            n_hits = sum(hits)
+            n_prefix = (hits + [False]).index(False)
+            n_slow = sum(1 for tier in tiers if tier)
+            expected.append(
+                (
+                    n_hits / len(tiers),
+                    n_prefix / len(tiers),
+                    n_slow / n_hits if n_hits else 0.0,
+                )
+            )
+
+        runner = ExperimentRunner(config)
+        (cell,) = runner.run().cells
+        assert cell.store_hit_rate == pytest.approx(store.stats.hit_rate)
+        assert cell.store_slow_tier_hit_share == pytest.approx(
+            store.tiers[1].stats.hits / store.stats.hits
+        )
+        assert runner.store_config(8) == store_config
+        run = simulate_fleet(
+            requests,
+            generator.chunk_ids,
+            policy="least_loaded",
+            n_replicas=1,
+            engine=InferenceEngine(
+                ServingCostModel(get_config("mistral-7b")), "full_recompute"
+            ),
+            scheduler_factory=lambda r: FCFSScheduler(),
+            store=runner.store_config(8),
+        )
+        assert [
+            (r.cached_chunk_fraction, r.prefix_cached_fraction, r.slow_tier_fraction)
+            for r in run.requests
+        ] == pytest.approx(expected)
 
     def test_store_columns_are_null_without_the_axis(self, report):
         for cell in report.cells:
@@ -520,10 +594,6 @@ class TestFleetAxis:
             ExperimentConfig(fleet_sizes=(0,))
         with pytest.raises(ValueError):
             ExperimentConfig(fleet_sizes=(2,), routing_policies=("warp_routing",))
-        with pytest.raises(ValueError):
-            ExperimentConfig(fleet_sizes=(2,), store_capacity_chunks=(8,))
-        with pytest.raises(ValueError):
-            ExperimentConfig(fleet_sizes=(2,), fault_rate=0.1)
 
     def test_cli_flags_reach_the_config(self):
         from repro.bench.__main__ import build_parser, config_from_args
@@ -671,8 +741,25 @@ class TestPrecisionAxis:
     def test_dtype_validation(self):
         with pytest.raises(ValueError, match="kv_dtype"):
             ExperimentConfig(kv_dtypes=("int4",))
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ExperimentConfig(kv_dtypes=("int8",), fleet_sizes=(2,))
+
+    def test_fleet_cells_are_priced_at_their_kv_dtype(self):
+        config = ExperimentConfig(
+            models=("mistral-7b",),
+            devices=("nvme_ssd",),
+            schemes=("cacheblend",),
+            n_requests=40,
+            fleet_sizes=(2,),
+            routing_policies=("least_loaded",),
+            kv_dtypes=("float16", "int8"),
+            seed=0,
+        )
+        by_dtype = {cell.kv_dtype: cell for cell in ExperimentRunner(config).run().cells}
+        int8, fp16 = by_dtype["int8"], by_dtype["float16"]
+        assert int8.n_replicas == fp16.n_replicas == 2
+        # Half the KV bytes per token: less to load per cached chunk, and
+        # half the resident bytes for the same residency.
+        assert int8.mean_ttft_service < fp16.mean_ttft_service
+        assert int8.store_bytes_stored < fp16.store_bytes_stored
 
     def test_cli_flags_reach_the_config(self):
         from repro.bench.__main__ import build_parser, config_from_args
@@ -682,3 +769,71 @@ class TestPrecisionAxis:
         )
         config = config_from_args(args)
         assert config.kv_dtypes == ("float16", "int8")
+
+
+class TestComposedAxes:
+    """Every sweep axis composes: fleet × store capacity × KV dtype × faults."""
+
+    @pytest.fixture(scope="class")
+    def composed_report(self):
+        config = ExperimentConfig(
+            models=("mistral-7b",),
+            devices=("nvme_ssd",),
+            schemes=("cacheblend", "full_recompute"),
+            n_requests=40,
+            fleet_sizes=(2,),
+            routing_policies=("least_loaded", "affinity"),
+            store_capacity_chunks=(8, 32),
+            kv_dtypes=("float16", "int8"),
+            fault_rate=0.05,
+            seed=0,
+        )
+        return ExperimentRunner(config).run()
+
+    def test_one_cell_per_point_of_the_product(self, composed_report):
+        points = {
+            (
+                cell.store_capacity_chunks,
+                cell.routing_policy,
+                cell.n_replicas,
+                cell.kv_dtype,
+                cell.scheme,
+            )
+            for cell in composed_report.cells
+        }
+        assert len(composed_report.cells) == len(points) == 2 * 2 * 2 * 2
+
+    def test_cells_carry_every_axis_column(self, composed_report):
+        for cell in composed_report.cells:
+            assert cell.store_capacity_chunks in (8, 32)
+            assert cell.store_hit_rate == cell.fleet_hit_rate
+            assert len(cell.per_replica_hit_rates) == 2
+            assert cell.mean_kv_deviation is not None
+            assert cell.fault_rate == 0.05
+            assert cell.fault_ttft_inflation is not None
+
+    def test_document_validates(self, composed_report):
+        validate_report(report_to_dict(composed_report, tag="composed"))
+
+    def test_comparison_rows_name_their_sweep_point(self, composed_report):
+        routing = [
+            row
+            for row in composed_report.comparisons
+            if str(row.get("comparison", "")).startswith("routing_")
+        ]
+        assert {
+            (row["scheme"], row["store_capacity_chunks"], row["kv_dtype"])
+            for row in routing
+        } == {
+            (scheme, capacity, dtype)
+            for scheme in ("cacheblend", "full_recompute")
+            for capacity in (8, 32)
+            for dtype in ("float16", "int8")
+        }
+        dtype_rows = [
+            row
+            for row in composed_report.comparisons
+            if str(row.get("comparison", "")).startswith("dtype_")
+        ]
+        assert len(dtype_rows) == 2 * 2 * 2  # scheme × capacity × routing
+        assert all(row["n_replicas"] == 2 for row in dtype_rows)

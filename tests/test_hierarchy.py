@@ -5,7 +5,7 @@ import pytest
 
 from repro.kvstore.config import StoreConfig
 from repro.kvstore.device import get_device
-from repro.kvstore.hierarchy import TieredChunkTracker, TieredKVStore
+from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.protocol import ChunkStore
 from repro.kvstore.store import KVCacheStore
 from repro.kvstore.trie import RadixTrieStore
@@ -237,23 +237,3 @@ class TestCleanMissRegressions:
                 assert found.hit == (found.cache is not None)
             else:
                 assert store.read_delay(key) >= 0.0
-
-
-class TestTieredChunkTracker:
-    def test_replays_hits_by_tier(self):
-        tracker = TieredChunkTracker(tier_capacities=(2, 4))
-        assert tracker.access("a") is None
-        assert tracker.access("b") is None
-        assert tracker.access("a") == 0
-        tracker.access("c")  # evicts "b" from RAM -> tier 1
-        assert tracker.tier_of("b") == 1
-        assert tracker.access("b") == 1
-        # The hit promoted "b" back to the RAM tier.
-        assert tracker.tier_of("b") == 0
-
-    def test_capacity_bounds_total_residency(self):
-        tracker = TieredChunkTracker(tier_capacities=(1, 2))
-        for key in "abcdef":
-            tracker.access(key)
-        assert tracker.n_entries == 3
-        assert tracker.stats.evictions > 0

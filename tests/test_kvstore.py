@@ -1,4 +1,4 @@
-"""KV cache store: hit/miss accounting, eviction and the usage tracker."""
+"""KV cache store: hit/miss accounting, eviction and chunk keys."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.kvstore.device import get_device
 from repro.kvstore.store import (
     CacheStats,
-    ChunkUsageTracker,
     EvictionPolicy,
     KVCacheStore,
     chunk_key,
@@ -112,22 +111,3 @@ class TestChunkKey:
         assert key.startswith("k2-")
         tail = key[len("k2-"):]
         assert len(tail) == 32 and all(c in "0123456789abcdef" for c in tail)
-
-
-class TestChunkUsageTracker:
-    def test_hits_after_first_access(self):
-        tracker = ChunkUsageTracker(capacity_entries=8)
-        assert tracker.access("x") is False
-        assert tracker.access("x") is True
-        assert tracker.stats.hit_rate == pytest.approx(0.5)
-
-    def test_lru_eviction_bounds_entries(self):
-        tracker = ChunkUsageTracker(capacity_entries=2)
-        tracker.access("a")
-        tracker.access("b")
-        tracker.access("a")  # refresh
-        tracker.access("c")  # evicts b
-        assert tracker.n_entries == 2
-        assert tracker.contains("a")
-        assert not tracker.contains("b")
-        assert tracker.stats.evictions == 1

@@ -1,10 +1,15 @@
-"""Positional re-alignment of chunk KV caches (RoPE shift)."""
+"""Positional re-alignment of chunk KV caches (RoPE shift).
+
+``fusor.place_chunk_layer`` is the one definition of the re-alignment rule;
+``assemble_reused_layer`` lays a request's chunks out with it.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.positional import concat_chunk_caches, realign_chunk_cache
+from repro.core.fusor import KVFusor, assemble_reused_layer, place_chunk_layer
 from repro.model.config import get_config
+from repro.model.tensors import KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
 
@@ -19,22 +24,33 @@ def chunk_cache(model):
     return model.chunk_prefill(token_ids, start_position=0)
 
 
-class TestRealignChunkCache:
-    def test_same_start_is_identity(self, chunk_cache):
-        realigned = realign_chunk_cache(chunk_cache, 0)
-        for layer, ref in zip(realigned.layers, chunk_cache.layers):
-            assert np.allclose(layer.keys, ref.keys)
-            assert np.allclose(layer.values, ref.values)
+def _placed(cache: KVCache, offset: int, theta: float) -> KVCache:
+    """*cache* re-aligned to start at *offset*, one layer at a time."""
+    n = cache.n_tokens
+    layers = []
+    for layer in cache.layers:
+        keys = np.zeros((offset + n,) + layer.keys.shape[1:], dtype=layer.keys.dtype)
+        values = np.zeros_like(keys)
+        place_chunk_layer(keys, values, layer, cache.positions, offset, theta)
+        layers.append(LayerKV(keys[offset:], values[offset:]))
+    return KVCache(layers, cache.token_ids, np.arange(offset, offset + n))
 
-    def test_positions_updated_and_values_untouched(self, chunk_cache):
-        realigned = realign_chunk_cache(chunk_cache, 7)
-        assert realigned.positions.tolist() == list(range(7, 7 + chunk_cache.n_tokens))
-        for layer, ref in zip(realigned.layers, chunk_cache.layers):
-            assert np.allclose(layer.values, ref.values)
+
+class TestPlaceChunkLayer:
+    def test_same_offset_leaves_keys_unchanged(self, model, chunk_cache):
+        placed = _placed(chunk_cache, 0, model.config.rope_theta)
+        for layer, ref in zip(placed.layers, chunk_cache.layers):
+            assert np.array_equal(layer.keys, ref.keys)
+            assert np.array_equal(layer.values, ref.values)
+
+    def test_shift_rotates_keys_and_leaves_values_untouched(self, model, chunk_cache):
+        placed = _placed(chunk_cache, 7, model.config.rope_theta)
+        for layer, ref in zip(placed.layers, chunk_cache.layers):
+            assert np.array_equal(layer.values, ref.values)
             assert not np.allclose(layer.keys, ref.keys)
 
     def test_matches_direct_prefill_at_offset(self, model, chunk_cache):
-        """Realigned keys equal the keys of prefilling at the new offset.
+        """Re-aligned keys equal the keys of prefilling at the new offset.
 
         The paper's Appendix A argument: rotating stored keys by the position
         delta is an exact correction, because only the key projection input
@@ -42,34 +58,47 @@ class TestRealignChunkCache:
         """
         offset = 5
         direct = model.chunk_prefill(chunk_cache.token_ids, start_position=offset)
-        realigned = realign_chunk_cache(
-            chunk_cache, offset, model.config.rope_theta
-        )
+        placed = _placed(chunk_cache, offset, model.config.rope_theta)
         # The compute path runs in float32; the correction is exact up to
         # fp32 rounding of the stored keys.
-        for layer, ref in zip(realigned.layers, direct.layers):
+        for layer, ref in zip(placed.layers, direct.layers):
             assert np.allclose(layer.keys, ref.keys, atol=1e-5)
 
-    def test_realignment_composes(self, chunk_cache, model):
+    def test_shifts_compose(self, model, chunk_cache):
         theta = model.config.rope_theta
-        via_two_steps = realign_chunk_cache(
-            realign_chunk_cache(chunk_cache, 3, theta), 9, theta
-        )
-        direct = realign_chunk_cache(chunk_cache, 9, theta)
+        via_two_steps = _placed(_placed(chunk_cache, 3, theta), 9, theta)
+        direct = _placed(chunk_cache, 9, theta)
         for layer, ref in zip(via_two_steps.layers, direct.layers):
             assert np.allclose(layer.keys, ref.keys, atol=1e-5)
 
-    def test_empty_cache_rejected(self, model):
-        from repro.model.tensors import KVCache
 
-        with pytest.raises(ValueError):
-            realign_chunk_cache(KVCache([]), 0)
-
-
-class TestConcatChunkCaches:
-    def test_concatenation_is_contiguous(self, model):
+class TestAssembleReusedLayer:
+    def test_chunks_are_laid_out_contiguously(self, model):
+        fusor = KVFusor(model)
         a = model.chunk_prefill(np.arange(5, dtype=np.int64))
         b = model.chunk_prefill(np.arange(7, dtype=np.int64))
-        combined = concat_chunk_caches([a, b], model.config.rope_theta)
-        assert combined.n_tokens == 12
-        assert combined.positions.tolist() == list(range(12))
+        suffix = np.arange(3, dtype=np.int64)
+        layout = fusor.plan_layout([a, b], suffix)
+        assert layout.chunk_offsets == (0, 5)
+        assert layout.suffix_start == 12
+        cfg = model.config
+        layer = assemble_reused_layer(
+            [a, b], layout, 0, cfg.rope_theta, cfg.n_kv_heads, cfg.head_dim,
+            np.float32,
+        )
+        b_at_5 = model.chunk_prefill(np.arange(7, dtype=np.int64), start_position=5)
+        assert layer.n_tokens == 15
+        assert np.array_equal(layer.keys[:5], a.layers[0].keys)
+        assert np.allclose(layer.keys[5:12], b_at_5.layers[0].keys, atol=1e-5)
+        assert np.array_equal(layer.values[5:12], b.layers[0].values)
+        # The suffix has no precomputed KV: always recomputed, zero here.
+        assert not layer.keys[12:].any() and not layer.values[12:].any()
+
+
+class TestPlanLayout:
+    def test_empty_chunk_cache_rejected(self, model):
+        cfg = model.config
+        empty = np.zeros((0, cfg.n_kv_heads, cfg.head_dim), dtype=np.float32)
+        cache = KVCache([LayerKV(empty, empty) for _ in range(cfg.n_layers)])
+        with pytest.raises(ValueError, match="empty chunk cache"):
+            KVFusor(model).plan_layout([cache], np.arange(3, dtype=np.int64))

@@ -7,9 +7,9 @@ aggregate store hit rate than least-loaded at the same request rate.
 
 import pytest
 
+from repro.bench.replay import chunk_store_config, replay_request, simulate_fleet
 from repro.bench.workload import WorkloadGenerator
 from repro.kvstore.device import get_device
-from repro.kvstore.store import ChunkUsageTracker
 from repro.model.config import get_config
 from repro.serving.costmodel import ServingCostModel
 from repro.serving.engine import InferenceEngine
@@ -22,7 +22,6 @@ from repro.serving.router import (
     Replica,
     Router,
     build_router,
-    simulate_fleet,
 )
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
@@ -40,9 +39,15 @@ def _request(request_id: int, arrival: float = 0.0) -> GenerationRequest:
 
 def _light_replicas(n: int, capacity: int = 8) -> list[Replica]:
     return [
-        Replica(replica_id=r, store=ChunkUsageTracker(capacity_entries=capacity))
+        Replica(replica_id=r, store=chunk_store_config(capacity).build())
         for r in range(n)
     ]
+
+
+def _visit(replica: Replica, *chunk_ids: int) -> None:
+    """Place one request for *chunk_ids* on *replica*, as the fleet loop does."""
+    request, _ = replay_request(_request(0), list(chunk_ids), replica.store)
+    replica.place(0, request, list(chunk_ids))
 
 
 def _engine(model: str = "mistral-7b", device: str = "nvme_ssd") -> InferenceEngine:
@@ -53,55 +58,32 @@ def _engine(model: str = "mistral-7b", device: str = "nvme_ssd") -> InferenceEng
     )
 
 
-class TestTrackerHotness:
-    """ChunkUsageTracker's lifetime access counts (the affinity signal)."""
+class TestReplicaHotness:
+    """Per-replica lifetime access counts (the affinity signal)."""
 
-    def test_resident_keys_track_the_lru_window(self):
-        tracker = ChunkUsageTracker(capacity_entries=2)
-        for key in ("a", "b", "c"):
-            tracker.access(key)
-        assert tracker.resident_keys() == ["b", "c"]  # "a" evicted
-
-    def test_access_count_survives_eviction(self):
-        tracker = ChunkUsageTracker(capacity_entries=1)
-        tracker.access("hot")
-        tracker.access("other")  # evicts "hot"
-        tracker.access("hot")
-        assert tracker.access_count("hot") == 2
-        assert tracker.access_count("never_seen") == 0
-
-    def test_hottest_keys_ranked_by_count(self):
-        tracker = ChunkUsageTracker(capacity_entries=8)
-        for key in ("a", "b", "b", "c", "c", "c"):
-            tracker.access(key)
-        assert tracker.hottest_keys(2) == ["c", "b"]
-        with pytest.raises(ValueError):
-            tracker.hottest_keys(0)
+    def test_access_counts_survive_eviction(self):
+        hot, other = 1, 2
+        (replica,) = _light_replicas(1, capacity=1)
+        _visit(replica, hot)
+        _visit(replica, other)  # evicts `hot` from the one-entry store
+        assert not replica.store.contains(hot)
+        _visit(replica, hot)
+        assert replica.access_counts == {hot: 2, other: 1}
 
 
 class TestReplicaPlacement:
-    def test_place_relabels_from_the_private_store(self):
-        replica = _light_replicas(1)[0]
-        request = _request(0)
-        cold = replica.place(0, request, [1, 2, 3])
-        assert cold.cached_chunk_fraction == 0.0
-        assert cold.slow_tier_fraction is None
-        warm = replica.place(1, request, [1, 2, 3])
-        assert warm.cached_chunk_fraction == pytest.approx(1.0)
-        assert warm.prefix_cached_fraction == pytest.approx(1.0)
-
-    def test_prefix_fraction_counts_only_the_leading_run(self):
-        replica = _light_replicas(1)[0]
-        replica.place(0, _request(0), [1, 3])
-        relabelled = replica.place(1, _request(1), [2, 1, 3])
-        # Chunks 1 and 3 hit but the leading chunk 2 missed: no prefix reuse.
-        assert relabelled.cached_chunk_fraction == pytest.approx(2 / 3)
-        assert relabelled.prefix_cached_fraction == 0.0
+    def test_place_records_the_request_it_is_given(self):
+        (replica,) = _light_replicas(1)
+        request, _ = replay_request(_request(0), [1, 2, 3], replica.store)
+        replica.place(5, request, [1, 2, 3])
+        assert replica.indices == [5]
+        assert replica.requests == [request]
+        assert replica.results == []  # no engine: placement only
 
     def test_engine_backed_place_advances_the_load_signal(self):
         replica = Replica(
             replica_id=0,
-            store=ChunkUsageTracker(capacity_entries=8),
+            store=chunk_store_config(8).build(),
             engine=_engine(),
         )
         assert replica.assigned_work_s == 0.0
@@ -179,20 +161,20 @@ class TestAffinityRouter:
 
     def test_overlap_beats_load(self):
         replicas = _light_replicas(3)
-        replicas[2].store.access(7)
+        _visit(replicas[2], 7)
         replicas[2].available_at = 1.0  # busier, but holds the chunk
         assert AffinityRouter().route(_request(0), [7], replicas) == 2
 
     def test_hotter_overlap_outbids_a_cold_copy(self):
         replicas = _light_replicas(2)
-        replicas[0].store.access(7)
+        _visit(replicas[0], 7)
         for _ in range(5):
-            replicas[1].store.access(7)
+            _visit(replicas[1], 7)
         assert AffinityRouter().route(_request(0), [7], replicas) == 1
 
     def test_bounded_load_excludes_the_overloaded_home(self):
         replicas = _light_replicas(2)
-        replicas[0].store.access(7)
+        _visit(replicas[0], 7)
         # Replica 0 holds the hot chunk but is far past load_factor x mean.
         replicas[0].assigned_work_s = 10.0
         replicas[1].assigned_work_s = 1.0
@@ -201,7 +183,7 @@ class TestAffinityRouter:
 
     def test_uniform_load_keeps_affinity_routing(self):
         replicas = _light_replicas(2)
-        replicas[1].store.access(7)
+        _visit(replicas[1], 7)
         replicas[0].assigned_work_s = 1.0
         replicas[1].assigned_work_s = 1.0
         assert AffinityRouter().route(_request(0), [7], replicas) == 1
@@ -227,8 +209,7 @@ def zipf_workload():
     """Default-parameter Zipf workload plus its chunk access trace."""
     generator = WorkloadGenerator(seed=0)
     requests = generator.generate(120)
-    chunk_ids = [ids for ids, _ in generator.last_chunk_accesses]
-    return generator, requests, chunk_ids
+    return generator, requests, generator.chunk_ids
 
 
 def _run_fleet(requests, chunk_ids, policy, n_replicas, capacity=160):
@@ -237,9 +218,9 @@ def _run_fleet(requests, chunk_ids, policy, n_replicas, capacity=160):
         chunk_ids,
         policy=policy,
         n_replicas=n_replicas,
-        engine_factory=lambda r: _engine(),
+        engine=_engine(),
         scheduler_factory=lambda r: ContinuousBatchingScheduler(n_servers=1),
-        store_capacity_chunks=capacity,
+        store=chunk_store_config(capacity),
     )
 
 

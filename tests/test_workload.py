@@ -85,32 +85,6 @@ class TestDeterminismAndReuse:
             assert len(requests) == 10
 
 
-class TestTieredStoreSimulation:
-    def test_replay_reports_per_request_residency(self):
-        generator = WorkloadGenerator(dataset="2wikimqa", seed=0)
-        generator.generate(50)
-        simulation = generator.simulate_tiered_store(8, 32)
-        assert len(simulation.per_request) == 50
-        assert 0.0 <= simulation.hit_rate <= 1.0
-        for cached, prefix, slow in simulation.per_request:
-            assert 0.0 <= prefix <= cached <= 1.0
-            assert 0.0 <= slow <= 1.0
-        assert sum(simulation.resident_chunks) <= 8 + 32
-
-    def test_bigger_ram_tier_raises_the_hit_rate(self):
-        def replay(capacity):
-            generator = WorkloadGenerator(dataset="2wikimqa", seed=0)
-            generator.generate(80)
-            return generator.simulate_tiered_store(capacity, 4 * capacity)
-
-        assert replay(4).hit_rate < replay(64).hit_rate
-
-    def test_replay_requires_a_recorded_trace(self):
-        generator = WorkloadGenerator(dataset="2wikimqa", seed=0)
-        with pytest.raises(RuntimeError):
-            generator.simulate_tiered_store(8, 32)
-
-
 class TestArrivalPatterns:
     """Bursty/diurnal presets: overload windows at the same average rate."""
 
