@@ -1027,17 +1027,18 @@ def run_proxy_probe(
     from repro.kvstore.faults import FaultConfig
 
     # The probe exercises the serving-path store stack end to end: a
-    # RAM→SSD hierarchy of radix-trie (prefix-dedup) tiers behind the
-    # engine, not the plain whole-chunk default.  A non-zero *fault_rate*
-    # additionally wraps the store in a fault injector (the chaos smoke):
-    # lookups fail/corrupt/stall at that rate and the engine must retry or
-    # recompute — with bitwise-identical generations either way.
+    # RAM→SSD tiered store behind the engine (the kind perfbench's
+    # rag_churn serves from), not the single-tier default.  A non-zero
+    # *fault_rate* additionally wraps the store in a fault injector (the
+    # chaos smoke): lookups fail/corrupt/stall at that rate and the engine
+    # must retry or recompute — with bitwise-identical generations either
+    # way.
     engine = BlendEngine.build(
         paper_model="Mistral-7B",
         device="cpu_ram",
         seed=seed,
         calibration=calibration,
-        store=StoreConfig(backend="tiered_trie"),
+        store=StoreConfig(backend="tiered"),
         faults=(
             FaultConfig(rate=fault_rate, seed=seed) if fault_rate > 0.0 else None
         ),
@@ -1101,11 +1102,8 @@ def run_proxy_probe(
         "n_generated": [len(r.generated_ids) for r in results],
         "cache": engine.cache_stats,
         "store": {
-            "backend": "tiered_trie",
+            "backend": "tiered",
             "bytes_stored": engine.kv_store.bytes_stored,
-            "logical_bytes": sum(
-                tier.logical_bytes for tier in engine.kv_store.tiers
-            ),
             "n_entries": engine.kv_store.n_entries,
             "tiers": engine.kv_store.stats_by_tier(),
         },

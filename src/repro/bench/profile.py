@@ -59,8 +59,12 @@ from repro.model.transformer import TransformerModel
 #: path — the extra CPU the narrower store dtype costs per request); v8
 #: drops ``decode_batched`` and the ``batched_*``/``session_vs_batched``
 #: fields with the per-call re-gather decode path, and runs
-#: ``decode_sequential`` and the per-token scaling probe on width-1 sessions.
-PROFILE_SCHEMA_VERSION = 8
+#: ``decode_sequential`` and the per-token scaling probe on width-1 sessions;
+#: v9 times ``store_lookup`` on a whole-chunk int8 tiered store whose every
+#: lookup promotes and demotes, and the ``store`` block drops
+#: ``shared_prefix_tokens``, ``logical_bytes`` and ``dedup_ratio`` for
+#: ``ram_chunks``.
+PROFILE_SCHEMA_VERSION = 9
 
 _REQUIRED_OPS = (
     "chunk_prefill",
@@ -423,28 +427,25 @@ def measure_decode_width_scaling(
 def measure_store_ops(
     model: TransformerModel, config: "ProfileConfig", rng: np.random.Generator
 ) -> tuple[dict[str, dict[str, float | int]], dict[str, object]]:
-    """Time tiered radix-trie lookups on a shared-prefix chunk family.
+    """Time tiered-store lookups that promote and demote on every hit.
 
-    One ``store_lookup`` sample fetches every chunk once through a
-    RAM→SSD :class:`~repro.kvstore.hierarchy.TieredKVStore` of
-    :class:`~repro.kvstore.trie.RadixTrieStore` tiers — the store work on
-    :class:`~repro.core.blend_engine.BlendEngine`'s gather path: the O(L)
-    token-prefix walk, reassembling the full-chunk KV from deduplicated
-    segments, and pricing the owning tier's read delay.  The chunks share
-    the first half of their token ids so the trie actually deduplicates,
-    and the RAM tier is sized to half the family's logical bytes so the
-    overflow demotes to the SSD tier and lookups exercise both.  Promotion
-    is disabled so tier residency stays fixed across timed repeats.
+    One ``store_lookup`` sample fetches every chunk of a family once, in
+    order, through an int8 RAM→SSD :class:`~repro.kvstore.hierarchy.
+    TieredKVStore` of :class:`~repro.kvstore.store.KVCacheStore` tiers, the
+    store rag_churn's gather path serves from.  The RAM tier holds one chunk
+    fewer than the family, so in steady state each lookup misses RAM, hits
+    the SSD tier, promotes the chunk into RAM and evicts RAM's least
+    recently used chunk into the SSD tier's demotion hook; every timed
+    repeat does the same work.
 
-    The family is at least three chunks regardless of ``config.n_chunks``:
-    with one chunk demoted, two must stay co-resident in RAM for the shared
-    prefix to be stored once (the dedup the block reports).
+    The family is at least three chunks regardless of ``config.n_chunks``.
+    Its token ids are a shared first half plus a tail per chunk, drawn from
+    *rng* as when the baseline was recorded: the ops timed after this one
+    draw from the same *rng*, so a different draw here changes their inputs.
     """
-    from repro.kvstore.device import get_device
-    from repro.kvstore.hierarchy import TieredKVStore
-    from repro.kvstore.serialization import kv_nbytes
+    from repro.kvstore.config import StoreConfig
+    from repro.kvstore.precision import PrecisionPolicy
     from repro.kvstore.store import chunk_key
-    from repro.kvstore.trie import RadixTrieStore
 
     n_family = max(3, config.n_chunks)
     half = max(1, config.chunk_tokens // 2)
@@ -456,15 +457,12 @@ def measure_store_ops(
         for _ in range(n_family)
     ]
     caches = [model.chunk_prefill(ids) for ids in chunk_ids]
-    logical_each = [kv_nbytes(cache) for cache in caches]
-    ram_capacity = max(max(logical_each), sum(logical_each) // 2)
-    store = TieredKVStore(
-        tiers=[
-            RadixTrieStore(device=get_device("cpu_ram"), capacity_bytes=ram_capacity),
-            RadixTrieStore(device=get_device("nvme_ssd")),
-        ],
-        promote_on_hit=False,
-    )
+    entry_bytes = PrecisionPolicy.get("int8").cache_nbytes(caches[0])
+    store = StoreConfig(
+        backend="tiered",
+        kv_dtype="int8",
+        tier_capacity_bytes=((n_family - 1) * entry_bytes, None),
+    ).build()
     keys = [chunk_key(ids, model_name=config.model) for ids in chunk_ids]
     for key, cache in zip(keys, caches):
         store.put(key, cache)
@@ -477,15 +475,11 @@ def measure_store_ops(
     ops = {"store_lookup": _time_op(run_lookup, config.repeats, config.warmup)}
     store.reset_stats()
     lookups = [store.lookup(key) for key in keys]
-    stored = store.bytes_stored
-    logical = sum(tier.logical_bytes for tier in store.tiers)
     block: dict[str, object] = {
         "n_chunks": n_family,
         "chunk_tokens": config.chunk_tokens,
-        "shared_prefix_tokens": half,
-        "bytes_stored": stored,
-        "logical_bytes": logical,
-        "dedup_ratio": logical / stored if stored > 0 else float("inf"),
+        "ram_chunks": n_family - 1,
+        "bytes_stored": store.bytes_stored,
         "slow_tier_hits": sum(
             1 for found in lookups if found.tier_index is not None and found.tier_index > 0
         ),
@@ -670,7 +664,7 @@ def run_profile(config: ProfileConfig | None = None) -> dict[str, object]:
     # ---- measured serving TTFT (workload -> engine -> executor) ----------
     ops["serve_pipelined"] = _stats(_measure_served_ttfts(model, config))
 
-    # ---- tiered trie store lookups ---------------------------------------
+    # ---- tiered store lookups --------------------------------------------
     store_ops, store_block = measure_store_ops(model, config, rng)
     ops.update(store_ops)
 
@@ -778,13 +772,11 @@ def validate_profile_report(document: dict[str, object]) -> None:
     if any(s <= 0 for s in width_scaling["session_s_per_step"]):
         raise ValueError("width_scaling per-step timings must be positive")
     store = document["store"]
-    for key in ("bytes_stored", "logical_bytes", "dedup_ratio", "tiers"):
+    for key in ("bytes_stored", "slow_tier_hits", "tiers"):
         if key not in store:
             raise ValueError(f"store block is missing key {key!r}")
     if store["bytes_stored"] <= 0:
         raise ValueError("store bytes_stored must be positive")
-    if store["dedup_ratio"] < 1.0:
-        raise ValueError("store dedup_ratio must be >= 1 (trie never inflates)")
     fleet = document["fleet"]
     for key in ("n_replicas", "n_decisions", "gated_policy", "policies"):
         if key not in fleet:
@@ -845,7 +837,7 @@ def check_against_baseline(
     the fuse wall-clocks, the measured end-to-end serving TTFT
     (``serve_pipelined``), the session decode wall-clock
     (``decode_session``, the serving loop's steady-state path), the preemption round-trip (``preempt_resume``, the
-    SLO scheduler's per-preemption overhead) *and* the tiered trie lookup
+    SLO scheduler's per-preemption overhead) *and* the tiered-store lookup
     (``store_lookup``, the gather path's store work) and the fleet routing
     decision (``routing_decision``, the router tier's per-request overhead
     under the affinity policy); ops absent from an older baseline are
@@ -901,12 +893,9 @@ def format_profile_summary(document: dict[str, object]) -> str:
     )
     store = document["store"]
     lines.append(
-        f"tiered trie store ({store['n_chunks']} chunks, "
-        f"{store['shared_prefix_tokens']}-token shared prefix): "
-        f"{store['bytes_stored'] / 1e6:.2f} MB stored vs "
-        f"{store['logical_bytes'] / 1e6:.2f} MB logical "
-        f"({store['dedup_ratio']:.2f}x dedup, "
-        f"{store['slow_tier_hits']} slow-tier hits)"
+        f"tiered store ({store['n_chunks']} chunks, RAM tier holds "
+        f"{store['ram_chunks']}): {store['bytes_stored'] / 1e6:.2f} MB stored, "
+        f"{store['slow_tier_hits']} slow-tier hits"
     )
     fleet = document["fleet"]
     lines.append(

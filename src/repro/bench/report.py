@@ -5,7 +5,7 @@ One report is a single JSON document with a versioned schema:
 .. code-block:: text
 
     {
-      "schema_version": 8,
+      "schema_version": 9,
       "created": "<ISO-8601 UTC timestamp>",
       "tag": "<free-form label, e.g. 'smoke'>",
       "config": { ...ExperimentConfig fields... },
@@ -46,8 +46,10 @@ from repro.bench.experiment import ExperimentReport
 #: proxy block's per-request first-decode-step times and batch widths; v8
 #: takes the capacity-axis store columns from the real inclusive tiered
 #: store, lets every sweep axis compose (comparison rows name the composed
-#: axes they belong to) and drops ``workload.cache.bytes_stored``.
-SCHEMA_VERSION = 8
+#: axes they belong to) and drops ``workload.cache.bytes_stored``; v9 serves
+#: the proxy probe from a whole-chunk ``tiered`` store and drops the proxy
+#: store block's ``logical_bytes`` (it equalled ``bytes_stored``).
+SCHEMA_VERSION = 9
 
 _REQUIRED_TOP_LEVEL = ("schema_version", "created", "tag", "config", "workload", "cells")
 _REQUIRED_CELL_FIELDS = (

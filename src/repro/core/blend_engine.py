@@ -228,8 +228,8 @@ class BlendEngine:
         _check_execution(execution)
         self.model = model
         self.tokenizer = tokenizer
-        #: Any :class:`~repro.kvstore.protocol.ChunkStore` backend — whole
-        #: chunk, radix-trie dedup, or a multi-tier hierarchy of either.
+        #: Any :class:`~repro.kvstore.protocol.ChunkStore` backend — a
+        #: whole-chunk LRU store or a multi-tier hierarchy of them.
         self.kv_store = kv_store
         #: Store precision policy; chunk caches are round-tripped through it
         #: before ``put`` so fusion sees exactly the stored precision, and
@@ -307,7 +307,7 @@ class BlendEngine:
         feed one calibration from several engines.
 
         ``store`` selects the KV store backend: a
-        :class:`~repro.kvstore.config.StoreConfig` recipe (chunk / trie /
+        :class:`~repro.kvstore.config.StoreConfig` recipe (chunk or
         tiered), or a pre-built :class:`~repro.kvstore.protocol.ChunkStore`.
         The default is a whole-chunk store on ``device``.
 
@@ -528,7 +528,6 @@ class BlendEngine:
     def _decide(self, inputs: _RequestInputs, recompute_ratio):
         decision = self.controller.decide(
             n_context_tokens=inputs.context_tokens,
-            n_suffix_tokens=int(inputs.suffix_ids.size),
             device=self.kv_store.device,
         )
         ratio = (

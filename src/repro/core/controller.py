@@ -28,8 +28,6 @@ class ControllerDecision:
     device: StorageDevice
     load_time_per_layer: float
     recompute_time_per_layer: float
-    estimated_ttft: float
-    storage_cost_per_month: float
 
     @property
     def recompute_hidden(self) -> bool:
@@ -116,7 +114,6 @@ class LoadingController:
     def decide(
         self,
         n_context_tokens: int,
-        n_suffix_tokens: int,
         devices: list[StorageDevice] | None = None,
         device: StorageDevice | None = None,
     ) -> ControllerDecision:
@@ -131,10 +128,6 @@ class LoadingController:
         if device is None:
             device = self.choose_device(n_context_tokens, devices, self.min_quality_ratio)
         ratio = self.pick_recompute_ratio(n_context_tokens, device)
-        n_total = n_context_tokens + n_suffix_tokens
-        ttft = self.cost_model.ttft_cacheblend(
-            n_total, n_suffix_tokens, ratio, device, pipelined=True
-        )
         return ControllerDecision(
             recompute_ratio=ratio,
             device=device,
@@ -146,6 +139,4 @@ class LoadingController:
             recompute_time_per_layer=self.cost_model.recompute_layer_time(
                 n_context_tokens, ratio
             ),
-            estimated_ttft=ttft,
-            storage_cost_per_month=self.cost_model.kv_store_cost(n_context_tokens, device),
         )

@@ -53,17 +53,12 @@ class FusorConfig:
     query_window:
         Number of trailing tokens whose attention rows form the forward
         attention matrix used for deviation reporting.
-    recompute_first_layer:
-        Whether layer 0 is fully recomputed to seed HKVD selection (the
-        paper's scheme).  Disabling it falls back to selecting HKVD tokens
-        randomly, which is only useful for ablations.
     """
 
     recompute_ratio: float = 0.15
     boost: float = 1.5
     floor: float = 0.8
     query_window: int = 8
-    recompute_first_layer: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.recompute_ratio <= 1.0:
@@ -331,10 +326,7 @@ class KVFusor:
         deviation0 = self._deviation_against_reused(out0.layer_kv, reused0, suffix_start)
         first_layer_deviation = deviation0
         layer_deviations.append(deviation0)
-        if self.config.recompute_first_layer:
-            selected = selector.first_selection(deviation0)
-        else:
-            selected = self._random_selection(selector, n_tokens, suffix_indices)
+        selected = selector.first_selection(deviation0)
         hidden_selected = out0.hidden[selected]
         if recorder is not None:
             recorder.compute_end(0)
@@ -489,15 +481,6 @@ class KVFusor:
         deviation[selected] = per_token
         deviation[suffix_start:] = 0.0
         return deviation
-
-    def _random_selection(
-        self, selector: HKVDSelector, n_tokens: int, suffix_indices: np.ndarray
-    ) -> np.ndarray:
-        """Ablation path: pick the first-layer tokens uniformly at random."""
-        rng = np.random.default_rng(self.model.seed)
-        fake_deviation = rng.random(n_tokens)
-        fake_deviation[suffix_indices] = 0.0
-        return selector.first_selection(fake_deviation)
 
     def _last_logits(
         self, hidden_selected: np.ndarray, selected: np.ndarray, n_tokens: int

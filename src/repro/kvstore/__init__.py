@@ -2,9 +2,9 @@
 
 Models the storage side of CacheBlend: the devices KV caches can live on
 (GPU HBM, CPU RAM, NVMe SSD, slower disks, object stores), serialization and
-size accounting, and the :class:`ChunkStore` backends — a hash-addressed
-whole-chunk store with LRU eviction, a radix-trie store deduplicating shared
-token prefixes, and a multi-tier store (RAM + SSD) with promotion/demotion.
+size accounting, and the two :class:`ChunkStore` backends — a hash-addressed
+whole-chunk store with LRU eviction (paper §5.1), and a multi-tier store
+(RAM + SSD) of such stores with promotion and demotion.
 """
 
 from repro.kvstore.config import STORE_BACKENDS, StoreConfig
@@ -31,17 +31,14 @@ from repro.kvstore.protocol import ChunkStore, StoreLookup
 from repro.kvstore.serialization import (
     KVCorruptionError,
     deserialize_kv,
-    kv_nbytes,
     serialize_kv,
 )
 from repro.kvstore.store import (
     CHUNK_KEY_VERSION,
     CacheStats,
-    EvictionPolicy,
     KVCacheStore,
     chunk_key,
 )
-from repro.kvstore.trie import RadixTrieStore
 
 __all__ = [
     "DEVICE_PRESETS",
@@ -49,7 +46,6 @@ __all__ = [
     "get_device",
     "serialize_kv",
     "deserialize_kv",
-    "kv_nbytes",
     "KVCorruptionError",
     "FaultyStore",
     "FaultConfig",
@@ -62,9 +58,7 @@ __all__ = [
     "ChunkStore",
     "StoreLookup",
     "KVCacheStore",
-    "RadixTrieStore",
     "CacheStats",
-    "EvictionPolicy",
     "chunk_key",
     "CHUNK_KEY_VERSION",
     "TieredKVStore",

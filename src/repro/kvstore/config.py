@@ -1,9 +1,9 @@
 """Declarative store configuration: pick a backend, build a ChunkStore.
 
-With multiple backends (chunk / trie dedup / tiered hierarchies) the store
-choice is its own axis: :class:`~repro.core.blend_engine.BlendEngine.build`
-accepts a :class:`StoreConfig` — a frozen, JSON-friendly recipe — or any
-pre-built :class:`~repro.kvstore.protocol.ChunkStore`.
+:meth:`~repro.core.blend_engine.BlendEngine.build` accepts a
+:class:`StoreConfig` — a frozen, JSON-friendly recipe for a whole-chunk store
+or a tiered hierarchy of them — or any pre-built
+:class:`~repro.kvstore.protocol.ChunkStore`.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from repro.kvstore.device import get_device
 from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.precision import PRECISION_PRESETS, PrecisionPolicy
-from repro.kvstore.store import EvictionPolicy, KVCacheStore
-from repro.kvstore.trie import RadixTrieStore
+from repro.kvstore.store import KVCacheStore
 
 #: Store backends :meth:`StoreConfig.build` can construct.
-STORE_BACKENDS = ("chunk", "trie", "tiered", "tiered_trie")
+STORE_BACKENDS = ("chunk", "tiered")
 
 
 @dataclass(frozen=True)
@@ -27,40 +26,29 @@ class StoreConfig:
     Parameters
     ----------
     backend:
-        ``"chunk"`` — whole-chunk :class:`KVCacheStore` (the historical
-        default); ``"trie"`` — prefix-dedup :class:`RadixTrieStore`;
-        ``"tiered"`` / ``"tiered_trie"`` — a :class:`TieredKVStore` over
-        ``tier_devices`` with chunk or trie tiers respectively.
+        ``"chunk"`` — one whole-chunk LRU :class:`KVCacheStore`;
+        ``"tiered"`` — a :class:`TieredKVStore` of such stores over
+        ``tier_devices`` (hits promote to tier 0, eviction victims demote
+        one tier down).
     capacity_bytes:
         Capacity of a single-tier store (``None`` = the device preset's).
-        Ignored by tiered backends, which size from ``tier_capacity_bytes``.
+        Ignored by the tiered backend, which sizes from ``tier_capacity_bytes``.
     tier_devices / tier_capacity_bytes:
         Device preset names fastest-first and matching per-tier capacities
         (``None`` entries fall back to each device preset's capacity).
-    policy:
-        Eviction policy shared by every (single or tier) store.
     kv_dtype:
         Store precision: a uniform payload dtype (``float32``/``float16``/
         ``int8``) or the per-layer ``mixed`` preset.  Resolved into the
         :attr:`precision` policy that governs byte accounting, the
         quantisation round-trip the engine applies before ``put``, and the
         serialized wire format.
-    promote_on_hit / demote_on_evict:
-        Tiered-backend behaviour: copy hits up to tier 0, demote eviction
-        victims one tier down.
-    ttl_s:
-        Optional entry time-to-live (trie backends only).
     """
 
     backend: str = "chunk"
     capacity_bytes: int | None = None
     tier_devices: tuple[str, ...] = ("cpu_ram", "nvme_ssd")
     tier_capacity_bytes: tuple[int | None, ...] | None = None
-    policy: EvictionPolicy = EvictionPolicy.LRU
     kv_dtype: str = "float16"
-    promote_on_hit: bool = True
-    demote_on_evict: bool = True
-    ttl_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in STORE_BACKENDS:
@@ -85,7 +73,7 @@ class StoreConfig:
 
     @property
     def tiered(self) -> bool:
-        return self.backend in ("tiered", "tiered_trie")
+        return self.backend == "tiered"
 
     def build(self, device=None):
         """Construct the configured :class:`ChunkStore`.
@@ -96,33 +84,17 @@ class StoreConfig:
         """
         precision = self.precision
         if not self.tiered:
-            storage = device if device is not None else get_device(self.tier_devices[0])
-            cls = KVCacheStore if self.backend == "chunk" else RadixTrieStore
-            kwargs = dict(
-                device=storage,
-                policy=self.policy,
+            return KVCacheStore(
+                device=device if device is not None else get_device(self.tier_devices[0]),
                 capacity_bytes=self.capacity_bytes,
                 precision=precision,
             )
-            if self.backend == "trie" and self.ttl_s is not None:
-                kwargs["ttl_s"] = self.ttl_s
-            return cls(**kwargs)
-
-        tier_cls = KVCacheStore if self.backend == "tiered" else RadixTrieStore
         capacities = self.tier_capacity_bytes or tuple(None for _ in self.tier_devices)
-        tiers = []
-        for name, capacity in zip(self.tier_devices, capacities):
-            kwargs = dict(
-                device=get_device(name),
-                policy=self.policy,
-                capacity_bytes=capacity,
-                precision=precision,
-            )
-            if self.backend == "tiered_trie" and self.ttl_s is not None:
-                kwargs["ttl_s"] = self.ttl_s
-            tiers.append(tier_cls(**kwargs))
         return TieredKVStore(
-            tiers=tiers,
-            promote_on_hit=self.promote_on_hit,
-            demote_on_evict=self.demote_on_evict,
+            tiers=[
+                KVCacheStore(
+                    device=get_device(name), capacity_bytes=capacity, precision=precision
+                )
+                for name, capacity in zip(self.tier_devices, capacities)
+            ]
         )

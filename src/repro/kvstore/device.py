@@ -1,6 +1,6 @@
 """Storage device models.
 
-Each device is characterised by read/write bandwidth, a fixed per-access
+Each device is characterised by read bandwidth, a fixed per-access
 latency, a capacity and a monthly storage cost.  The loading controller uses
 read bandwidth to estimate per-layer KV loading delay and the storage cost to
 pick the cheapest device whose loading can still hide the selective recompute
@@ -26,8 +26,8 @@ class StorageDevice:
     ----------
     name:
         Identifier used in experiment output.
-    read_bandwidth / write_bandwidth:
-        Sustained throughput in bytes per second.
+    read_bandwidth:
+        Sustained read throughput in bytes per second.
     access_latency:
         Fixed per-request latency in seconds (seek / RPC overhead).
     capacity_bytes:
@@ -39,14 +39,13 @@ class StorageDevice:
 
     name: str
     read_bandwidth: float
-    write_bandwidth: float
     access_latency: float
     capacity_bytes: int
     cost_per_gb_month: float
 
     def __post_init__(self) -> None:
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
+        if self.read_bandwidth <= 0:
+            raise ValueError("read bandwidth must be positive")
         if self.capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         if self.access_latency < 0 or self.cost_per_gb_month < 0:
@@ -55,10 +54,6 @@ class StorageDevice:
     def read_time(self, nbytes: int) -> float:
         """Seconds to read *nbytes* from this device."""
         return self.access_latency + nbytes / self.read_bandwidth
-
-    def write_time(self, nbytes: int) -> float:
-        """Seconds to write *nbytes* to this device."""
-        return self.access_latency + nbytes / self.write_bandwidth
 
     def monthly_cost(self, nbytes: int) -> float:
         """Dollar cost of storing *nbytes* for one month."""
@@ -74,7 +69,6 @@ DEVICE_PRESETS: dict[str, StorageDevice] = {
     "gpu_hbm": StorageDevice(
         name="gpu_hbm",
         read_bandwidth=1200.0 * _GB,
-        write_bandwidth=1200.0 * _GB,
         access_latency=1e-6,
         capacity_bytes=int(40 * _GB),
         cost_per_gb_month=20.0,
@@ -82,7 +76,6 @@ DEVICE_PRESETS: dict[str, StorageDevice] = {
     "cpu_ram": StorageDevice(
         name="cpu_ram",
         read_bandwidth=24.0 * _GB,
-        write_bandwidth=24.0 * _GB,
         access_latency=5e-6,
         capacity_bytes=int(128 * _GB),
         cost_per_gb_month=3.0,
@@ -90,7 +83,6 @@ DEVICE_PRESETS: dict[str, StorageDevice] = {
     "nvme_ssd": StorageDevice(
         name="nvme_ssd",
         read_bandwidth=4.8 * _GB,
-        write_bandwidth=3.0 * _GB,
         access_latency=1e-4,
         capacity_bytes=int(1024 * _GB),
         cost_per_gb_month=0.10,
@@ -98,7 +90,6 @@ DEVICE_PRESETS: dict[str, StorageDevice] = {
     "sata_ssd": StorageDevice(
         name="sata_ssd",
         read_bandwidth=1.0 * _GB,
-        write_bandwidth=0.8 * _GB,
         access_latency=2e-4,
         capacity_bytes=int(2048 * _GB),
         cost_per_gb_month=0.05,
@@ -106,7 +97,6 @@ DEVICE_PRESETS: dict[str, StorageDevice] = {
     "slow_disk": StorageDevice(
         name="slow_disk",
         read_bandwidth=0.5 * _GB,
-        write_bandwidth=0.4 * _GB,
         access_latency=5e-3,
         capacity_bytes=int(8192 * _GB),
         cost_per_gb_month=0.03,
@@ -114,7 +104,6 @@ DEVICE_PRESETS: dict[str, StorageDevice] = {
     "object_store": StorageDevice(
         name="object_store",
         read_bandwidth=0.125 * _GB,
-        write_bandwidth=0.125 * _GB,
         access_latency=5e-2,
         capacity_bytes=int(100_000 * _GB),
         cost_per_gb_month=0.02,

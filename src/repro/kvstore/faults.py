@@ -119,7 +119,7 @@ class FaultStats:
 class FaultyStore:
     """A :class:`ChunkStore` wrapper injecting seeded read-path failures.
 
-    Only ``lookup``/``get`` are intercepted; every other attribute —
+    Only ``lookup`` is intercepted; every other attribute —
     ``put``, ``contains``, ``stats``, tier internals like
     ``stats_by_tier`` — resolves on the wrapped store, so the wrapper is
     drop-in anywhere the inner store was (including
@@ -156,9 +156,6 @@ class FaultyStore:
             tier_index=found.tier_index,
             nbytes=found.nbytes,
         )
-
-    def get(self, key: str) -> KVCache | None:
-        return self.lookup(key).cache
 
     def _corrupt(self, cache: KVCache) -> None:
         """Trip the real RPKV5 integrity check on a damaged copy of *cache*."""

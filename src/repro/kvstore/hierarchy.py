@@ -2,20 +2,18 @@
 
 The prefix-caching baseline in the paper stores KV caches "in both RAM and
 SSD"; this tiered store models that: lookups search tiers from fastest to
-slowest, hits are optionally promoted to the fastest tier, and inserts go to
+slowest, hits below the fastest tier are copied up to it, and inserts go to
 the fastest tier whose capacity can hold the entry.  Capacity-driven
 evictions in a tier *demote* the victim to the next tier down (via the
 tiers' ``on_evict`` hooks) instead of dropping it, so the hierarchy behaves
 like an inclusive RAM cache over a larger SSD working set.
 
 :class:`TieredKVStore` implements the same :class:`~repro.kvstore.protocol.
-ChunkStore` surface as the single-tier stores — ``get`` returns the cache,
-``lookup`` returns a :class:`~repro.kvstore.protocol.StoreLookup` whose
+ChunkStore` surface as a single :class:`~repro.kvstore.store.KVCacheStore`
+— ``lookup`` returns a :class:`~repro.kvstore.protocol.StoreLookup` whose
 ``read_delay`` is the serving tier's — so a
 :class:`~repro.core.blend_engine.BlendEngine` can sit on top of either
-without caring.  Tiers may themselves be whole-chunk
-:class:`~repro.kvstore.store.KVCacheStore` or dedup
-:class:`~repro.kvstore.trie.RadixTrieStore` instances.
+without caring.
 """
 
 from __future__ import annotations
@@ -39,18 +37,14 @@ class TieredKVStore:
     """
 
     tiers: list
-    promote_on_hit: bool = True
-    #: Demote a tier's eviction victims into the next tier down instead of
-    #: dropping them (the last tier always drops).
-    demote_on_evict: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         if not self.tiers:
             raise ValueError("a tiered store needs at least one tier")
-        if self.demote_on_evict:
-            for index, tier in enumerate(self.tiers[:-1]):
-                tier.on_evict = self._demoter(index + 1)
+        # A tier's eviction victims demote one tier down; the last tier drops.
+        for index, tier in enumerate(self.tiers[:-1]):
+            tier.on_evict = self._demoter(index + 1)
 
     def _demoter(self, to_index: int):
         def demote(key: str, cache: KVCache) -> None:
@@ -69,17 +63,13 @@ class TieredKVStore:
     def contains(self, key: str) -> bool:
         return any(tier.contains(key) for tier in self.tiers)
 
-    def get(self, key: str) -> KVCache | None:
-        """Look *key* up tier by tier; returns the cache like any ChunkStore."""
-        return self.lookup(key).cache
-
     def lookup(self, key: str) -> StoreLookup:
         """Tiered lookup: the serving tier's read delay, promotion on hit."""
         for index, tier in enumerate(self.tiers):
             found = tier.lookup(key)
             if found.hit:
                 self.stats.hits += 1
-                if self.promote_on_hit and index > 0:
+                if index > 0:
                     self._try_promote(key, found.cache)
                 return StoreLookup(
                     cache=found.cache,
@@ -90,34 +80,20 @@ class TieredKVStore:
         self.stats.misses += 1
         return StoreLookup(cache=None)
 
-    def peek(self, key: str) -> KVCache | None:
-        """Fetch without touching statistics, recency or promotion."""
-        for tier in self.tiers:
-            cache = tier.peek(key)
-            if cache is not None:
-                return cache
-        return None
-
-    def put(self, key: str, cache: KVCache) -> int:
+    def put(self, key: str, cache: KVCache) -> None:
         """Insert into the fastest tier whose capacity holds the entry."""
-        for index, tier in enumerate(self.tiers):
-            nbytes = tier.cache_nbytes(cache)
-            if nbytes <= tier.capacity_bytes:
+        for tier in self.tiers:
+            if tier.cache_nbytes(cache) <= tier.capacity_bytes:
                 self.stats.inserts += 1
-                return tier.put(key, cache)
-            if index == len(self.tiers) - 1:
-                raise ValueError("cache does not fit in any tier")
-        raise AssertionError("unreachable")
+                tier.put(key, cache)
+                return
+        raise ValueError("cache does not fit in any tier")
 
     def remove(self, key: str) -> bool:
         removed = False
         for tier in self.tiers:
             removed = tier.remove(key) or removed
         return removed
-
-    def clear(self) -> None:
-        for tier in self.tiers:
-            tier.clear()
 
     def reset_stats(self) -> None:
         self.stats.reset()
@@ -128,21 +104,6 @@ class TieredKVStore:
         fastest = self.tiers[0]
         if fastest.cache_nbytes(cache) <= fastest.capacity_bytes:
             fastest.put(key, cache)
-
-    # ------------------------------------------------------------------
-    # Delay accounting
-    # ------------------------------------------------------------------
-    def read_delay(self, key: str) -> float:
-        """Simulated read delay of the fastest tier currently holding *key*.
-
-        0.0 when no tier holds it — a demoted-then-evicted key prices like
-        the clean miss :meth:`lookup` reports, never a ``KeyError``.  Does
-        not touch hit/miss statistics, recency or promotion.
-        """
-        for tier in self.tiers:
-            if tier.contains(key):
-                return tier.read_delay(key)
-        return 0.0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -156,10 +117,6 @@ class TieredKVStore:
     def precision(self):
         """The tiers' precision policy."""
         return self.tiers[0].precision
-
-    def cache_nbytes(self, cache: KVCache) -> int:
-        """Stored bytes of *cache* under the fastest tier's precision."""
-        return self.tiers[0].cache_nbytes(cache)
 
     @property
     def bytes_stored(self) -> int:

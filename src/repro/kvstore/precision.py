@@ -26,19 +26,20 @@ Presets
     deviation.
 
 Store *accounting* (what eviction pressure and ``bytes_stored`` count) uses
-pure element widths, so a radix-trie edge split conserves bytes exactly;
-the serialized *payload* width (what the executor's load spans price, via
-:func:`layer_payload_nbytes`) additionally carries the int8 scale pair.
+pure element widths, so an entry's stored bytes are exactly proportional to
+its tokens; the serialized *payload* width (what the executor's load spans
+price, via :func:`layer_payload_nbytes`) additionally carries the int8
+scale pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serialization)
-    from repro.model.tensors import KVCache, LayerKV
+    from repro.model.tensors import KVCache
 
 #: Element dtypes a policy may assign to a layer.
 KV_ELEM_DTYPES = ("float32", "float16", "int8")
@@ -61,8 +62,8 @@ def layer_payload_nbytes(
 ) -> int:
     """Serialized payload bytes of one layer's K+V at *dtype*.
 
-    This is exactly what ``pack_layer_kv``/``pack_layer_kv_int8`` (and the
-    per-layer slices of an ``RPKV5`` blob) produce: raw element bytes for
+    This is exactly what ``pack_layer_kv_as`` (and the per-layer slices of
+    an ``RPKV5`` blob) produce: raw element bytes for
     the float dtypes, plus the per-tensor float32 scale pair for int8.
     """
     if dtype not in ELEM_BYTES:
@@ -160,24 +161,17 @@ class PrecisionPolicy:
         """Mean stored K+V bytes per token per layer under this policy."""
         return 2.0 * n_kv_heads * head_dim * self.mean_elem_bytes(n_layers)
 
-    def rows_nbytes(self, layers: Sequence["LayerKV"] | Iterable["LayerKV"]) -> int:
-        """Stored bytes of one per-layer row set (element widths only).
+    def cache_nbytes(self, cache: "KVCache") -> int:
+        """Stored bytes of a whole cache (element widths only).
 
-        *layers* holds one :class:`LayerKV` per model layer (possibly a
-        token-sliced view, as in a radix-trie node's rows).  Element-width
-        accounting is exactly token-proportional, so a trie edge split
-        conserves bytes and eviction pressure tracks resident tokens.
+        Element-width accounting is exactly token-proportional, so eviction
+        pressure tracks resident tokens.
         """
-        layers = list(layers)
-        n_layers = len(layers)
+        n_layers = cache.n_layers
         return sum(
             layer.nbytes(self.elem_bytes_for_layer(i, n_layers))
-            for i, layer in enumerate(layers)
+            for i, layer in enumerate(cache.layers)
         )
-
-    def cache_nbytes(self, cache: "KVCache") -> int:
-        """Stored bytes of a whole cache (element widths only)."""
-        return self.rows_nbytes(cache.layers)
 
     def layer_payload_nbytes(
         self, layer: int, n_layers: int, n_tokens: int, n_kv_heads: int, head_dim: int
@@ -186,27 +180,3 @@ class PrecisionPolicy:
         return layer_payload_nbytes(
             self.dtype_for_layer(layer, n_layers), n_tokens, n_kv_heads, head_dim
         )
-
-    def cache_payload_nbytes(self, cache: "KVCache") -> int:
-        """Serialized payload bytes of all of *cache*'s layers."""
-        n_layers = cache.n_layers
-        return sum(
-            self.layer_payload_nbytes(
-                i, n_layers, layer.keys.shape[0], layer.keys.shape[1], layer.keys.shape[2]
-            )
-            for i, layer in enumerate(cache.layers)
-        )
-
-    # ------------------------------------------------------------------
-    # Quantisation
-    # ------------------------------------------------------------------
-    def quantize(self, cache: "KVCache") -> "KVCache":
-        """Round-trip *cache* through this policy's per-layer store dtypes.
-
-        Returns exactly what serializing at this policy and loading back
-        would produce; the ``float16`` preset reduces bitwise to the legacy
-        ``quantize_kv_to_store_dtype(cache, "float16")`` behaviour.
-        """
-        from repro.kvstore.serialization import quantize_kv_to_store_dtype
-
-        return quantize_kv_to_store_dtype(cache, self)

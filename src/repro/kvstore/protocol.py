@@ -1,23 +1,18 @@
 """The ``ChunkStore`` protocol: one substitutable interface for KV stores.
 
-Every store backend implements the same contract, so any of them can sit
-under a :class:`~repro.core.blend_engine.BlendEngine`:
+Both store backends implement the same contract, so either can sit under a
+:class:`~repro.core.blend_engine.BlendEngine`:
 
-* ``get(key)`` always returns the :class:`~repro.model.tensors.KVCache`
-  itself (or ``None``), updating recency and hit/miss statistics;
-* ``lookup(key)`` returns a :class:`StoreLookup` carrying the cache *plus*
-  the simulated read delay (and, for tiered stores, which tier served it),
-  so callers that price storage latency — the engine's executor path — get
-  the delay without a second ``read_delay`` round trip;
-* ``put(key, cache)`` inserts, evicting as needed, and returns the bytes
-  evicted to make room;
+* ``lookup(key)`` returns a :class:`StoreLookup` carrying the cache (or
+  ``None``) *plus* the simulated read delay and, for tiered stores, which
+  tier served it, updating recency and hit/miss statistics;
+* ``put(key, cache)`` inserts, evicting as needed;
 * ``stats`` / ``bytes_stored`` expose the shared
   :class:`~repro.kvstore.store.CacheStats` accounting.
 
-Backends: the whole-chunk :class:`~repro.kvstore.store.KVCacheStore`, the
-token-level dedup :class:`~repro.kvstore.trie.RadixTrieStore` and the
-multi-tier :class:`~repro.kvstore.hierarchy.TieredKVStore` (whose tiers may
-themselves be chunk or trie stores).
+Backends: the whole-chunk LRU :class:`~repro.kvstore.store.KVCacheStore` and
+the multi-tier :class:`~repro.kvstore.hierarchy.TieredKVStore` over such
+stores.
 """
 
 from __future__ import annotations
@@ -49,9 +44,9 @@ class StoreLookup:
         Which tier served the hit (0 = fastest); ``None`` for single-tier
         stores and misses.
     nbytes:
-        Logical (un-deduplicated) size of the entry in store bytes; lets
-        callers convert ``read_delay`` into a device-relative excess without
-        re-deriving entry sizes.
+        Size of the entry in store bytes; lets callers convert
+        ``read_delay`` into a device-relative excess without re-deriving
+        entry sizes.
     """
 
     cache: KVCache | None
@@ -72,15 +67,9 @@ class ChunkStore(Protocol):
 
     def contains(self, key: str) -> bool: ...
 
-    def get(self, key: str) -> KVCache | None: ...
-
     def lookup(self, key: str) -> StoreLookup: ...
 
-    def put(self, key: str, cache: KVCache) -> int: ...
-
-    def peek(self, key: str) -> KVCache | None: ...
-
-    def clear(self) -> None: ...
+    def put(self, key: str, cache: KVCache) -> None: ...
 
     def reset_stats(self) -> None: ...
 

@@ -1,10 +1,11 @@
-"""KV cache serialization and size accounting.
+"""KV cache serialization: the RPKV5 wire format and its per-layer codec.
 
 KV caches are stored as float16, float32 or int8-scaled blobs, per layer as
-a :class:`~repro.kvstore.precision.PrecisionPolicy` assigns.  ``kv_nbytes``
-is the size accounting the storage devices and the loading-delay estimator
-use; ``serialize_kv``/``deserialize_kv`` produce real byte buffers so the
-store can optionally persist caches to files on disk.
+a :class:`~repro.kvstore.precision.PrecisionPolicy` assigns.
+``serialize_kv``/``deserialize_kv`` produce real byte buffers: the fault
+injector damages them to trip the integrity check, and the pipelined
+executor loads each layer through the same per-layer codec
+(``pack_layer_kv_as``/``unpack_layer_kv_as``).
 
 The wire format is ``RPKV5``: the magic, a little-endian header length, a
 JSON header (shape, a **per-layer dtype table**, index and scale dtypes,
@@ -44,46 +45,35 @@ class KVCorruptionError(ValueError):
     back to recompute instead of crashing on garbage KV.
     """
 
-#: On-disk dtype of the KV payload (the paper stores KV caches in fp16).
-_KV_DTYPE = np.dtype(np.float16)
-_F32_DTYPE = np.dtype(np.float32)
+#: numpy dtype of each float element dtype a layer can be stored at (the
+#: paper stores KV caches in fp16).
+_FLOAT_DTYPES = {"float32": np.dtype(np.float32), "float16": np.dtype(np.float16)}
 _INT8_DTYPE = np.dtype(np.int8)
 _SCALE_DTYPE = np.dtype(np.float32)
 _IDX_DTYPE = np.dtype(np.int64)
-
-
-def kv_nbytes(cache: KVCache, dtype_bytes: int = 2) -> int:
-    """Storage footprint of *cache* at *dtype_bytes* per KV element."""
-    if dtype_bytes <= 0:
-        raise ValueError("dtype_bytes must be positive")
-    return cache.nbytes(dtype_bytes)
 
 
 # ----------------------------------------------------------------------
 # Per-layer raw payloads (shared with the pipelined executor, which loads
 # and decodes one layer at a time).
 # ----------------------------------------------------------------------
-def pack_layer_kv(layer: LayerKV) -> bytes:
-    """Raw fp16 bytes of one layer: keys then values, C order."""
+def _pack_float(layer: LayerKV, dtype: np.dtype) -> bytes:
+    """Raw *dtype* bytes of one layer: keys then values, C order."""
     return (
-        np.ascontiguousarray(layer.keys, dtype=_KV_DTYPE).tobytes()
-        + np.ascontiguousarray(layer.values, dtype=_KV_DTYPE).tobytes()
+        np.ascontiguousarray(layer.keys, dtype=dtype).tobytes()
+        + np.ascontiguousarray(layer.values, dtype=dtype).tobytes()
     )
 
 
-def unpack_layer_kv(
-    data: bytes, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int = 0
+def _unpack_float(
+    data: bytes, dtype: np.dtype, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int
 ) -> LayerKV:
-    """Inverse of :func:`pack_layer_kv` (zero-copy ``np.frombuffer`` views).
-
-    ``offset`` locates the layer payload inside a larger buffer, so callers
-    holding a whole-cache blob never slice (= copy) the payload bytes.
-    """
+    """Inverse of :func:`_pack_float` (zero-copy ``np.frombuffer`` views)."""
     shape = (n_tokens, n_kv_heads, head_dim)
     count = n_tokens * n_kv_heads * head_dim
-    keys = np.frombuffer(data, dtype=_KV_DTYPE, count=count, offset=offset).reshape(shape)
+    keys = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
     values = np.frombuffer(
-        data, dtype=_KV_DTYPE, count=count, offset=offset + count * _KV_DTYPE.itemsize
+        data, dtype=dtype, count=count, offset=offset + count * dtype.itemsize
     ).reshape(shape)
     return LayerKV(keys, values)
 
@@ -105,7 +95,7 @@ def dequantize_int8(quantised: np.ndarray, scale: np.float32) -> np.ndarray:
     return quantised.astype(np.float32) * np.float32(scale)
 
 
-def pack_layer_kv_int8(layer: LayerKV) -> bytes:
+def _pack_int8(layer: LayerKV) -> bytes:
     """int8 bytes of one layer: (k_scale, v_scale) float32 pair, then the
     quantised keys and values, C order."""
     k_scale = int8_scale(layer.keys)
@@ -117,10 +107,10 @@ def pack_layer_kv_int8(layer: LayerKV) -> bytes:
     )
 
 
-def unpack_layer_kv_int8(
-    data: bytes, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int = 0
+def _unpack_int8(
+    data: bytes, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int
 ) -> LayerKV:
-    """Inverse of :func:`pack_layer_kv_int8` (dequantised to float32)."""
+    """Inverse of :func:`_pack_int8` (dequantised to float32)."""
     scales = np.frombuffer(data, dtype=_SCALE_DTYPE, count=2, offset=offset)
     offset += 2 * _SCALE_DTYPE.itemsize
     shape = (n_tokens, n_kv_heads, head_dim)
@@ -132,55 +122,36 @@ def unpack_layer_kv_int8(
     return LayerKV(dequantize_int8(keys, scales[0]), dequantize_int8(values, scales[1]))
 
 
-def pack_layer_kv_f32(layer: LayerKV) -> bytes:
-    """Raw float32 bytes of one layer: keys then values, C order."""
-    return (
-        np.ascontiguousarray(layer.keys, dtype=_F32_DTYPE).tobytes()
-        + np.ascontiguousarray(layer.values, dtype=_F32_DTYPE).tobytes()
-    )
-
-
-def unpack_layer_kv_f32(
-    data: bytes, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int = 0
-) -> LayerKV:
-    """Inverse of :func:`pack_layer_kv_f32` (zero-copy ``np.frombuffer``)."""
-    shape = (n_tokens, n_kv_heads, head_dim)
-    count = n_tokens * n_kv_heads * head_dim
-    keys = np.frombuffer(data, dtype=_F32_DTYPE, count=count, offset=offset).reshape(shape)
-    values = np.frombuffer(
-        data, dtype=_F32_DTYPE, count=count, offset=offset + count * _F32_DTYPE.itemsize
-    ).reshape(shape)
-    return LayerKV(keys, values)
-
-
-#: (pack, unpack) codec per element dtype; widths live in
-#: :func:`repro.kvstore.precision.layer_payload_nbytes`.
-_LAYER_CODECS = {
-    "float32": (pack_layer_kv_f32, unpack_layer_kv_f32),
-    "float16": (pack_layer_kv, unpack_layer_kv),
-    "int8": (pack_layer_kv_int8, unpack_layer_kv_int8),
-}
+def _float_dtype(dtype: str) -> np.dtype:
+    try:
+        return _FLOAT_DTYPES[dtype]
+    except KeyError:
+        raise ValueError(f"unknown layer dtype {dtype!r}") from None
 
 
 def pack_layer_kv_as(layer: LayerKV, dtype: str) -> bytes:
-    """Pack one layer's K+V at *dtype* (``float32``/``float16``/``int8``)."""
-    try:
-        pack, _ = _LAYER_CODECS[dtype]
-    except KeyError:
-        raise ValueError(f"unknown layer dtype {dtype!r}") from None
-    return pack(layer)
+    """Pack one layer's K+V at *dtype* (``float32``/``float16``/``int8``).
+
+    Payload widths live in :func:`repro.kvstore.precision.layer_payload_nbytes`.
+    """
+    if dtype == "int8":
+        return _pack_int8(layer)
+    return _pack_float(layer, _float_dtype(dtype))
 
 
 def unpack_layer_kv_as(
     data: bytes, dtype: str, n_tokens: int, n_kv_heads: int, head_dim: int,
     offset: int = 0,
 ) -> LayerKV:
-    """Inverse of :func:`pack_layer_kv_as`."""
-    try:
-        _, unpack = _LAYER_CODECS[dtype]
-    except KeyError:
-        raise ValueError(f"unknown layer dtype {dtype!r}") from None
-    return unpack(data, n_tokens, n_kv_heads, head_dim, offset=offset)
+    """Inverse of :func:`pack_layer_kv_as`.
+
+    ``offset`` locates the layer payload inside a larger buffer, so callers
+    holding a whole-cache blob never slice (= copy) the payload bytes; float
+    payloads decode to zero-copy ``np.frombuffer`` views.
+    """
+    if dtype == "int8":
+        return _unpack_int8(data, n_tokens, n_kv_heads, head_dim, offset)
+    return _unpack_float(data, _float_dtype(dtype), n_tokens, n_kv_heads, head_dim, offset)
 
 
 def _resolve_kv_dtype(kv_dtype: str | PrecisionPolicy) -> PrecisionPolicy:
@@ -200,17 +171,11 @@ def _quantize_layer(layer: LayerKV, dtype: str) -> LayerKV:
             dequantize_int8(quantize_int8(layer.keys, k_scale), k_scale),
             dequantize_int8(quantize_int8(layer.values, v_scale), v_scale),
         )
-    if dtype == "float16":
-        return LayerKV(
-            np.asarray(layer.keys, dtype=_KV_DTYPE),
-            np.asarray(layer.values, dtype=_KV_DTYPE),
-        )
-    if dtype == "float32":
-        return LayerKV(
-            np.asarray(layer.keys, dtype=_F32_DTYPE),
-            np.asarray(layer.values, dtype=_F32_DTYPE),
-        )
-    raise ValueError(f"unknown layer dtype {dtype!r}")
+    float_dtype = _float_dtype(dtype)
+    return LayerKV(
+        np.asarray(layer.keys, dtype=float_dtype),
+        np.asarray(layer.values, dtype=float_dtype),
+    )
 
 
 def quantize_kv_to_store_dtype(
@@ -350,22 +315,3 @@ def deserialize_kv(data: bytes) -> KVCache:
         )
         offset += layer_payload_nbytes(dtype, n_tokens, n_kv_heads, head_dim)
     return KVCache(layers, token_ids, positions)
-
-
-def save_kv(
-    cache: KVCache, path: str, kv_dtype: str | PrecisionPolicy = "float16"
-) -> int:
-    """Persist *cache* to *path*; returns the number of bytes written.
-
-    ``kv_dtype`` selects the payload precision as in :func:`serialize_kv`.
-    """
-    payload = serialize_kv(cache, kv_dtype=kv_dtype)
-    with open(path, "wb") as handle:
-        handle.write(payload)
-    return len(payload)
-
-
-def load_kv(path: str) -> KVCache:
-    """Load a cache persisted with :func:`save_kv`."""
-    with open(path, "rb") as handle:
-        return deserialize_kv(handle.read())

@@ -8,7 +8,6 @@ least-recently-used entry is evicted (paper §5.1, "KV cache store").
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -50,13 +49,6 @@ def chunk_key(token_ids: np.ndarray, model_name: str = "", prefix_key: str = "")
     return f"{CHUNK_KEY_VERSION}-{digest.hexdigest()}"
 
 
-class EvictionPolicy(str, enum.Enum):
-    """Eviction policy of a :class:`KVCacheStore`."""
-
-    LRU = "lru"
-    FIFO = "fifo"
-
-
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters of one store."""
@@ -66,8 +58,6 @@ class CacheStats:
     evictions: int = 0
     inserts: int = 0
     bytes_stored: int = 0
-    #: TTL-driven removals (only the trie store expires entries today).
-    expirations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -83,7 +73,6 @@ class CacheStats:
         self.misses = 0
         self.evictions = 0
         self.inserts = 0
-        self.expirations = 0
 
     def as_dict(self) -> dict[str, float]:
         """JSON-friendly snapshot, including the derived hit rate."""
@@ -105,16 +94,13 @@ class _Entry:
 
 @dataclass
 class KVCacheStore:
-    """A single-device KV cache store.
+    """A single-device KV cache store with LRU eviction.
 
     Parameters
     ----------
     device:
         The storage device the caches live on; determines capacity and the
-        simulated read/write delays reported by :meth:`read_delay` /
-        :meth:`write_delay`.
-    policy:
-        Eviction policy (LRU by default, FIFO available for ablation).
+        simulated read delay :meth:`lookup` reports.
     capacity_bytes:
         Optional override of the device capacity (useful to provoke evictions
         in experiments without multi-terabyte contexts).
@@ -132,7 +118,6 @@ class KVCacheStore:
     """
 
     device: StorageDevice
-    policy: EvictionPolicy = EvictionPolicy.LRU
     capacity_bytes: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     on_evict: Callable[[str, KVCache], None] | None = field(default=None, repr=False)
@@ -156,26 +141,15 @@ class KVCacheStore:
     def contains(self, key: str) -> bool:
         return key in self._entries
 
-    def get(self, key: str) -> KVCache | None:
-        """Fetch a cache by key, updating recency and hit/miss statistics."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        if self.policy is EvictionPolicy.LRU:
-            self._entries.move_to_end(key)
-        return entry.cache
-
     def lookup(self, key: str) -> StoreLookup:
-        """Like :meth:`get`, but also reports the simulated read delay."""
+        """Fetch *key* with its simulated read delay, updating recency and
+        hit/miss statistics."""
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return StoreLookup(cache=None)
         self.stats.hits += 1
-        if self.policy is EvictionPolicy.LRU:
-            self._entries.move_to_end(key)
+        self._entries.move_to_end(key)
         return StoreLookup(
             cache=entry.cache,
             read_delay=self.device.read_time(entry.nbytes),
@@ -187,22 +161,20 @@ class KVCacheStore:
         entry = self._entries.get(key)
         return entry.cache if entry else None
 
-    def put(self, key: str, cache: KVCache) -> int:
-        """Insert (or overwrite) a cache; returns bytes evicted to make room."""
+    def put(self, key: str, cache: KVCache) -> None:
+        """Insert (or overwrite) a cache, evicting LRU entries to make room."""
         nbytes = self.cache_nbytes(cache)
         if nbytes > self.capacity_bytes:
             raise ValueError(
                 f"cache of {nbytes} bytes cannot fit in capacity {self.capacity_bytes}"
             )
-        evicted = 0
         if key in self._entries:
             self.stats.bytes_stored -= self._entries.pop(key).nbytes
         while self.stats.bytes_stored + nbytes > self.capacity_bytes:
-            evicted += self._evict_one()
+            self._evict_one()
         self._entries[key] = _Entry(cache=cache, nbytes=nbytes)
         self.stats.bytes_stored += nbytes
         self.stats.inserts += 1
-        return evicted
 
     def remove(self, key: str) -> bool:
         """Remove an entry; returns whether it existed."""
@@ -220,34 +192,15 @@ class KVCacheStore:
         """Zero the counters (``bytes_stored`` reflects live entries, stays)."""
         self.stats.reset()
 
-    def _evict_one(self) -> int:
+    def _evict_one(self) -> None:
         if not self._entries:
             raise RuntimeError("eviction requested on an empty store")
-        # Both LRU and FIFO evict from the front; LRU refreshes order on get().
+        # The front is the least recently used: lookup() moves hits to the end.
         key, entry = self._entries.popitem(last=False)
         self.stats.bytes_stored -= entry.nbytes
         self.stats.evictions += 1
         if self.on_evict is not None:
             self.on_evict(key, entry.cache)
-        return entry.nbytes
-
-    # ------------------------------------------------------------------
-    # Delay accounting
-    # ------------------------------------------------------------------
-    def read_delay(self, key: str) -> float:
-        """Simulated delay of reading the entry at *key* from the device.
-
-        0.0 for an absent key — a demoted-then-evicted entry prices like
-        the clean miss :meth:`lookup` reports for it, never a ``KeyError``.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return 0.0
-        return self.device.read_time(entry.nbytes)
-
-    def write_delay(self, cache: KVCache) -> float:
-        """Simulated delay of writing *cache* to the device."""
-        return self.device.write_time(self.cache_nbytes(cache))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -259,10 +212,6 @@ class KVCacheStore:
     @property
     def bytes_stored(self) -> int:
         return self.stats.bytes_stored
-
-    @property
-    def utilisation(self) -> float:
-        return self.stats.bytes_stored / self.capacity_bytes
 
     def keys(self) -> list[str]:
         return list(self._entries.keys())

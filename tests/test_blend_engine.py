@@ -282,7 +282,7 @@ class TestStoreParameter:
         )
         assert engine.kv_store.capacity_bytes == 1 << 20
 
-    def test_tiered_trie_store_serves_the_engine(self):
+    def test_tiered_store_serves_the_engine(self):
         from repro.kvstore.config import StoreConfig
         from repro.kvstore.hierarchy import TieredKVStore
 
@@ -290,7 +290,7 @@ class TestStoreParameter:
             paper_model="Mistral-7B",
             device="nvme_ssd",
             seed=0,
-            store=StoreConfig(backend="tiered_trie"),
+            store=StoreConfig(backend="tiered"),
         )
         assert isinstance(engine.kv_store, TieredKVStore)
         engine.precompute_chunks(CHUNKS[:2])
@@ -300,9 +300,9 @@ class TestStoreParameter:
 
     def test_prebuilt_store_instance_is_accepted(self):
         from repro.kvstore.device import get_device
-        from repro.kvstore.trie import RadixTrieStore
+        from repro.kvstore.store import KVCacheStore
 
-        store = RadixTrieStore(device=get_device("cpu_ram"))
+        store = KVCacheStore(device=get_device("cpu_ram"))
         engine = BlendEngine.build(
             paper_model="Mistral-7B", device="cpu_ram", seed=0, store=store
         )

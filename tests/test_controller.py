@@ -23,7 +23,6 @@ def _device_at_break_even(cost_model: ServingCostModel, ratio: float) -> Storage
     return StorageDevice(
         name=f"break_even_{ratio}",
         read_bandwidth=bandwidth,
-        write_bandwidth=bandwidth,
         access_latency=0.0,
         capacity_bytes=1 << 40,
         cost_per_gb_month=0.1,
@@ -103,12 +102,12 @@ class TestDecide:
     @pytest.mark.parametrize("devices", [None, []])
     def test_needs_a_device_or_a_device_list(self, cost_model, devices):
         with pytest.raises(ValueError, match="device"):
-            LoadingController(cost_model).decide(N_CONTEXT, 32, devices=devices)
+            LoadingController(cost_model).decide(N_CONTEXT, devices=devices)
 
     def test_a_device_list_picks_the_device_then_its_ratio(self, cost_model):
         controller = LoadingController(cost_model)
         devices = [get_device(name) for name in TestChooseDevice.PRESETS]
-        decision = controller.decide(N_CONTEXT, 32, devices=devices)
+        decision = controller.decide(N_CONTEXT, devices=devices)
         assert decision.device.name == "cpu_ram"
         assert decision.recompute_ratio == controller.pick_recompute_ratio(
             N_CONTEXT, decision.device
@@ -118,7 +117,7 @@ class TestDecide:
     def test_recompute_is_hidden_at_an_unclamped_ratio(self, cost_model, ratio):
         controller = LoadingController(cost_model)
         decision = controller.decide(
-            N_CONTEXT, 32, device=_device_at_break_even(cost_model, ratio)
+            N_CONTEXT, device=_device_at_break_even(cost_model, ratio)
         )
         assert decision.recompute_ratio == pytest.approx(ratio)
         assert decision.recompute_hidden
@@ -126,7 +125,7 @@ class TestDecide:
     def test_recompute_is_exposed_when_the_quality_floor_binds(self, cost_model):
         """Loading faster than the r* recompute cannot hide it."""
         decision = LoadingController(cost_model).decide(
-            N_CONTEXT, 32, device=get_device("cpu_ram")
+            N_CONTEXT, device=get_device("cpu_ram")
         )
         assert decision.recompute_ratio == 0.15
         assert not decision.recompute_hidden

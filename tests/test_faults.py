@@ -17,7 +17,6 @@ from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.protocol import ChunkStore
 from repro.kvstore.serialization import KVCorruptionError
 from repro.kvstore.store import KVCacheStore
-from repro.kvstore.trie import RadixTrieStore
 from repro.model.tensors import KVCache, LayerKV
 
 
@@ -90,11 +89,6 @@ class TestInjection:
         assert issubclass(StoreReadTimeout, StoreFault)
         assert issubclass(StoreUnavailable, StoreFault)
 
-    def test_get_goes_through_injection(self):
-        store = _faulty(kinds=(FaultKind.READ_TIMEOUT,))
-        with pytest.raises(StoreReadTimeout):
-            store.get("a")
-
 
 class TestDeterminism:
     def test_same_seed_same_fault_sequence(self):
@@ -154,20 +148,47 @@ class TestDelegation:
         store.put("b", _cache(2))
         assert store.inner.contains("b")
 
-    def test_wraps_tiered_and_trie_backends(self):
-        for inner in (
-            RadixTrieStore(device=get_device("cpu_ram")),
-            TieredKVStore(
-                tiers=[
-                    KVCacheStore(device=get_device("cpu_ram")),
-                    KVCacheStore(device=get_device("nvme_ssd")),
-                ]
-            ),
-        ):
-            inner.put("a", _cache(1))
-            wrapped = FaultyStore(inner, FaultConfig(rate=0.0))
-            assert wrapped.lookup("a").hit
-            assert isinstance(wrapped, ChunkStore)
+    def test_wraps_the_tiered_backend(self):
+        inner = TieredKVStore(
+            tiers=[
+                KVCacheStore(device=get_device("cpu_ram")),
+                KVCacheStore(device=get_device("nvme_ssd")),
+            ]
+        )
+        inner.put("a", _cache(1))
+        wrapped = FaultyStore(inner, FaultConfig(rate=0.0))
+        assert wrapped.lookup("a").hit
+        assert isinstance(wrapped, ChunkStore)
+
+    @pytest.mark.parametrize("kind", ALL_FAULT_KINDS, ids=lambda kind: kind.value)
+    def test_each_fault_kind_reaches_a_tiered_backend_hit(self, kind):
+        inner = TieredKVStore(
+            tiers=[
+                KVCacheStore(device=get_device("cpu_ram")),
+                KVCacheStore(device=get_device("nvme_ssd")),
+            ]
+        )
+        inner.tiers[1].put("a", _cache(1))
+        store = FaultyStore(
+            inner, FaultConfig(rate=1.0, kinds=(kind,), slow_read_delay_s=0.25)
+        )
+        raised = {
+            FaultKind.READ_TIMEOUT: StoreReadTimeout,
+            FaultKind.TRANSIENT_MISS: StoreUnavailable,
+            FaultKind.CORRUPT_PAYLOAD: KVCorruptionError,
+        }
+        if kind in raised:
+            with pytest.raises(raised[kind]):
+                store.lookup("a")
+        else:
+            # A slow read keeps the serving tier's price and adds the delay.
+            found = store.lookup("a")
+            assert found.tier_index == 1
+            ssd = get_device("nvme_ssd")
+            assert found.read_delay == pytest.approx(ssd.read_time(found.nbytes) + 0.25)
+        assert store.fault_stats.injected[kind.value] == 1
+        # The fault hit the read, not the residency.
+        assert inner.contains("a")
 
     def test_tier_introspection_passes_through(self):
         inner = TieredKVStore(

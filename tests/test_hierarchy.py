@@ -8,7 +8,6 @@ from repro.kvstore.device import get_device
 from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.protocol import ChunkStore
 from repro.kvstore.store import KVCacheStore
-from repro.kvstore.trie import RadixTrieStore
 from repro.model.tensors import KVCache, LayerKV
 
 
@@ -32,6 +31,16 @@ def _tiered(ram_entries: int = 2, ssd_entries: int = 8) -> TieredKVStore:
                 device=get_device("nvme_ssd"),
                 capacity_bytes=ssd_entries * ENTRY_BYTES,
             ),
+        ]
+    )
+
+
+def _three_tiers() -> TieredKVStore:
+    """RAM over SSD over disk, one entry each."""
+    return TieredKVStore(
+        tiers=[
+            KVCacheStore(device=get_device(name), capacity_bytes=ENTRY_BYTES)
+            for name in ("cpu_ram", "nvme_ssd", "slow_disk")
         ]
     )
 
@@ -74,13 +83,26 @@ class TestTieredLookup:
         assert store.tiers[1].contains("b")
         assert store.lookup("b").tier_index == 0
 
-    def test_promotion_can_be_disabled(self):
-        store = _tiered()
-        store.promote_on_hit = False
+    def test_bottom_tier_hit_promotes_to_the_fastest_tier(self):
+        store = _three_tiers()
+        store.tiers[2].put("c", _cache(3))
+        found = store.lookup("c")
+        assert found.tier_index == 2
+        assert found.read_delay == get_device("slow_disk").read_time(ENTRY_BYTES)
+        # The copy goes straight to RAM; the middle tier is not a stop.
+        assert store.tiers[0].contains("c")
+        assert not store.tiers[1].contains("c")
+        assert store.lookup("c").tier_index == 0
+
+    def test_promotion_into_a_full_ram_tier_demotes_its_lru(self):
+        store = _tiered(ram_entries=1)
+        store.put("a", _cache(1))
         store.tiers[1].put("b", _cache(2))
         store.lookup("b")
-        assert not store.tiers[0].contains("b")
-        assert store.tiers[1].contains("b")
+        # b's promotion evicted a from RAM, and a went down, not away.
+        assert store.tiers[0].keys() == ["b"]
+        assert store.tiers[1].contains("a") and store.tiers[1].contains("b")
+        assert store.lookup("a").tier_index == 1
 
 
 class TestDemotionCascade:
@@ -93,20 +115,14 @@ class TestDemotionCascade:
         assert store.tiers[1].contains("c1")
         assert store.lookup("c1").tier_index == 1
 
-    def test_demotion_can_be_disabled(self):
-        store = TieredKVStore(
-            tiers=[
-                KVCacheStore(
-                    device=get_device("cpu_ram"),
-                    capacity_bytes=2 * ENTRY_BYTES,
-                ),
-                KVCacheStore(device=get_device("nvme_ssd")),
-            ],
-            demote_on_evict=False,
-        )
-        for seed in (1, 2, 3):
-            store.put(f"c{seed}", _cache(seed))
-        assert not store.contains("c1")
+    def test_eviction_cascades_through_three_tiers(self):
+        store = _three_tiers()
+        for seed, key in enumerate("abcd", start=1):
+            store.put(key, _cache(seed))
+        # Each put pushes every resident one tier down; the last tier drops.
+        assert [tier.keys() for tier in store.tiers] == [["d"], ["c"], ["b"]]
+        assert not store.contains("a")
+        assert [tier.stats.evictions for tier in store.tiers] == [3, 2, 1]
 
     def test_oversized_entry_rejected_by_every_tier(self):
         store = _tiered(ram_entries=1, ssd_entries=1)
@@ -144,24 +160,15 @@ class TestTieredStats:
 
 class TestChunkStoreProtocol:
     def test_every_backend_satisfies_the_protocol(self):
-        for store in (
-            KVCacheStore(device=get_device("cpu_ram")),
-            RadixTrieStore(device=get_device("cpu_ram")),
-            _tiered(),
-        ):
+        for store in (KVCacheStore(device=get_device("cpu_ram")), _tiered()):
             assert isinstance(store, ChunkStore)
 
     def test_store_config_builds_every_backend(self):
-        for backend, expected in (
-            ("chunk", KVCacheStore),
-            ("trie", RadixTrieStore),
-            ("tiered", TieredKVStore),
-            ("tiered_trie", TieredKVStore),
-        ):
+        for backend, expected in (("chunk", KVCacheStore), ("tiered", TieredKVStore)):
             store = StoreConfig(backend=backend).build(device=get_device("cpu_ram"))
             assert isinstance(store, expected)
-        trie_tiers = StoreConfig(backend="tiered_trie").build()
-        assert all(isinstance(tier, RadixTrieStore) for tier in trie_tiers.tiers)
+        tiered = StoreConfig(backend="tiered").build()
+        assert all(isinstance(tier, KVCacheStore) for tier in tiered.tiers)
 
     def test_store_config_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -169,7 +176,7 @@ class TestChunkStoreProtocol:
 
 
 class TestCleanMissRegressions:
-    """Demoted-then-evicted and expired keys must read as clean misses.
+    """Demoted-then-evicted keys must read as clean misses.
 
     Locks the robustness contract the fault-tolerant gather path depends
     on: no churn sequence may turn a store read into a ``KeyError``.
@@ -193,47 +200,44 @@ class TestCleanMissRegressions:
 
     def test_demoted_then_evicted_key_read_delay_is_zero(self):
         store = self._demote_then_evict()
-        assert store.read_delay("a") == 0.0
-        assert store.tiers[0].read_delay("a") == 0.0
-        assert store.tiers[1].read_delay("a") == 0.0
+        # Neither the hierarchy nor any one tier prices a read of the
+        # departed key.
+        for reader in (store, *store.tiers):
+            found = reader.lookup("a")
+            assert not found.hit
+            assert found.read_delay == 0.0 and found.nbytes == 0
 
     def test_read_delay_prices_the_serving_tier(self):
         store = _tiered()
-        store.put("a", _cache(1))
         store.tiers[1].put("b", _cache(2))
-        assert store.read_delay("a") == get_device("cpu_ram").read_time(ENTRY_BYTES)
-        assert store.read_delay("b") == get_device("nvme_ssd").read_time(ENTRY_BYTES)
+        ram, ssd = get_device("cpu_ram"), get_device("nvme_ssd")
+        # The first read is served, and priced, at the SSD; it promotes b,
+        # so the second read is a RAM read.
+        assert store.lookup("b").read_delay == ssd.read_time(ENTRY_BYTES)
+        assert store.lookup("b").read_delay == ram.read_time(ENTRY_BYTES)
 
     def test_randomised_churn_never_raises(self):
-        # 400 mixed ops over tight TTL'd trie tiers with demotion churn:
-        # every lookup/read_delay returns cleanly, hit or miss.
+        # 400 mixed ops over tight tiers with promotion and demotion churn:
+        # every lookup returns cleanly, hit or miss, priced at its tier, and
+        # no tier's bytes drift from its residents.
         rng = np.random.default_rng(7)
-        entry = RadixTrieStore(device=get_device("cpu_ram"))
-        probe = _cache(1, n_tokens=6)
-        entry.put("probe", probe)
-        nbytes = entry.logical_bytes
-        store = TieredKVStore(
-            tiers=[
-                RadixTrieStore(
-                    device=get_device("cpu_ram"),
-                    capacity_bytes=3 * nbytes,
-                    ttl_s=0.002,
-                ),
-                RadixTrieStore(
-                    device=get_device("nvme_ssd"),
-                    capacity_bytes=6 * nbytes,
-                    ttl_s=0.002,
-                ),
-            ]
-        )
+        store = _tiered(ram_entries=3, ssd_entries=6)
+        delays = [tier.device.read_time(ENTRY_BYTES) for tier in store.tiers]
         keys = [f"k{i}" for i in range(12)]
-        for step in range(400):
+        for _ in range(400):
             key = keys[int(rng.integers(len(keys)))]
             op = int(rng.integers(3))
             if op == 0:
-                store.put(key, _cache(int(rng.integers(1, 50)), n_tokens=6))
+                store.put(key, _cache(int(rng.integers(1, 50))))
             elif op == 1:
                 found = store.lookup(key)
                 assert found.hit == (found.cache is not None)
+                if found.hit:
+                    assert found.read_delay == delays[found.tier_index]
+                else:
+                    assert found.tier_index is None and found.read_delay == 0.0
             else:
-                assert store.read_delay(key) >= 0.0
+                store.remove(key)
+            for tier in store.tiers:
+                assert tier.bytes_stored == tier.n_entries * ENTRY_BYTES
+                assert tier.bytes_stored <= tier.capacity_bytes

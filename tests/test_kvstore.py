@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kvstore.device import get_device
-from repro.kvstore.store import (
-    CacheStats,
-    EvictionPolicy,
-    KVCacheStore,
-    chunk_key,
-)
+from repro.kvstore.store import CacheStats, KVCacheStore, chunk_key
 from repro.model.tensors import KVCache, LayerKV
 
 
@@ -32,12 +27,32 @@ def _store(capacity_entries: int) -> KVCacheStore:
 class TestHitMissAccounting:
     def test_miss_then_hit(self):
         store = _store(4)
-        assert store.get("a") is None
+        assert not store.lookup("a").hit
         store.put("a", _make_cache())
-        assert store.get("a") is not None
+        assert store.lookup("a").hit
         assert store.stats.hits == 1
         assert store.stats.misses == 1
         assert store.stats.hit_rate == pytest.approx(0.5)
+
+    def test_absent_key_is_a_clean_miss(self):
+        # The gather path looks up arbitrary keys: a key never stored is a
+        # counted miss with nothing to read, priced at zero, never a raise.
+        store = _store(4)
+        found = store.lookup("never-stored")
+        assert not found.hit and found.cache is None
+        assert found.read_delay == 0.0
+        assert found.tier_index is None and found.nbytes == 0
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+
+    def test_hit_reports_its_bytes_at_the_device_price(self):
+        # Callers turn read_delay into a device-relative excess with nbytes.
+        store = _store(2)
+        cache = _make_cache()
+        store.put("a", cache)
+        found = store.lookup("a")
+        assert found.cache is cache
+        assert found.nbytes == store.cache_nbytes(cache) == cache.nbytes(2)
+        assert found.read_delay == get_device("cpu_ram").read_time(found.nbytes)
 
     def test_peek_does_not_touch_stats(self):
         store = _store(4)
@@ -49,7 +64,7 @@ class TestHitMissAccounting:
     def test_stats_reset_keeps_bytes_stored(self):
         store = _store(4)
         store.put("a", _make_cache())
-        store.get("a")
+        store.lookup("a")
         bytes_stored = store.stats.bytes_stored
         store.stats.reset()
         assert store.stats.hits == 0
@@ -68,21 +83,11 @@ class TestEviction:
         store = _store(2)
         store.put("a", _make_cache())
         store.put("b", _make_cache())
-        store.get("a")  # refresh a; b becomes the LRU victim
+        store.lookup("a")  # refresh a; b becomes the LRU victim
         store.put("c", _make_cache())
         assert store.contains("a")
         assert not store.contains("b")
         assert store.stats.evictions == 1
-
-    def test_fifo_ignores_recency(self):
-        store = _store(2)
-        store.policy = EvictionPolicy.FIFO
-        store.put("a", _make_cache())
-        store.put("b", _make_cache())
-        store.get("a")
-        store.put("c", _make_cache())
-        assert not store.contains("a")
-        assert store.contains("b")
 
     def test_oversized_entry_rejected(self):
         store = _store(1)
@@ -95,6 +100,18 @@ class TestEviction:
         before = store.bytes_stored
         store.put("a", _make_cache())
         assert store.bytes_stored == before
+
+    def test_on_evict_sees_each_capacity_victim_in_lru_order(self):
+        # The hook the tiered store demotes through: it fires for capacity
+        # evictions only, oldest first, with the victim's cache.
+        victims = []
+        store = _store(2)
+        store.on_evict = lambda key, cache: victims.append((key, cache.n_tokens))
+        for key in "abcd":
+            store.put(key, _make_cache())
+        store.remove("c")
+        assert victims == [("a", 4), ("b", 4)]
+        assert store.stats.evictions == 2
 
 
 class TestChunkKey:

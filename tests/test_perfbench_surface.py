@@ -1,0 +1,58 @@
+"""The program surface the serving benchmark (``perfbench/``) calls.
+
+perfbench's own suite runs outside tier-1, so a simplification that deletes
+a name it uses would otherwise go unnoticed until that suite or the
+benchmark runs.  This test drives perfbench's engine set-up as is (it only
+reads ``perfbench/``): ``StoreConfig(backend=, kv_dtype=, tier_devices=,
+tier_capacity_bytes=)``, ``BlendEngine(...)`` with ``executor=`` and
+``execution=``, ``precompute_chunks``, ``reset_cache_stats`` and one
+``run_batch(..., max_new_tokens=1)`` prefill per workload.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.kvstore.hierarchy import TieredKVStore
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        loop = importlib.import_module("loop")
+        streams = importlib.import_module("streams")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return loop, streams
+
+
+@pytest.mark.parametrize("name", ["rag_warm", "rag_churn"])
+def test_perfbench_builds_and_serves_each_workload(perfbench, name):
+    loop, streams = perfbench
+    workload = streams.WORKLOADS[name]
+    stream = streams.RequestStream(workload, seed=1)
+    built, _ = loop.set_up(workload, stream)
+    engine = built.engine
+    request = stream.request(0, 0.0)
+    (result,) = engine.run_batch(
+        [(list(request.chunks), request.question)], max_new_tokens=1, execution="pipelined"
+    )
+    assert len(result.generated_ids) <= 1
+    # The recording executor handed to BlendEngine(executor=) ran the request.
+    (execution,) = built.executor.last.requests
+    assert execution.simulated_load_delay >= 0.0
+    for key in ("misses", "hit_rate", "bytes_stored", "tokenizer_hits", "tokenizer_misses"):
+        assert key in engine.cache_stats
+    store = engine.kv_store
+    if name == "rag_warm":
+        assert engine.cache_stats["misses"] == 0  # the whole corpus was precomputed
+    else:
+        assert isinstance(store, TieredKVStore)
+        assert len(store.tiers) == 2
+        assert store.precision.name == "int8"
+        assert [tier.precision.name for tier in store.tiers] == ["int8", "int8"]

@@ -2,9 +2,9 @@
 
 Covers the precision tentpole: the :class:`PrecisionPolicy` map itself, the
 RPKV5 wire format at every preset, int8 quantisation idempotence, store byte
-accounting (whole-chunk / trie dedup / tiered demotion at non-fp16 widths),
-the backend-pricing parity regression (identical payloads used to be priced
-differently on chunk vs trie backends), fp16 equivalence with the
+accounting (whole-chunk / tiered demotion at non-fp16 widths), the
+backend-parity regression (identical payloads must cost the same bytes and
+fuse to the same KV on either backend), fp16 equivalence with the
 pre-policy behaviour, and the executor's per-layer wire precision.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from repro.core.blend_engine import BlendEngine
 from repro.core.executor import PipelinedExecutor
 from repro.core.fusor import FusorConfig
-from repro.kvstore.config import StoreConfig
+from repro.kvstore.config import STORE_BACKENDS, StoreConfig
 from repro.kvstore.device import get_device
 from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.precision import (
@@ -28,12 +28,10 @@ from repro.kvstore.precision import (
 from repro.kvstore.serialization import (
     KVCorruptionError,
     deserialize_kv,
-    kv_nbytes,
     quantize_kv_to_store_dtype,
     serialize_kv,
 )
 from repro.kvstore.store import KVCacheStore
-from repro.kvstore.trie import RadixTrieStore
 from repro.model.config import get_config
 from repro.model.tensors import KVCache, LayerKV
 from repro.model.transformer import TransformerModel
@@ -129,7 +127,7 @@ class TestByteAccounting:
         cache = _make_cache()
         fp16 = PrecisionPolicy("float16").cache_nbytes(cache)
         int8 = PrecisionPolicy("int8").cache_nbytes(cache)
-        assert fp16 == kv_nbytes(cache, 2)
+        assert fp16 == cache.nbytes(2)
         assert int8 * 2 == fp16
 
     def test_kv_bytes_per_token_per_layer(self):
@@ -148,15 +146,21 @@ class TestByteAccounting:
 
     def test_cache_payload_matches_serialized_layer_bytes(self):
         cache = _make_cache()
+        n_layers, n_tokens = cache.n_layers, cache.n_tokens
         for name in PRECISION_PRESETS:
             policy = PrecisionPolicy.get(name)
             payload = serialize_kv(cache, policy)
             restored = deserialize_kv(payload)
-            assert _caches_equal(restored, policy.quantize(cache))
-            # The serialized blob carries header + ids + the layer payloads;
-            # the policy's payload accounting must cover the layer bytes.
-            index_bytes = 2 * cache.n_tokens * 8
-            assert policy.cache_payload_nbytes(cache) <= len(payload) - index_bytes
+            assert _caches_equal(restored, quantize_kv_to_store_dtype(cache, policy))
+            # The serialized blob is magic + header length + header, then the
+            # ids and the layer payloads the policy's widths account for.
+            header_len = int.from_bytes(payload[6:10], "little")
+            index_bytes = 2 * n_tokens * 8
+            layer_bytes = sum(
+                policy.layer_payload_nbytes(i, n_layers, n_tokens, 2, 4)
+                for i in range(n_layers)
+            )
+            assert len(payload) == 10 + header_len + index_bytes + layer_bytes
 
 
 class TestQuantizeIdempotence:
@@ -166,13 +170,6 @@ class TestQuantizeIdempotence:
         once = quantize_kv_to_store_dtype(cache, dtype)
         twice = quantize_kv_to_store_dtype(once, dtype)
         assert _caches_equal(once, twice)
-
-    def test_policy_quantize_matches_function(self):
-        cache = _make_cache(seed=5)
-        assert _caches_equal(
-            PrecisionPolicy("mixed").quantize(cache),
-            quantize_kv_to_store_dtype(cache, "mixed"),
-        )
 
     def test_float16_policy_matches_legacy_string(self):
         cache = _make_cache(seed=7)
@@ -201,7 +198,7 @@ class TestWireFormatMatrix:
         payload = serialize_kv(cache, policy)
         assert payload.startswith(b"RPKV5\n")
         restored = deserialize_kv(payload)
-        assert _caches_equal(restored, policy.quantize(cache))
+        assert _caches_equal(restored, quantize_kv_to_store_dtype(cache, policy))
         # Layer 0 is stored at full fp32 width: bitwise-lossless.
         assert np.array_equal(restored.layers[0].keys, cache.layers[0].keys)
 
@@ -236,7 +233,7 @@ class TestWireFormatMatrix:
 
 
 class TestStoreAccounting:
-    """Satellite: nbytes under non-fp16 payloads across all three backends."""
+    """Satellite: nbytes under non-fp16 payloads on both backends."""
 
     def test_chunk_store_int8_doubles_effective_capacity(self):
         cache = _deterministic_cache(range(8))
@@ -265,7 +262,6 @@ class TestStoreAccounting:
         "make_store",
         [
             lambda: KVCacheStore(device=get_device("cpu_ram")),
-            lambda: RadixTrieStore(device=get_device("cpu_ram")),
             lambda: TieredKVStore(
                 tiers=[
                     KVCacheStore(device=get_device("cpu_ram")),
@@ -273,7 +269,7 @@ class TestStoreAccounting:
                 ]
             ),
         ],
-        ids=["chunk", "trie", "tiered"],
+        ids=["chunk", "tiered"],
     )
     def test_default_width_is_float16_at_two_bytes_per_element(self, make_store):
         """Precision is a store's only width; unset, it is the float16
@@ -283,24 +279,7 @@ class TestStoreAccounting:
         cache = _deterministic_cache(range(8))
         store.put("c", cache)
         assert store.bytes_stored == cache.nbytes(2)
-        assert _caches_equal(store.get("c"), cache)
-
-    @pytest.mark.parametrize("dtype", ["int8", "mixed"])
-    def test_trie_suffix_dedup_conserves_bytes(self, dtype):
-        policy = PrecisionPolicy.get(dtype)
-        store = RadixTrieStore(device=get_device("cpu_ram"), precision=policy)
-        a = _deterministic_cache([1, 2, 3, 4, 5, 6, 7, 8])
-        b = _deterministic_cache([1, 2, 3, 4, 9, 10, 11, 12])
-        store.put("a", a)
-        store.put("b", b)
-        # 12 unique token rows resident; element-width accounting is exactly
-        # token-proportional, so the edge split conserves bytes.
-        per_cache = policy.cache_nbytes(a)
-        assert store.bytes_stored == per_cache + per_cache // 2
-        assert store.logical_bytes == 2 * per_cache
-        for key, original in (("a", a), ("b", b)):
-            fetched = store.get(key)
-            assert _caches_equal(fetched, original)
+        assert _caches_equal(store.lookup("c").cache, cache)
 
     def test_tiered_demotion_accounts_at_payload_dtype(self):
         policy = PrecisionPolicy("int8")
@@ -325,38 +304,63 @@ class TestStoreAccounting:
         assert slow.bytes_stored == 2 * per_cache
         assert store.bytes_stored == 3 * per_cache
         for i, cache in enumerate(caches):
-            assert _caches_equal(store.get(f"c{i}"), cache)
+            assert _caches_equal(store.lookup(f"c{i}").cache, cache)
 
 
 class TestBackendPricingParity:
     """Satellite regression: one policy prices every backend identically.
 
     Pre-fix, ``BlendEngine.build`` priced chunk-backend stores at the paper
-    model's *timing* width (1 byte/element on Yi-34B) while trie/tiered
+    model's *timing* width (1 byte/element on Yi-34B) while the other
     backends accounted at the fp16 store width — the same payload cost
     different bytes depending on the backend holding it.
     """
 
-    @pytest.mark.parametrize("backend", ["trie", "tiered_trie"])
-    def test_chunk_and_dedup_backends_account_identical_bytes(self, backend):
-        chunk_engine = BlendEngine.build(
-            paper_model="Yi-34B", device="cpu_ram", seed=0,
-            store=StoreConfig(backend="chunk"),
-        )
-        other_engine = BlendEngine.build(
-            paper_model="Yi-34B", device="cpu_ram", seed=0,
-            store=StoreConfig(backend=backend),
-        )
-        # Disjoint-prefix chunks so the trie cannot dedup anything: byte
-        # parity must come from equal pricing, not from shared rows.
+    @pytest.mark.parametrize("kv_dtype", PRECISION_PRESETS)
+    def test_chunk_and_tiered_backends_account_identical_bytes(self, kv_dtype):
+        engines = [
+            BlendEngine.build(
+                paper_model="Yi-34B", device="cpu_ram", seed=0,
+                store=StoreConfig(backend=backend, kv_dtype=kv_dtype),
+            )
+            for backend in STORE_BACKENDS
+        ]
         texts = ["alpha bravo charlie delta", "echo foxtrot golf hotel"]
-        chunk_engine.precompute_chunks(texts)
-        other_engine.precompute_chunks(texts)
+        for engine in engines:
+            engine.precompute_chunks(texts)
+        chunk_engine, tiered_engine = engines
         assert chunk_engine.kv_store.bytes_stored > 0
-        assert chunk_engine.kv_store.bytes_stored == other_engine.kv_store.bytes_stored
+        assert chunk_engine.kv_store.bytes_stored == tiered_engine.kv_store.bytes_stored
+
+    @pytest.mark.parametrize("kv_dtype", PRECISION_PRESETS)
+    def test_fused_kv_is_bitwise_identical_across_backends(self, kv_dtype):
+        """A tiered store whose RAM tier holds one chunk serves the others
+        from the slow tier; the fused KV matches the chunk store's bitwise."""
+        chunks = [f"document number {i} about topic {i} and its details" for i in range(3)]
+        question = "what do the documents say?"
+        chunk_engine = BlendEngine.build(
+            paper_model="Mistral-7B", device="cpu_ram", seed=0,
+            store=StoreConfig(backend="chunk", kv_dtype=kv_dtype),
+        )
+        chunk_engine.precompute_chunks(chunks)
+        store = chunk_engine.kv_store
+        largest = max(store.cache_nbytes(store.peek(key)) for key in store.keys())
+        tiered_engine = BlendEngine.build(
+            paper_model="Mistral-7B", device="cpu_ram", seed=0,
+            store=StoreConfig(
+                backend="tiered", kv_dtype=kv_dtype, tier_capacity_bytes=(largest, None)
+            ),
+        )
+        tiered_engine.precompute_chunks(chunks)
+        fused_chunk = chunk_engine.run(chunks, question).fusion.kv_cache
+        tiered = tiered_engine.run(chunks, question)
+        assert tiered.cache_stats["slow_tier_hits"] > 0
+        fused_tiered = tiered.fusion.kv_cache
+        assert np.array_equal(fused_chunk.token_ids, fused_tiered.token_ids)
+        assert _caches_equal(fused_tiered, fused_chunk)
 
     def test_engine_precision_derives_from_store_for_all_backends(self):
-        for backend in ("chunk", "trie", "tiered", "tiered_trie"):
+        for backend in STORE_BACKENDS:
             engine = BlendEngine.build(
                 paper_model="Yi-34B", device="cpu_ram", seed=0,
                 store=StoreConfig(backend=backend, kv_dtype="int8"),

@@ -5,19 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.kvstore.precision import PRECISION_PRESETS
+from repro.kvstore.precision import PRECISION_PRESETS, layer_payload_nbytes
 from repro.kvstore.serialization import (
     KVCorruptionError,
     deserialize_kv,
     int8_scale,
-    load_kv,
-    pack_layer_kv,
-    pack_layer_kv_int8,
+    pack_layer_kv_as,
     quantize_kv_to_store_dtype,
-    save_kv,
     serialize_kv,
-    unpack_layer_kv,
-    unpack_layer_kv_int8,
+    unpack_layer_kv_as,
 )
 from repro.model.tensors import KVCache, LayerKV
 
@@ -97,27 +93,27 @@ class TestRawFormatRoundTrip:
         with pytest.raises(ValueError, match="layer dtype"):
             deserialize_kv(rebuilt)
 
-    def test_file_round_trip(self, tmp_path):
-        cache = _make_cache()
-        path = tmp_path / "cache.rpkv"
-        nbytes = save_kv(cache, str(path))
-        assert path.stat().st_size == nbytes
-        restored = load_kv(str(path))
-        assert restored.n_tokens == cache.n_tokens
-
 
 class TestLayerPayloads:
     def test_pack_unpack_round_trip(self):
         layer = _make_cache(n_layers=1).layers[0]
-        blob = pack_layer_kv(layer)
-        restored = unpack_layer_kv(blob, layer.n_tokens, 2, 4)
+        blob = pack_layer_kv_as(layer, "float16")
+        restored = unpack_layer_kv_as(blob, "float16", layer.n_tokens, 2, 4)
         assert np.allclose(restored.keys, layer.keys, rtol=1e-2, atol=1e-2)
         assert np.allclose(restored.values, layer.values, rtol=1e-2, atol=1e-2)
 
     def test_blob_size_is_exactly_fp16_payload(self):
         layer = _make_cache(n_layers=1).layers[0]
-        blob = pack_layer_kv(layer)
+        blob = pack_layer_kv_as(layer, "float16")
         assert len(blob) == 2 * layer.keys.size * 2  # K and V, 2 bytes each
+
+    @pytest.mark.parametrize("dtype", ["float32", "float16", "int8"])
+    def test_blob_size_is_the_accounted_payload_width(self, dtype):
+        # The executor and the store price a layer at this width without
+        # packing it; the codec must write exactly that many bytes.
+        layer = _make_cache(n_layers=1).layers[0]
+        blob = pack_layer_kv_as(layer, dtype)
+        assert len(blob) == layer_payload_nbytes(dtype, layer.n_tokens, 2, 4)
 
 
 class TestInt8Format:
@@ -158,8 +154,8 @@ class TestInt8Format:
 
     def test_layer_pack_unpack_round_trip(self):
         layer = _make_cache(n_layers=1, seed=3).layers[0]
-        blob = pack_layer_kv_int8(layer)
-        restored = unpack_layer_kv_int8(blob, layer.n_tokens, 2, 4)
+        blob = pack_layer_kv_as(layer, "int8")
+        restored = unpack_layer_kv_as(blob, "int8", layer.n_tokens, 2, 4)
         k_scale = float(int8_scale(layer.keys))
         assert np.abs(restored.keys - layer.keys).max() <= k_scale * 0.5 + 1e-7
 
@@ -174,15 +170,6 @@ class TestInt8Format:
             serialize_kv(_make_cache(), kv_dtype="int4")
         with pytest.raises(ValueError, match="kv_dtype"):
             quantize_kv_to_store_dtype(_make_cache(), kv_dtype="bfloat16")
-
-    def test_file_round_trip(self, tmp_path):
-        cache = _make_cache()
-        path = tmp_path / "cache_int8.rpkv"
-        nbytes = save_kv(cache, str(path), kv_dtype="int8")
-        assert path.stat().st_size == nbytes
-        assert path.read_bytes().startswith(b"RPKV5\n")
-        restored = load_kv(str(path))
-        assert restored.n_tokens == cache.n_tokens
 
 
 class TestChecksum:
