@@ -111,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable cross-request load/compute pipelining in the "
         "continuous scheduler (it is on by default)",
     )
-    parser.add_argument(
-        "--measured-decode-pacing", action="store_true",
-        help="pace continuous-batching decode iterations at the proxy-measured "
-        "per-step rate (requires the probe; proxy wall-clock scale, off by "
-        "default)",
-    )
     parser.add_argument("--zipf-alpha", type=float, default=1.0)
     parser.add_argument(
         "--store-capacities", nargs="+", type=int, default=None, metavar="CHUNKS",
@@ -175,7 +169,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         scheduler=args.scheduler,
         max_batch_tokens=args.max_batch_tokens,
         overlap_loads=not args.no_overlap_loads,
-        measured_decode_pacing=args.measured_decode_pacing,
         zipf_alpha=args.zipf_alpha,
         store_capacity_chunks=tuple(args.store_capacities or ()),
         store_slow_capacity_factor=args.store_slow_factor,
@@ -226,11 +219,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
     except ValueError as error:
-        # Cross-flag validation (e.g. --measured-decode-pacing with
-        # --scheduler fcfs) reads as a usage error, not a traceback.
+        # Cross-flag validation (e.g. --admission-policies slo without
+        # --ttft-slo) reads as a usage error, not a traceback.
         parser.error(str(error))
     runner = ExperimentRunner(config)
-    # (--measured-decode-pacing forces the probe inside the runner itself.)
     report = runner.run(with_proxy=args.with_proxy or args.smoke)
     tag = args.tag if args.tag is not None else ("smoke" if args.smoke else "")
     out_path = save_report(report, out_dir=args.out_dir, tag=tag)

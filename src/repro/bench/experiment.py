@@ -7,12 +7,12 @@ InferenceEngine` prices each request from what its store held, FCFS or
 continuous batching schedules the stream, and the runner aggregates
 the serving metrics the paper reports: TTFT percentiles, throughput, queueing
 delay, GPU utilisation and the fraction of prefill compute actually spent
-(recompute fraction).  Optionally a small :class:`~repro.core.blend_engine.
+(recompute fraction).  Every cell is a deterministic projection to the
+paper's architectures.  Optionally a small :class:`~repro.core.blend_engine.
 BlendEngine` probe runs the real NumPy fusion pipeline — *pipelined*, through
-the executor, with cross-request overlap — to attach measured trace-derived
-TTFTs (reported beside the analytic estimates), measured recompute fractions
-and KV-store hit rates to the report; its traces calibrate the measured TTFT
-column of every CacheBlend sweep cell.
+the executor, with cross-request overlap — and attaches its measured
+trace-derived TTFTs (beside the analytic estimates), recompute fractions and
+KV-store hit rates to the report's ``proxy`` block; it never changes a cell.
 
 Quality is attached per scheme as a static score calibrated to the paper's
 accuracy results (§6.2): full recompute and prefix caching are exact,
@@ -35,7 +35,7 @@ from repro.kvstore.config import StoreConfig
 from repro.kvstore.device import get_device
 from repro.kvstore.precision import PRECISION_PRESETS
 from repro.model.config import get_config
-from repro.serving.costmodel import OnlineCostCalibration, ServingCostModel
+from repro.serving.costmodel import ServingCostModel
 from repro.serving.engine import SCHEMES, InferenceEngine
 from repro.serving.request import GenerationRequest, RequestTiming
 from repro.serving.router import ROUTING_POLICIES
@@ -81,13 +81,6 @@ class ExperimentConfig:
     #: Cross-request load/compute pipelining in the continuous scheduler
     #: (hide one request's KV-loading stalls behind co-batched compute).
     overlap_loads: bool = True
-    #: Pace decode iterations at the proxy-measured per-step rate (the
-    #: calibration's ``decode_s_per_step``) instead of the analytic
-    #: ``decode_time`` slice.  Off by default: the measurement is wall-clock
-    #: on the NumPy proxy, so its *scale* matches the proxy serving loop
-    #: (the e2e tier), not the paper architectures the sweep cells price —
-    #: enabling it deliberately trades scale fidelity for measured pacing.
-    measured_decode_pacing: bool = False
     n_unique_chunks: int = 400
     zipf_alpha: float = 1.0
     cache_chunk_capacity: int = 160
@@ -206,13 +199,6 @@ class ExperimentConfig:
             raise ValueError("recompute_ratios must be non-empty")
         if self.n_requests < 1:
             raise ValueError("n_requests must be >= 1")
-        if self.measured_decode_pacing and self.scheduler != "continuous":
-            # Only the continuous scheduler paces per-iteration decode; with
-            # FCFS the flag would silently do nothing while still forcing
-            # the proxy probe run.
-            raise ValueError(
-                "measured_decode_pacing requires the 'continuous' scheduler"
-            )
 
     @classmethod
     def smoke(cls) -> "ExperimentConfig":
@@ -239,13 +225,8 @@ class CellResult:
     mean_recomputed_fraction: float
     quality: float
     quality_adjusted_ttft: float
-    #: Mean trace-calibrated (measured) pipeline delay beside the analytic
-    #: ``mean_ttft_service`` — CacheBlend cells under ``--with-proxy`` only.
-    mean_ttft_service_measured: float | None = None
     #: Mean per-request decode throughput over the scheduled run (tokens
-    #: after the first, per second of first-token-to-completion span) — with
-    #: measured width-aware pacing this is where co-batched decode
-    #: amortisation shows up at the sweep level.
+    #: after the first, per second of first-token-to-completion span).
     mean_decode_tokens_per_s: float = 0.0
     #: Store columns (``None`` unless the capacity or precision axis is on):
     #: the RAM-tier capacity in chunks this cell was served under (capacity
@@ -317,7 +298,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def _build_scheduler(
         self,
-        calibration: OnlineCostCalibration | None = None,
         admission_policy: str = "none",
         n_servers: int | None = None,
     ) -> Scheduler:
@@ -325,9 +305,6 @@ class ExperimentRunner:
             n_servers = self.config.n_servers
         if self.config.scheduler == "fcfs":
             return FCFSScheduler(n_servers=n_servers)
-        # When measured pacing is on, the same calibration paces every cell's
-        # decode iterations, so the measured rate shifts all schemes
-        # identically and the scheme-vs-scheme comparisons stay fair.
         return ContinuousBatchingScheduler(
             n_servers=n_servers,
             max_batch_tokens=self.config.max_batch_tokens,
@@ -335,9 +312,6 @@ class ExperimentRunner:
             overlap_loads=self.config.overlap_loads,
             admission_control=admission_policy == "slo",
             preemption=admission_policy == "slo",
-            decode_calibration=(
-                calibration if self.config.measured_decode_pacing else None
-            ),
         )
 
     def _generate_workload(
@@ -377,7 +351,6 @@ class ExperimentRunner:
         device: str,
         scheme: str,
         recompute_ratio: float,
-        calibration: OnlineCostCalibration | None = None,
         admission_policy: str = "none",
         kv_dtype: str | None = None,
         store_capacity: int | None = None,
@@ -395,12 +368,6 @@ class ExperimentRunner:
         recomputes that share of the cached chunks, and a fault-free twin run
         gives ``fault_ttft_inflation`` — the TTFT cost of the recomputes.
 
-        With a ready *calibration* (measured per-layer rates and decode steps
-        from the proxy probe), CacheBlend cells additionally report the
-        trace-calibrated ``mean_ttft_service_measured`` beside the analytic
-        estimate, and the continuous-batching scheduler paces decode
-        iterations at the measured per-step rate.
-
         Under ``admission_policy="slo"`` the continuous scheduler rejects
         requests whose predicted TTFT misses their deadline and preempts
         decode slots for at-risk prefills; rejected requests are excluded
@@ -412,9 +379,7 @@ class ExperimentRunner:
         store precision policy's bytes per token instead of the model
         preset's native width.
         """
-        cost_model = ServingCostModel(
-            get_config(model), calibration=calibration, precision=kv_dtype
-        )
+        cost_model = ServingCostModel(get_config(model), precision=kv_dtype)
         needs_device = scheme in ("full_reuse", "cacheblend")
         engine = InferenceEngine(
             cost_model,
@@ -437,7 +402,7 @@ class ExperimentRunner:
                 n_replicas=n_replicas,
                 engine=engine,
                 scheduler_factory=lambda _: self._build_scheduler(
-                    calibration, admission_policy, n_servers=n_servers
+                    admission_policy, n_servers=n_servers
                 ),
                 store=self.store_config(store_capacity),
                 fault_rate=fault_rate,
@@ -566,7 +531,6 @@ class ExperimentRunner:
             ),
             quality=quality,
             quality_adjusted_ttft=summary.mean_ttft / quality,
-            mean_ttft_service_measured=summary.mean_ttft_service_measured,
             mean_decode_tokens_per_s=(
                 float(np.mean(decode_rates)) if decode_rates else 0.0
             ),
@@ -588,22 +552,14 @@ class ExperimentRunner:
         their cell is replicated across ratios so every comparison row stays
         complete.
 
-        With ``with_proxy`` the measured probe runs *first*: it executes the
-        real pipelined fusion (cross-request) and its traces calibrate an
-        :class:`~repro.serving.costmodel.OnlineCostCalibration` that every
-        CacheBlend cell then uses to report measured TTFT beside the
-        analytic estimate.  ``measured_decode_pacing`` forces the probe —
-        without its decode observations the pacing would silently fall back
-        to analytic.
+        With ``with_proxy`` the measured probe also runs: it executes the
+        real pipelined fusion (cross-request) and its measurements fill the
+        report's ``proxy`` block.  The cells do not depend on it.
         """
-        calibration: OnlineCostCalibration | None = None
         proxy: dict[str, object] | None = None
-        if with_proxy or self.config.measured_decode_pacing:
-            calibration = OnlineCostCalibration()
+        if with_proxy:
             proxy = run_proxy_probe(
-                seed=self.config.seed,
-                calibration=calibration,
-                fault_rate=self.config.fault_rate,
+                seed=self.config.seed, fault_rate=self.config.fault_rate
             )
 
         requests, workload_stats, chunk_ids = self._generate_workload()
@@ -642,7 +598,6 @@ class ExperimentRunner:
                     base = replace(
                         self.run_cell(
                             requests, chunk_ids, model, device, scheme, ratio,
-                            calibration=calibration,
                             admission_policy=admission,
                             kv_dtype=kv_dtype,
                             store_capacity=capacity,
@@ -1001,19 +956,14 @@ def run_quality_probe(
     return probe
 
 
-def run_proxy_probe(
-    seed: int = 0,
-    calibration: OnlineCostCalibration | None = None,
-    fault_rate: float = 0.0,
-) -> dict[str, object]:
+def run_proxy_probe(seed: int = 0, fault_rate: float = 0.0) -> dict[str, object]:
     """End-to-end run of the real fusion pipeline (NumPy proxy model).
 
     Serves a small batch over a shared chunk set through
     :meth:`~repro.core.blend_engine.BlendEngine.run_batch` — every request
     goes through the :class:`~repro.core.executor.PipelinedExecutor` with
     cross-request pipelining and carries a *measured* trace-derived TTFT,
-    reported beside the analytical estimate.  The traces feed *calibration* (shared with the
-    sweep cells when the runner passes one in).
+    reported beside the analytical estimate.
 
     Also measures, on profile-sized synthetic caches at the calibrated
     load≈compute operating point, the single-request pipelined-vs-sequential
@@ -1037,7 +987,6 @@ def run_proxy_probe(
         paper_model="Mistral-7B",
         device="cpu_ram",
         seed=seed,
-        calibration=calibration,
         store=StoreConfig(backend="tiered"),
         faults=(
             FaultConfig(rate=fault_rate, seed=seed) if fault_rate > 0.0 else None
@@ -1056,8 +1005,7 @@ def run_proxy_probe(
     ]
     # max_new_tokens exercises the co-batched DecodeSession generation path:
     # after the prefill's first token the batch decodes in lock-step (one
-    # session step per iteration), and each step feeds the width-aware
-    # decode calibration buckets.
+    # session step per iteration).
     results = engine.run_batch(batch, max_new_tokens=4)
 
     # Measured load/compute pipelining: the text chunks above are only a few
@@ -1086,7 +1034,6 @@ def run_proxy_probe(
     batch_pipelined = batch_executor.execute_batch(items, pipelined=True)
     batch_sequential = batch_executor.execute_batch(items, pipelined=False)
 
-    cost_model = engine.controller.cost_model
     return {
         "paper_model": "Mistral-7B",
         "execution": "pipelined",
@@ -1118,7 +1065,4 @@ def run_proxy_probe(
                 else float("inf")
             ),
         },
-        "calibration": (
-            cost_model.calibration.as_dict() if cost_model.calibration else None
-        ),
     }

@@ -239,12 +239,10 @@ def _measure_served_ttfts(
     from repro.core.controller import LoadingController
     from repro.kvstore.device import get_device
     from repro.kvstore.store import KVCacheStore
-    from repro.serving.costmodel import GPUSpec, OnlineCostCalibration, ServingCostModel
+    from repro.serving.costmodel import GPUSpec, ServingCostModel
     from repro.tokenizer.tokenizer import Tokenizer
 
-    cost_model = ServingCostModel(
-        model.config, GPUSpec(), calibration=OnlineCostCalibration()
-    )
+    cost_model = ServingCostModel(model.config, GPUSpec())
     engine = BlendEngine(
         model=model,
         tokenizer=Tokenizer(vocab_size=model.config.vocab_size),
@@ -371,9 +369,8 @@ def measure_decode_width_scaling(
     For each width W, W requests (prompts of ``chunk_tokens`` tokens) join a
     :class:`~repro.model.tensors.DecodeSession` and decode ``decode_tokens``
     tokens in lock-step; the best-of-``repeats`` per-step wall-clock is
-    reported.  The amortisation column is what the width-aware
-    :class:`~repro.serving.costmodel.OnlineCostCalibration` buckets model:
-    one width-W step costs far less than W × the width-1 step.
+    reported.  The amortisation column shows what co-batching buys: one
+    width-W step costs far less than W × the width-1 step.
     """
     if widths is None:
         widths = tuple(sorted({1, 2, config.decode_batch_size}))
@@ -411,9 +408,8 @@ def measure_decode_width_scaling(
         "tokens_per_s": [
             w / s if s > 0 else float("inf") for w, s in zip(widths, s_per_step)
         ],
-        # One width-W step vs W/baseline independent baseline-width steps:
-        # the scheduler-level amortisation the width-aware calibration
-        # buckets capture.  The baseline is width 1 whenever measured (the
+        # One width-W step vs W/baseline independent baseline-width steps.
+        # The baseline is width 1 whenever measured (the
         # default); ``baseline_width`` records it so a custom widths tuple
         # without 1 cannot silently mislabel the column.
         "baseline_width": baseline_width,
@@ -496,7 +492,11 @@ def measure_routing_ops(
 
     The fleet is warmed by routing (and placing) a Zipf-popular request
     stream through each policy's own router, so every replica's private
-    store holds the resident/hotness state a steady-state fleet would.  One
+    store holds the resident/hotness state a steady-state fleet would.  Each
+    replica prices what it is placed on an analytic Mistral-7B CacheBlend
+    engine over NVMe, as the sweep's fleet does, so its projected load
+    (``available_at``, ``assigned_work_s``) moves and the load-aware
+    policies spread the stream instead of sending it all to replica 0.  One
     ``routing_decision`` sample then routes a fresh batch of requests
     *without* placing them — pure decisions on frozen fleet state, so timed
     repeats are identical work.  The gated op is the ``affinity`` policy
@@ -505,6 +505,10 @@ def measure_routing_ops(
     by side.
     """
     from repro.bench.replay import chunk_store_config, replay_request
+    from repro.kvstore.device import get_device
+    from repro.model.config import get_config
+    from repro.serving.costmodel import ServingCostModel
+    from repro.serving.engine import InferenceEngine
     from repro.serving.request import GenerationRequest
     from repro.serving.router import ROUTING_POLICIES, Replica, build_router
 
@@ -536,12 +540,21 @@ def measure_routing_ops(
         for i in range(n_decisions)
     ]
 
+    engine = InferenceEngine(
+        ServingCostModel(get_config("mistral-7b")),
+        scheme="cacheblend",
+        device=get_device("nvme_ssd"),
+    )
     ops: dict[str, dict[str, float | int]] = {}
     per_policy: dict[str, object] = {}
     for policy in ROUTING_POLICIES:
         router = build_router(policy, n_replicas)
         replicas = [
-            Replica(replica_id=r, store=chunk_store_config(store_capacity).build())
+            Replica(
+                replica_id=r,
+                store=chunk_store_config(store_capacity).build(),
+                engine=engine,
+            )
             for r in range(n_replicas)
         ]
         for request, chunks in zip(warm_requests, warm_sets):

@@ -5,7 +5,7 @@ One report is a single JSON document with a versioned schema:
 .. code-block:: text
 
     {
-      "schema_version": 9,
+      "schema_version": 10,
       "created": "<ISO-8601 UTC timestamp>",
       "tag": "<free-form label, e.g. 'smoke'>",
       "config": { ...ExperimentConfig fields... },
@@ -48,8 +48,10 @@ from repro.bench.experiment import ExperimentReport
 #: store, lets every sweep axis compose (comparison rows name the composed
 #: axes they belong to) and drops ``workload.cache.bytes_stored``; v9 serves
 #: the proxy probe from a whole-chunk ``tiered`` store and drops the proxy
-#: store block's ``logical_bytes`` (it equalled ``bytes_stored``).
-SCHEMA_VERSION = 9
+#: store block's ``logical_bytes`` (it equalled ``bytes_stored``); v10 drops
+#: the cells' proxy-scaled measured service-time column and the proxy block's
+#: ``calibration``: cells are projections the probe never changes.
+SCHEMA_VERSION = 10
 
 _REQUIRED_TOP_LEVEL = ("schema_version", "created", "tag", "config", "workload", "cells")
 _REQUIRED_CELL_FIELDS = (

@@ -16,10 +16,10 @@ recompute.  The first token is the argmax of the fused prefill's last
 logits, so TTFT ends with the fuse; budgets beyond one token decode the
 whole batch in lock-step on one
 :class:`~repro.model.tensors.DecodeSession`, one session step per scheduler
-iteration.  Measured spans feed the cost model's
-:class:`~repro.serving.costmodel.OnlineCostCalibration` so scheduler cost
-estimates track observed rates; the cost model's own TTFT for the paper's
-architecture rides along as ``ttft_estimate``.
+iteration.  The serving path only reads the analytic cost model (the
+controller's recompute ratio); the cost model's own TTFT for the paper's
+architecture rides along as ``ttft_estimate``, a projection beside the
+measured ``ttft``.
 
 Typical use::
 
@@ -56,7 +56,7 @@ from repro.kvstore.serialization import KVCorruptionError, quantize_kv_to_store_
 from repro.kvstore.store import chunk_key
 from repro.model.config import PAPER_MODEL_PAIRS, ModelConfig, get_config
 from repro.model.transformer import TransformerModel
-from repro.serving.costmodel import GPUSpec, OnlineCostCalibration, ServingCostModel
+from repro.serving.costmodel import GPUSpec, ServingCostModel
 from repro.tokenizer.tokenizer import Tokenizer
 
 #: Per-request fault-recovery counters, all initialised to zero.
@@ -178,10 +178,10 @@ class _EncodingCache:
     shared across requests without defensive copies.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    #: Distinct texts kept before the least recently used one is dropped.
+    capacity = 1024
+
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -219,7 +219,6 @@ class BlendEngine:
         controller: LoadingController,
         fusor_config: FusorConfig | None = None,
         timing_model: ModelConfig | None = None,
-        encoding_cache_size: int = 1024,
         execution: str = "pipelined",
         executor: PipelinedExecutor | None = None,
         precision: PrecisionPolicy | str | None = None,
@@ -247,7 +246,7 @@ class BlendEngine:
         self.executor = executor or PipelinedExecutor(
             model, self.fusor.config, device=kv_store.device, precision=self.precision
         )
-        self._encodings = _EncodingCache(capacity=encoding_cache_size)
+        self._encodings = _EncodingCache()
         #: Retry/timeout/fallback behaviour of store lookups under faults.
         self.retry_policy = retry_policy or LookupRetryPolicy()
         #: Engine-global fault-recovery counters, aggregated across requests
@@ -289,10 +288,7 @@ class BlendEngine:
         device: str | StorageDevice = "nvme_ssd",
         recompute_ratio: float = 0.15,
         seed: int = 0,
-        n_gpus: int | None = None,
-        vocab_size: int | None = None,
         execution: str = "pipelined",
-        calibration: OnlineCostCalibration | None = None,
         store: StoreConfig | ChunkStore | None = None,
         faults: FaultConfig | None = None,
         retry_policy: LookupRetryPolicy | None = None,
@@ -301,10 +297,8 @@ class BlendEngine:
 
         ``paper_model`` must be one of ``Mistral-7B``, ``Yi-34B`` or
         ``Llama-70B``; the proxy configuration runs the actual NumPy forward
-        pass while the corresponding architecture preset drives the timing.
-        ``calibration`` (one is created by default) accumulates the measured
-        per-layer rates of every pipelined run; pass a shared instance to
-        feed one calibration from several engines.
+        pass while the corresponding architecture preset drives the timing
+        (served on two GPUs for Llama-70B, on one otherwise).
 
         ``store`` selects the KV store backend: a
         :class:`~repro.kvstore.config.StoreConfig` recipe (chunk or
@@ -323,13 +317,7 @@ class BlendEngine:
             raise KeyError(f"unknown paper model {paper_model!r}; known: {known}")
         proxy_name, timing_name = PAPER_MODEL_PAIRS[paper_model]
         proxy_config = get_config(proxy_name)
-        if vocab_size is not None:
-            proxy_config = ModelConfig(
-                **{**proxy_config.__dict__, "vocab_size": vocab_size}
-            )
         timing_config = get_config(timing_name)
-        if n_gpus is None:
-            n_gpus = 2 if paper_model == "Llama-70B" else 1
 
         model = TransformerModel(proxy_config, seed=seed)
         tokenizer = Tokenizer(vocab_size=proxy_config.vocab_size)
@@ -350,8 +338,7 @@ class BlendEngine:
         cost_model = ServingCostModel(
             timing_config,
             GPUSpec(),
-            n_gpus=n_gpus,
-            calibration=calibration or OnlineCostCalibration(),
+            n_gpus=2 if paper_model == "Llama-70B" else 1,
             precision=precision,
         )
         controller = LoadingController(cost_model, min_quality_ratio=recompute_ratio)
@@ -535,16 +522,6 @@ class BlendEngine:
         )
         return decision, ratio
 
-    def _observe(self, trace: PipelineTrace, inputs: _RequestInputs, fusion) -> None:
-        """Feed one measured trace into the cost model's online calibration."""
-        calibration = self.controller.cost_model.calibration
-        if calibration is not None:
-            calibration.observe(
-                trace,
-                n_context_tokens=inputs.context_tokens,
-                recompute_counts=fusion.recompute_counts,
-            )
-
     def _generate(
         self, fusions: list[FusionResult], max_new_tokens: int
     ) -> list[list[int]]:
@@ -559,8 +536,7 @@ class BlendEngine:
         engine would have prefilled into the pad directly), and
         :meth:`~repro.model.transformer.TransformerModel.generate_session`
         decodes Orca-style in lock-step, one session step per scheduler
-        iteration, each request leaving the moment it finishes.  Every step
-        feeds the cost model's width-aware decode calibration.
+        iteration, each request leaving the moment it finishes.
         """
         eos = self.tokenizer.eos_id
         if max_new_tokens <= 1:
@@ -578,13 +554,11 @@ class BlendEngine:
         )
         for index, fusion in enumerate(fusions):
             session.join(index, fusion.kv_cache, reserve=reserve)
-        calibration = self.controller.cost_model.calibration
         return self.model.generate_session(
             session,
             [fusion.last_logits for fusion in fusions],
             max_new_tokens=max_new_tokens,
             eos_id=eos,
-            on_step=None if calibration is None else calibration.observe_decode,
         )
 
     def _finish(
@@ -678,8 +652,6 @@ class BlendEngine:
             pipelined=True,
             extra_load_delay=[inputs.store_read_delay_s for inputs in gathered],
         )
-        for inputs, request in zip(gathered, executed):
-            self._observe(request.trace, inputs, request.fusion)
         generated = self._generate([request.fusion for request in executed], max_new_tokens)
         return [
             self._finish(inputs, request, decision, ratio, tokens)

@@ -13,9 +13,7 @@ padded batched attention, and a single request is a width-1 session.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -329,7 +327,6 @@ class TransformerModel:
         max_new_tokens: int = 16,
         eos_id: int | None = None,
         include_eos: bool = False,
-        on_step: Callable[[float, int], None] | None = None,
     ) -> list[list[int]]:
         """Greedy lock-step decoding of every session member, one
         :meth:`decode_session_step` per iteration.
@@ -340,10 +337,7 @@ class TransformerModel:
         ends a member's generation and is not part of its tokens unless
         ``include_eos``.
         ``start_logits`` is aligned with the session's ``member_ids`` at
-        entry, and so is the returned list of generations.  ``on_step``
-        (if given) receives ``(wall_clock_seconds, batch_width)`` of every
-        executed step — the serving loop feeds these to the width-aware
-        decode calibration.
+        entry, and so is the returned list of generations.
         """
         members = list(session.member_ids)
         if len(start_logits) != len(members):
@@ -369,12 +363,9 @@ class TransformerModel:
             # All remaining members decode (leavers already left): the step
             # order is the session's current member order.
             order = list(session.member_ids)
-            start = time.perf_counter()
             batch_logits = self.decode_session_step(
                 session, [next_ids[m] for m in order]
             )
-            if on_step is not None:
-                on_step(time.perf_counter() - start, len(order))
             for row, member in enumerate(order):
                 logits[member] = batch_logits[row]
         for member in list(session.member_ids):

@@ -12,8 +12,9 @@ figures quoted in the paper:
   (2 x layers x kv_heads x head_dim x dtype bytes).
 
 Only *relative* behaviour matters for the reproduction (who wins, by what
-factor, where the crossovers are); the calibration keeps absolute numbers in
-the right ballpark so the figures read like the paper's.
+factor, where the crossovers are); fitting the constants to those figures
+keeps absolute numbers in the right ballpark so the figures read like the
+paper's.
 """
 
 from __future__ import annotations
@@ -22,211 +23,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.pipeline import PipelineTrace, pipelined_time, sequential_time
+from repro.core.pipeline import pipelined_time, sequential_time
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.precision import PrecisionPolicy
 from repro.model.config import ModelConfig
-
-
-@dataclass
-class OnlineCostCalibration:
-    """EWMA of *measured* per-layer load/compute rates from executor traces.
-
-    Every pipelined :class:`~repro.core.executor.PipelinedExecutor` run emits
-    a measured :class:`~repro.core.pipeline.PipelineTrace`; feeding those
-    traces here turns the static analytic constants of
-    :class:`ServingCostModel` into an online estimate grounded in observed
-    wall-clock:
-
-    * ``load_s_per_token`` — seconds one layer's KV load takes per context
-      token (simulated transfer + decode + RoPE re-align, measured);
-    * ``compute_s_per_token`` — seconds one layer's selective recompute takes
-      per *recomputed* token (layer 0's full recompute is folded in at its
-      own token count);
-    * ``decode_s_per_step`` — seconds one measured decode iteration takes,
-      averaged across all observed batch widths (fed by
-      :meth:`observe_decode` from the serving loop's measured
-      :class:`~repro.model.tensors.DecodeSession` steps);
-    * ``decode_s_per_step_by_width`` — the same per-step delay bucketed by
-      the *batch width* of the observed step (requests decoded per
-      iteration).  One batched step costs far less than width × a
-      single-request step — the point of co-batched decode — so the
-      width-aware :meth:`decode_step_time` is what lets the scheduler pace
-      an iteration of W decoding requests at the cost of *one* batched step
-      instead of W independent ones.
-
-    ``alpha`` is the EWMA weight of the newest observation; the first
-    observation seeds the averages directly.
-    """
-
-    alpha: float = 0.25
-    load_s_per_token: float | None = None
-    compute_s_per_token: float | None = None
-    n_observations: int = 0
-    decode_s_per_step: float | None = None
-    n_decode_observations: int = 0
-    decode_s_per_step_by_width: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-
-    @property
-    def ready(self) -> bool:
-        """True once at least one trace has been observed."""
-        return self.load_s_per_token is not None and self.compute_s_per_token is not None
-
-    def observe(
-        self,
-        trace: PipelineTrace,
-        n_context_tokens: int,
-        recompute_counts: list[int],
-    ) -> None:
-        """Fold one measured trace into the running per-token averages."""
-        if n_context_tokens <= 0 or trace.load_end.size == 0:
-            return
-        load_per_token = float(
-            np.mean(trace.load_end - trace.load_start) / n_context_tokens
-        )
-        compute_durations = trace.compute_end - trace.compute_start
-        counts = np.asarray(recompute_counts, dtype=np.float64)
-        valid = counts > 0
-        if not valid.any():
-            return
-        compute_per_token = float(
-            np.mean(compute_durations[valid] / counts[valid])
-        )
-        self.load_s_per_token = self._ewma(self.load_s_per_token, load_per_token)
-        self.compute_s_per_token = self._ewma(self.compute_s_per_token, compute_per_token)
-        self.n_observations += 1
-
-    @property
-    def decode_ready(self) -> bool:
-        """True once at least one measured decode step has been observed."""
-        return self.decode_s_per_step is not None
-
-    def observe_decode(self, step_seconds: float, batch_width: int = 1) -> None:
-        """Fold one measured decode-step wall-clock into the running averages.
-
-        One observation is the wall-clock of one decode *iteration* — a
-        whole :meth:`~repro.model.tensors.DecodeSession` step costs roughly
-        one step regardless of batch size (that is the point of batching),
-        so batched steps are observed whole, never divided per request.
-        ``batch_width`` is the number of requests that step decoded; the
-        sample updates both the width-agnostic average and its per-width
-        bucket.
-        """
-        if step_seconds < 0.0:
-            raise ValueError("step_seconds must be non-negative")
-        if batch_width < 1:
-            raise ValueError("batch_width must be >= 1")
-        self.decode_s_per_step = self._ewma(self.decode_s_per_step, step_seconds)
-        self.decode_s_per_step_by_width[batch_width] = self._ewma(
-            self.decode_s_per_step_by_width.get(batch_width), step_seconds
-        )
-        self.n_decode_observations += 1
-
-    def decode_step_time(self, batch_width: int | None = None) -> float:
-        """Measured decode-iteration delay (one token per request per step).
-
-        With ``batch_width`` the estimate is width-aware: an exact bucket is
-        returned as-is and a width between two observed buckets interpolates
-        linearly.  Below the narrowest bucket the estimate clamps to it (a
-        slight overestimate, the safe direction).  Beyond the widest bucket
-        it *extrapolates* the slope of the two widest buckets (floored at
-        flat): per-step cost grows with width — attention reads more rows —
-        so clamping there would price a 30-wide scheduler iteration at the
-        probe's 3-wide step cost and make measured pacing systematically
-        optimistic.  Without ``batch_width`` the width-agnostic EWMA is
-        returned (the pre-bucketing behaviour).
-        """
-        if self.decode_s_per_step is None:
-            raise RuntimeError("calibration has no decode observations yet")
-        if batch_width is None or not self.decode_s_per_step_by_width:
-            return self.decode_s_per_step
-        if batch_width < 1:
-            raise ValueError("batch_width must be >= 1")
-        buckets = self.decode_s_per_step_by_width
-        if batch_width in buckets:
-            return buckets[batch_width]
-        widths = sorted(buckets)
-        if batch_width <= widths[0]:
-            return buckets[widths[0]]
-        if batch_width >= widths[-1]:
-            if len(widths) < 2:
-                return buckets[widths[-1]]
-            lo, hi = widths[-2], widths[-1]
-            slope = (buckets[hi] - buckets[lo]) / (hi - lo)
-            return buckets[hi] + max(0.0, slope) * (batch_width - hi)
-        hi_index = next(i for i, w in enumerate(widths) if w > batch_width)
-        lo, hi = widths[hi_index - 1], widths[hi_index]
-        fraction = (batch_width - lo) / (hi - lo)
-        return (1.0 - fraction) * buckets[lo] + fraction * buckets[hi]
-
-    def _ewma(self, current: float | None, sample: float) -> float:
-        if current is None:
-            return sample
-        return (1.0 - self.alpha) * current + self.alpha * sample
-
-    def layer_load_time(self, n_context_tokens: int) -> float:
-        """Measured per-layer KV load delay for *n_context_tokens*."""
-        if self.load_s_per_token is None:
-            raise RuntimeError("calibration has no observations yet")
-        return self.load_s_per_token * max(0, n_context_tokens)
-
-    def layer_compute_time(self, n_recomputed_tokens: float) -> float:
-        """Measured per-layer recompute delay for *n_recomputed_tokens*."""
-        if self.compute_s_per_token is None:
-            raise RuntimeError("calibration has no observations yet")
-        return self.compute_s_per_token * max(0.0, n_recomputed_tokens)
-
-    def as_dict(self) -> dict[str, float | int | None]:
-        """JSON-friendly snapshot for bench reports."""
-        return {
-            "alpha": self.alpha,
-            "load_s_per_token": self.load_s_per_token,
-            "compute_s_per_token": self.compute_s_per_token,
-            "n_observations": self.n_observations,
-            "decode_s_per_step": self.decode_s_per_step,
-            "n_decode_observations": self.n_decode_observations,
-            "decode_s_per_step_by_width": {
-                str(width): value
-                for width, value in sorted(self.decode_s_per_step_by_width.items())
-            },
-        }
 
 
 def predict_first_token_time(
     ttft_service: float,
     n_prefill_iters: int = 1,
     prefill_backlog_s: float = 0.0,
-    n_decoding: int = 0,
-    calibration: OnlineCostCalibration | None = None,
-    analytic_decode_step_s: float = 0.0,
+    decode_iteration_s: float = 0.0,
 ) -> float:
     """Predicted service seconds until a newly admitted request's first token
     under iteration-level continuous batching.
 
     The newcomer's chunked prefill spans ``n_prefill_iters`` iterations, each
-    of which also runs one co-batched decode step for the ``n_decoding``
-    requests already generating — priced width-aware via
-    :meth:`OnlineCostCalibration.decode_step_time` when *calibration* carries
-    measured decode observations, else as ``n_decoding`` serial analytic
-    slices of ``analytic_decode_step_s`` each.  The running batch's remaining
-    prefill backlog (``prefill_backlog_s``) serialises on the GPU ahead of
-    the newcomer's own slices.  The admission controller adds the time the
-    request already waited in the arrival queue on top of this estimate and
-    compares the sum against the request's deadline.
+    of which also runs one decode step of every request already generating,
+    costing ``decode_iteration_s`` (the sum of their serial analytic slices).
+    The running batch's remaining prefill backlog (``prefill_backlog_s``)
+    serialises on the GPU ahead of the newcomer's own slices.  The admission
+    controller adds the time the request already waited in the arrival queue
+    on top of this estimate and compares the sum against the request's
+    deadline.
     """
     if n_prefill_iters < 1:
         raise ValueError("n_prefill_iters must be >= 1")
-    step = 0.0
-    if n_decoding > 0:
-        if calibration is not None and calibration.decode_ready:
-            step = calibration.decode_step_time(n_decoding)
-        else:
-            step = analytic_decode_step_s * n_decoding
-    return prefill_backlog_s + ttft_service + n_prefill_iters * step
+    return prefill_backlog_s + ttft_service + n_prefill_iters * decode_iteration_s
 
 
 @dataclass(frozen=True)
@@ -243,10 +66,8 @@ class GPUSpec:
 class ServingCostModel:
     """Delay estimators for one model served on ``n_gpus`` GPUs.
 
-    When a :class:`OnlineCostCalibration` is attached (and has observed at
-    least one measured executor trace), :meth:`ttft_cacheblend_measured`
-    estimates CacheBlend's pipeline delay from the observed per-layer
-    load/compute rates instead of the static analytic constants.
+    Every number is an analytic projection to the paper architecture in
+    ``model``; nothing here is measured on the machine running it.
 
     ``precision`` (a :class:`~repro.kvstore.precision.PrecisionPolicy` or a
     preset name) overrides the architecture's ``dtype_bytes`` for every KV
@@ -259,7 +80,6 @@ class ServingCostModel:
     model: ModelConfig
     gpu: GPUSpec = field(default_factory=GPUSpec)
     n_gpus: int = 1
-    calibration: OnlineCostCalibration | None = None
     precision: PrecisionPolicy | str | None = None
 
     def __post_init__(self) -> None:
@@ -477,36 +297,3 @@ class ServingCostModel:
         compute[0] = self.prefill_layer_time(n_tokens)
         total = pipelined_time(load, compute) if pipelined else sequential_time(load, compute)
         return self.gpu.overhead_s + total
-
-    def ttft_cacheblend_measured(
-        self,
-        n_tokens: int,
-        n_suffix: int,
-        ratio: float,
-        pipelined: bool = True,
-    ) -> float:
-        """CacheBlend pipeline delay from *measured* per-layer rates.
-
-        Same per-layer schedule as :meth:`ttft_cacheblend`, but load and
-        compute delays come from the attached :class:`OnlineCostCalibration`
-        (EWMA of executor-trace observations) instead of the analytic
-        device/FLOP constants.  The value is wall-clock-grounded on the
-        machine the traces were measured on — it covers the fused pipeline
-        only (no GPU launch overhead, no decode step), so compare it against
-        the pipeline portion of the analytic estimate, not the end-to-end
-        TTFT.  Raises ``RuntimeError`` when no calibration is attached or it
-        has no observations yet.
-        """
-        if self.calibration is None or not self.calibration.ready:
-            raise RuntimeError("no measured calibration available")
-        if n_tokens <= 0:
-            return 0.0
-        n_context = n_tokens - n_suffix
-        n_recomputed = ratio * n_context + n_suffix
-        load = [self.calibration.layer_load_time(n_context)] * self.model.n_layers
-        compute = [
-            self.calibration.layer_compute_time(n_recomputed)
-        ] * self.model.n_layers
-        # Layer 0 is fully recomputed to seed HKVD selection.
-        compute[0] = self.calibration.layer_compute_time(n_tokens)
-        return pipelined_time(load, compute) if pipelined else sequential_time(load, compute)

@@ -41,14 +41,6 @@ class EngineResult:
     on KV loads rather than computing (zero for compute-only schemes).  A
     cross-request-pipelining scheduler can hide it behind other requests'
     compute — see ``ContinuousBatchingScheduler(overlap_loads=True)``.
-
-    ``ttft_service_measured`` is the trace-calibrated pipeline delay from
-    :meth:`~repro.serving.costmodel.ServingCostModel.ttft_cacheblend_measured`
-    (plus any slow-tier read excess), attached (CacheBlend only) when the
-    cost model carries a ready
-    :class:`~repro.serving.costmodel.OnlineCostCalibration`; ``None``
-    otherwise.  It sits beside the analytic ``ttft_service`` so sweeps can
-    report measured vs analytic TTFT side by side.
     """
 
     scheme: str
@@ -57,7 +49,6 @@ class EngineResult:
     decode_time: float
     recomputed_fraction: float = 1.0
     stall_time: float = 0.0
-    ttft_service_measured: float | None = None
 
 
 @dataclass
@@ -94,7 +85,6 @@ class InferenceEngine:
         cold_context = request.n_context_tokens - cached_context
         # Tiered store split of the cached context: fast-tier tokens read at
         # the RAM tier's rate, the rest at `device` (the slow tier).
-        slow_context = 0
         fast_context = 0
         if request.slow_tier_fraction is not None and self.fast_device is not None:
             slow_context = min(
@@ -160,25 +150,6 @@ class InferenceEngine:
         remaining_decode = self.cost_model.decode_time(
             max(0, request.n_output_tokens - 1), context_tokens=n_total + 1
         )
-        measured: float | None = None
-        calibration = self.cost_model.calibration
-        if (
-            self.scheme == "cacheblend"
-            and calibration is not None
-            and calibration.ready
-        ):
-            measured = self.cost_model.ttft_cacheblend_measured(
-                cached_context + n_suffix, n_suffix, self.recompute_ratio
-            )
-            if slow_context > 0 and self.fast_device is not None:
-                # The calibrated per-layer load rate reflects fast-tier
-                # reads; KV spilled to the slow tier adds its read excess
-                # on top (per-tier delay in the measured column).
-                measured += max(
-                    0.0,
-                    self.cost_model.kv_load_time(slow_context, self.device)
-                    - self.cost_model.kv_load_time(slow_context, self.fast_device),
-                )
         # Pure device-wait share of the service time: what remains after the
         # GPU work *and* the per-request launch overhead (overhead is GPU-side
         # and cannot be hidden behind another request's compute).
@@ -190,7 +161,6 @@ class InferenceEngine:
             decode_time=remaining_decode,
             recomputed_fraction=min(1.0, recomputed / max(1, n_total)),
             stall_time=stall,
-            ttft_service_measured=measured,
         )
 
     def serve_batch(self, requests: list[GenerationRequest]) -> list[EngineResult]:

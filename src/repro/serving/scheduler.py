@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from repro.serving.costmodel import OnlineCostCalibration, predict_first_token_time
+from repro.serving.costmodel import predict_first_token_time
 from repro.serving.engine import EngineResult
 from repro.serving.request import GenerationRequest, RequestTiming
 
@@ -146,27 +146,12 @@ class ContinuousBatchingScheduler:
         with its loader/compute thread pair.  Loads still serialise on the
         device, so a batch of stall-dominated requests stays device-bound;
         a request alone in its batch pays its stalls in full.
-    decode_calibration:
-        Optional :class:`~repro.serving.costmodel.OnlineCostCalibration`.
-        When it carries measured decode observations (the serving loop
-        measures every co-batched :class:`~repro.model.tensors.DecodeSession`
-        step, tagged with its batch width), an iteration's decode work is
-        priced as **one batched step at the iteration's width**:
-        ``decode_step_time(W)`` for W concurrently decoding requests,
-        instead of the sum of W per-request slices.  That is exactly what
-        the engine executes — one ``DecodeSession.step()`` per scheduler
-        iteration — so the measured decode amortisation (a step costs far
-        less than W × a single-request step) shows up in sweep-level TTFT
-        and throughput.  Without a decode-ready calibration each request
-        contributes its analytic ``decode_time / steps`` slice, serially.
-        Apply the same calibration across all sweep cells so scheme
-        comparisons stay apples-to-apples.
     admission_control:
         SLO-aware admission.  A deadline-carrying request whose predicted
         first-token time (:func:`~repro.serving.costmodel.
         predict_first_token_time`: queue wait already accrued + the running
         batch's prefill backlog + its own chunked prefill, each iteration
-        paying one co-batched decode step) already misses its ``deadline_s``
+        paying the running decoders' slices) already misses its ``deadline_s``
         is *rejected* at admission instead of burning GPU time on a
         guaranteed SLO miss — its timing record carries ``rejected=True``
         and occupies no server time.  Best-effort requests (no deadline)
@@ -187,7 +172,6 @@ class ContinuousBatchingScheduler:
     max_batch_tokens: int = 16_384
     prefill_chunk_tokens: int = 512
     overlap_loads: bool = False
-    decode_calibration: OnlineCostCalibration | None = None
     admission_control: bool = False
     preemption: bool = False
     max_preemptions: int = 2
@@ -342,16 +326,11 @@ class ContinuousBatchingScheduler:
         n_prefill_iters = max(
             1, -(-candidate.n_total_tokens // self.prefill_chunk_tokens)
         )
-        analytic_step = (
-            sum(r.decode_step for r in decoding) / len(decoding) if decoding else 0.0
-        )
         predicted = predict_first_token_time(
             ttft_service=result.ttft_service,
             n_prefill_iters=n_prefill_iters,
             prefill_backlog_s=sum(r.remaining_prefill for r in [*batch, *paused]),
-            n_decoding=len(decoding),
-            calibration=self.decode_calibration,
-            analytic_decode_step_s=analytic_step,
+            decode_iteration_s=sum(r.decode_step for r in decoding),
         )
         waited = clock - candidate.arrival_time
         return waited + predicted <= candidate.deadline_s
@@ -403,8 +382,6 @@ class ContinuousBatchingScheduler:
         n_tokens = request.n_total_tokens
         n_prefill_iters = max(1, -(-n_tokens // self.prefill_chunk_tokens))
         decode_steps = max(0, request.n_output_tokens - 1)
-        # The analytic per-request slice; a decode-ready calibration instead
-        # prices the whole iteration width-aware in _run_iteration.
         decode_step = result.decode_time / decode_steps if decode_steps else 0.0
         gpu_fraction = 1.0
         if result.ttft_service > 0.0:
@@ -441,17 +418,13 @@ class ContinuousBatchingScheduler:
         sum whenever both streams have work, but never below the pure-GPU
         (or pure-device) lower bound.
 
-        The W decoding requests of an iteration are co-batched: with a
-        decode-ready calibration their joint slice is one measured batched
-        step at width W (``decode_step_time(W)``), mirroring the engine's
-        one ``DecodeSession.step()`` per iteration; without one, each
-        contributes its analytic per-request slice serially.
+        Each decoding request contributes its analytic per-request decode
+        slice, serially.
         """
         gpu_work = 0.0
         load_work = 0.0
         n_working = 0
         decode_work = 0.0
-        n_decoding = 0
         for running in batch:
             if running.remaining_prefill > 0.0:
                 slice_ = min(running.remaining_prefill, running.prefill_slice)
@@ -460,12 +433,8 @@ class ContinuousBatchingScheduler:
                 n_working += 1
             elif running.decode_steps_left > 0:
                 decode_work += running.decode_step
-                n_decoding += 1
                 n_working += 1
-        if n_decoding:
-            if self.decode_calibration is not None and self.decode_calibration.decode_ready:
-                decode_work = self.decode_calibration.decode_step_time(n_decoding)
-            gpu_work += decode_work
+        gpu_work += decode_work
         if self.overlap_loads and n_working > 1:
             duration = max(gpu_work, load_work)
         else:

@@ -34,9 +34,6 @@ class RunSummary:
     throughput: float
     gpu_utilisation: float
     makespan: float
-    #: Mean trace-calibrated pipeline delay (``EngineResult.ttft_service_measured``)
-    #: when the engine carried a ready measured calibration; ``None`` otherwise.
-    mean_ttft_service_measured: float | None = None
     #: Requests the admission controller turned away.  Their timings stay in
     #: the scheduler's output, but they contribute nothing to the TTFT
     #: percentiles, queueing mean, throughput, or busy time above.
@@ -82,19 +79,12 @@ def summarise_run(
             throughput=0.0,
             gpu_utilisation=0.0,
             makespan=makespan,
-            mean_ttft_service_measured=None,
             n_rejected=n_rejected,
         )
     ttfts = np.array([t.ttft for _, _, t in served])
     queueing = np.array([t.queueing_delay for _, _, t in served])
     busy = sum(
         max(res.ttft_service, res.gpu_time) + res.decode_time for _, res, _ in served
-    )
-    measured = [res.ttft_service_measured for _, res, _ in served]
-    mean_measured = (
-        float(np.mean([m for m in measured if m is not None]))
-        if any(m is not None for m in measured)
-        else None
     )
     return RunSummary(
         mean_ttft=float(ttfts.mean()),
@@ -105,7 +95,6 @@ def summarise_run(
         throughput=len(served) / makespan if makespan > 0 else float("inf"),
         gpu_utilisation=busy / (n_servers * makespan) if makespan > 0 else 1.0,
         makespan=makespan,
-        mean_ttft_service_measured=mean_measured,
         n_rejected=n_rejected,
     )
 
@@ -139,9 +128,6 @@ class SimulationResult:
     mean_queueing: float
     throughput: float
     gpu_utilisation: float
-    #: Mean measured (trace-calibrated) pipeline delay; ``None`` without a
-    #: ready :class:`~repro.serving.costmodel.OnlineCostCalibration`.
-    mean_ttft_service_measured: float | None = None
     #: Requests rejected by admission control; present in :attr:`timings`
     #: (flagged ``rejected``) but excluded from the aggregate metrics above.
     n_rejected: int = 0
@@ -205,7 +191,6 @@ class LoadSimulator:
             mean_queueing=summary.mean_queueing,
             throughput=summary.throughput,
             gpu_utilisation=summary.gpu_utilisation,
-            mean_ttft_service_measured=summary.mean_ttft_service_measured,
             n_rejected=summary.n_rejected,
             timings=timings,
         )

@@ -12,11 +12,7 @@ import pytest
 
 from repro.kvstore.device import get_device
 from repro.model.config import get_config
-from repro.serving.costmodel import (
-    OnlineCostCalibration,
-    ServingCostModel,
-    predict_first_token_time,
-)
+from repro.serving.costmodel import ServingCostModel, predict_first_token_time
 from repro.serving.engine import EngineResult, InferenceEngine
 from repro.serving.request import GenerationRequest, RequestTiming
 from repro.serving.scheduler import ContinuousBatchingScheduler
@@ -83,22 +79,9 @@ class TestPredictFirstTokenTime:
             ttft_service=1.0,
             n_prefill_iters=4,
             prefill_backlog_s=2.0,
-            n_decoding=3,
-            analytic_decode_step_s=0.01,
+            decode_iteration_s=3 * 0.01,
         )
         assert predicted == pytest.approx(2.0 + 1.0 + 4 * 3 * 0.01)
-
-    def test_measured_calibration_prices_one_batched_step(self):
-        calibration = OnlineCostCalibration()
-        calibration.observe_decode(0.02, batch_width=3)
-        predicted = predict_first_token_time(
-            ttft_service=1.0,
-            n_prefill_iters=2,
-            n_decoding=3,
-            calibration=calibration,
-            analytic_decode_step_s=100.0,  # must be ignored
-        )
-        assert predicted == pytest.approx(1.0 + 2 * 0.02)
 
     def test_validates_iterations(self):
         with pytest.raises(ValueError, match="n_prefill_iters"):
@@ -140,6 +123,30 @@ class TestAdmissionControl:
             admission_control=True,
         ).schedule(requests, results)
         assert not any(t.rejected for t in timings)
+
+    @staticmethod
+    def _beside_one_decoder(deadline: float) -> list[RequestTiming]:
+        """A decoder (10 analytic steps of 0.2 s) starts decoding at t=1.0,
+        when a one-iteration newcomer (0.5 s prefill) arrives: its predicted
+        first token is its prefill plus one decode slice, 0.7 s."""
+        decoder = _request(0, n_chunks=1, chunk_tokens=64, n_output_tokens=11)
+        newcomer = _request(
+            1, arrival=1.0, deadline=deadline, n_chunks=1, chunk_tokens=64
+        )
+        return ContinuousBatchingScheduler(
+            n_servers=1, admission_control=True
+        ).schedule([decoder, newcomer], [_result(ttft=1.0, decode=2.0), _result(ttft=0.5)])
+
+    def test_prediction_beside_a_decoder_is_the_first_token_it_gets(self):
+        timings = self._beside_one_decoder(deadline=0.7 + 1e-6)
+        assert not timings[1].rejected
+        assert timings[1].ttft == pytest.approx(0.5 + 2.0 / 10)
+        assert timings[1].met_slo
+
+    def test_deadline_just_below_the_prediction_is_rejected(self):
+        timings = self._beside_one_decoder(deadline=0.7 - 1e-6)
+        assert timings[1].rejected
+        assert not timings[0].rejected
 
     def test_admission_off_serves_the_doomed_request_late(self):
         requests = [_request(0), _request(1, deadline=0.5)]

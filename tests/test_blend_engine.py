@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.core.blend_engine import BlendEngine
+from repro.model.config import PAPER_MODEL_PAIRS
 
 CHUNKS = [
     "retrieval augmented generation reuses text chunks across many queries",
@@ -82,6 +83,23 @@ class TestBlendEngineRun:
         stats = engine.cache_stats
         # Second request re-encodes nothing: two chunks plus the question hit.
         assert stats["tokenizer_hits"] >= 3
+
+    def test_encoding_cache_keeps_the_most_recent_1024_texts(self):
+        fresh = BlendEngine.build(paper_model="Mistral-7B", device="nvme_ssd", seed=0)
+        texts = [f"distinct encoding cache text {i}" for i in range(1025)]
+        for text in texts:
+            fresh.encode(text)
+        fresh.encode(texts[-1])  # still cached
+        fresh.encode(texts[0])  # evicted by the 1025th text
+        stats = fresh.cache_stats
+        assert stats["tokenizer_hits"] == 1
+        assert stats["tokenizer_misses"] == 1026
+
+    @pytest.mark.parametrize("paper_model", sorted(PAPER_MODEL_PAIRS))
+    def test_build_serves_only_llama_70b_on_two_gpus(self, paper_model):
+        built = BlendEngine.build(paper_model=paper_model, device="nvme_ssd")
+        expected = 2 if paper_model == "Llama-70B" else 1
+        assert built.controller.cost_model.n_gpus == expected
 
     def test_per_request_stats_are_counted_locally(self, engine):
         """Regression: per-request cache stats must not be derived by diffing

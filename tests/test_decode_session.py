@@ -198,22 +198,19 @@ class TestSessionStepEquivalence:
             model.decode_session_step(deeper, [7])
         assert deeper.length_of("r") == cache.n_tokens
 
-    def test_generate_session_reports_every_step_with_its_width(self, model):
+    def test_generate_session_runs_one_step_per_later_token(self, model):
         prefills = _prefill_caches(model, (5, 8, 6), seed=21)
         session = model.new_decode_session()
         for i, p in enumerate(prefills):
             session.join(i, p.kv_cache, reserve=4)
-        steps = []
         generated = model.generate_session(
-            session,
-            [p.last_logits for p in prefills],
-            max_new_tokens=4,
-            on_step=lambda seconds, width: steps.append((seconds, width)),
+            session, [p.last_logits for p in prefills], max_new_tokens=4
         )
         assert all(len(tokens) == 4 for tokens in generated)
-        # The first token comes from the prefill logits; each later one is a step.
-        assert [width for _, width in steps] == [3, 3, 3]
-        assert all(seconds > 0.0 for seconds, _ in steps)
+        # The first token comes from the prefill logits; each later one is a
+        # step, and every step decodes all three members at once.
+        assert session.stats.steps == 3
+        assert session.stats.append_rows == 3 * 3
 
     def test_invalid_token_id_leaves_slots_untouched(self, model):
         prefill = _prefill_caches(model, [5])[0]

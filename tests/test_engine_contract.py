@@ -1,5 +1,5 @@
 """Randomized contract of ``BlendEngine.run_batch``: first token, token
-budget, EOS, decode sessions and their calibration, and TTFT."""
+budget, EOS, decode sessions and their step counts, and TTFT."""
 
 import numpy as np
 import pytest
@@ -70,8 +70,6 @@ def test_run_batch_contract(engine, first_token, batch, warm, max_new_tokens, eo
     eos = tokenizer.eos_id
     if eos_request is not None:
         eos = first_token(batch[eos_request % len(batch)])
-    calibration = engine.controller.cost_model.calibration
-    observations = calibration.n_decode_observations
     sessions = []
     open_session = engine.model.new_decode_session
 
@@ -105,7 +103,6 @@ def test_run_batch_contract(engine, first_token, batch, warm, max_new_tokens, eo
             assert result.ttft > result.trace.total_time
 
     steps = sum(session.stats.steps for session in sessions)
-    assert calibration.n_decode_observations - observations == steps
     if max_new_tokens <= 1:
         assert sessions == []
     else:

@@ -88,6 +88,12 @@ class TestReportSchema:
         reloaded = json.loads(json.dumps(document))
         validate_report(reloaded)
 
+    def test_run_attaches_no_proxy_block_unless_asked(self, report):
+        """``run()`` prices every cell from the analytic cost model; the
+        measured probe runs only under ``with_proxy``."""
+        assert report.proxy is None
+        assert report_to_dict(report, tag="test")["proxy"] is None
+
     def test_save_report_writes_bench_json(self, report, tmp_path):
         path = save_report(report, out_dir=tmp_path, tag="unit")
         assert path.name.startswith("BENCH_unit_")
@@ -167,27 +173,6 @@ class TestConfigValidation:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scheduler="psychic")
-
-    def test_measured_decode_pacing_requires_continuous_scheduler(self):
-        """FCFS never consumes the decode calibration; rejecting the combo
-        beats silently charging the user for a no-op proxy run."""
-        with pytest.raises(ValueError):
-            ExperimentConfig(scheduler="fcfs", measured_decode_pacing=True)
-        ExperimentConfig(scheduler="continuous", measured_decode_pacing=True)
-
-    def test_measured_decode_pacing_forces_the_proxy_probe(self):
-        """Library path: run() without with_proxy must still run the probe
-        when measured pacing is requested, or the pacing would silently fall
-        back to analytic."""
-        config = ExperimentConfig(
-            models=("mistral-7b",),
-            devices=("cpu_ram",),
-            n_requests=6,
-            measured_decode_pacing=True,
-        )
-        report = ExperimentRunner(config).run()
-        assert report.proxy is not None
-        assert report.proxy["calibration"]["n_decode_observations"] >= 2
 
     def test_smoke_config_is_small(self):
         config = ExperimentConfig.smoke()
@@ -814,6 +799,24 @@ class TestComposedAxes:
 
     def test_document_validates(self, composed_report):
         validate_report(report_to_dict(composed_report, tag="composed"))
+
+    def test_proxy_probe_leaves_the_cells_unchanged(self):
+        """Cells are deterministic projections: the measured probe fills
+        the report's ``proxy`` block and changes no cell, on any axis."""
+        config = ExperimentConfig(
+            models=("mistral-7b",),
+            devices=("nvme_ssd",),
+            schemes=("cacheblend", "full_recompute"),
+            n_requests=20,
+            fleet_sizes=(2,),
+            routing_policies=("least_loaded", "affinity"),
+            kv_dtypes=("float16", "int8"),
+            fault_rate=0.05,
+            seed=0,
+        )
+        probed = ExperimentRunner(config).run(with_proxy=True)
+        assert probed.proxy is not None
+        assert probed.cells == ExperimentRunner(config).run(with_proxy=False).cells
 
     def test_comparison_rows_name_their_sweep_point(self, composed_report):
         routing = [

@@ -23,6 +23,7 @@ from repro.core.pipeline import (
     cross_request_schedule,
     cross_request_sequential_time,
 )
+from repro.kvstore.device import get_device
 from repro.model.config import get_config
 from repro.model.transformer import TransformerModel
 from repro.serving.costmodel import ServingCostModel
@@ -214,8 +215,46 @@ class TestSchedulerOverlapProperties:
         assert max(t.completion_time for t in overlapped) >= gpu_total - EPS
 
 
-class TestMeasuredCostModelGuards:
-    def test_measured_ttft_requires_observations(self):
-        cost_model = ServingCostModel(get_config("mistral-7b"))
-        with pytest.raises(RuntimeError):
-            cost_model.ttft_cacheblend_measured(1024, 32, 0.15)
+class TestCostModelPricing:
+    """The analytic CacheBlend TTFT is the §5.1 per-layer pipeline of KV
+    loads and (selective) recompute, and the cost model prices only
+    arguments inside its domain."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cacheblend_ttft_is_bounded_by_its_two_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        cost_model = ServingCostModel(
+            get_config(str(rng.choice(["mistral-7b", "yi-34b", "llama-70b"])))
+        )
+        device = get_device(str(rng.choice(["cpu_ram", "nvme_ssd", "slow_disk"])))
+        n_tokens = int(rng.integers(64, 8192))
+        n_suffix = int(rng.integers(1, n_tokens))
+        ratio = float(rng.uniform(0.0, 1.0))
+        pipelined = cost_model.ttft_cacheblend(n_tokens, n_suffix, ratio, device)
+        sequential = cost_model.ttft_cacheblend(
+            n_tokens, n_suffix, ratio, device, pipelined=False
+        )
+        n_layers = cost_model.model.n_layers
+        load = n_layers * cost_model.kv_load_time_per_layer(n_tokens - n_suffix, device)
+        fraction = (ratio * (n_tokens - n_suffix) + n_suffix) / n_tokens
+        compute = cost_model.prefill_layer_time(n_tokens) + (
+            n_layers - 1
+        ) * cost_model.recompute_layer_time(n_tokens, fraction)
+        overhead = cost_model.gpu.overhead_s
+        assert sequential == pytest.approx(overhead + load + compute)
+        assert pipelined <= sequential + EPS
+        assert pipelined >= overhead + max(load, compute) - EPS
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda m: m.recompute_layer_time(1024, 1.5), "ratio"),
+            (lambda m: m.prefill_time_with_prefix(1024, 2048), "n_prefix"),
+            (lambda m: m.decode_time_per_token(batch_size=0), "batch_size"),
+            (lambda m: ServingCostModel(m.model, n_gpus=0), "n_gpus"),
+        ],
+        ids=["ratio", "prefix", "decode_batch", "n_gpus"],
+    )
+    def test_out_of_domain_arguments_are_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(ServingCostModel(get_config("mistral-7b")))

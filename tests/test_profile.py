@@ -222,6 +222,16 @@ class TestStoreProfile:
         assert "tiered store" in format_profile_summary(document)
 
 
+
+class TestRoutingProfile:
+    """The gated routing decisions run over a fleet whose replicas carry
+    projected load, not over idle replicas that all tie."""
+
+    def test_affinity_decisions_spread_over_the_fleet(self, document):
+        counts = document["fleet"]["policies"]["affinity"]["placement_counts"]
+        assert sum(1 for count in counts if count > 0) >= 2
+
+
 class TestPreemptResumeProfile:
     """Acceptance: the scheduler's pause/resume round-trip is profiled and
     gated — preempting a decode slot must stay a cheap, bounded operation."""

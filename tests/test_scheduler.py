@@ -5,8 +5,8 @@ import pytest
 
 from repro.kvstore.device import get_device
 from repro.model.config import get_config
-from repro.serving.costmodel import OnlineCostCalibration, ServingCostModel
-from repro.serving.engine import InferenceEngine
+from repro.serving.costmodel import ServingCostModel
+from repro.serving.engine import EngineResult, InferenceEngine
 from repro.serving.request import GenerationRequest
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
@@ -121,6 +121,55 @@ class TestContinuousBatching:
         ).schedule([request], results)
         assert timings[0].completion_time > 0.0
 
+    def test_cobatched_decoders_pay_their_analytic_slices_serially(self):
+        """Four requests share every iteration: one prefill slice each, then
+        each decode iteration costs the sum of the four per-request decode
+        slices (``decode_time / (n_output_tokens - 1)``)."""
+        requests = [
+            GenerationRequest(
+                request_id=i, n_chunks=1, chunk_tokens=64, n_output_tokens=5,
+                arrival_time=0.0,
+            )
+            for i in range(4)
+        ]
+        results = [
+            EngineResult(
+                scheme="cacheblend", gpu_time=1.0, ttft_service=1.0, decode_time=0.4
+            )
+            for _ in requests
+        ]
+        timings = ContinuousBatchingScheduler().schedule(requests, results)
+        for timing in timings:
+            assert timing.first_token_time == pytest.approx(4 * 1.0)
+            assert timing.completion_time == pytest.approx(4 * 1.0 + 4 * (4 * 0.1))
+
+    def test_decode_step_shares_its_iteration_with_a_joining_prefill(self):
+        """A request arriving mid-decode joins at the next iteration boundary;
+        that iteration runs its prefill slice and the decoder's step serially,
+        so both pay their sum and the decoder finishes later than alone."""
+        requests = [
+            GenerationRequest(
+                request_id=0, n_chunks=1, chunk_tokens=64, n_output_tokens=5,
+                arrival_time=0.0,
+            ),
+            GenerationRequest(
+                request_id=1, n_chunks=1, chunk_tokens=64, n_output_tokens=3,
+                arrival_time=1.05,
+            ),
+        ]
+        results = [
+            EngineResult(scheme="cacheblend", gpu_time=1.0, ttft_service=1.0, decode_time=0.4),
+            EngineResult(scheme="cacheblend", gpu_time=0.5, ttft_service=0.5, decode_time=0.2),
+        ]
+        decoder, joiner = ContinuousBatchingScheduler().schedule(requests, results)
+        # Iterations: prefill A [0, 1.0]; step A [1.0, 1.1]; step A + prefill
+        # B [1.1, 1.7]; then two iterations of one step each, 0.2 apiece.
+        assert decoder.first_token_time == pytest.approx(1.0)
+        assert joiner.start_time == pytest.approx(1.1)
+        assert joiner.first_token_time == pytest.approx(1.1 + 0.1 + 0.5)
+        assert decoder.completion_time == pytest.approx(1.7 + 2 * (0.1 + 0.1))
+        assert joiner.completion_time == decoder.completion_time
+
     def test_simulator_accepts_injected_scheduler(self, engine):
         simulator = LoadSimulator(
             engine,
@@ -221,16 +270,8 @@ class TestServicePricing:
 
     def test_cacheblend_by_hand(self, cost_model):
         device = get_device("nvme_ssd")
-        calibration = OnlineCostCalibration(
-            load_s_per_token=1e-6,
-            compute_s_per_token=2e-6,
-            n_observations=1,
-            decode_s_per_step=0.5,
-            n_decode_observations=1,
-        )
-        calibrated = ServingCostModel(get_config("mistral-7b"), calibration=calibration)
         result = InferenceEngine(
-            calibrated, scheme="cacheblend", device=device, recompute_ratio=0.15
+            cost_model, scheme="cacheblend", device=device, recompute_ratio=0.15
         ).serve(self.REQUEST)
         cached, cold, suffix = 100, 100, 20
         n_tokens = cached + suffix
@@ -247,126 +288,4 @@ class TestServicePricing:
         assert result.gpu_time == pytest.approx(gpu)
         assert result.gpu_time + result.decode_time == pytest.approx(
             gpu + self._decode_steps(cost_model)
-        )
-        # The measured column ends at the first token too, even with a
-        # decode-ready calibration.
-        assert result.ttft_service_measured == calibrated.ttft_cacheblend_measured(
-            n_tokens, suffix, 0.15
-        )
-
-
-class TestWidthAwareDecodePacing:
-    """Co-batched decode at the scheduler level: an iteration's W decoding
-    requests cost one measured batched step at width W, not W serial steps."""
-
-    @staticmethod
-    def _calibration() -> "OnlineCostCalibration":
-        from repro.serving.costmodel import OnlineCostCalibration
-
-        cal = OnlineCostCalibration()
-        cal.observe_decode(0.010, batch_width=1)
-        cal.observe_decode(0.016, batch_width=4)
-        return cal
-
-    def test_buckets_interpolate_clamp_and_extrapolate(self):
-        cal = self._calibration()
-        assert cal.decode_step_time(1) == pytest.approx(0.010)
-        assert cal.decode_step_time(4) == pytest.approx(0.016)
-        # Linear interpolation between observed widths...
-        assert cal.decode_step_time(2) == pytest.approx(0.012)
-        assert cal.decode_step_time(3) == pytest.approx(0.014)
-        # ...slope extrapolation beyond the widest bucket (per-step cost
-        # grows with width; clamping would price a 16-wide iteration at the
-        # 4-wide step cost and make measured pacing optimistic)...
-        assert cal.decode_step_time(16) == pytest.approx(0.016 + 0.002 * 12)
-        # ...floored at flat when the top buckets are non-monotonic, and
-        # clamped with only one bucket observed.
-        from repro.serving.costmodel import OnlineCostCalibration
-
-        noisy = OnlineCostCalibration()
-        noisy.observe_decode(0.016, batch_width=2)
-        noisy.observe_decode(0.010, batch_width=4)
-        assert noisy.decode_step_time(32) == pytest.approx(0.010)
-        lone = OnlineCostCalibration()
-        lone.observe_decode(0.02, batch_width=3)
-        assert lone.decode_step_time(32) == pytest.approx(0.02)
-        # The width-agnostic EWMA is still the legacy aggregate.
-        assert cal.decode_step_time() == pytest.approx(
-            0.75 * 0.010 + 0.25 * 0.016
-        )
-
-    def test_bucket_validation(self):
-        cal = self._calibration()
-        with pytest.raises(ValueError):
-            cal.observe_decode(0.01, batch_width=0)
-        with pytest.raises(ValueError):
-            cal.decode_step_time(0)
-        from repro.serving.costmodel import OnlineCostCalibration
-
-        with pytest.raises(RuntimeError):
-            OnlineCostCalibration().decode_step_time(2)
-
-    def test_snapshot_includes_the_width_buckets(self):
-        snapshot = self._calibration().as_dict()
-        assert snapshot["decode_s_per_step_by_width"] == {
-            "1": pytest.approx(0.010),
-            "4": pytest.approx(0.016),
-        }
-
-    def test_cobatched_iterations_amortise_decode(self):
-        """Four decode-heavy requests in one batch: width-aware pacing prices
-        each iteration at one width-4 step (~0.016 s), the legacy behaviour
-        at four width-1 steps (0.040 s) — the measured amortisation finally
-        reaches scheduler-level completion times."""
-        cal = self._calibration()
-        requests = [
-            GenerationRequest(
-                request_id=i, n_chunks=1, chunk_tokens=64, n_output_tokens=33,
-                arrival_time=0.0,
-            )
-            for i in range(4)
-        ]
-        cost_model = ServingCostModel(get_config("mistral-7b"))
-        engine = InferenceEngine(
-            cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
-        )
-        results = engine.serve_batch(requests)
-        paced = ContinuousBatchingScheduler(decode_calibration=cal).schedule(
-            requests, results
-        )
-        unpaced = ContinuousBatchingScheduler().schedule(requests, results)
-        decode_steps = requests[0].n_output_tokens - 1  # 32 lock-step iterations
-        # All four decode together; batched iterations are width-4 steps.
-        batched_decode = decode_steps * cal.decode_step_time(4)
-        serial_measured = decode_steps * 4 * cal.decode_step_time(1)
-        measured_makespan = max(t.completion_time for t in paced)
-        analytic_makespan = max(t.completion_time for t in unpaced)
-        prefill_part = analytic_makespan - decode_steps * sum(
-            r.decode_time / decode_steps for r in results
-        )
-        assert measured_makespan == pytest.approx(prefill_part + batched_decode)
-        assert measured_makespan < prefill_part + serial_measured
-        # Lifecycle invariants survive the width-aware pricing.
-        for timing in paced:
-            assert timing.first_token_time >= timing.start_time
-            assert timing.completion_time >= timing.first_token_time
-
-    def test_single_decoder_still_paces_at_width_one(self):
-        cal = self._calibration()
-        request = GenerationRequest(request_id=0, n_output_tokens=9, arrival_time=0.0)
-        cost_model = ServingCostModel(get_config("mistral-7b"))
-        engine = InferenceEngine(
-            cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
-        )
-        results = engine.serve_batch([request])
-        paced = ContinuousBatchingScheduler(decode_calibration=cal).schedule(
-            [request], results
-        )
-        unpaced = ContinuousBatchingScheduler().schedule([request], results)
-        shift = (request.n_output_tokens - 1) * (
-            results[0].decode_time / (request.n_output_tokens - 1)
-            - cal.decode_step_time(1)
-        )
-        assert paced[0].completion_time == pytest.approx(
-            unpaced[0].completion_time - shift
         )

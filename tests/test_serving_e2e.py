@@ -3,23 +3,25 @@
 Every test here drives the *executed* pipeline rather than the analytic
 cost model, locking down that served requests carry
 measured :class:`~repro.core.pipeline.PipelineTrace` spans, that the spans
-obey the §5 schedule, and that the measured rates flow into the scheduler's
-cost estimates.  Run this tier alone with ``pytest -q -m e2e``.
+obey the §5 schedule, and that the sweep's proxy probe reports them beside
+the analytic estimates.  Run this tier alone with ``pytest -q -m e2e``.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from repro.bench.experiment import ExperimentConfig, ExperimentRunner
+from repro.bench.report import SCHEMA_VERSION, report_to_dict, validate_report
 from repro.bench.workload import WorkloadGenerator
 from repro.core.blend_engine import BlendEngine
 from repro.core.executor import PipelinedExecutor
 from repro.core.fusor import FusorConfig
 from repro.kvstore.device import get_device
 from repro.model.config import PAPER_MODEL_PAIRS, get_config
-from repro.serving.costmodel import GPUSpec, OnlineCostCalibration, ServingCostModel
+from repro.serving.costmodel import GPUSpec, ServingCostModel
 from repro.serving.engine import SCHEMES, InferenceEngine
 from repro.serving.request import GenerationRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler
@@ -103,23 +105,23 @@ class TestMeasuredTraces:
 
     def test_generation_is_cobatched_across_the_batch(self, engine, monkeypatch):
         """Acceptance: the serving loop decodes the whole pipelined batch in
-        lock-step on one DecodeSession — its first step is one batched
-        calibration observation at the batch's width, not N per-request
+        lock-step on one DecodeSession — each iteration is one
+        ``decode_session_step`` at the batch's width, not N per-request
         steps."""
-        calibration = engine.controller.cost_model.calibration
-        observed = []
-        monkeypatch.setattr(
-            calibration,
-            "observe_decode",
-            lambda seconds, batch_width=1: observed.append((seconds, batch_width)),
-        )
+        step = engine.model.decode_session_step
+        widths = []
+
+        def counted(session, token_ids):
+            widths.append(len(token_ids))
+            return step(session, token_ids)
+
+        monkeypatch.setattr(engine.model, "decode_session_step", counted)
         batch = [
             (_CHUNK_POOL[i : i + 2], f"cobatched question {i}?") for i in range(3)
         ]
         results = engine.run_batch(batch, max_new_tokens=3)
         assert all(len(result.generated_ids) == 3 for result in results)
-        assert [width for _, width in observed] == [len(batch)] * 2
-        assert all(seconds > 0.0 for seconds, _ in observed)
+        assert widths == [len(batch)] * 2
 
     def test_analytic_estimate_reported_beside_measured(self, served_batch):
         for result in served_batch:
@@ -131,6 +133,20 @@ class TestMeasuredTraces:
         offsets = [r.ttft for r in served_batch]
         # Requests complete in queue order on the shared compute stream.
         assert offsets == sorted(offsets)
+
+    def test_serving_reads_the_cost_model_and_never_writes_it(self, engine):
+        """Data flows one way: serving consults the analytic cost model for
+        the controller's ratio and ``ttft_estimate`` and leaves it as it was,
+        so serving the same batch again decides and estimates alike."""
+        controller = copy.deepcopy(engine.controller)
+        batch = [
+            (_CHUNK_POOL[i : i + 3], f"one-way question {i}?") for i in range(2)
+        ]
+        first = engine.run_batch(batch, max_new_tokens=2)
+        second = engine.run_batch(batch, max_new_tokens=2)
+        assert engine.controller == controller
+        assert [r.decision for r in second] == [r.decision for r in first]
+        assert [r.ttft_estimate for r in second] == [r.ttft_estimate for r in first]
 
 
 class TestPaperModelPresets:
@@ -185,99 +201,10 @@ class TestCrossRequestPipelining:
         assert pipelined < sequential
 
 
-class TestMeasuredFeedsScheduling:
-    @pytest.fixture(scope="class")
-    def calibration(self):
-        cal = OnlineCostCalibration()
-        e = BlendEngine.build(
-            paper_model="Mistral-7B", device="cpu_ram", seed=2, calibration=cal
-        )
-        chunks = _CHUNK_POOL[:3]
-        e.precompute_chunks(chunks)
-        e.run_batch([(chunks[:2], "first?"), (chunks[1:], "second?")], max_new_tokens=2)
-        return cal
-
-    def test_calibration_ready_after_pipelined_serving(self, calibration):
-        assert calibration.ready
-        assert calibration.n_observations >= 2
-        assert calibration.load_s_per_token > 0.0
-        assert calibration.compute_s_per_token > 0.0
-
-    def test_decode_calibration_ready_after_pipelined_serving(self, calibration):
-        """The batch's one decode step (its second token) is one co-batched
-        session step, so it lands as a *single* observation tagged with the
-        batch width — never one observation per request (that would
-        double-count the amortised step)."""
-        assert calibration.decode_ready
-        assert calibration.n_decode_observations == 1
-        assert calibration.decode_step_time() > 0.0
-        # Both requests decoded in one width-2 session step.
-        assert set(calibration.decode_s_per_step_by_width) == {2}
-        assert calibration.decode_step_time(2) == calibration.decode_step_time()
-
-    def test_measured_ttft_service_is_the_calibrated_fuse(self, calibration):
-        """The measured TTFT column ends at the first token: the calibrated
-        pipeline alone, with no decode step on top."""
-        cost_model = ServingCostModel(
-            get_config("mistral-7b"), GPUSpec(), calibration=calibration
-        )
-        inference = InferenceEngine(
-            cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
-        )
-        request = GenerationRequest(request_id=0)
-        result = inference.serve(request)
-        cached_context = int(
-            round(request.cached_chunk_fraction * request.n_context_tokens)
-        )
-        assert calibration.decode_ready
-        assert result.ttft_service_measured == cost_model.ttft_cacheblend_measured(
-            cached_context + request.n_suffix_tokens,
-            request.n_suffix_tokens,
-            inference.recompute_ratio,
-        )
-
-    def test_scheduler_paces_decode_at_the_measured_rate(self, calibration):
-        """With a decode-ready calibration the continuous scheduler's decode
-        iterations last the measured per-step delay, not the analytic
-        ``decode_time`` slice."""
-        cost_model = ServingCostModel(
-            get_config("mistral-7b"), GPUSpec(), calibration=calibration
-        )
-        inference = InferenceEngine(
-            cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
-        )
-        request = GenerationRequest(request_id=0, arrival_time=0.0)
-        results = inference.serve_batch([request])
-        analytic = ContinuousBatchingScheduler().schedule([request], results)
-        measured = ContinuousBatchingScheduler(
-            decode_calibration=calibration
-        ).schedule([request], results)
-        decode_steps = request.n_output_tokens - 1
-        expected_shift = decode_steps * (
-            results[0].decode_time / decode_steps - calibration.decode_step_time()
-        )
-        assert measured[0].completion_time == pytest.approx(
-            analytic[0].completion_time - expected_shift
-        )
-        # TTFT (prefill pacing) is untouched by the decode calibration.
-        assert measured[0].first_token_time == pytest.approx(
-            analytic[0].first_token_time
-        )
-
-    def test_cost_model_reports_measured_cacheblend_ttft(self, calibration):
-        cost_model = ServingCostModel(
-            get_config("mistral-7b"), GPUSpec(), calibration=calibration
-        )
-        measured = cost_model.ttft_cacheblend_measured(2048, 32, 0.15)
-        analytic = cost_model.ttft_cacheblend(2048, 32, 0.15, get_device("cpu_ram"))
-        assert math.isfinite(measured) and measured > 0.0
-        assert measured != analytic
-
+class TestAnalyticServing:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_every_scheme_preset_serves_finite_ttft(self, calibration, scheme):
-        cost_model = ServingCostModel(
-            get_config("mistral-7b"), GPUSpec(), calibration=calibration
-        )
+    def test_every_scheme_preset_serves_finite_ttft(self, scheme):
+        cost_model = ServingCostModel(get_config("mistral-7b"), GPUSpec())
         needs_device = scheme in ("full_reuse", "cacheblend")
         inference = InferenceEngine(
             cost_model,
@@ -286,29 +213,45 @@ class TestMeasuredFeedsScheduling:
         )
         result = inference.serve(GenerationRequest(request_id=0))
         assert math.isfinite(result.ttft_service) and result.ttft_service > 0.0
-        if scheme == "cacheblend":
-            assert result.ttft_service_measured is not None
-            assert math.isfinite(result.ttft_service_measured)
-            assert result.ttft_service_measured > 0.0
-        else:
-            assert result.ttft_service_measured is None
 
-    def test_simulator_propagates_measured_column(self, calibration):
-        cost_model = ServingCostModel(
-            get_config("mistral-7b"), GPUSpec(), calibration=calibration
+    def test_scheduler_paces_decode_at_the_analytic_rate(self):
+        """A lone request's first token lands at the end of its prefill, and
+        its ``n_output_tokens - 1`` analytic decode slices after it add up to
+        the engine's ``decode_time``."""
+        cost_model = ServingCostModel(get_config("mistral-7b"), GPUSpec())
+        inference = InferenceEngine(
+            cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
         )
+        request = GenerationRequest(request_id=0, arrival_time=0.0)
+        (result,) = inference.serve_batch([request])
+        (timing,) = ContinuousBatchingScheduler().schedule([request], [result])
+        assert request.n_output_tokens > 1
+        assert timing.first_token_time == pytest.approx(result.ttft_service)
+        assert timing.completion_time - timing.first_token_time == pytest.approx(
+            result.decode_time
+        )
+
+    def test_simulator_ttft_is_queueing_plus_analytic_service(self):
+        """Under FCFS every simulated TTFT is the request's wait for a server
+        plus the cost model's service TTFT, and the run's mean is theirs."""
+        cost_model = ServingCostModel(get_config("mistral-7b"), GPUSpec())
         inference = InferenceEngine(
             cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
         )
         simulator = LoadSimulator(inference, WorkloadSpec(), seed=5)
-        result = simulator.run(1.0, n_requests=20)
-        assert result.mean_ttft_service_measured is not None
-        assert result.mean_ttft_service_measured > 0.0
-
-    def test_overlap_scheduler_cuts_makespan_for_stall_heavy_batches(self, calibration):
-        cost_model = ServingCostModel(
-            get_config("mistral-7b"), GPUSpec(), calibration=calibration
+        results = inference.serve_batch(simulator.generate_requests(1.0, 20))
+        run = simulator.run(1.0, n_requests=20)
+        assert any(timing.queueing_delay > 0.0 for timing in run.timings)
+        for timing, result in zip(run.timings, results):
+            assert timing.ttft == pytest.approx(
+                timing.queueing_delay + result.ttft_service
+            )
+        assert run.mean_ttft == pytest.approx(
+            float(np.mean([timing.ttft for timing in run.timings]))
         )
+
+    def test_overlap_scheduler_cuts_makespan_for_stall_heavy_batches(self):
+        cost_model = ServingCostModel(get_config("mistral-7b"), GPUSpec())
         inference = InferenceEngine(
             cost_model, scheme="cacheblend", device=get_device("slow_disk")
         )
@@ -327,10 +270,8 @@ class TestMeasuredFeedsScheduling:
             t.completion_time for t in plain
         )
 
-    def test_overlap_scheduler_preserves_lifecycle_invariants(self, calibration):
-        cost_model = ServingCostModel(
-            get_config("mistral-7b"), GPUSpec(), calibration=calibration
-        )
+    def test_overlap_scheduler_preserves_lifecycle_invariants(self):
+        cost_model = ServingCostModel(get_config("mistral-7b"), GPUSpec())
         inference = InferenceEngine(
             cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
         )
@@ -370,57 +311,22 @@ class TestSweepReportsMeasured:
         assert batch["pipelined_makespan_s"] < batch["sequential_makespan_s"]
         assert batch["cross_request_speedup"] > 1.0
 
-    def test_cacheblend_cells_carry_the_measured_column(self, report):
+    def test_every_cell_prices_a_finite_positive_ttft(self, report):
         for cell in report.cells:
-            if cell.scheme == "cacheblend":
-                assert cell.mean_ttft_service_measured is not None
-                assert cell.mean_ttft_service_measured > 0.0
-            else:
-                assert cell.mean_ttft_service_measured is None
             assert math.isfinite(cell.mean_ttft) and cell.mean_ttft > 0.0
 
-    def test_calibration_snapshot_in_proxy_block(self, report):
-        calibration = report.proxy["calibration"]
-        assert calibration["n_observations"] >= 2
-        assert calibration["load_s_per_token"] > 0.0
-        assert calibration["compute_s_per_token"] > 0.0
+    def test_proxy_block_carries_no_calibration(self, report):
+        """The probe reports its measurements and feeds none back: its block
+        holds no calibration snapshot, and the document validates."""
+        assert "calibration" not in report.proxy
+        document = report_to_dict(report, tag="e2e")
+        validate_report(document)
+        assert document["schema_version"] == SCHEMA_VERSION
 
     def test_proxy_reports_session_decode_steps(self, report):
         """The probe's first tokens come from the fused prefill; only the
-        later tokens are session steps, each one calibration observation."""
+        later tokens are session steps."""
         proxy = report.proxy
         assert not [key for key in proxy if "first_decode" in key or "decode_batch" in key]
         # The probe generates through the batched decode path.
         assert all(n > 0 for n in proxy["n_generated"])
-        calibration = report.proxy["calibration"]
-        assert calibration["n_decode_observations"] >= 2
-        assert calibration["decode_s_per_step"] > 0.0
-
-    def test_measured_column_is_the_calibrated_fuse_alone(self, report):
-        """The measured sweep column ends at the first token: each CacheBlend
-        cell reports the mean calibrated fuse of its requests, with no decode
-        step on top."""
-        snapshot = report.proxy["calibration"]
-        cost_model = ServingCostModel(
-            get_config("mistral-7b"),
-            calibration=OnlineCostCalibration(
-                load_s_per_token=snapshot["load_s_per_token"],
-                compute_s_per_token=snapshot["compute_s_per_token"],
-                n_observations=snapshot["n_observations"],
-            ),
-        )
-        requests, _, _ = ExperimentRunner(report.config)._generate_workload()
-        cells = [cell for cell in report.cells if cell.scheme == "cacheblend"]
-        assert cells
-        for cell in cells:
-            fuses = []
-            for request in requests:
-                cached = int(round(request.cached_chunk_fraction * request.n_context_tokens))
-                fuses.append(
-                    cost_model.ttft_cacheblend_measured(
-                        cached + request.n_suffix_tokens,
-                        request.n_suffix_tokens,
-                        cell.recompute_ratio,
-                    )
-                )
-            assert cell.mean_ttft_service_measured == pytest.approx(np.mean(fuses))
