@@ -5,9 +5,10 @@ This package reimplements, in pure Python/NumPy, the system described in
 Fusion* (EuroSys 2025).  It contains the CacheBlend core (selective KV
 recompute, HKVD token selection, loading controller, load/compute pipeline),
 every substrate the paper depends on (a transformer model, a tokenizer, a
-KV cache store with storage-device models, a serving simulator), the baselines the paper compares against, synthetic stand-ins for
-the evaluation datasets, and an experiment harness that regenerates every
-figure of the paper's evaluation.
+KV cache store with storage-device models, an analytic serving cost model
+with a continuous-batching scheduler), the baselines the paper compares
+against, synthetic stand-ins for the evaluation datasets, and an experiment
+harness that regenerates every figure of the paper's evaluation.
 
 The public, stable entry points are re-exported here.
 """

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from repro.bench.experiment import (
     ADMISSION_POLICIES,
-    SCHEDULERS,
     ExperimentConfig,
     ExperimentRunner,
 )
@@ -101,16 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n-requests", type=int, default=100)
     parser.add_argument("--n-servers", type=int, default=1)
-    parser.add_argument(
-        "--scheduler", default="continuous", choices=SCHEDULERS,
-        help="request scheduler (continuous batching by default)",
-    )
     parser.add_argument("--max-batch-tokens", type=int, default=16_384)
-    parser.add_argument(
-        "--no-overlap-loads", action="store_true",
-        help="disable cross-request load/compute pipelining in the "
-        "continuous scheduler (it is on by default)",
-    )
     parser.add_argument("--zipf-alpha", type=float, default=1.0)
     parser.add_argument(
         "--store-capacities", nargs="+", type=int, default=None, metavar="CHUNKS",
@@ -166,9 +156,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         request_rate=smoke.request_rate if smoke else args.rate,
         n_requests=smoke.n_requests if smoke else args.n_requests,
         n_servers=args.n_servers,
-        scheduler=args.scheduler,
         max_batch_tokens=args.max_batch_tokens,
-        overlap_loads=not args.no_overlap_loads,
         zipf_alpha=args.zipf_alpha,
         store_capacity_chunks=tuple(args.store_capacities or ()),
         store_slow_capacity_factor=args.store_slow_factor,

@@ -3,11 +3,11 @@
 :class:`ExperimentRunner` replays one synthesized workload (the same request
 stream, for fairness) per sweep cell: its chunk accesses go through real chunk
 KV stores (:mod:`repro.bench.replay`), an :class:`~repro.serving.engine.
-InferenceEngine` prices each request from what its store held, FCFS or
-continuous batching schedules the stream, and the runner aggregates
-the serving metrics the paper reports: TTFT percentiles, throughput, queueing
-delay, GPU utilisation and the fraction of prefill compute actually spent
-(recompute fraction).  Every cell is a deterministic projection to the
+InferenceEngine` prices each request from what its store held, continuous
+batching schedules the stream, and the runner aggregates the serving metrics
+the paper reports: TTFT percentiles, throughput, queueing delay, GPU
+utilisation and the fraction of prefill compute actually spent (recompute
+fraction).  Every cell is a deterministic projection to the
 paper's architectures.  Optionally a small :class:`~repro.core.blend_engine.
 BlendEngine` probe runs the real NumPy fusion pipeline — *pipelined*, through
 the executor, with cross-request overlap — and attaches its measured
@@ -36,15 +36,10 @@ from repro.kvstore.device import get_device
 from repro.kvstore.precision import PRECISION_PRESETS
 from repro.model.config import get_config
 from repro.serving.costmodel import ServingCostModel
-from repro.serving.engine import SCHEMES, InferenceEngine
+from repro.serving.engine import SCHEMES, EngineResult, InferenceEngine
 from repro.serving.request import GenerationRequest, RequestTiming
 from repro.serving.router import ROUTING_POLICIES
-from repro.serving.scheduler import (
-    ContinuousBatchingScheduler,
-    FCFSScheduler,
-    Scheduler,
-)
-from repro.serving.simulator import summarise_run
+from repro.serving.scheduler import ContinuousBatchingScheduler
 
 #: Static per-scheme generation-quality scores (relative to full prefill),
 #: calibrated to the paper's §6.2 quality results.
@@ -55,11 +50,9 @@ QUALITY_SCORES: dict[str, float] = {
     "cacheblend": 0.99,
 }
 
-SCHEDULERS = ("fcfs", "continuous")
-
 #: Admission-policy axis values: ``none`` serves every arrival (the classic
-#: behaviour), ``slo`` turns on the continuous scheduler's SLO admission
-#: control *and* decode preemption so overload is shed instead of queued.
+#: behaviour), ``slo`` turns on the scheduler's SLO admission control *and*
+#: decode preemption so overload is shed instead of queued.
 ADMISSION_POLICIES = ("none", "slo")
 
 
@@ -75,12 +68,8 @@ class ExperimentConfig:
     request_rate: float = 1.0
     n_requests: int = 100
     n_servers: int = 1
-    scheduler: str = "continuous"
     max_batch_tokens: int = 16_384
     prefill_chunk_tokens: int = 512
-    #: Cross-request load/compute pipelining in the continuous scheduler
-    #: (hide one request's KV-loading stalls behind co-batched compute).
-    overlap_loads: bool = True
     n_unique_chunks: int = 400
     zipf_alpha: float = 1.0
     cache_chunk_capacity: int = 160
@@ -153,17 +142,11 @@ class ExperimentConfig:
                     f"unknown admission policy {policy!r}; "
                     f"expected one of {ADMISSION_POLICIES}"
                 )
-        if "slo" in self.admission_policies:
-            if self.ttft_slo_s is None:
-                raise ValueError(
-                    "the 'slo' admission policy requires ttft_slo_s: without "
-                    "deadlines admission control admits everything"
-                )
-            if self.scheduler != "continuous":
-                raise ValueError(
-                    "the 'slo' admission policy requires the 'continuous' "
-                    "scheduler (FCFS has no admission or preemption)"
-                )
+        if "slo" in self.admission_policies and self.ttft_slo_s is None:
+            raise ValueError(
+                "the 'slo' admission policy requires ttft_slo_s: without "
+                "deadlines admission control admits everything"
+            )
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError("fault_rate must be in [0, 1]")
         if any(size < 1 for size in self.fleet_sizes):
@@ -191,10 +174,6 @@ class ExperimentConfig:
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; expected one of {SCHEDULERS}"
-            )
         if not self.recompute_ratios:
             raise ValueError("recompute_ratios must be non-empty")
         if self.n_requests < 1:
@@ -296,24 +275,6 @@ class ExperimentRunner:
         self.config = config
 
     # ------------------------------------------------------------------
-    def _build_scheduler(
-        self,
-        admission_policy: str = "none",
-        n_servers: int | None = None,
-    ) -> Scheduler:
-        if n_servers is None:
-            n_servers = self.config.n_servers
-        if self.config.scheduler == "fcfs":
-            return FCFSScheduler(n_servers=n_servers)
-        return ContinuousBatchingScheduler(
-            n_servers=n_servers,
-            max_batch_tokens=self.config.max_batch_tokens,
-            prefill_chunk_tokens=self.config.prefill_chunk_tokens,
-            overlap_loads=self.config.overlap_loads,
-            admission_control=admission_policy == "slo",
-            preemption=admission_policy == "slo",
-        )
-
     def _generate_workload(
         self,
     ) -> tuple[list[GenerationRequest], dict[str, object], list[list[int]]]:
@@ -392,7 +353,15 @@ class ExperimentRunner:
             fast_device=get_device("cpu_ram") if needs_device else None,
         )
         policy, n_replicas = fleet or ("least_loaded", 1)
-        n_servers = 1 if fleet else None
+        # Each fleet replica is one server; a single-server cell is one
+        # replica run by ``n_servers`` servers.
+        n_servers = 1 if fleet else self.config.n_servers
+        scheduler = ContinuousBatchingScheduler(
+            n_servers=n_servers,
+            max_batch_tokens=self.config.max_batch_tokens,
+            prefill_chunk_tokens=self.config.prefill_chunk_tokens,
+            slo=admission_policy == "slo",
+        )
 
         def serve(fault_rate: float) -> FleetRun:
             return simulate_fleet(
@@ -401,9 +370,7 @@ class ExperimentRunner:
                 policy=policy,
                 n_replicas=n_replicas,
                 engine=engine,
-                scheduler_factory=lambda _: self._build_scheduler(
-                    admission_policy, n_servers=n_servers
-                ),
+                scheduler=scheduler,
                 store=self.store_config(store_capacity),
                 fault_rate=fault_rate,
                 seed=self.config.seed,
@@ -414,7 +381,7 @@ class ExperimentRunner:
             model, device, scheme, recompute_ratio,
             run.requests, run.results, run.timings,
             admission_policy=admission_policy,
-            n_servers=n_replicas if fleet else None,
+            n_servers=n_replicas * n_servers,
         )
         columns: dict[str, object] = {
             "kv_dtype": kv_dtype,
@@ -450,15 +417,22 @@ class ExperimentRunner:
         scheme: str,
         recompute_ratio: float,
         requests: list[GenerationRequest],
-        results,
+        results: list[EngineResult],
         timings: list[RequestTiming],
-        admission_policy: str = "none",
-        n_servers: int | None = None,
+        admission_policy: str,
+        n_servers: int,
     ) -> CellResult:
-        # Rejected requests never occupy a server, so the service-quality
-        # aggregates (TTFT percentiles, throughput, utilisation) cover the
-        # *served* stream only; the rejections show up in rejection_rate and
-        # as SLO misses in slo_attainment/goodput, where shedding is priced.
+        """One cell's serving metrics over *n_servers* servers in all.
+
+        Rejected requests never occupy a server, so the service-quality
+        aggregates (TTFT percentiles, queueing, throughput, utilisation) and
+        the makespan they are rated over cover the *served* stream only; the
+        rejections show up in ``rejection_rate`` and as SLO misses in
+        ``slo_attainment``/``goodput``, where shedding is priced.
+        ``gpu_utilisation`` sums each served request's
+        :attr:`~repro.serving.engine.EngineResult.occupancy` and is not
+        clamped: overlapped loads can legitimately push it past 1.
+        """
         served = [
             (request, result, timing)
             for request, result, timing in zip(requests, results, timings)
@@ -499,12 +473,12 @@ class ExperimentRunner:
         served_requests = [request for request, _, _ in served]
         served_results = [result for _, result, _ in served]
         served_timings = [timing for _, _, timing in served]
-        summary = summarise_run(
-            served_requests,
-            served_results,
-            served_timings,
-            n_servers if n_servers is not None else self.config.n_servers,
+        makespan = max(t.completion_time for t in served_timings) - min(
+            r.arrival_time for r in served_requests
         )
+        ttfts = np.array([t.ttft for t in served_timings])
+        mean_ttft = float(ttfts.mean())
+        busy = sum(result.occupancy for result in served_results)
         decode_rates = [
             (request.n_output_tokens - 1) / span
             for request, timing in zip(served_requests, served_timings)
@@ -516,27 +490,27 @@ class ExperimentRunner:
             device=device,
             scheme=scheme,
             recompute_ratio=recompute_ratio,
-            mean_ttft=summary.mean_ttft,
-            p50_ttft=summary.p50_ttft,
-            p90_ttft=summary.p90_ttft,
-            p99_ttft=summary.p99_ttft,
-            mean_queueing=summary.mean_queueing,
+            mean_ttft=mean_ttft,
+            p50_ttft=float(np.percentile(ttfts, 50)),
+            p90_ttft=float(np.percentile(ttfts, 90)),
+            p99_ttft=float(np.percentile(ttfts, 99)),
+            mean_queueing=float(np.mean([t.queueing_delay for t in served_timings])),
             mean_ttft_service=float(
                 np.mean([r.ttft_service for r in served_results])
             ),
-            throughput=summary.throughput,
-            gpu_utilisation=summary.gpu_utilisation,
+            throughput=len(served) / makespan if makespan > 0 else float("inf"),
+            gpu_utilisation=(
+                busy / (n_servers * makespan) if makespan > 0 else 1.0
+            ),
             mean_recomputed_fraction=float(
                 np.mean([r.recomputed_fraction for r in served_results])
             ),
             quality=quality,
-            quality_adjusted_ttft=summary.mean_ttft / quality,
+            quality_adjusted_ttft=mean_ttft / quality,
             mean_decode_tokens_per_s=(
                 float(np.mean(decode_rates)) if decode_rates else 0.0
             ),
-            goodput=(
-                n_met_slo / summary.makespan if summary.makespan > 0 else 0.0
-            ),
+            goodput=n_met_slo / makespan if makespan > 0 else 0.0,
             **robustness,
         )
 
@@ -701,16 +675,27 @@ def build_comparisons(cells: list[CellResult]) -> list[dict[str, object]]:
     return comparisons
 
 
+def _kv_bytes_per_token(model: str, kv_dtype: str) -> float:
+    """KV bytes per token of *model* stored at the *kv_dtype* preset."""
+    return ServingCostModel(get_config(model), precision=kv_dtype).kv_bytes_per_token()
+
+
 def build_dtype_comparisons(cells: list[CellResult]) -> list[dict[str, object]]:
     """Per (model, device, scheme, ratio): each store dtype vs ``float16``.
 
     Pairs every precision-axis cell with its ``float16`` twin at the same
-    sweep point and reports the frontier trade: the resident-byte density
-    gain of the narrower store dtype, the TTFT it buys (KV load and decode
-    memory traffic shrink with the width) and the fusion-quality cost it is
-    bought at (mean KV / attention deviation vs the full-recompute
-    reference).  The ``mixed`` preset is the interesting middle point —
-    near-int8 density at below-int8 deviation.
+    sweep point and reports the frontier trade: the density gain of the
+    narrower store dtype, the TTFT it buys (KV load and decode memory
+    traffic shrink with the width) and the fusion-quality cost it is bought
+    at (mean KV / attention deviation vs the full-recompute reference).  The
+    ``mixed`` preset is the interesting middle point — near-int8 density at
+    below-int8 deviation.
+
+    The density gain is the ratio of the two dtypes' KV bytes per token on
+    the row's model.  The cells' resident bytes (``store_bytes_*``) are
+    reported beside it but do not set it: in a fleet each dtype's engine
+    prices requests differently, so the router homes them differently and
+    the two fleets hold different chunks.
     """
     by_point: dict[tuple, dict[str, CellResult]] = {}
     for cell in cells:
@@ -735,11 +720,12 @@ def build_dtype_comparisons(cells: list[CellResult]) -> list[dict[str, object]]:
         baseline = dtypes.get("float16")
         if baseline is None:
             continue
-        base_bytes = baseline.store_bytes_stored or 0
+        base_width = _kv_bytes_per_token(model, "float16")
         for dtype in sorted(dtypes):
             if dtype == "float16":
                 continue
             cell = dtypes[dtype]
+            width = _kv_bytes_per_token(model, dtype)
             row: dict[str, object] = {
                 "comparison": f"dtype_{dtype}_vs_float16",
                 "model": model,
@@ -748,11 +734,7 @@ def build_dtype_comparisons(cells: list[CellResult]) -> list[dict[str, object]]:
                 "recompute_ratio": ratio,
                 "store_bytes_float16": baseline.store_bytes_stored,
                 f"store_bytes_{dtype}": cell.store_bytes_stored,
-                "bytes_density_gain": (
-                    base_bytes / cell.store_bytes_stored
-                    if cell.store_bytes_stored
-                    else float("inf")
-                ),
+                "bytes_density_gain": base_width / width,
                 "mean_ttft_float16": baseline.mean_ttft,
                 f"mean_ttft_{dtype}": cell.mean_ttft,
                 "mean_kv_deviation_float16": baseline.mean_kv_deviation,
@@ -761,9 +743,7 @@ def build_dtype_comparisons(cells: list[CellResult]) -> list[dict[str, object]]:
                     baseline.mean_attention_deviation
                 ),
                 f"mean_attention_deviation_{dtype}": cell.mean_attention_deviation,
-                f"{dtype}_denser_than_float16": (
-                    (cell.store_bytes_stored or 0) < base_bytes
-                ),
+                f"{dtype}_denser_than_float16": width < base_width,
             }
             row.update(
                 _axis_columns(cell, "store_capacity_chunks", "routing_policy", "n_replicas")

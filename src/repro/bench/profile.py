@@ -63,8 +63,10 @@ from repro.model.transformer import TransformerModel
 #: v9 times ``store_lookup`` on a whole-chunk int8 tiered store whose every
 #: lookup promotes and demotes, and the ``store`` block drops
 #: ``shared_prefix_tokens``, ``logical_bytes`` and ``dedup_ratio`` for
-#: ``ram_chunks``.
-PROFILE_SCHEMA_VERSION = 9
+#: ``ram_chunks``; v10 times only the gated ``affinity`` policy, so the
+#: ``fleet`` block's ``policies`` drops ``least_loaded`` and
+#: ``consistent_hash``.
+PROFILE_SCHEMA_VERSION = 10
 
 _REQUIRED_OPS = (
     "chunk_prefill",
@@ -490,19 +492,20 @@ def measure_routing_ops(
 ) -> tuple[dict[str, dict[str, float | int]], dict[str, object]]:
     """Time fleet routing decisions over a warmed 4-replica fleet.
 
-    The fleet is warmed by routing (and placing) a Zipf-popular request
-    stream through each policy's own router, so every replica's private
-    store holds the resident/hotness state a steady-state fleet would.  Each
-    replica prices what it is placed on an analytic Mistral-7B CacheBlend
-    engine over NVMe, as the sweep's fleet does, so its projected load
-    (``available_at``, ``assigned_work_s``) moves and the load-aware
-    policies spread the stream instead of sending it all to replica 0.  One
-    ``routing_decision`` sample then routes a fresh batch of requests
-    *without* placing them — pure decisions on frozen fleet state, so timed
-    repeats are identical work.  The gated op is the ``affinity`` policy
-    (the most expensive: it checks every replica's store for each of the
-    request's chunks); the ``fleet`` block reports all three policies side
-    by side.
+    Only the gated ``affinity`` policy is timed (the most expensive: it
+    checks every replica's store for each of the request's chunks).  The
+    fleet is warmed by routing (and placing) a Zipf-popular request stream
+    through it, so every replica's private store holds the resident/hotness
+    state a steady-state fleet would.  Each replica prices what it is placed
+    on an analytic Mistral-7B CacheBlend engine over NVMe, as the sweep's
+    fleet does, so its projected load (``available_at``,
+    ``assigned_work_s``) moves and the bounded-load filter spreads the
+    stream instead of sending it all to replica 0.  One ``routing_decision``
+    sample then routes a fresh batch of requests *without* placing them —
+    pure decisions on frozen fleet state, so timed repeats are identical
+    work.  Affinity's store-overlap scores differ per request, so even these
+    decisions spread over the fleet; ``least_loaded`` on frozen state would
+    send every one to the same replica and time one argmin repeated.
     """
     from repro.bench.replay import chunk_store_config, replay_request
     from repro.kvstore.device import get_device
@@ -510,7 +513,7 @@ def measure_routing_ops(
     from repro.serving.costmodel import ServingCostModel
     from repro.serving.engine import InferenceEngine
     from repro.serving.request import GenerationRequest
-    from repro.serving.router import ROUTING_POLICIES, Replica, build_router
+    from repro.serving.router import Replica, build_router
 
     n_replicas = 4
     n_unique_chunks = 128
@@ -545,40 +548,37 @@ def measure_routing_ops(
         scheme="cacheblend",
         device=get_device("nvme_ssd"),
     )
-    ops: dict[str, dict[str, float | int]] = {}
-    per_policy: dict[str, object] = {}
-    for policy in ROUTING_POLICIES:
-        router = build_router(policy, n_replicas)
-        replicas = [
-            Replica(
-                replica_id=r,
-                store=chunk_store_config(store_capacity).build(),
-                engine=engine,
-            )
-            for r in range(n_replicas)
-        ]
-        for request, chunks in zip(warm_requests, warm_sets):
-            home = router.route(request, chunks, replicas)
-            local, _ = replay_request(request, chunks, replicas[home].store)
-            replicas[home].place(request.request_id, local, chunks)
+    router = build_router("affinity", n_replicas)
+    replicas = [
+        Replica(
+            replica_id=r,
+            store=chunk_store_config(store_capacity).build(),
+            engine=engine,
+        )
+        for r in range(n_replicas)
+    ]
+    for request, chunks in zip(warm_requests, warm_sets):
+        home = router.route(request, chunks, replicas)
+        local, _ = replay_request(request, chunks, replicas[home].store)
+        replicas[home].place(request.request_id, local, chunks)
 
-        placements = [0] * n_replicas
+    placements = [0] * n_replicas
 
-        def run_decisions() -> None:
-            for request, chunks in zip(decision_requests, decision_sets):
-                placements[router.route(request, chunks, replicas)] += 1
+    def run_decisions() -> None:
+        for request, chunks in zip(decision_requests, decision_sets):
+            placements[router.route(request, chunks, replicas)] += 1
 
-        timing = _time_op(run_decisions, config.repeats, config.warmup)
-        per_policy[policy] = {
+    timing = _time_op(run_decisions, config.repeats, config.warmup)
+    ops = {"routing_decision": timing}
+    per_policy = {
+        "affinity": {
             "decision_s": float(timing["min_s"]) / n_decisions,
             "min_s": timing["min_s"],
             # Placement spread of the timed decisions (identical every
             # repeat; counts cover warmup + timed runs).
             "placement_counts": list(placements),
         }
-        if policy == "affinity":
-            ops["routing_decision"] = timing
-
+    }
     block: dict[str, object] = {
         "n_replicas": n_replicas,
         "n_warm_requests": n_warm,

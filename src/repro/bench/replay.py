@@ -20,7 +20,6 @@ a fleet of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from repro.model.tensors import KVCache, LayerKV
 from repro.serving.engine import EngineResult, InferenceEngine
 from repro.serving.request import GenerationRequest, RequestTiming
 from repro.serving.router import Replica, build_router
-from repro.serving.scheduler import Scheduler
+from repro.serving.scheduler import ContinuousBatchingScheduler
 
 #: The KV entry every replayed chunk is stored as: one token, one head, one
 #: dimension.
@@ -152,7 +151,7 @@ def simulate_fleet(
     policy: str,
     n_replicas: int,
     engine: InferenceEngine,
-    scheduler_factory: Callable[[int], Scheduler],
+    scheduler: ContinuousBatchingScheduler,
     store: StoreConfig,
     fault_rate: float = 0.0,
     seed: int = 0,
@@ -162,10 +161,11 @@ def simulate_fleet(
     ``chunk_ids_per_request[i]`` is request *i*'s retrieved chunk ids (the
     workload generator's access trace) — the routing and store key.  Each
     replica owns a store built from *store*, serves its requests on
-    *engine* and schedules them with ``scheduler_factory(replica_id)``;
-    a request never migrates after placement.  Requests are placed in
-    arrival order, and each is relabelled by :func:`replay_request` on its
-    home replica's store with the seeded fault draw at *fault_rate*.
+    *engine* and schedules them with *scheduler* (which keeps no state
+    between ``schedule`` calls); a request never migrates after placement.
+    Requests are placed in arrival order, and each is relabelled by
+    :func:`replay_request` on its home replica's store with the seeded fault
+    draw at *fault_rate*.
     """
     if len(requests) != len(chunk_ids_per_request):
         raise ValueError("requests and chunk_ids_per_request must have the same length")
@@ -199,13 +199,7 @@ def simulate_fleet(
     local_timings: list[RequestTiming | None] = [None] * len(requests)
     per_replica_busy: list[float] = []
     for replica in replicas:
-        timings = (
-            scheduler_factory(replica.replica_id).schedule(
-                replica.requests, replica.results
-            )
-            if replica.requests
-            else []
-        )
+        timings = scheduler.schedule(replica.requests, replica.results)
         busy = 0.0
         for index, request, result, timing in zip(
             replica.indices, replica.requests, replica.results, timings
@@ -214,7 +208,7 @@ def simulate_fleet(
             local_results[index] = result
             local_timings[index] = timing
             if not timing.rejected:
-                busy += max(result.ttft_service, result.gpu_time) + result.decode_time
+                busy += result.occupancy
         per_replica_busy.append(busy)
 
     stores = [replica.store for replica in replicas]

@@ -5,7 +5,7 @@ One report is a single JSON document with a versioned schema:
 .. code-block:: text
 
     {
-      "schema_version": 10,
+      "schema_version": 11,
       "created": "<ISO-8601 UTC timestamp>",
       "tag": "<free-form label, e.g. 'smoke'>",
       "config": { ...ExperimentConfig fields... },
@@ -50,8 +50,12 @@ from repro.bench.experiment import ExperimentReport
 #: the proxy probe from a whole-chunk ``tiered`` store and drops the proxy
 #: store block's ``logical_bytes`` (it equalled ``bytes_stored``); v10 drops
 #: the cells' proxy-scaled measured service-time column and the proxy block's
-#: ``calibration``: cells are projections the probe never changes.
-SCHEMA_VERSION = 10
+#: ``calibration``: cells are projections the probe never changes; v11 drops
+#: the scheduler choice and the load-overlap switch from the config block
+#: (continuous batching with overlapped loads is the only scheduler) and
+#: derives the ``dtype_*`` rows' ``bytes_density_gain`` from the dtypes' KV
+#: bytes per token.
+SCHEMA_VERSION = 11
 
 _REQUIRED_TOP_LEVEL = ("schema_version", "created", "tag", "config", "workload", "cells")
 _REQUIRED_CELL_FIELDS = (
@@ -214,8 +218,7 @@ def format_summary(document: dict[str, object]) -> str:
     """Human-readable table of the comparisons, for CLI output."""
     lines = [
         f"bench report (tag={document['tag'] or '-'}, "
-        f"{len(document['cells'])} cells, dataset={document['config']['dataset']}, "
-        f"scheduler={document['config']['scheduler']})",
+        f"{len(document['cells'])} cells, dataset={document['config']['dataset']})",
         f"{'model':<12} {'device':<10} {'blend ttft':>11} {'recomp ttft':>12} "
         f"{'reuse qa-ttft':>14} {'speedup':>8}",
     ]

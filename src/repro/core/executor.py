@@ -114,13 +114,12 @@ class BatchExecutionResult:
 
 @dataclass
 class _RequestPlan:
-    """Per-request load state; the packed blobs materialize lazily.
+    """Per-request load state, prepared before the batch clock starts.
 
-    Layout, positions and the simulated per-layer delays are prepared before
-    the batch clock starts, but the raw store-precision blobs — the store's
-    view of the caches — are packed only when the request is about to load
-    (and dropped once its fusion consumed them), so a deep queue never holds
-    every request's bytes at once.
+    The raw store-precision bytes of a layer (the store's view of the
+    caches) are packed inside that layer's load, right before its simulated
+    transfer, and live only until that load decodes them: a request's first
+    layer never waits for its later layers to pack.
     """
 
     layout: FusionLayout
@@ -133,22 +132,6 @@ class _RequestPlan:
     #: Mean per-layer delay, reported as ``simulated_load_delay``.
     delay: float
     recompute_ratio: float | None
-    blobs: list[list[bytes]] | None = None
-
-    def materialize(self, n_layers: int) -> None:
-        """Pack the raw store-precision bytes per (layer, chunk) — what
-        serialize_kv would have persisted."""
-        if self.blobs is None:
-            self.blobs = [
-                [
-                    pack_layer_kv_as(cache.layers[i], self.layer_dtypes[i])
-                    for cache in self.chunk_caches
-                ]
-                for i in range(n_layers)
-            ]
-
-    def release_blobs(self) -> None:
-        self.blobs = None
 
 
 class _SpanRecorder:
@@ -296,21 +279,24 @@ class PipelinedExecutor:
         def load_layer(req_idx: int, layer_idx: int) -> None:
             plan = plans[req_idx]
             load_start[req_idx][layer_idx] = time.perf_counter() - origin
+            dtype = plan.layer_dtypes[layer_idx]
+            # The bytes serialize_kv would have persisted for this layer.
+            blobs = [
+                pack_layer_kv_as(cache.layers[layer_idx], dtype)
+                for cache in plan.chunk_caches
+            ]
             if plan.layer_delays[layer_idx] > 0.0:
                 time.sleep(plan.layer_delays[layer_idx])  # simulated device transfer
             slots[req_idx][layer_idx] = self._decode_layer(
-                plan.blobs[layer_idx],
-                plan.layer_dtypes[layer_idx],
-                plan.chunk_positions,
-                plan.layout,
+                blobs, dtype, plan.chunk_positions, plan.layout
             )
             load_end[req_idx][layer_idx] = time.perf_counter() - origin
             ready[req_idx][layer_idx].set()
 
         # Backpressure: the loader may run at most one request ahead of the
         # compute stream (the §6 double buffer at request granularity), so
-        # peak memory holds ~two requests' packed+decoded buffers, not the
-        # queue's.  ``abort`` stops it promptly if compute fails mid-batch.
+        # peak memory holds ~two requests' decoded buffers, not the queue's.
+        # ``abort`` stops it promptly if compute fails mid-batch.
         lookahead = threading.Semaphore(2)
         abort = threading.Event()
         thread: threading.Thread | None = None
@@ -323,7 +309,6 @@ class PipelinedExecutor:
                         if abort.is_set():
                             return
                         plan = plans[req_idx]
-                        plan.materialize(n_layers)
                         for layer_idx in range(n_layers):
                             if not plan.layer_delays[layer_idx]:
                                 # No simulated transfer, so this load would not
@@ -346,8 +331,6 @@ class PipelinedExecutor:
         queue_start = 0.0
         try:
             for req_idx, plan in enumerate(plans):
-                if not pipelined:
-                    plan.materialize(n_layers)
 
                 def provider(layer_idx: int, req_idx: int = req_idx) -> LayerKV:
                     if pipelined:
@@ -369,7 +352,6 @@ class PipelinedExecutor:
                     recompute_ratio=plan.recompute_ratio,
                     recorder=recorder,
                 )
-                plan.release_blobs()  # this request's bytes are consumed
                 lookahead.release()
                 results.append(
                     ExecutionResult(
@@ -415,8 +397,8 @@ class PipelinedExecutor:
 
         Validation (layout, KV shapes, ratio) happens here, before any
         loader thread starts, so a bad request fails fast instead of from a
-        background thread.  The blob bytes themselves materialize lazily
-        when the request is about to load (see :class:`_RequestPlan`).
+        background thread.  The blob bytes themselves are packed layer by
+        layer as the request loads (see :class:`_RequestPlan`).
         """
         if recompute_ratio is not None and not 0.0 <= recompute_ratio <= 1.0:
             raise ValueError("recompute_ratio must be in [0, 1]")

@@ -1,22 +1,20 @@
-"""Serving substrate: cost model, requests, scheduler and load simulator.
+"""Serving substrate: cost model, requests, engine, scheduler and router.
 
 The paper's end-to-end numbers (TTFT, throughput under increasing request
 rates, batch-size sensitivity) come from running real GPUs.  Offline, this
 package provides an analytical cost model calibrated against the delays the
-paper reports, an inference-engine wrapper that combines the cost model with
-the CacheBlend pipeline, and a discrete-event simulator that replays Poisson
-request arrivals against a GPU-bound server to produce the request-rate
-sweeps of Figure 14.
+paper reports, an inference-engine wrapper that prices each request under a
+serving scheme, an iteration-level continuous-batching scheduler that places
+the priced requests on GPU servers, and a router that spreads them over a
+fleet of replicas.  :mod:`repro.bench` drives them: its workload generator
+emits the request stream and :func:`repro.bench.replay.simulate_fleet`
+routes, prices and schedules it.
 """
 
 from repro.serving.costmodel import GPUSpec, ServingCostModel
 from repro.serving.request import GenerationRequest, RequestTiming
 from repro.serving.engine import InferenceEngine, EngineResult
-from repro.serving.scheduler import (
-    ContinuousBatchingScheduler,
-    FCFSScheduler,
-    Scheduler,
-)
+from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.serving.router import (
     ROUTING_POLICIES,
     AffinityRouter,
@@ -26,7 +24,6 @@ from repro.serving.router import (
     Router,
     build_router,
 )
-from repro.serving.simulator import LoadSimulator, SimulationResult, WorkloadSpec
 
 __all__ = [
     "GPUSpec",
@@ -35,12 +32,7 @@ __all__ = [
     "RequestTiming",
     "InferenceEngine",
     "EngineResult",
-    "Scheduler",
-    "FCFSScheduler",
     "ContinuousBatchingScheduler",
-    "LoadSimulator",
-    "SimulationResult",
-    "WorkloadSpec",
     "ROUTING_POLICIES",
     "Router",
     "Replica",

@@ -38,9 +38,9 @@ class EngineResult:
     much prefill compute each scheme actually spends.
 
     ``stall_time`` is the part of ``ttft_service`` the GPU spends *waiting*
-    on KV loads rather than computing (zero for compute-only schemes).  A
-    cross-request-pipelining scheduler can hide it behind other requests'
-    compute — see ``ContinuousBatchingScheduler(overlap_loads=True)``.
+    on KV loads rather than computing (zero for compute-only schemes).  The
+    :class:`~repro.serving.scheduler.ContinuousBatchingScheduler` hides it
+    behind co-batched requests' compute.
     """
 
     scheme: str
@@ -49,6 +49,13 @@ class EngineResult:
     decode_time: float
     recomputed_fraction: float = 1.0
     stall_time: float = 0.0
+
+    @property
+    def occupancy(self) -> float:
+        """Server seconds the request occupies: its prefill (the longer of
+        its first-token service and its GPU work) plus its decode.  Busy
+        time, utilisation and the router's load projection all count this."""
+        return max(self.ttft_service, self.gpu_time) + self.decode_time
 
 
 @dataclass
@@ -162,7 +169,3 @@ class InferenceEngine:
             recomputed_fraction=min(1.0, recomputed / max(1, n_total)),
             stall_time=stall,
         )
-
-    def serve_batch(self, requests: list[GenerationRequest]) -> list[EngineResult]:
-        """Estimate service times for a batch of requests, in order."""
-        return [self.serve(request) for request in requests]

@@ -1,4 +1,4 @@
-"""Request abstractions used by the serving simulator."""
+"""Requests and their scheduled lifecycle timings."""
 
 from __future__ import annotations
 
@@ -38,9 +38,6 @@ class GenerationRequest:
         request wants its first token within ``arrival_time + deadline_s``.
         ``None`` means best-effort (no SLO; never rejected by admission
         control and never the trigger of a preemption).
-    priority:
-        Scheduling priority; higher values matter more.  A deadline-carrying
-        prefill may only preempt decodes of equal or lower priority.
     """
 
     request_id: int
@@ -53,7 +50,6 @@ class GenerationRequest:
     prefix_cached_fraction: float = 0.17
     slow_tier_fraction: float | None = None
     deadline_s: float | None = None
-    priority: int = 0
 
     def __post_init__(self) -> None:
         if self.n_chunks < 1 or self.chunk_tokens < 1:
@@ -78,7 +74,7 @@ class GenerationRequest:
 
 @dataclass
 class RequestTiming:
-    """Lifecycle timestamps of one request inside the simulator.
+    """Lifecycle timestamps of one request, as the scheduler placed it.
 
     ``rejected`` marks requests the admission controller turned away — they
     occupy no server time and their timestamps all equal the rejection

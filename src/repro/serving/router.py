@@ -6,7 +6,7 @@ KV never moves between replicas, so where a request lands decides whether its
 chunks hit.  The router places each arrival on one replica:
 
 * ``least_loaded`` — join the replica whose next request would start
-  earliest (projected from FCFS occupancy), affinity-blind.  The classic
+  earliest (projected from serial occupancy), affinity-blind.  The classic
   load balancer: even utilisation, but hot chunks are re-fetched (missed)
   on every replica they land on.
 * ``consistent_hash`` — each chunk id owns a position on a hash ring of
@@ -49,7 +49,7 @@ class Replica:
     costs more on a replica that has never seen its chunks.
     ``access_counts`` is each chunk's lifetime access count on this replica
     (it survives eviction) — with ``store`` residency, the hotness signal
-    :class:`AffinityRouter` scores.  ``available_at`` is a cheap FCFS
+    :class:`AffinityRouter` scores.  ``available_at`` is a cheap serial
     projection of when the replica would start its next request — the load
     signal the least-loaded policy (and affinity tie-breaks) read; the
     authoritative timings come from a per-replica scheduler pass.
@@ -59,7 +59,7 @@ class Replica:
     store: ChunkStore
     engine: InferenceEngine | None = None
     available_at: float = 0.0
-    #: Total FCFS-projected occupancy assigned so far (load tie-breaker).
+    #: Total occupancy assigned so far (load tie-breaker).
     assigned_work_s: float = 0.0
     access_counts: dict[int, int] = field(default_factory=dict, repr=False)
     indices: list[int] = field(default_factory=list, repr=False)
@@ -81,9 +81,10 @@ class Replica:
         if self.engine is not None:
             result = self.engine.serve(request)
             self.results.append(result)
-            occupancy = max(result.ttft_service, result.gpu_time) + result.decode_time
-            self.available_at = self.projected_start(request.arrival_time) + occupancy
-            self.assigned_work_s += occupancy
+            self.available_at = (
+                self.projected_start(request.arrival_time) + result.occupancy
+            )
+            self.assigned_work_s += result.occupancy
 
 
 @runtime_checkable

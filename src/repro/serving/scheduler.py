@@ -1,98 +1,27 @@
-"""Request schedulers: FCFS and iteration-level continuous batching.
+"""Iteration-level continuous batching of requests onto GPU servers.
 
-Both schedulers map ``(requests, results)`` pairs onto ``n_servers`` identical
-GPU servers and return per-request :class:`~repro.serving.request.RequestTiming`
-records.  They share the :class:`Scheduler` protocol so the simulator and the
-experiment runner can swap them freely.
-
-* :class:`FCFSScheduler` runs one request at a time per server, holding the
-  GPU for the request's whole prefill *and* decode (vLLM without continuous
-  batching, the paper's serving baseline).
-* :class:`ContinuousBatchingScheduler` admits requests at iteration
-  granularity under a per-server token budget, splits prefills into chunks
-  and interleaves one decode step per running request per iteration (Orca- /
-  vLLM-style continuous batching).  Short prefills no longer wait behind the
-  long decodes of earlier requests.
+:class:`ContinuousBatchingScheduler` maps ``(requests, results)`` pairs onto
+``n_servers`` identical GPU servers and returns per-request
+:class:`~repro.serving.request.RequestTiming` records.  It admits requests at
+iteration granularity under a per-server token budget, splits prefills into
+chunks and interleaves one decode step per running request per iteration
+(Orca- / vLLM-style continuous batching, the batching the paper's vLLM
+deployment runs), so short prefills never wait behind the long decodes of
+earlier requests.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from repro.serving.costmodel import predict_first_token_time
 from repro.serving.engine import EngineResult
 from repro.serving.request import GenerationRequest, RequestTiming
 
-
-@runtime_checkable
-class Scheduler(Protocol):
-    """Anything that can place engine results on servers over time."""
-
-    n_servers: int
-
-    def schedule(
-        self,
-        requests: list[GenerationRequest],
-        results: list[EngineResult],
-    ) -> list[RequestTiming]:
-        """Assign start/first-token/completion times to every request."""
-        ...
-
-
-def _check_lengths(
-    requests: list[GenerationRequest], results: list[EngineResult]
-) -> None:
-    if len(requests) != len(results):
-        raise ValueError("requests and results must have the same length")
-
-
-@dataclass
-class FCFSScheduler:
-    """FCFS scheduler over ``n_servers`` identical GPU servers.
-
-    The GPU is occupied for ``gpu_time + decode_time`` of each request; the
-    first token is emitted ``ttft_service`` after the request starts (KV
-    loading from storage overlaps with GPU work of the same request but the
-    GPU is not free for other requests during its own compute).
-    """
-
-    n_servers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_servers < 1:
-            raise ValueError("n_servers must be >= 1")
-
-    def schedule(
-        self,
-        requests: list[GenerationRequest],
-        results: list[EngineResult],
-    ) -> list[RequestTiming]:
-        """Assign start times in arrival order; returns per-request timings."""
-        _check_lengths(requests, results)
-        order = sorted(range(len(requests)), key=lambda i: requests[i].arrival_time)
-        server_free = [0.0] * self.n_servers
-        timing_by_index: dict[int, RequestTiming] = {}
-        for index in order:
-            request = requests[index]
-            result = results[index]
-            server = min(range(self.n_servers), key=lambda s: server_free[s])
-            start = max(request.arrival_time, server_free[server])
-            occupancy = max(result.ttft_service, result.gpu_time) + result.decode_time
-            first_token = start + result.ttft_service
-            completion = start + occupancy
-            server_free[server] = completion
-            timing_by_index[index] = RequestTiming(
-                request_id=request.request_id,
-                arrival_time=request.arrival_time,
-                start_time=start,
-                first_token_time=first_token,
-                completion_time=completion,
-                gpu_time=result.gpu_time,
-                deadline_s=request.deadline_s,
-            )
-        return [timing_by_index[i] for i in range(len(requests))]
+#: How often one request's decode may be paused for at-risk prefills before
+#: it becomes immune to preemption.
+MAX_PREEMPTIONS = 2
 
 
 @dataclass
@@ -134,47 +63,40 @@ class ContinuousBatchingScheduler:
         split into ``ceil(n_total_tokens / prefill_chunk_tokens)`` equal
         slices, one per iteration, so admission and decode steps interleave
         with long prefills.
-    overlap_loads:
-        Cross-request load/compute pipelining.  When enabled, an iteration
-        with several working requests runs two serial streams concurrently —
-        the storage device (the KV-loading stall shares of the prefill
-        slices, ``EngineResult.stall_time``) and the GPU (everything else) —
-        and lasts the *maximum* of the two instead of their sum: while
-        request A stalls on its next layer's KV, the GPU runs request B's
-        slice, exactly the overlap the executed
-        :meth:`~repro.core.executor.PipelinedExecutor.execute_batch` performs
-        with its loader/compute thread pair.  Loads still serialise on the
-        device, so a batch of stall-dominated requests stays device-bound;
-        a request alone in its batch pays its stalls in full.
-    admission_control:
-        SLO-aware admission.  A deadline-carrying request whose predicted
-        first-token time (:func:`~repro.serving.costmodel.
-        predict_first_token_time`: queue wait already accrued + the running
-        batch's prefill backlog + its own chunked prefill, each iteration
-        paying the running decoders' slices) already misses its ``deadline_s``
-        is *rejected* at admission instead of burning GPU time on a
-        guaranteed SLO miss — its timing record carries ``rejected=True``
-        and occupies no server time.  Best-effort requests (no deadline)
-        are never rejected.
-    preemption:
-        Iteration-level decode preemption.  When a deadline-carrying
-        prefill does not fit the token budget, decode-phase requests of
-        equal or lower priority are *paused* (their batch slots freed, the
-        decode state kept — the engine analogue is
+    slo:
+        SLO-aware admission and decode preemption, for deadline-carrying
+        requests (best-effort requests, with no ``deadline_s``, are never
+        rejected and never preempt).  A request whose predicted first-token
+        time (:func:`~repro.serving.costmodel.predict_first_token_time`:
+        queue wait already accrued + the running batch's prefill backlog +
+        its own chunked prefill, each iteration paying the running decoders'
+        slices) already misses its ``deadline_s`` is *rejected* at admission
+        instead of burning GPU time on a guaranteed SLO miss: its timing
+        record carries ``rejected=True`` and occupies no server time.  An
+        admitted one that does not fit the token budget *pauses*
+        decode-phase requests to make room (their batch slots freed, the
+        decode state kept; the engine analogue is
         :meth:`~repro.model.tensors.DecodeSession.extract` then ``leave``,
-        re-``join`` on resume) to make room.  Paused requests re-join FIFO
-        ahead of new admissions as soon as the budget allows, so they are
-        never starved; ``max_preemptions`` bounds how often any one request
-        may be paused, beyond which it is immune.
+        re-``join`` on resume).  Paused requests re-join FIFO ahead of new
+        admissions as soon as the budget allows, so they are never starved,
+        and a request paused :data:`MAX_PREEMPTIONS` times is immune.
+
+    Loads always overlap across requests: an iteration with several working
+    requests runs two serial streams concurrently, the storage device (the
+    KV-loading stall shares of the prefill slices,
+    ``EngineResult.stall_time``) and the GPU (everything else), and lasts
+    the *maximum* of the two instead of their sum.  While request A stalls
+    on its next layer's KV, the GPU runs request B's slice, the overlap the
+    executed :meth:`~repro.core.executor.PipelinedExecutor.execute_batch`
+    performs with its loader/compute thread pair.  Loads still serialise on
+    the device, so a batch of stall-dominated requests stays device-bound;
+    a request alone in its batch pays its stalls in full.
     """
 
     n_servers: int = 1
     max_batch_tokens: int = 16_384
     prefill_chunk_tokens: int = 512
-    overlap_loads: bool = False
-    admission_control: bool = False
-    preemption: bool = False
-    max_preemptions: int = 2
+    slo: bool = False
 
     def __post_init__(self) -> None:
         if self.n_servers < 1:
@@ -183,8 +105,6 @@ class ContinuousBatchingScheduler:
             raise ValueError("max_batch_tokens must be >= 1")
         if self.prefill_chunk_tokens < 1:
             raise ValueError("prefill_chunk_tokens must be >= 1")
-        if self.max_preemptions < 0:
-            raise ValueError("max_preemptions must be >= 0")
 
     # ------------------------------------------------------------------
     def schedule(
@@ -192,7 +112,8 @@ class ContinuousBatchingScheduler:
         requests: list[GenerationRequest],
         results: list[EngineResult],
     ) -> list[RequestTiming]:
-        _check_lengths(requests, results)
+        if len(requests) != len(results):
+            raise ValueError("requests and results must have the same length")
         order = sorted(range(len(requests)), key=lambda i: requests[i].arrival_time)
         pending: deque[int] = deque(order)
         clocks = [0.0] * self.n_servers
@@ -255,9 +176,9 @@ class ContinuousBatchingScheduler:
         """Admit arrived requests into *server*'s batch within the budget.
 
         Preempted decodes resume first (FIFO, ahead of any new admission) so
-        they cannot be starved; new arrivals then pass the optional
-        SLO-admission check and may, when they carry a deadline and do not
-        fit, preempt decode-phase requests to claim their tokens.
+        they cannot be starved; under ``slo``, deadline-carrying arrivals
+        then pass the admission check and may, when they do not fit, preempt
+        decode-phase requests to claim their tokens.
         """
         clock = clocks[server]
         batch = active[server]
@@ -275,7 +196,7 @@ class ContinuousBatchingScheduler:
             candidate = requests[pending[0]]
             result = results[pending[0]]
             if (
-                self.admission_control
+                self.slo
                 and candidate.deadline_s is not None
                 and not self._admission_check(candidate, result, clock, batch, waiting)
             ):
@@ -291,7 +212,7 @@ class ContinuousBatchingScheduler:
                 )
                 continue
             fits = batch_tokens + candidate.n_total_tokens <= self.max_batch_tokens
-            if not fits and self.preemption and candidate.deadline_s is not None:
+            if not fits and self.slo and candidate.deadline_s is not None:
                 batch_tokens -= self._preempt_for(candidate, batch, waiting, batch_tokens)
                 fits = batch_tokens + candidate.n_total_tokens <= self.max_batch_tokens
             if not fits and batch:
@@ -344,11 +265,10 @@ class ContinuousBatchingScheduler:
     ) -> int:
         """Pause decode-phase victims to fit *candidate*; returns freed tokens.
 
-        Victims must be decode-phase (their prefill — and first token — is
-        done, so pausing them costs throughput, never a TTFT SLO), of equal
-        or lower priority, and under the ``max_preemptions`` cap.  Lowest
-        priority is paused first; no more victims are taken once the
-        candidate fits.
+        Victims must be decode-phase (their prefill, and first token, is
+        done, so pausing them costs throughput, never a TTFT SLO) and paused
+        fewer than :data:`MAX_PREEMPTIONS` times.  The most recently started
+        is paused first; no more victims are taken once the candidate fits.
         """
         needed = batch_tokens + candidate.n_total_tokens - self.max_batch_tokens
         victims = sorted(
@@ -357,10 +277,9 @@ class ContinuousBatchingScheduler:
                 for r in batch
                 if r.remaining_prefill <= 0.0
                 and r.decode_steps_left > 0
-                and r.request.priority <= candidate.priority
-                and r.n_preemptions < self.max_preemptions
+                and r.n_preemptions < MAX_PREEMPTIONS
             ),
-            key=lambda r: (r.request.priority, -r.start_time),
+            key=lambda r: -r.start_time,
         )
         freed = 0
         for victim in victims:
@@ -407,16 +326,14 @@ class ContinuousBatchingScheduler:
         """Run one batched iteration; returns the server clock afterwards.
 
         The GPU is serial within an iteration: every running request gets one
-        work slice (a prefill chunk or one decode step) and the iteration
-        lasts the sum of the slices.  Completions are recorded at iteration
-        end, which keeps ``first_token_time >= start_time >= arrival_time``.
-
-        With ``overlap_loads`` and at least two working requests, the
-        iteration's KV-loading stalls (serial on the storage device) run
-        concurrently with its GPU slices (serial on the GPU) and the
-        iteration lasts ``max(gpu_work, load_work)`` — shorter than their
-        sum whenever both streams have work, but never below the pure-GPU
-        (or pure-device) lower bound.
+        work slice (a prefill chunk or one decode step).  A lone working
+        request's iteration lasts its slice, stalls included; with at least
+        two, the iteration's KV-loading stalls (serial on the storage device)
+        run concurrently with its GPU slices (serial on the GPU) and it lasts
+        ``max(gpu_work, load_work)``: shorter than their sum whenever both
+        streams have work, but never below either stream's serial total.
+        Completions are recorded at iteration end, which keeps
+        ``first_token_time >= start_time >= arrival_time``.
 
         Each decoding request contributes its analytic per-request decode
         slice, serially.
@@ -435,7 +352,7 @@ class ContinuousBatchingScheduler:
                 decode_work += running.decode_step
                 n_working += 1
         gpu_work += decode_work
-        if self.overlap_loads and n_working > 1:
+        if n_working > 1:
             duration = max(gpu_work, load_work)
         else:
             duration = gpu_work + load_work

@@ -1,29 +1,26 @@
 """SLO admission control and decode preemption in continuous batching.
 
 The acceptance claim lives in ``TestOverloadGoodput``: under a 2x-overload
-burst, SLO admission plus preemption never serves fewer SLO-met requests
-than the plain scheduler, and sheds the guaranteed-miss work instead of
-queueing it.
+burst, the ``slo`` scheduler (admission plus preemption) serves more
+SLO-met requests than the plain scheduler, and sheds the guaranteed-miss
+work instead of queueing it.
 """
-
-from dataclasses import replace
 
 import pytest
 
+from repro.bench.workload import WorkloadGenerator
 from repro.kvstore.device import get_device
 from repro.model.config import get_config
 from repro.serving.costmodel import ServingCostModel, predict_first_token_time
 from repro.serving.engine import EngineResult, InferenceEngine
 from repro.serving.request import GenerationRequest, RequestTiming
-from repro.serving.scheduler import ContinuousBatchingScheduler
-from repro.serving.simulator import LoadSimulator, WorkloadSpec
+from repro.serving.scheduler import MAX_PREEMPTIONS, ContinuousBatchingScheduler
 
 
 def _request(
     request_id: int,
     arrival: float = 0.0,
     deadline: float | None = None,
-    priority: int = 0,
     n_chunks: int = 4,
     chunk_tokens: int = 256,
     n_output_tokens: int = 8,
@@ -36,7 +33,6 @@ def _request(
         n_output_tokens=n_output_tokens,
         arrival_time=arrival,
         deadline_s=deadline,
-        priority=priority,
     )
 
 
@@ -97,7 +93,7 @@ class TestAdmissionControl:
         scheduler = ContinuousBatchingScheduler(
             n_servers=1,
             max_batch_tokens=requests[0].n_total_tokens,
-            admission_control=True,
+            slo=True,
         )
         timings = scheduler.schedule(requests, results)
         assert not timings[0].rejected
@@ -108,9 +104,9 @@ class TestAdmissionControl:
 
     def test_feasible_deadline_is_admitted(self):
         requests = [_request(0, deadline=60.0)]
-        timings = ContinuousBatchingScheduler(
-            n_servers=1, admission_control=True
-        ).schedule(requests, [_result(ttft=1.0)])
+        timings = ContinuousBatchingScheduler(n_servers=1, slo=True).schedule(
+            requests, [_result(ttft=1.0)]
+        )
         assert not timings[0].rejected
         assert timings[0].met_slo
 
@@ -120,7 +116,7 @@ class TestAdmissionControl:
         timings = ContinuousBatchingScheduler(
             n_servers=1,
             max_batch_tokens=requests[0].n_total_tokens,
-            admission_control=True,
+            slo=True,
         ).schedule(requests, results)
         assert not any(t.rejected for t in timings)
 
@@ -133,9 +129,9 @@ class TestAdmissionControl:
         newcomer = _request(
             1, arrival=1.0, deadline=deadline, n_chunks=1, chunk_tokens=64
         )
-        return ContinuousBatchingScheduler(
-            n_servers=1, admission_control=True
-        ).schedule([decoder, newcomer], [_result(ttft=1.0, decode=2.0), _result(ttft=0.5)])
+        return ContinuousBatchingScheduler(n_servers=1, slo=True).schedule(
+            [decoder, newcomer], [_result(ttft=1.0, decode=2.0), _result(ttft=0.5)]
+        )
 
     def test_prediction_beside_a_decoder_is_the_first_token_it_gets(self):
         timings = self._beside_one_decoder(deadline=0.7 + 1e-6)
@@ -148,7 +144,7 @@ class TestAdmissionControl:
         assert timings[1].rejected
         assert not timings[0].rejected
 
-    def test_admission_off_serves_the_doomed_request_late(self):
+    def test_slo_off_serves_the_doomed_request_late(self):
         requests = [_request(0), _request(1, deadline=0.5)]
         results = [_result(ttft=10.0), _result(ttft=0.4)]
         timings = ContinuousBatchingScheduler(
@@ -162,21 +158,19 @@ class TestAdmissionControl:
         # leave the scheduling loop spinning on an empty batch.
         requests = [_request(i, deadline=1e-6) for i in range(3)]
         results = [_result(ttft=5.0) for _ in requests]
-        timings = ContinuousBatchingScheduler(
-            n_servers=1, admission_control=True
-        ).schedule(requests, results)
+        timings = ContinuousBatchingScheduler(n_servers=1, slo=True).schedule(
+            requests, results
+        )
         assert all(t.rejected for t in timings)
 
 
 class TestPreemption:
-    def _scheduler(self, budget_requests: int = 1, **kwargs):
-        tokens = _request(0).n_total_tokens
+    def _scheduler(self):
         return ContinuousBatchingScheduler(
             n_servers=1,
-            max_batch_tokens=budget_requests * tokens,
+            max_batch_tokens=_request(0).n_total_tokens,
             prefill_chunk_tokens=512,
-            preemption=True,
-            **kwargs,
+            slo=True,
         )
 
     def test_deadline_prefill_preempts_a_decode(self):
@@ -195,8 +189,8 @@ class TestPreemption:
         assert timings[1].met_slo
 
     def test_preemption_cap_is_respected(self):
-        # Three deadline bursts against one long decode with a cap of 1:
-        # the decode is paused exactly once, then becomes immune.
+        # Three deadline bursts against one long decode: the decode is
+        # paused MAX_PREEMPTIONS (2) times, then becomes immune.
         requests = [
             _request(0, n_output_tokens=200),
             _request(1, arrival=2.0, deadline=50.0, n_output_tokens=2),
@@ -206,9 +200,9 @@ class TestPreemption:
         results = [_result(ttft=1.0, decode=20.0)] + [
             _result(ttft=1.0, decode=0.1) for _ in range(3)
         ]
-        timings = self._scheduler(max_preemptions=1).schedule(requests, results)
-        assert timings[0].n_preemptions == 1
-        assert all(t.n_preemptions <= 1 for t in timings)
+        timings = self._scheduler().schedule(requests, results)
+        assert timings[0].n_preemptions == MAX_PREEMPTIONS
+        assert all(t.n_preemptions <= MAX_PREEMPTIONS for t in timings)
         assert all(t.completion_time > 0.0 for t in timings)
 
     def test_prefill_phase_requests_are_never_preempted_mid_prefill(self):
@@ -226,14 +220,49 @@ class TestPreemption:
         assert timings[0].first_token_time == pytest.approx(5.0)
         assert timings[1].start_time >= timings[0].first_token_time - 1e-9
 
-    def test_higher_priority_decode_is_immune(self):
+    def test_slo_off_never_rejects_or_preempts(self):
         requests = [
-            _request(0, priority=5, n_output_tokens=40),
-            _request(1, arrival=2.0, deadline=10.0, priority=0, n_output_tokens=2),
+            _request(0, n_output_tokens=40),
+            _request(1, arrival=2.0, deadline=1.0, n_output_tokens=2),
+        ]
+        results = [_result(ttft=1.0, decode=4.0), _result(ttft=1.0, decode=0.1)]
+        timings = ContinuousBatchingScheduler(
+            n_servers=1, max_batch_tokens=_request(0).n_total_tokens
+        ).schedule(requests, results)
+        assert not any(t.rejected or t.n_preemptions for t in timings)
+        # The deadline request waits out the decode that fills the budget.
+        assert timings[1].start_time >= timings[0].completion_time - 1e-9
+
+    def test_best_effort_arrival_never_preempts(self):
+        requests = [
+            _request(0, n_output_tokens=40),
+            _request(1, arrival=2.0, n_output_tokens=2),
         ]
         results = [_result(ttft=1.0, decode=4.0), _result(ttft=1.0, decode=0.1)]
         timings = self._scheduler().schedule(requests, results)
         assert timings[0].n_preemptions == 0
+        assert timings[1].start_time >= timings[0].completion_time - 1e-9
+
+    def test_most_recently_started_decode_is_paused_first(self):
+        # Two decodes fill a two-request budget when a deadline request
+        # arrives; freeing one slot pauses the later starter only.
+        requests = [
+            _request(0, n_output_tokens=40),
+            _request(1, arrival=0.5, n_output_tokens=40),
+            _request(2, arrival=3.0, deadline=10.0, n_output_tokens=2),
+        ]
+        results = [
+            _result(ttft=1.0, decode=4.0),
+            _result(ttft=1.0, decode=4.0),
+            _result(ttft=1.0, decode=0.1),
+        ]
+        timings = ContinuousBatchingScheduler(
+            n_servers=1, max_batch_tokens=2 * _request(0).n_total_tokens, slo=True
+        ).schedule(requests, results)
+        assert timings[0].start_time < timings[1].start_time
+        assert timings[0].n_preemptions == 0
+        assert timings[1].n_preemptions == 1
+        assert timings[2].met_slo
 
     def test_preempted_decode_is_not_starved(self):
         # After the deadline burst drains, the paused decode resumes ahead
@@ -278,7 +307,7 @@ class TestPausedBacklogAdmission:
     def test_paused_decode_backlog_counts_against_the_deadline(self):
         from collections import deque
 
-        scheduler = ContinuousBatchingScheduler(n_servers=1, admission_control=True)
+        scheduler = ContinuousBatchingScheduler(n_servers=1, slo=True)
         candidate = _request(1, deadline=1.15)
         result = _result(ttft=1.0)
         # Empty server: the candidate's first token is its own 1.0s prefill.
@@ -292,7 +321,7 @@ class TestPausedBacklogAdmission:
     def test_paused_and_active_decodes_are_priced_alike(self):
         from collections import deque
 
-        scheduler = ContinuousBatchingScheduler(n_servers=1, admission_control=True)
+        scheduler = ContinuousBatchingScheduler(n_servers=1, slo=True)
         candidate = _request(1, deadline=1.15)
         result = _result(ttft=1.0)
         as_active = scheduler._admission_check(
@@ -305,7 +334,7 @@ class TestPausedBacklogAdmission:
 
 
 class TestOverloadGoodput:
-    """2x overload: admission + preemption >= plain scheduling on goodput."""
+    """2x overload: the ``slo`` scheduler beats plain scheduling on goodput."""
 
     @pytest.fixture(scope="class")
     def overload(self):
@@ -313,14 +342,11 @@ class TestOverloadGoodput:
         engine = InferenceEngine(
             cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
         )
-        simulator = LoadSimulator(engine, WorkloadSpec(n_output_tokens=48), seed=13)
         # Arrival rate far beyond one server's service rate.
-        requests = [
-            replace(r, deadline_s=8.0)
-            for r in simulator.generate_requests(6.0, 80)
-        ]
-        results = engine.serve_batch(requests)
-        return requests, results
+        requests = WorkloadGenerator(
+            request_rate=6.0, ttft_slo_s=8.0, seed=13
+        ).generate(80)
+        return requests, [engine.serve(request) for request in requests]
 
     @staticmethod
     def _goodput(timings) -> float:
@@ -333,22 +359,22 @@ class TestOverloadGoodput:
     def test_admission_and_preemption_strictly_improve_goodput(self, overload):
         requests, results = overload
         plain = ContinuousBatchingScheduler(n_servers=1).schedule(requests, results)
-        robust = ContinuousBatchingScheduler(
-            n_servers=1, admission_control=True, preemption=True
-        ).schedule(requests, results)
+        robust = ContinuousBatchingScheduler(n_servers=1, slo=True).schedule(
+            requests, results
+        )
         assert self._goodput(robust) > self._goodput(plain)
         # Preempting clogging decodes lets at-risk prefills through, so far
         # more requests land their first token within the SLO.
         assert sum(t.met_slo for t in robust) > sum(t.met_slo for t in plain)
 
-    def test_admission_alone_sheds_doomed_load(self, overload):
+    def test_slo_sheds_doomed_load(self, overload):
         requests, results = overload
         plain = ContinuousBatchingScheduler(n_servers=1).schedule(requests, results)
-        shedding = ContinuousBatchingScheduler(
-            n_servers=1, admission_control=True
-        ).schedule(requests, results)
-        # Without preemption the backlog is real: the controller rejects the
-        # guaranteed misses instead of queueing them...
+        shedding = ContinuousBatchingScheduler(n_servers=1, slo=True).schedule(
+            requests, results
+        )
+        # The backlog is real: the controller rejects the guaranteed misses
+        # instead of queueing them...
         assert sum(t.rejected for t in shedding) > 0
         # ...and what it does serve, it serves within the SLO far more
         # reliably than the plain scheduler serves its unfiltered queue.
@@ -356,20 +382,3 @@ class TestOverloadGoodput:
         met_fraction = sum(t.met_slo for t in served) / len(served)
         plain_met_fraction = sum(t.met_slo for t in plain) / len(plain)
         assert met_fraction > plain_met_fraction
-        assert self._goodput(shedding) > self._goodput(plain)
-
-    def test_invariants_hold_under_overload(self, overload):
-        requests, results = overload
-        scheduler = ContinuousBatchingScheduler(
-            n_servers=2, admission_control=True, preemption=True, max_preemptions=2
-        )
-        timings = scheduler.schedule(requests, results)
-        assert len(timings) == len(requests)
-        for timing in timings:
-            assert timing.n_preemptions <= scheduler.max_preemptions
-            if timing.rejected:
-                assert timing.completion_time == timing.start_time
-            else:
-                assert timing.first_token_time >= timing.start_time - 1e-9
-                assert timing.completion_time >= timing.first_token_time - 1e-9
-                assert timing.start_time >= timing.arrival_time - 1e-12

@@ -76,6 +76,54 @@ class TestTraceInvariants:
         assert np.all(trace.load_start[1:] >= trace.compute_end[:-1] - EPS)
 
 
+class TestPerLayerPacking:
+    """Each layer's store-precision bytes are packed inside that layer's
+    load, so a request's first layer never waits for its later layers."""
+
+    @staticmethod
+    def _log_packs_and_computes(monkeypatch) -> list[str]:
+        import repro.core.executor as executor_module
+
+        events: list[str] = []
+        pack = executor_module.pack_layer_kv_as
+        compute_start = executor_module._SpanRecorder.compute_start
+
+        def logged_pack(layer, dtype):
+            events.append("pack")
+            return pack(layer, dtype)
+
+        def logged_compute_start(recorder, layer_idx):
+            events.append(f"compute {layer_idx}")
+            compute_start(recorder, layer_idx)
+
+        monkeypatch.setattr(executor_module, "pack_layer_kv_as", logged_pack)
+        monkeypatch.setattr(
+            executor_module._SpanRecorder, "compute_start", logged_compute_start
+        )
+        return events
+
+    def test_sequential_packs_each_layer_right_before_its_compute(
+        self, model, chunk_caches, suffix_ids, monkeypatch
+    ):
+        events = self._log_packs_and_computes(monkeypatch)
+        _executor(model, 0.0).execute(chunk_caches, suffix_ids, pipelined=False)
+        expected: list[str] = []
+        for layer_idx in range(model.config.n_layers):
+            expected += ["pack"] * len(chunk_caches) + [f"compute {layer_idx}"]
+        assert events == expected
+
+    def test_pipelined_batch_packs_every_layer_once(
+        self, model, chunk_caches, suffix_ids, monkeypatch
+    ):
+        events = self._log_packs_and_computes(monkeypatch)
+        _executor(model, 0.0005).execute_batch(
+            [(chunk_caches, suffix_ids)] * 2, pipelined=True
+        )
+        n_layers = model.config.n_layers
+        assert events.count("pack") == 2 * n_layers * len(chunk_caches)
+        assert sum(event.startswith("compute") for event in events) == 2 * n_layers
+
+
 class TestNumericsMatch:
     def test_pipelined_equals_sequential(self, model, chunk_caches, suffix_ids):
         executor = _executor(model, 0.001)

@@ -14,13 +14,15 @@ from repro.bench.experiment import (
 from repro.bench.replay import simulate_fleet
 from repro.bench.workload import WorkloadGenerator
 from repro.kvstore.config import StoreConfig
+from repro.kvstore.device import get_device
 from repro.model.config import get_config
 from repro.model.tensors import KVCache, LayerKV
 from repro.serving.costmodel import ServingCostModel
 from repro.serving.engine import InferenceEngine
-from repro.serving.scheduler import FCFSScheduler
+from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.bench.report import (
     SCHEMA_VERSION,
+    format_summary,
     report_to_dict,
     save_report,
     validate_report,
@@ -100,6 +102,18 @@ class TestReportSchema:
         assert path.suffix == ".json"
         validate_report(json.loads(path.read_text()))
 
+    def test_config_block_and_summary_name_no_scheduler(self, report):
+        """Continuous batching with overlapped loads is the only scheduler,
+        so neither the config block nor the summary header names one."""
+        document = report_to_dict(report, tag="test")
+        assert not [
+            key for key in document["config"] if "scheduler" in key or "overlap" in key
+        ]
+        header = format_summary(document).splitlines()[0]
+        assert header == (
+            f"bench report (tag=test, {len(report.cells)} cells, dataset=2wikimqa)"
+        )
+
     def test_validation_rejects_missing_fields(self, report):
         document = report_to_dict(report, tag="broken")
         del document["cells"][0]["mean_ttft"]
@@ -165,14 +179,22 @@ class TestCLIConfig:
         assert config.recompute_ratios == (0.2,)
 
 
+    def test_no_flag_picks_a_scheduler_or_switches_load_overlap(self):
+        from repro.bench.__main__ import build_parser
+
+        flags = [
+            flag
+            for action in build_parser()._actions
+            for flag in action.option_strings
+        ]
+        assert "--n-servers" in flags
+        assert not [flag for flag in flags if "schedul" in flag or "overlap" in flag]
+
+
 class TestConfigValidation:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(schemes=("warp_drive",))
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(scheduler="psychic")
 
     def test_smoke_config_is_small(self):
         config = ExperimentConfig.smoke()
@@ -296,7 +318,7 @@ class TestStoreCapacityAxis:
             engine=InferenceEngine(
                 ServingCostModel(get_config("mistral-7b")), "full_recompute"
             ),
-            scheduler_factory=lambda r: FCFSScheduler(),
+            scheduler=ContinuousBatchingScheduler(),
             store=runner.store_config(8),
         )
         assert [
@@ -395,12 +417,6 @@ class TestAdmissionAxis:
         with pytest.raises(ValueError):
             ExperimentConfig(admission_policies=("none", "slo"))
 
-    def test_slo_policy_requires_continuous_scheduler(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                scheduler="fcfs", ttft_slo_s=5.0, admission_policies=("slo",)
-            )
-
     def test_unknown_policy_and_pattern_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(admission_policies=("vip_only",), ttft_slo_s=5.0)
@@ -498,6 +514,41 @@ class TestFleetAxis:
             assert len(cell.per_replica_hit_rates) == cell.n_replicas
             assert 0.0 <= cell.fleet_hit_rate <= 1.0
             assert cell.utilisation_skew >= 1.0 - 1e-9
+
+    def test_utilisation_counts_every_replica(self):
+        config = ExperimentConfig(
+            models=("mistral-7b",),
+            devices=("nvme_ssd",),
+            schemes=("cacheblend",),
+            n_requests=40,
+            seed=0,
+        )
+        runner = ExperimentRunner(config)
+        requests, _, chunk_ids = runner._generate_workload()
+        cell = runner.run_cell(
+            requests, chunk_ids, "mistral-7b", "nvme_ssd", "cacheblend", 0.15,
+            fleet=("least_loaded", 2),
+        )
+        run = simulate_fleet(
+            requests,
+            chunk_ids,
+            policy="least_loaded",
+            n_replicas=2,
+            engine=InferenceEngine(
+                ServingCostModel(get_config("mistral-7b")),
+                scheme="cacheblend",
+                device=get_device("nvme_ssd"),
+                fast_device=get_device("cpu_ram"),
+            ),
+            scheduler=ContinuousBatchingScheduler(),
+            store=runner.store_config(None),
+        )
+        makespan = max(t.completion_time for t in run.timings) - min(
+            r.arrival_time for r in run.requests
+        )
+        assert cell.gpu_utilisation == pytest.approx(
+            sum(run.per_replica_busy_s) / (2 * makespan)
+        )
 
     def test_affinity_beats_least_loaded_at_4_replicas(self, fleet_report):
         """The acceptance criterion at sweep level: under the default Zipf
@@ -745,6 +796,45 @@ class TestPrecisionAxis:
         # half the resident bytes for the same residency.
         assert int8.mean_ttft_service < fp16.mean_ttft_service
         assert int8.store_bytes_stored < fp16.store_bytes_stored
+
+    def test_fleet_density_gain_is_the_width_ratio(self):
+        """Each dtype's fleet homes requests by its own engine's prices, so
+        the two fleets hold different chunks; the density gain compares the
+        dtypes' KV widths, not those residencies."""
+        config = ExperimentConfig(
+            models=("mistral-7b",),
+            devices=("nvme_ssd",),
+            schemes=("cacheblend",),
+            n_requests=60,
+            request_rate=0.8,
+            fleet_sizes=(2,),
+            routing_policies=("least_loaded",),
+            store_capacity_chunks=(32,),
+            kv_dtypes=("float16", "int8", "mixed"),
+            fault_rate=0.05,
+            seed=0,
+        )
+        report = ExperimentRunner(config).run()
+        by_dtype = {cell.kv_dtype: cell for cell in report.cells}
+        # The residencies differ: the byte ratio is not the width ratio.
+        assert by_dtype["float16"].store_bytes_stored != (
+            2 * by_dtype["int8"].store_bytes_stored
+        )
+        width = ServingCostModel(get_config("mistral-7b"), precision="float16")
+        rows = {
+            row["comparison"]: row
+            for row in report.comparisons
+            if str(row.get("comparison", "")).startswith("dtype_")
+        }
+        assert set(rows) == {"dtype_int8_vs_float16", "dtype_mixed_vs_float16"}
+        for dtype in ("int8", "mixed"):
+            row = rows[f"dtype_{dtype}_vs_float16"]
+            narrow = ServingCostModel(get_config("mistral-7b"), precision=dtype)
+            assert row["bytes_density_gain"] == (
+                width.kv_bytes_per_token() / narrow.kv_bytes_per_token()
+            )
+            assert row[f"{dtype}_denser_than_float16"] is True
+        assert rows["dtype_int8_vs_float16"]["bytes_density_gain"] == 2.0
 
     def test_cli_flags_reach_the_config(self):
         from repro.bench.__main__ import build_parser, config_from_args

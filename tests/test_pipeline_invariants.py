@@ -193,26 +193,23 @@ def _stall_heavy_results(rng: np.random.Generator, n: int):
 class TestSchedulerOverlapProperties:
     @pytest.mark.parametrize("seed", range(10))
     def test_overlap_never_increases_makespan(self, seed):
+        """A batch arriving at once on one server runs back to back, so
+        without overlap its makespan would be the serial sum of its work."""
         requests, results = _stall_heavy_results(np.random.default_rng(seed), 6)
-        plain = ContinuousBatchingScheduler(overlap_loads=False).schedule(
-            requests, results
-        )
-        overlapped = ContinuousBatchingScheduler(overlap_loads=True).schedule(
-            requests, results
-        )
-        assert max(t.completion_time for t in overlapped) <= (
-            max(t.completion_time for t in plain) + EPS
-        )
+        overlapped = ContinuousBatchingScheduler().schedule(requests, results)
+        serial_total = sum(r.ttft_service + r.decode_time for r in results)
+        assert max(t.completion_time for t in overlapped) <= serial_total + EPS
 
     @pytest.mark.parametrize("seed", range(10))
     def test_overlap_respects_gpu_lower_bound(self, seed):
-        """Hidden stalls never push the makespan below the serial GPU work."""
+        """Hidden stalls never push the makespan below the serial GPU work,
+        nor below the serial device work."""
         requests, results = _stall_heavy_results(np.random.default_rng(seed), 6)
-        overlapped = ContinuousBatchingScheduler(overlap_loads=True).schedule(
-            requests, results
-        )
+        overlapped = ContinuousBatchingScheduler().schedule(requests, results)
+        makespan = max(t.completion_time for t in overlapped)
         gpu_total = sum(r.gpu_time + r.decode_time for r in results)
-        assert max(t.completion_time for t in overlapped) >= gpu_total - EPS
+        assert makespan >= gpu_total - EPS
+        assert makespan >= sum(r.stall_time for r in results) - EPS
 
 
 class TestCostModelPricing:

@@ -231,6 +231,22 @@ class TestRoutingProfile:
         counts = document["fleet"]["policies"]["affinity"]["placement_counts"]
         assert sum(1 for count in counts if count > 0) >= 2
 
+    def test_only_the_gated_policy_is_timed(self, document):
+        """Ungated policies on frozen fleet state time degenerate work
+        (``least_loaded`` repeats one argmin), so only affinity is timed."""
+        fleet = document["fleet"]
+        assert fleet["gated_policy"] == "affinity"
+        assert set(fleet["policies"]) == {"affinity"}
+        affinity = fleet["policies"]["affinity"]
+        assert affinity["min_s"] == document["ops"]["routing_decision"]["min_s"]
+        assert affinity["decision_s"] == affinity["min_s"] / fleet["n_decisions"]
+
+    def test_validation_rejects_a_fleet_block_without_the_gated_policy(self, document):
+        broken = copy.deepcopy(document)
+        broken["fleet"]["policies"] = {}
+        with pytest.raises(ValueError, match="gated_policy"):
+            validate_profile_report(broken)
+
 
 class TestPreemptResumeProfile:
     """Acceptance: the scheduler's pause/resume round-trip is profiled and

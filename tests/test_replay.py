@@ -16,7 +16,7 @@ from repro.model.config import get_config
 from repro.serving.costmodel import ServingCostModel
 from repro.serving.engine import InferenceEngine
 from repro.serving.request import GenerationRequest
-from repro.serving.scheduler import FCFSScheduler
+from repro.serving.scheduler import ContinuousBatchingScheduler
 
 
 def _request(n_chunks: int = 3) -> GenerationRequest:
@@ -101,7 +101,7 @@ def _fleet(requests, chunk_ids, store):
         policy="least_loaded",
         n_replicas=1,
         engine=InferenceEngine(ServingCostModel(get_config("mistral-7b")), "full_recompute"),
-        scheduler_factory=lambda r: FCFSScheduler(),
+        scheduler=ContinuousBatchingScheduler(),
         store=store,
     )
 

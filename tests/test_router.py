@@ -92,6 +92,20 @@ class TestReplicaPlacement:
         assert replica.available_at >= replica.assigned_work_s
 
 
+    def test_load_signal_advances_by_the_served_occupancy(self):
+        replica = Replica(
+            replica_id=0,
+            store=chunk_store_config(8).build(),
+            engine=_engine(),
+        )
+        replica.place(0, _request(0, arrival=2.0), [1, 2, 3])
+        replica.place(1, _request(1, arrival=2.05), [1, 2, 3])
+        first, second = replica.results
+        assert replica.assigned_work_s == first.occupancy + second.occupancy
+        # The second request queues behind the first's projected occupancy.
+        assert replica.available_at == 2.0 + first.occupancy + second.occupancy
+
+
 class TestLeastLoadedRouter:
     def test_prefers_the_earliest_projected_start(self):
         replicas = _light_replicas(3)
@@ -219,7 +233,7 @@ def _run_fleet(requests, chunk_ids, policy, n_replicas, capacity=160):
         policy=policy,
         n_replicas=n_replicas,
         engine=_engine(),
-        scheduler_factory=lambda r: ContinuousBatchingScheduler(n_servers=1),
+        scheduler=ContinuousBatchingScheduler(),
         store=chunk_store_config(capacity),
     )
 
@@ -271,6 +285,28 @@ class TestSimulateFleet:
         _, requests, chunk_ids = zipf_workload
         with pytest.raises(ValueError):
             _run_fleet(requests, chunk_ids[:-1], "affinity", 2)
+
+    def test_one_scheduler_serves_every_replica(self, fleet):
+        """A scheduler keeps no state between ``schedule`` calls: the shared
+        one times each replica's requests as a fresh one would."""
+        for replica in range(fleet.n_replicas):
+            homed = [i for i, home in enumerate(fleet.replica_of) if home == replica]
+            fresh = ContinuousBatchingScheduler().schedule(
+                [fleet.requests[i] for i in homed], [fleet.results[i] for i in homed]
+            )
+            assert fresh == [fleet.timings[i] for i in homed]
+
+    def test_busy_time_is_the_served_occupancy(self, fleet):
+        for replica, busy in enumerate(fleet.per_replica_busy_s):
+            assert busy == pytest.approx(
+                sum(
+                    result.occupancy
+                    for result, timing, home in zip(
+                        fleet.results, fleet.timings, fleet.replica_of
+                    )
+                    if home == replica and not timing.rejected
+                )
+            )
 
 
 class TestAffinityBeatsLeastLoaded:

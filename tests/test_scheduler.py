@@ -1,19 +1,17 @@
-"""FCFS vs continuous batching: shared invariants and batching behaviour."""
+"""Continuous batching: conservation on random streams, batching behaviour,
+and the service pricing it schedules."""
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.workload import WorkloadGenerator
 from repro.kvstore.device import get_device
 from repro.model.config import get_config
 from repro.serving.costmodel import ServingCostModel
 from repro.serving.engine import EngineResult, InferenceEngine
 from repro.serving.request import GenerationRequest
-from repro.serving.scheduler import (
-    ContinuousBatchingScheduler,
-    FCFSScheduler,
-    Scheduler,
-)
-from repro.serving.simulator import LoadSimulator, WorkloadSpec
+from repro.serving.scheduler import MAX_PREEMPTIONS, ContinuousBatchingScheduler
 
 
 @pytest.fixture(scope="module")
@@ -26,69 +24,126 @@ def engine() -> InferenceEngine:
 
 @pytest.fixture(scope="module")
 def workload(engine):
-    simulator = LoadSimulator(engine, WorkloadSpec(n_output_tokens=64), seed=7)
-    requests = simulator.generate_requests(2.0, 60)
-    results = engine.serve_batch(requests)
+    requests = WorkloadGenerator(request_rate=2.0, seed=7).generate(60)
+    return requests, [engine.serve(request) for request in requests]
+
+
+#: One request of a random stream: arrival time, chunk count, first-token
+#: service seconds, the share of it stalled on KV loads, decode seconds,
+#: output tokens and TTFT deadline (``None``: best effort).
+_request_specs = st.tuples(
+    st.floats(0.0, 20.0),
+    st.integers(1, 8),
+    st.floats(0.01, 2.0),
+    st.floats(0.0, 0.9),
+    st.floats(0.0, 2.0),
+    st.integers(1, 8),
+    st.none() | st.floats(0.05, 5.0),
+)
+
+
+def _stream(specs, zero_stall: bool):
+    requests, results = [], []
+    for i, (arrival, n_chunks, service, stall_share, decode, n_output, deadline) in (
+        enumerate(specs)
+    ):
+        stall = 0.0 if zero_stall else stall_share * service
+        requests.append(
+            GenerationRequest(
+                request_id=i,
+                n_chunks=n_chunks,
+                chunk_tokens=256,
+                n_output_tokens=n_output,
+                arrival_time=arrival,
+                deadline_s=deadline,
+            )
+        )
+        # A one-token answer runs no decode step, so it is priced none.
+        results.append(
+            EngineResult(
+                scheme="cacheblend",
+                gpu_time=service - stall,
+                ttft_service=service,
+                decode_time=decode if n_output > 1 else 0.0,
+                stall_time=stall,
+            )
+        )
     return requests, results
 
 
-SCHEDULERS = [
-    FCFSScheduler(n_servers=2),
-    ContinuousBatchingScheduler(n_servers=2),
-]
+class TestConservation:
+    """Every random arrival stream is scheduled whole and consistently."""
 
-
-class TestSharedInvariants:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS, ids=lambda s: type(s).__name__)
-    def test_no_request_starts_before_arrival(self, scheduler, workload):
-        requests, results = workload
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        specs=st.lists(_request_specs, min_size=1, max_size=24),
+        n_servers=st.integers(1, 3),
+        max_batch_tokens=st.sampled_from([1024, 4096, 16_384]),
+        slo=st.booleans(),
+        zero_stall=st.booleans(),
+    )
+    def test_random_streams(self, specs, n_servers, max_batch_tokens, slo, zero_stall):
+        requests, results = _stream(specs, zero_stall)
+        scheduler = ContinuousBatchingScheduler(
+            n_servers=n_servers, max_batch_tokens=max_batch_tokens, slo=slo
+        )
         timings = scheduler.schedule(requests, results)
-        assert all(t.start_time >= t.arrival_time - 1e-12 for t in timings)
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS, ids=lambda s: type(s).__name__)
-    def test_lifecycle_ordering(self, scheduler, workload):
-        requests, results = workload
-        timings = scheduler.schedule(requests, results)
-        for timing in timings:
-            assert timing.first_token_time >= timing.start_time
-            assert timing.completion_time >= timing.first_token_time - 1e-9
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS, ids=lambda s: type(s).__name__)
-    def test_output_aligned_with_input_order(self, scheduler, workload):
-        requests, results = workload
-        timings = scheduler.schedule(requests, results)
+        # Exactly one timing per request, in input (not arrival) order.
         assert [t.request_id for t in timings] == [r.request_id for r in requests]
+        assert [t.arrival_time for t in timings] == [r.arrival_time for r in requests]
+        for request, timing in zip(requests, timings):
+            if timing.rejected:
+                assert slo and request.deadline_s is not None
+                assert timing.start_time == timing.first_token_time
+                assert timing.first_token_time == timing.completion_time
+                assert timing.n_preemptions == 0
+            else:
+                assert timing.arrival_time <= timing.start_time + 1e-12
+                assert timing.start_time <= timing.first_token_time + 1e-12
+                assert timing.first_token_time <= timing.completion_time + 1e-9
+                assert timing.n_preemptions <= (MAX_PREEMPTIONS if slo else 0)
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS, ids=lambda s: type(s).__name__)
-    def test_satisfies_scheduler_protocol(self, scheduler):
-        assert isinstance(scheduler, Scheduler)
-
-    @pytest.mark.parametrize("scheduler_cls", [FCFSScheduler, ContinuousBatchingScheduler])
-    def test_length_mismatch_rejected(self, scheduler_cls, workload):
-        requests, results = workload
-        with pytest.raises(ValueError):
-            scheduler_cls().schedule(requests, results[:-1])
+        served = [
+            (request, result, timing)
+            for request, result, timing in zip(requests, results, timings)
+            if not timing.rejected
+        ]
+        if zero_stall and served:
+            # Nothing overlaps without stalls: each server runs its served
+            # requests' occupancy one slice at a time inside the served span.
+            makespan = max(t.completion_time for _, _, t in served) - min(
+                r.arrival_time for r, _, _ in served
+            )
+            busy = sum(result.occupancy for _, result, _ in served)
+            assert busy / (n_servers * makespan) <= 1.0 + 1e-9
 
 
 class TestThroughputScaling:
-    @pytest.mark.parametrize("scheduler_cls", [FCFSScheduler, ContinuousBatchingScheduler])
-    def test_throughput_monotone_in_n_servers(self, scheduler_cls, workload):
+    def test_throughput_monotone_in_n_servers(self, workload):
         requests, results = workload
         makespans = []
         for n_servers in (1, 2, 4):
-            timings = scheduler_cls(n_servers=n_servers).schedule(requests, results)
+            timings = ContinuousBatchingScheduler(n_servers=n_servers).schedule(
+                requests, results
+            )
             makespans.append(max(t.completion_time for t in timings))
         assert makespans[0] >= makespans[1] - 1e-9
         assert makespans[1] >= makespans[2] - 1e-9
 
 
 class TestContinuousBatching:
-    def test_decode_interleaving_beats_fcfs_ttft(self, workload):
-        """With long decodes, iteration-level admission cuts queueing TTFT."""
+    def test_length_mismatch_rejected(self, workload):
         requests, results = workload
-        fcfs = FCFSScheduler(n_servers=2).schedule(requests, results)
-        batched = ContinuousBatchingScheduler(n_servers=2).schedule(requests, results)
-        assert np.mean([t.ttft for t in batched]) < np.mean([t.ttft for t in fcfs])
+        with pytest.raises(ValueError):
+            ContinuousBatchingScheduler().schedule(requests, results[:-1])
+
+    @pytest.mark.parametrize(
+        "field", ["n_servers", "max_batch_tokens", "prefill_chunk_tokens"]
+    )
+    def test_non_positive_sizes_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            ContinuousBatchingScheduler(**{field: 0})
 
     def test_token_budget_serialises_admission(self):
         """A budget of one request's tokens degenerates to one-at-a-time."""
@@ -100,7 +155,7 @@ class TestContinuousBatching:
         engine = InferenceEngine(
             cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
         )
-        results = engine.serve_batch(requests)
+        results = [engine.serve(request) for request in requests]
         tight = ContinuousBatchingScheduler(
             n_servers=1, max_batch_tokens=requests[0].n_total_tokens
         ).schedule(requests, results)
@@ -115,10 +170,9 @@ class TestContinuousBatching:
         engine = InferenceEngine(
             cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
         )
-        results = engine.serve_batch([request])
         timings = ContinuousBatchingScheduler(
             n_servers=1, max_batch_tokens=256
-        ).schedule([request], results)
+        ).schedule([request], [engine.serve(request)])
         assert timings[0].completion_time > 0.0
 
     def test_cobatched_decoders_pay_their_analytic_slices_serially(self):
@@ -170,16 +224,44 @@ class TestContinuousBatching:
         assert decoder.completion_time == pytest.approx(1.7 + 2 * (0.1 + 0.1))
         assert joiner.completion_time == decoder.completion_time
 
-    def test_simulator_accepts_injected_scheduler(self, engine):
-        simulator = LoadSimulator(
-            engine,
-            WorkloadSpec(n_output_tokens=64),
-            scheduler=ContinuousBatchingScheduler(n_servers=2),
-            seed=7,
-        )
-        result = simulator.run(2.0, n_requests=40)
-        assert result.mean_ttft > 0.0
-        assert result.throughput > 0.0
+
+class TestLoadOverlap:
+    """A co-batched iteration runs the device's loads beside the GPU's
+    compute; a request alone in its iteration pays its stalls in full."""
+
+    @staticmethod
+    def _prefill_only(n: int, stall: float):
+        requests = [
+            GenerationRequest(
+                request_id=i, n_chunks=1, chunk_tokens=64, n_output_tokens=1
+            )
+            for i in range(n)
+        ]
+        results = [
+            EngineResult(
+                scheme="cacheblend",
+                gpu_time=1.0 - stall,
+                ttft_service=1.0,
+                decode_time=0.0,
+                stall_time=stall,
+            )
+            for _ in requests
+        ]
+        return ContinuousBatchingScheduler().schedule(requests, results)
+
+    def test_lone_request_pays_its_stall_in_full(self):
+        (timing,) = self._prefill_only(1, stall=0.6)
+        assert timing.first_token_time == pytest.approx(1.0)
+
+    def test_cobatched_stalls_hide_behind_compute(self):
+        # GPU work 0.5 + 0.5 beside device work 0.5 + 0.5: one second, not two.
+        for timing in self._prefill_only(2, stall=0.5):
+            assert timing.first_token_time == pytest.approx(1.0)
+
+    def test_stall_dominated_batch_stays_device_bound(self):
+        # Loads serialise on the device: 0.9 + 0.9 seconds of it.
+        for timing in self._prefill_only(2, stall=0.9):
+            assert timing.first_token_time == pytest.approx(1.8)
 
 
 class TestDecodeTimeIntegratesKVGrowth:
@@ -257,6 +339,16 @@ class TestServicePricing:
             cost_model.decode_time_per_token(context_tokens=220 + 1 + k) for k in range(4)
         )
 
+    def test_occupancy_is_the_longer_prefill_plus_decode(self):
+        result = EngineResult(
+            scheme="cacheblend", gpu_time=0.3, ttft_service=0.5, decode_time=0.2
+        )
+        assert result.occupancy == 0.5 + 0.2
+        gpu_bound = EngineResult(
+            scheme="full_recompute", gpu_time=0.9, ttft_service=0.5, decode_time=0.2
+        )
+        assert gpu_bound.occupancy == 0.9 + 0.2
+
     def test_full_recompute_by_hand(self, cost_model):
         result = InferenceEngine(cost_model, scheme="full_recompute").serve(self.REQUEST)
         prefill = cost_model.prefill_time(220)
@@ -264,7 +356,7 @@ class TestServicePricing:
         assert result.ttft_service == prefill
         assert result.gpu_time == prefill
         assert result.gpu_time + result.decode_time == pytest.approx(prefill + steps)
-        (timing,) = FCFSScheduler().schedule([self.REQUEST], [result])
+        (timing,) = ContinuousBatchingScheduler().schedule([self.REQUEST], [result])
         assert timing.first_token_time == prefill
         assert timing.completion_time - timing.first_token_time == pytest.approx(steps)
 

@@ -25,7 +25,6 @@ from repro.serving.costmodel import GPUSpec, ServingCostModel
 from repro.serving.engine import SCHEMES, InferenceEngine
 from repro.serving.request import GenerationRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler
-from repro.serving.simulator import LoadSimulator, WorkloadSpec
 
 pytestmark = pytest.mark.e2e
 
@@ -223,7 +222,7 @@ class TestAnalyticServing:
             cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
         )
         request = GenerationRequest(request_id=0, arrival_time=0.0)
-        (result,) = inference.serve_batch([request])
+        result = inference.serve(request)
         (timing,) = ContinuousBatchingScheduler().schedule([request], [result])
         assert request.n_output_tokens > 1
         assert timing.first_token_time == pytest.approx(result.ttft_service)
@@ -231,26 +230,10 @@ class TestAnalyticServing:
             result.decode_time
         )
 
-    def test_simulator_ttft_is_queueing_plus_analytic_service(self):
-        """Under FCFS every simulated TTFT is the request's wait for a server
-        plus the cost model's service TTFT, and the run's mean is theirs."""
-        cost_model = ServingCostModel(get_config("mistral-7b"), GPUSpec())
-        inference = InferenceEngine(
-            cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
-        )
-        simulator = LoadSimulator(inference, WorkloadSpec(), seed=5)
-        results = inference.serve_batch(simulator.generate_requests(1.0, 20))
-        run = simulator.run(1.0, n_requests=20)
-        assert any(timing.queueing_delay > 0.0 for timing in run.timings)
-        for timing, result in zip(run.timings, results):
-            assert timing.ttft == pytest.approx(
-                timing.queueing_delay + result.ttft_service
-            )
-        assert run.mean_ttft == pytest.approx(
-            float(np.mean([timing.ttft for timing in run.timings]))
-        )
-
     def test_overlap_scheduler_cuts_makespan_for_stall_heavy_batches(self):
+        """Six stall-heavy requests arriving at once on one server: without
+        overlap they would run back to back for the serial sum of their
+        work; hiding stalls behind co-batched compute finishes sooner."""
         cost_model = ServingCostModel(get_config("mistral-7b"), GPUSpec())
         inference = InferenceEngine(
             cost_model, scheme="cacheblend", device=get_device("slow_disk")
@@ -258,33 +241,11 @@ class TestAnalyticServing:
         requests = [
             GenerationRequest(request_id=i, arrival_time=0.0) for i in range(6)
         ]
-        results = inference.serve_batch(requests)
+        results = [inference.serve(request) for request in requests]
         assert any(r.stall_time > 0.0 for r in results)
-        plain = ContinuousBatchingScheduler(overlap_loads=False).schedule(
-            requests, results
-        )
-        overlapped = ContinuousBatchingScheduler(overlap_loads=True).schedule(
-            requests, results
-        )
-        assert max(t.completion_time for t in overlapped) < max(
-            t.completion_time for t in plain
-        )
-
-    def test_overlap_scheduler_preserves_lifecycle_invariants(self):
-        cost_model = ServingCostModel(get_config("mistral-7b"), GPUSpec())
-        inference = InferenceEngine(
-            cost_model, scheme="cacheblend", device=get_device("nvme_ssd")
-        )
-        simulator = LoadSimulator(inference, WorkloadSpec(), seed=9)
-        requests = simulator.generate_requests(2.0, 30)
-        results = inference.serve_batch(requests)
-        timings = ContinuousBatchingScheduler(overlap_loads=True).schedule(
-            requests, results
-        )
-        for timing in timings:
-            assert timing.start_time >= timing.arrival_time - 1e-12
-            assert timing.first_token_time >= timing.start_time
-            assert timing.completion_time >= timing.first_token_time - 1e-9
+        timings = ContinuousBatchingScheduler().schedule(requests, results)
+        serial_total = sum(r.ttft_service + r.decode_time for r in results)
+        assert max(t.completion_time for t in timings) < serial_total
 
 
 class TestSweepReportsMeasured:
