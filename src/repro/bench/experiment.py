@@ -105,10 +105,11 @@ class ExperimentConfig:
     #: Fleet axis: replica counts to sweep (e.g. ``(1, 2, 4, 8)``).  For
     #: each size × routing policy the workload's chunk access trace is
     #: routed over that many engine replicas — each with a *private* chunk
-    #: store (the cell's store point) and its own scheduler — and the cell
-    #: reports aggregate throughput, per-replica hit rates and utilisation
-    #: skew.  Empty (default) keeps the single-server sweep.  Like every
-    #: axis, it composes with the others.
+    #: store (the cell's store point) and its own scheduler over
+    #: ``n_servers`` servers — and the cell reports aggregate throughput,
+    #: per-replica hit rates and utilisation skew.  Empty (default) keeps
+    #: the single-replica sweep.  Like every axis, it composes with the
+    #: others.
     fleet_sizes: tuple[int, ...] = ()
     #: Routing policies of the fleet axis (see
     #: :data:`~repro.serving.router.ROUTING_POLICIES`).
@@ -321,9 +322,9 @@ class ExperimentRunner:
 
         The cell replays the workload's access trace (*chunk_ids*) through
         real chunk stores built by :meth:`store_config` at *store_capacity*
-        (:func:`~repro.bench.replay.simulate_fleet`): one replica run by
-        ``n_servers`` servers, or, with *fleet* ``(routing_policy,
-        n_replicas)``, that many single-server replicas behind the router.
+        (:func:`~repro.bench.replay.simulate_fleet`): one replica, or, with
+        *fleet* ``(routing_policy, n_replicas)``, that many replicas behind
+        the router; every replica is run by ``n_servers`` servers.
         Each request is served with the cached/prefix/slow-tier fractions
         its home store gave it.  With a ``fault_rate`` the seeded fault draw
         recomputes that share of the cached chunks, and a fault-free twin run
@@ -353,11 +354,8 @@ class ExperimentRunner:
             fast_device=get_device("cpu_ram") if needs_device else None,
         )
         policy, n_replicas = fleet or ("least_loaded", 1)
-        # Each fleet replica is one server; a single-server cell is one
-        # replica run by ``n_servers`` servers.
-        n_servers = 1 if fleet else self.config.n_servers
         scheduler = ContinuousBatchingScheduler(
-            n_servers=n_servers,
+            n_servers=self.config.n_servers,
             max_batch_tokens=self.config.max_batch_tokens,
             prefill_chunk_tokens=self.config.prefill_chunk_tokens,
             slo=admission_policy == "slo",
@@ -381,7 +379,7 @@ class ExperimentRunner:
             model, device, scheme, recompute_ratio,
             run.requests, run.results, run.timings,
             admission_policy=admission_policy,
-            n_servers=n_replicas * n_servers,
+            n_servers=n_replicas * self.config.n_servers,
         )
         columns: dict[str, object] = {
             "kv_dtype": kv_dtype,
@@ -873,10 +871,11 @@ def run_quality_probe(
 ) -> dict[str, dict[str, float]]:
     """Measured fusion quality per store dtype (NumPy proxy model).
 
-    Precomputes two chunk caches on the proxy Mistral-7B, round-trips them
-    through each dtype's store quantisation
-    (:func:`~repro.kvstore.serialization.quantize_kv_to_store_dtype`) and
-    fuses them with the real selective-recompute pipeline.  Two deviation
+    Precomputes two chunk caches on the proxy Mistral-7B, packs them at each
+    dtype as a store holds them and decodes them again
+    (:func:`~repro.kvstore.serialization.serialize_kv` /
+    :func:`~repro.kvstore.serialization.deserialize_kv`), and fuses them
+    with the real selective-recompute pipeline.  Two deviation
     statistics are reported per dtype:
 
     - ``mean_kv_deviation`` / ``max_kv_deviation``: the KV deviation the
@@ -896,7 +895,7 @@ def run_quality_probe(
     """
     from repro.core.deviation import kv_deviation, mean_attention_deviation
     from repro.core.fusor import FusorConfig, KVFusor
-    from repro.kvstore.serialization import quantize_kv_to_store_dtype
+    from repro.kvstore.serialization import deserialize_kv, serialize_kv
     from repro.model.transformer import TransformerModel
 
     model = TransformerModel(get_config("proxy-mistral-7b"), seed=seed)
@@ -915,7 +914,7 @@ def run_quality_probe(
     probe: dict[str, dict[str, float]] = {}
     for dtype in kv_dtypes:
         quantized = [
-            quantize_kv_to_store_dtype(cache, dtype) for cache in chunk_caches
+            deserialize_kv(serialize_kv(cache, dtype)) for cache in chunk_caches
         ]
         store_deviation = np.concatenate(
             [
@@ -955,6 +954,7 @@ def run_proxy_probe(seed: int = 0, fault_rate: float = 0.0) -> dict[str, object]
     from repro.core.executor import PipelinedExecutor
     from repro.kvstore.config import StoreConfig
     from repro.kvstore.faults import FaultConfig
+    from repro.kvstore.serialization import KVBlob, serialize_kv
 
     # The probe exercises the serving-path store stack end to end: a
     # RAM→SSD tiered store behind the engine (the kind perfbench's
@@ -992,16 +992,21 @@ def run_proxy_probe(seed: int = 0, fault_rate: float = 0.0) -> dict[str, object]
     # tokens (per-layer compute well under the sleep/thread granularity), so
     # the executor is measured on profile-sized synthetic chunk caches, with
     # the shared calibrate-then-compare methodology of repro.bench.profile.
+    # They are packed at fp16, the executors' precision, before any timing.
     rng = np.random.default_rng(seed)
-    chunk_caches = [
-        engine.model.chunk_prefill(
-            rng.integers(4, engine.model.config.vocab_size, size=96).astype(np.int64)
+    chunks_packed = [
+        KVBlob(
+            serialize_kv(
+                engine.model.chunk_prefill(
+                    rng.integers(4, engine.model.config.vocab_size, size=96).astype(np.int64)
+                )
+            )
         )
         for _ in range(2)
     ]
     suffix_ids = rng.integers(4, engine.model.config.vocab_size, size=12).astype(np.int64)
     measurement = measure_pipeline_speedup(
-        engine.model, engine.fusor.config, chunk_caches, suffix_ids, repeats=2
+        engine.model, engine.fusor.config, chunks_packed, suffix_ids, repeats=2
     )
 
     # Cross-request pipelining at the same calibrated operating point: a
@@ -1010,7 +1015,7 @@ def run_proxy_probe(seed: int = 0, fault_rate: float = 0.0) -> dict[str, object]
     batch_executor = PipelinedExecutor(
         engine.model, engine.fusor.config, layer_load_time=measurement.layer_load_time
     )
-    items = [(chunk_caches, suffix_ids)] * 3
+    items = [(chunks_packed, suffix_ids)] * 3
     batch_pipelined = batch_executor.execute_batch(items, pipelined=True)
     batch_sequential = batch_executor.execute_batch(items, pipelined=False)
 

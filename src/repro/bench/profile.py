@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.executor import ExecutionResult, PipelinedExecutor
 from repro.core.fusor import FusorConfig, KVFusor
-from repro.kvstore.serialization import deserialize_kv, serialize_kv
+from repro.kvstore.serialization import KVBlob, deserialize_kv, serialize_kv
 from repro.model.config import get_config
 from repro.model.tensors import KVCache
 from repro.model.transformer import TransformerModel
@@ -65,8 +65,9 @@ from repro.model.transformer import TransformerModel
 #: ``shared_prefix_tokens``, ``logical_bytes`` and ``dedup_ratio`` for
 #: ``ram_chunks``; v10 times only the gated ``affinity`` policy, so the
 #: ``fleet`` block's ``policies`` drops ``least_loaded`` and
-#: ``consistent_hash``.
-PROFILE_SCHEMA_VERSION = 10
+#: ``consistent_hash``; v11 counts the ``store`` block's ``bytes_stored`` as
+#: the RPKV5 bytes the tiers hold, not element widths.
+PROFILE_SCHEMA_VERSION = 11
 
 _REQUIRED_OPS = (
     "chunk_prefill",
@@ -180,7 +181,7 @@ class PipelineMeasurement:
 def measure_pipeline_speedup(
     model,
     fusor_config: FusorConfig,
-    chunk_caches,
+    chunks: list[KVBlob],
     suffix_ids,
     repeats: int = 2,
     recompute_ratio: float | None = None,
@@ -195,11 +196,11 @@ def measure_pipeline_speedup(
     recompute.  Sequential and pipelined schedules then run
     best-of-*repeats*.  This is the single definition of the
     measured-speedup methodology, shared by the profile harness and the sweep
-    runner's proxy probe.
+    runner's proxy probe.  *chunks* are packed at fp16, as a store holds them.
     """
     probe = PipelinedExecutor(model, fusor_config, layer_load_time=0.0)
     calibration = probe.execute(
-        chunk_caches, suffix_ids, recompute_ratio=recompute_ratio, pipelined=False
+        chunks, suffix_ids, recompute_ratio=recompute_ratio, pipelined=False
     )
     selective = calibration.compute_times[1:]
     layer_load_time = float(
@@ -210,7 +211,7 @@ def measure_pipeline_speedup(
     def runs(pipelined: bool) -> list[ExecutionResult]:
         return [
             executor.execute(
-                chunk_caches,
+                chunks,
                 suffix_ids,
                 recompute_ratio=recompute_ratio,
                 pipelined=pipelined,
@@ -428,13 +429,13 @@ def measure_store_ops(
     """Time tiered-store lookups that promote and demote on every hit.
 
     One ``store_lookup`` sample fetches every chunk of a family once, in
-    order, through an int8 RAM→SSD :class:`~repro.kvstore.hierarchy.
-    TieredKVStore` of :class:`~repro.kvstore.store.KVCacheStore` tiers, the
-    store rag_churn's gather path serves from.  The RAM tier holds one chunk
-    fewer than the family, so in steady state each lookup misses RAM, hits
-    the SSD tier, promotes the chunk into RAM and evicts RAM's least
-    recently used chunk into the SSD tier's demotion hook; every timed
-    repeat does the same work.
+    order, through a RAM→SSD :class:`~repro.kvstore.hierarchy.TieredKVStore`
+    of :class:`~repro.kvstore.store.KVCacheStore` tiers holding the chunks
+    packed at int8, the store rag_churn's gather path serves from.  The RAM
+    tier holds one chunk fewer than the family, so in steady state each
+    lookup misses RAM, hits the SSD tier, promotes the chunk into RAM and
+    evicts RAM's least recently used chunk into the SSD tier's demotion
+    hook; every timed repeat does the same work.
 
     The family is at least three chunks regardless of ``config.n_chunks``.
     Its token ids are a shared first half plus a tail per chunk, drawn from
@@ -442,7 +443,6 @@ def measure_store_ops(
     draw from the same *rng*, so a different draw here changes their inputs.
     """
     from repro.kvstore.config import StoreConfig
-    from repro.kvstore.precision import PrecisionPolicy
     from repro.kvstore.store import chunk_key
 
     n_family = max(3, config.n_chunks)
@@ -454,20 +454,17 @@ def measure_store_ops(
         )
         for _ in range(n_family)
     ]
-    caches = [model.chunk_prefill(ids) for ids in chunk_ids]
-    entry_bytes = PrecisionPolicy.get("int8").cache_nbytes(caches[0])
+    blobs = [KVBlob(serialize_kv(model.chunk_prefill(ids), "int8")) for ids in chunk_ids]
     store = StoreConfig(
-        backend="tiered",
-        kv_dtype="int8",
-        tier_capacity_bytes=((n_family - 1) * entry_bytes, None),
+        backend="tiered", tier_capacity_bytes=((n_family - 1) * blobs[0].nbytes, None)
     ).build()
     keys = [chunk_key(ids, model_name=config.model) for ids in chunk_ids]
-    for key, cache in zip(keys, caches):
-        store.put(key, cache)
+    for key, blob in zip(keys, blobs):
+        store.put(key, blob)
 
     def run_lookup() -> None:
         for key in keys:
-            if store.lookup(key).cache is None:
+            if store.lookup(key).blob is None:
                 raise RuntimeError("profile store lost a resident chunk")
 
     ops = {"store_lookup": _time_op(run_lookup, config.repeats, config.warmup)}
@@ -645,6 +642,8 @@ def run_profile(config: ProfileConfig | None = None) -> dict[str, object]:
     fusor_config = FusorConfig(recompute_ratio=config.recompute_ratio)
     fusor = KVFusor(model, fusor_config)
     fused = fusor.fuse(chunk_caches, suffix_ids)
+    # The executor loads chunks as a store holds them: packed at fp16, once.
+    chunks_packed = [KVBlob(serialize_kv(cache)) for cache in chunk_caches]
     payload = serialize_kv(fused.kv_cache)
 
     ops: dict[str, dict[str, float | int]] = {}
@@ -666,7 +665,7 @@ def run_profile(config: ProfileConfig | None = None) -> dict[str, object]:
     measurement = measure_pipeline_speedup(
         model,
         fusor_config,
-        chunk_caches,
+        chunks_packed,
         suffix_ids,
         repeats=config.repeats,
         recompute_ratio=config.recompute_ratio,

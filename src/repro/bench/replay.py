@@ -7,8 +7,9 @@ ChunkStore` instances built from a :class:`~repro.kvstore.config.StoreConfig`
 — a whole-chunk LRU :class:`~repro.kvstore.store.KVCacheStore`, or a RAM→slow
 :class:`~repro.kvstore.hierarchy.TieredKVStore` — and a miss puts the chunk,
 as the serving system would after prefilling it.  Keys are the workload's
-chunk ids and every entry is the same one-row :data:`PLACEHOLDER` cache, so a
-store sized to N placeholder entries holds N chunks whatever their length.
+chunk ids and every entry is the same one-row :data:`PLACEHOLDER` cache,
+packed once, so a store sized to N placeholder entries holds N chunks
+whatever their length.
 
 :func:`replay_request` is the one place a request's cached, prefix and
 slow-tier fractions are derived from store lookups and the seeded fault draw
@@ -26,6 +27,7 @@ import numpy as np
 from repro.kvstore.config import StoreConfig
 from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.protocol import ChunkStore
+from repro.kvstore.serialization import KVBlob, serialize_kv
 from repro.model.tensors import KVCache, LayerKV
 from repro.serving.engine import EngineResult, InferenceEngine
 from repro.serving.request import GenerationRequest, RequestTiming
@@ -35,8 +37,12 @@ from repro.serving.scheduler import ContinuousBatchingScheduler
 #: The KV entry every replayed chunk is stored as: one token, one head, one
 #: dimension.
 PLACEHOLDER = KVCache(
-    [LayerKV(np.zeros((1, 1, 1), np.float16), np.zeros((1, 1, 1), np.float16))]
+    [LayerKV(np.zeros((1, 1, 1), np.float16), np.zeros((1, 1, 1), np.float16))],
+    token_ids=[0],
+    positions=[0],
 )
+#: :data:`PLACEHOLDER` packed, once: what the replay's stores hold.
+PLACEHOLDER_BLOB = KVBlob(serialize_kv(PLACEHOLDER))
 
 #: Seed salt of the fault draw, so faults are independent of the workload RNG.
 _FAULT_SALT = 0xFA017
@@ -49,7 +55,7 @@ def chunk_store_config(ram_chunks: int, slow_chunks: int | None = None) -> Store
     with it, a RAM→SSD ``tiered`` store whose tiers hold *ram_chunks* and
     *slow_chunks* placeholder entries.
     """
-    entry = StoreConfig().precision.cache_nbytes(PLACEHOLDER)
+    entry = PLACEHOLDER_BLOB.nbytes
     if slow_chunks is None:
         return StoreConfig(backend="chunk", capacity_bytes=ram_chunks * entry)
     return StoreConfig(
@@ -87,7 +93,7 @@ def replay_request(
         if found.hit:
             tiers.append(found.tier_index or 0)
         else:
-            store.put(chunk, PLACEHOLDER)
+            store.put(chunk, PLACEHOLDER_BLOB)
             tiers.append(None)
     n_chunks = max(1, len(chunk_ids))
     n_hits = sum(tier is not None for tier in tiers)

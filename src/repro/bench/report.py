@@ -54,8 +54,10 @@ from repro.bench.experiment import ExperimentReport
 #: the scheduler choice and the load-overlap switch from the config block
 #: (continuous batching with overlapped loads is the only scheduler) and
 #: derives the ``dtype_*`` rows' ``bytes_density_gain`` from the dtypes' KV
-#: bytes per token.
-SCHEMA_VERSION = 11
+#: bytes per token; v12 counts the proxy block's ``bytes_stored`` (in
+#: ``cache`` and ``store``, per tier too) as the RPKV5 bytes the stores
+#: hold, not element widths.
+SCHEMA_VERSION = 12
 
 _REQUIRED_TOP_LEVEL = ("schema_version", "created", "tag", "config", "workload", "cells")
 _REQUIRED_CELL_FIELDS = (

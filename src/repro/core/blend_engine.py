@@ -52,7 +52,7 @@ from repro.kvstore.faults import (
 )
 from repro.kvstore.precision import PrecisionPolicy
 from repro.kvstore.protocol import ChunkStore, StoreLookup
-from repro.kvstore.serialization import KVCorruptionError, quantize_kv_to_store_dtype
+from repro.kvstore.serialization import KVBlob, KVCorruptionError, serialize_kv
 from repro.kvstore.store import chunk_key
 from repro.model.config import PAPER_MODEL_PAIRS, ModelConfig, get_config
 from repro.model.transformer import TransformerModel
@@ -149,7 +149,7 @@ class BlendResult:
 class _RequestInputs:
     """One request's gathered inputs plus its locally-counted statistics."""
 
-    chunk_caches: list
+    chunk_blobs: list[KVBlob]
     suffix_ids: np.ndarray
     context_tokens: int
     miss_tokens: int
@@ -230,12 +230,8 @@ class BlendEngine:
         #: Any :class:`~repro.kvstore.protocol.ChunkStore` backend — a
         #: whole-chunk LRU store or a multi-tier hierarchy of them.
         self.kv_store = kv_store
-        #: Store precision policy; chunk caches are round-tripped through it
-        #: before ``put`` so fusion sees exactly the stored precision, and
-        #: every load span is priced at its per-layer payload bytes.
-        #: Defaults to the store's own policy.
-        if precision is None:
-            precision = getattr(kv_store, "precision", None)
+        #: The precision each chunk is packed at, once, before it is put
+        #: (float16 unless given); the executor loads it from those bytes.
         self.precision = PrecisionPolicy.get(precision)
         self.controller = controller
         self.fusor = KVFusor(model, fusor_config or FusorConfig())
@@ -302,8 +298,9 @@ class BlendEngine:
 
         ``store`` selects the KV store backend: a
         :class:`~repro.kvstore.config.StoreConfig` recipe (chunk or
-        tiered), or a pre-built :class:`~repro.kvstore.protocol.ChunkStore`.
-        The default is a whole-chunk store on ``device``.
+        tiered), whose ``kv_dtype`` the engine packs chunks at, or a
+        pre-built :class:`~repro.kvstore.protocol.ChunkStore`, filled at
+        float16.  The default is a whole-chunk store on ``device``.
 
         ``faults`` (a :class:`~repro.kvstore.faults.FaultConfig` with
         ``rate > 0``) wraps the built store in a
@@ -325,14 +322,12 @@ class BlendEngine:
         if store is None:
             store = StoreConfig()
         if isinstance(store, StoreConfig):
-            # Every backend accounts and prices bytes at the store precision
-            # policy's widths — identical payloads cost the same no matter
-            # which backend holds them.
+            # The engine packs chunks at the recipe's precision; either
+            # backend then holds, and prices, the same bytes.
             precision = store.precision
             kv_store = store.build(device=None if store.tiered else storage)
         else:
-            kv_store = store
-            precision = PrecisionPolicy.get(getattr(store, "precision", None))
+            kv_store, precision = store, PrecisionPolicy.get(None)
         if faults is not None and faults.rate > 0.0:
             kv_store = FaultyStore(kv_store, faults)
         cost_model = ServingCostModel(
@@ -359,21 +354,19 @@ class BlendEngine:
     def chunk_cache_key(self, token_ids: np.ndarray) -> str:
         return chunk_key(token_ids, model_name=self.model.config.name)
 
-    def precompute_chunk(self, text: str) -> str:
-        """Tokenize, prefill and store one chunk; returns its cache key.
+    def _pack(self, token_ids: np.ndarray) -> KVBlob:
+        """Prefill one chunk and pack it once, at the engine's precision."""
+        cache = self.model.chunk_prefill(token_ids, start_position=0)
+        return KVBlob(serialize_kv(cache, self.precision))
 
-        The stored cache is round-tripped through the store's precision
-        policy (per-layer fp32/fp16/int8), so what the in-memory fusion path
-        sees is bit-identical to what the executor's byte-level load path
-        decodes.
-        """
+    def precompute_chunk(self, text: str) -> str:
+        """Tokenize, prefill, pack and store one chunk; returns its cache key."""
         token_ids = self.encode(text)
         if token_ids.size == 0:
             raise ValueError("cannot precompute an empty chunk")
         key = self.chunk_cache_key(token_ids)
         if not self.kv_store.contains(key):
-            cache = self.model.chunk_prefill(token_ids, start_position=0)
-            self.kv_store.put(key, quantize_kv_to_store_dtype(cache, self.precision))
+            self.kv_store.put(key, self._pack(token_ids))
         return key
 
     def precompute_chunks(self, texts: list[str]) -> list[str]:
@@ -426,14 +419,16 @@ class BlendEngine:
                 fault_delay_s += policy.timeout_s
                 continue
             return found, fault_delay_s, False
-        return StoreLookup(cache=None), fault_delay_s, True
+        return StoreLookup(blob=None), fault_delay_s, True
 
     def _gather_request(self, chunk_texts: list[str], question: str) -> _RequestInputs:
         """Resolve one request's chunk caches, counting its stats locally.
 
-        Chunks missing from the KV store are prefilled on the fly (the
-        measured wall-clock is recorded in ``miss_prefill_s``) and inserted
-        for future requests, exactly like a cold chunk in the real system.
+        Chunks missing from the KV store are prefilled and packed on the fly
+        (the measured wall-clock is recorded in ``miss_prefill_s``) and
+        inserted for future requests, exactly like a cold chunk in the real
+        system; the request then loads them from the packed bytes like any
+        hit.
         Store lookups that keep faulting (timeouts, transient losses,
         corrupted payloads) degrade the same way: after
         :class:`LookupRetryPolicy` is exhausted the chunk is recomputed from
@@ -445,7 +440,7 @@ class BlendEngine:
         if not question.strip():
             raise ValueError("run() needs a non-empty question")
 
-        chunk_caches = []
+        chunk_blobs = []
         stats = {
             "hits": 0,
             "misses": 0,
@@ -466,8 +461,8 @@ class BlendEngine:
             key = self.chunk_cache_key(token_ids)
             found, fault_delay_s, fallback = self._lookup_with_retry(key, stats)
             store_read_delay_s += fault_delay_s
-            cached = found.cache
-            if cached is None:
+            blob = found.blob
+            if blob is None:
                 if fallback:
                     # Graceful degradation: the store kept faulting, so the
                     # chunk is recomputed (priced like a miss via
@@ -479,12 +474,9 @@ class BlendEngine:
                     stats["misses"] += 1
                 stats["miss_tokens"] += int(token_ids.size)
                 start = time.perf_counter()
-                cached = quantize_kv_to_store_dtype(
-                    self.model.chunk_prefill(token_ids, start_position=0),
-                    self.precision,
-                )
+                blob = self._pack(token_ids)
                 miss_prefill_s += time.perf_counter() - start
-                self.kv_store.put(key, cached)
+                self.kv_store.put(key, blob)
             else:
                 stats["hits"] += 1
                 # Reads at the primary (fastest) device's rate are already
@@ -496,14 +488,14 @@ class BlendEngine:
                 )
                 if found.tier_index is not None and found.tier_index > 0:
                     stats["slow_tier_hits"] += 1
-            chunk_caches.append(cached)
+            chunk_blobs.append(blob)
         for fault_key in _FAULT_STAT_KEYS:
             self._fault_totals[fault_key] += stats[fault_key]
 
         suffix_ids, suffix_hit = self._encode(question)
         stats["tokenizer_hits" if suffix_hit else "tokenizer_misses"] += 1
         return _RequestInputs(
-            chunk_caches=chunk_caches,
+            chunk_blobs=chunk_blobs,
             suffix_ids=suffix_ids,
             context_tokens=context_tokens,
             miss_tokens=stats["miss_tokens"],
@@ -647,7 +639,7 @@ class BlendEngine:
         ]
         decisions = [self._decide(inputs, recompute_ratio) for inputs in gathered]
         executed = self.executor.execute_batch(
-            [(inputs.chunk_caches, inputs.suffix_ids) for inputs in gathered],
+            [(inputs.chunk_blobs, inputs.suffix_ids) for inputs in gathered],
             recompute_ratio=[ratio for _, ratio in decisions],
             pipelined=True,
             extra_load_delay=[inputs.store_read_delay_s for inputs in gathered],

@@ -5,13 +5,14 @@ module actually **runs** it.  A :class:`PipelinedExecutor` drives
 :meth:`KVFusor.fuse_layers` while a background loader thread streams each
 layer's serialized KV off a (simulated) storage device:
 
-* every layer's reused KV exists as raw bytes in the store's wire precision
-  (fp16 by default; fp32/int8/per-layer mixed under a
-  :class:`~repro.kvstore.precision.PrecisionPolicy` — the formats of
-  :mod:`repro.kvstore.serialization`); *loading* a layer means sleeping for
-  the device's transfer delay priced at that layer's payload width, then
-  decoding (``np.frombuffer``), RoPE re-aligning and padding the chunk
-  entries — real work, on a real thread;
+* every chunk arrives as the :class:`~repro.kvstore.serialization.KVBlob` a
+  store holds: RPKV5 bytes packed once, when the chunk entered the store, at
+  the executor's :class:`~repro.kvstore.precision.PrecisionPolicy` (fp16 by
+  default; fp32/int8/per-layer mixed); *loading* a layer means sleeping for
+  the device's transfer delay priced at that layer's stored payload length,
+  then decoding it straight from the stored bytes (``np.frombuffer``),
+  RoPE re-aligning and padding the chunk entries — real work, on a real
+  thread;
 * the fusor's compute for layer ``i`` blocks until layer ``i``'s load has
   finished, exactly the two-thread double buffer the paper describes in §6;
 * every load and compute span is measured with ``time.perf_counter`` and
@@ -42,8 +43,8 @@ from repro.core.fusor import (
 from repro.core.pipeline import PipelineTrace
 from repro.kvstore.device import StorageDevice, get_device
 from repro.kvstore.precision import PrecisionPolicy
-from repro.kvstore.serialization import pack_layer_kv_as, unpack_layer_kv_as
-from repro.model.tensors import KVCache, LayerKV
+from repro.kvstore.serialization import KVBlob
+from repro.model.tensors import LayerKV
 from repro.model.transformer import TransformerModel
 
 #: Shortest sleep that blocks the loader thread and so drops the GIL (the
@@ -114,19 +115,10 @@ class BatchExecutionResult:
 
 @dataclass
 class _RequestPlan:
-    """Per-request load state, prepared before the batch clock starts.
-
-    The raw store-precision bytes of a layer (the store's view of the
-    caches) are packed inside that layer's load, right before its simulated
-    transfer, and live only until that load decodes them: a request's first
-    layer never waits for its later layers to pack.
-    """
+    """Per-request load state, prepared before the batch clock starts."""
 
     layout: FusionLayout
-    chunk_caches: list[KVCache]
-    chunk_positions: list[np.ndarray]
-    #: Per-layer wire dtypes from the executor's precision policy.
-    layer_dtypes: tuple[str, ...]
+    chunks: list[KVBlob]
     #: Per-layer simulated transfer delays (non-uniform under ``mixed``).
     layer_delays: tuple[float, ...]
     #: Mean per-layer delay, reported as ``simulated_load_delay``.
@@ -166,10 +158,10 @@ class PipelinedExecutor:
         overriding the device model entirely (used by the profile harness to
         calibrate loads against measured compute).
     precision:
-        The store's :class:`~repro.kvstore.precision.PrecisionPolicy` (or a
-        preset name).  Governs both the wire format each layer is packed and
-        decoded with and the payload bytes each layer's transfer delay is
-        priced at.  Defaults to uniform fp16, the historical behaviour.
+        The :class:`~repro.kvstore.precision.PrecisionPolicy` (or a preset
+        name) every chunk must be packed at; a chunk whose stored dtype table
+        differs is rejected before the loader starts.  Defaults to uniform
+        fp16.
     """
 
     def __init__(
@@ -191,13 +183,13 @@ class PipelinedExecutor:
     # ------------------------------------------------------------------
     def execute(
         self,
-        chunk_caches: list[KVCache],
+        chunks: list[KVBlob],
         suffix_token_ids: np.ndarray,
         recompute_ratio: float | None = None,
         pipelined: bool = True,
         extra_load_delay: float = 0.0,
     ) -> ExecutionResult:
-        """Fuse *chunk_caches* + suffix, measuring the load/compute schedule.
+        """Fuse the packed *chunks* + suffix, measuring the load/compute schedule.
 
         With ``pipelined=True`` a background thread loads layer ``i+1, i+2,
         ...`` while layer ``i`` recomputes; with ``pipelined=False`` each
@@ -211,7 +203,7 @@ class PipelinedExecutor:
         charges slow-tier store reads onto the measured pipeline.
         """
         batch = self.execute_batch(
-            [(chunk_caches, suffix_token_ids)],
+            [(chunks, suffix_token_ids)],
             recompute_ratio=recompute_ratio,
             pipelined=pipelined,
             extra_load_delay=[extra_load_delay],
@@ -221,12 +213,12 @@ class PipelinedExecutor:
     # ------------------------------------------------------------------
     def execute_batch(
         self,
-        items: list[tuple[list[KVCache], np.ndarray]],
+        items: list[tuple[list[KVBlob], np.ndarray]],
         recompute_ratio: float | list[float | None] | None = None,
         pipelined: bool = True,
         extra_load_delay: list[float] | None = None,
     ) -> BatchExecutionResult:
-        """Fuse a queue of ``(chunk_caches, suffix_token_ids)`` requests.
+        """Fuse a queue of ``(chunks, suffix_token_ids)`` requests.
 
         With ``pipelined=True`` one background loader thread streams layers
         *across request boundaries*: while request ``r``'s tail layers
@@ -261,8 +253,8 @@ class PipelinedExecutor:
             extras = [float(extra) for extra in extra_load_delay]
 
         plans = [
-            self._plan_request(chunk_caches, suffix_ids, ratio, extra)
-            for (chunk_caches, suffix_ids), ratio, extra in zip(items, ratios, extras)
+            self._plan_request(chunks, suffix_ids, ratio, extra)
+            for (chunks, suffix_ids), ratio, extra in zip(items, ratios, extras)
         ]
         n_layers = self.model.config.n_layers
         n_requests = len(plans)
@@ -279,16 +271,10 @@ class PipelinedExecutor:
         def load_layer(req_idx: int, layer_idx: int) -> None:
             plan = plans[req_idx]
             load_start[req_idx][layer_idx] = time.perf_counter() - origin
-            dtype = plan.layer_dtypes[layer_idx]
-            # The bytes serialize_kv would have persisted for this layer.
-            blobs = [
-                pack_layer_kv_as(cache.layers[layer_idx], dtype)
-                for cache in plan.chunk_caches
-            ]
             if plan.layer_delays[layer_idx] > 0.0:
                 time.sleep(plan.layer_delays[layer_idx])  # simulated device transfer
             slots[req_idx][layer_idx] = self._decode_layer(
-                blobs, dtype, plan.chunk_positions, plan.layout
+                plan.chunks, layer_idx, plan.layout
             )
             load_end[req_idx][layer_idx] = time.perf_counter() - origin
             ready[req_idx][layer_idx].set()
@@ -388,45 +374,36 @@ class PipelinedExecutor:
     # ------------------------------------------------------------------
     def _plan_request(
         self,
-        chunk_caches: list[KVCache],
+        chunks: list[KVBlob],
         suffix_token_ids: np.ndarray,
         recompute_ratio: float | None,
         extra_load_delay: float = 0.0,
     ) -> _RequestPlan:
         """Validate one request and plan its layout and simulated delay.
 
-        Validation (layout, KV shapes, ratio) happens here, before any
-        loader thread starts, so a bad request fails fast instead of from a
-        background thread.  The blob bytes themselves are packed layer by
-        layer as the request loads (see :class:`_RequestPlan`).
+        Validation (layout, KV shapes, stored precision, ratio) happens
+        here, before any loader thread starts, so a bad request fails fast
+        instead of from a background thread.
         """
         if recompute_ratio is not None and not 0.0 <= recompute_ratio <= 1.0:
             raise ValueError("recompute_ratio must be in [0, 1]")
         if extra_load_delay < 0.0:
             raise ValueError("extra_load_delay must be non-negative")
-        layout = self.fusor.plan_layout(chunk_caches, suffix_token_ids)
-        cfg = self.model.config
-        n_layers = cfg.n_layers
-        layer_dtypes = self.precision.layer_dtype_table(n_layers)
+        layout = self.fusor.plan_layout(chunks, suffix_token_ids)
+        n_layers = self.model.config.n_layers
+        expected = self.precision.layer_dtype_table(n_layers)
+        for index, blob in enumerate(chunks):
+            if blob.layer_dtypes != expected:
+                raise ValueError(
+                    f"chunk {index} is stored at layer dtypes {blob.layer_dtypes}; "
+                    f"this executor loads {self.precision.name} {expected}"
+                )
         if self.layer_load_time is not None:
             layer_delays = [float(self.layer_load_time)] * n_layers
         else:
-            # K+V payload bytes of each layer across the request's chunks
-            # (what pack_layer_kv_as will produce), computable without
-            # packing; non-uniform across layers under a mixed policy.
+            # Each layer's transfer is its stored payload across the chunks.
             layer_delays = [
-                self.device.read_time(
-                    sum(
-                        self.precision.layer_payload_nbytes(
-                            layer_idx,
-                            n_layers,
-                            n_tokens=cache.positions.size,
-                            n_kv_heads=cfg.n_kv_heads,
-                            head_dim=cfg.head_dim,
-                        )
-                        for cache in chunk_caches
-                    )
-                )
+                self.device.read_time(sum(blob.layer_nbytes(layer_idx) for blob in chunks))
                 for layer_idx in range(n_layers)
             ]
         if extra_load_delay > 0.0 and n_layers:
@@ -435,9 +412,7 @@ class PipelinedExecutor:
         mean_delay = sum(layer_delays) / n_layers if n_layers else 0.0
         return _RequestPlan(
             layout=layout,
-            chunk_caches=chunk_caches,
-            chunk_positions=[cache.positions for cache in chunk_caches],
-            layer_dtypes=layer_dtypes,
+            chunks=chunks,
             layer_delays=tuple(layer_delays),
             delay=float(mean_delay),
             recompute_ratio=recompute_ratio,
@@ -445,28 +420,21 @@ class PipelinedExecutor:
 
     # ------------------------------------------------------------------
     def _decode_layer(
-        self,
-        layer_blobs: list[bytes],
-        layer_dtype: str,
-        chunk_positions: list[np.ndarray],
-        layout: FusionLayout,
+        self, chunks: list[KVBlob], layer_idx: int, layout: FusionLayout
     ) -> LayerKV:
-        """Decode one layer's blobs and assemble the padded reused buffers.
+        """Decode one layer of every chunk and assemble the padded reused buffers.
 
         This is the per-layer "load" work that overlaps with compute:
-        ``np.frombuffer`` decode (dequantising int8 layers), RoPE
-        re-alignment of the keys to the fused offsets, and the scatter into
-        the zero-padded ``(n_total, ...)`` buffers the fusor merges into.
+        ``np.frombuffer`` decode of the stored bytes (dequantising int8
+        layers), RoPE re-alignment of the keys to the fused offsets, and the
+        scatter into the zero-padded ``(n_total, ...)`` buffers the fusor
+        merges into.
         """
         cfg = self.model.config
-        n_total = layout.n_tokens
-        keys = np.zeros((n_total, cfg.n_kv_heads, cfg.head_dim), dtype=cfg.np_dtype)
+        keys = np.zeros((layout.n_tokens, cfg.n_kv_heads, cfg.head_dim), dtype=cfg.np_dtype)
         values = np.zeros_like(keys)
-        for blob, old_positions, offset in zip(
-            layer_blobs, chunk_positions, layout.chunk_offsets
-        ):
-            layer = unpack_layer_kv_as(
-                blob, layer_dtype, old_positions.size, cfg.n_kv_heads, cfg.head_dim
+        for blob, offset in zip(chunks, layout.chunk_offsets):
+            place_chunk_layer(
+                keys, values, blob.layer(layer_idx), blob.positions, offset, cfg.rope_theta
             )
-            place_chunk_layer(keys, values, layer, old_positions, offset, cfg.rope_theta)
         return LayerKV(keys, values)

@@ -27,12 +27,13 @@ regenerated directly from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.deviation import token_kv_deviation
 from repro.core.hkvd import HKVDSelector
+from repro.kvstore.serialization import KVBlob
 from repro.model.rope import shift_keys
 from repro.model.tensors import KVCache, LayerKV
 from repro.model.transformer import TransformerModel
@@ -186,9 +187,10 @@ class KVFusor:
 
     # ------------------------------------------------------------------
     def plan_layout(
-        self, chunk_caches: list[KVCache], suffix_token_ids: np.ndarray
+        self, chunk_caches: Sequence[KVCache | KVBlob], suffix_token_ids: np.ndarray
     ) -> FusionLayout:
-        """Validate the chunk caches and lay out the fused input."""
+        """Validate the chunk caches (in memory or packed) and lay out the
+        fused input."""
         if not chunk_caches:
             raise ValueError("fusion requires at least one chunk cache")
         suffix_token_ids = np.asarray(suffix_token_ids, dtype=np.int64)
@@ -204,10 +206,9 @@ class KVFusor:
                 )
             if cache.n_tokens == 0:
                 raise ValueError("cannot fuse an empty chunk cache")
-            shape = cache.layers[0].keys.shape[1:]
-            if shape != kv_shape:
+            if cache.kv_shape != kv_shape:
                 raise ValueError(
-                    f"chunk cache KV shape {shape} does not match model {kv_shape}"
+                    f"chunk cache KV shape {cache.kv_shape} does not match model {kv_shape}"
                 )
             offsets.append(offset)
             offset += cache.n_tokens
@@ -389,55 +390,6 @@ class KVFusor:
             recompute_counts=recompute_counts,
             layer_deviations=layer_deviations,
             first_layer_deviation=first_layer_deviation,
-        )
-
-    # ------------------------------------------------------------------
-    def full_reuse(
-        self, chunk_caches: list[KVCache], suffix_token_ids: np.ndarray
-    ) -> FusionResult:
-        """PromptCache-style full KV reuse: recompute only the suffix.
-
-        Equivalent to ``fuse(..., recompute_ratio=0.0)`` except that layer 0 of
-        the chunk region is also reused rather than recomputed, which is what
-        the full-KV-reuse baseline does.
-        """
-        layout = self.plan_layout(chunk_caches, suffix_token_ids)
-        provider = self.default_provider(chunk_caches, layout)
-        n_tokens = layout.n_tokens
-        suffix_indices = np.arange(layout.suffix_start, n_tokens, dtype=np.int64)
-
-        hidden_selected = self.model.embed(layout.token_ids[suffix_indices])
-        fused_layers: list[LayerKV] = []
-        forward_attention: list[np.ndarray] = []
-        recompute_counts: list[int] = []
-        selected_per_layer: list[np.ndarray] = []
-        for layer_idx in range(self.model.config.n_layers):
-            out = self.model.layer_selective(
-                layer_idx,
-                hidden_selected,
-                suffix_indices,
-                layout.positions,
-                provider(layer_idx),
-                query_window=self.config.query_window,
-                in_place=True,
-            )
-            fused_layers.append(out.merged_kv)
-            if out.forward_attention is not None:
-                forward_attention.append(out.forward_attention)
-            recompute_counts.append(int(suffix_indices.size))
-            selected_per_layer.append(suffix_indices)
-            hidden_selected = out.hidden_selected
-
-        last_logits = self._last_logits(hidden_selected, suffix_indices, n_tokens)
-        return FusionResult(
-            kv_cache=KVCache(fused_layers, layout.token_ids, layout.positions),
-            last_logits=last_logits,
-            token_ids=layout.token_ids,
-            positions=layout.positions,
-            suffix_start=layout.suffix_start,
-            forward_attention=forward_attention,
-            selected_per_layer=selected_per_layer,
-            recompute_counts=recompute_counts,
         )
 
     # ------------------------------------------------------------------

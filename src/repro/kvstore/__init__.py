@@ -1,10 +1,12 @@
 """KV cache storage substrate.
 
 Models the storage side of CacheBlend: the devices KV caches can live on
-(GPU HBM, CPU RAM, NVMe SSD, slower disks, object stores), serialization and
-size accounting, and the two :class:`ChunkStore` backends — a hash-addressed
-whole-chunk store with LRU eviction (paper §5.1), and a multi-tier store
-(RAM + SSD) of such stores with promotion and demotion.
+(GPU HBM, CPU RAM, NVMe SSD, slower disks, object stores), the RPKV5 codec,
+and the two :class:`ChunkStore` backends — a hash-addressed whole-chunk store
+with LRU eviction (paper §5.1), and a multi-tier store (RAM + SSD) of such
+stores with promotion and demotion.  Stores hold each chunk as the RPKV5
+bytes it was packed into once, at ``put`` (a :class:`KVBlob`), and account
+the bytes they hold.
 """
 
 from repro.kvstore.config import STORE_BACKENDS, StoreConfig
@@ -25,10 +27,10 @@ from repro.kvstore.precision import (
     KV_ELEM_DTYPES,
     PRECISION_PRESETS,
     PrecisionPolicy,
-    layer_payload_nbytes,
 )
 from repro.kvstore.protocol import ChunkStore, StoreLookup
 from repro.kvstore.serialization import (
+    KVBlob,
     KVCorruptionError,
     deserialize_kv,
     serialize_kv,
@@ -46,6 +48,7 @@ __all__ = [
     "get_device",
     "serialize_kv",
     "deserialize_kv",
+    "KVBlob",
     "KVCorruptionError",
     "FaultyStore",
     "FaultConfig",
@@ -68,5 +71,4 @@ __all__ = [
     "PRECISION_PRESETS",
     "KV_ELEM_DTYPES",
     "ELEM_BYTES",
-    "layer_payload_nbytes",
 ]

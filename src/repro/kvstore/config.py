@@ -37,11 +37,11 @@ class StoreConfig:
         Device preset names fastest-first and matching per-tier capacities
         (``None`` entries fall back to each device preset's capacity).
     kv_dtype:
-        Store precision: a uniform payload dtype (``float32``/``float16``/
-        ``int8``) or the per-layer ``mixed`` preset.  Resolved into the
-        :attr:`precision` policy that governs byte accounting, the
-        quantisation round-trip the engine applies before ``put``, and the
-        serialized wire format.
+        The precision the engine packs chunks at before it puts them: a
+        uniform payload dtype (``float32``/``float16``/``int8``) or the
+        per-layer ``mixed`` preset, resolved into the :attr:`precision`
+        policy.  The stores themselves hold whatever bytes they are given
+        and account their length.
     """
 
     backend: str = "chunk"
@@ -79,22 +79,17 @@ class StoreConfig:
         """Construct the configured :class:`ChunkStore`.
 
         ``device`` overrides the single-tier storage device (the engine
-        passes the device its controller picked).  Every store accounts
-        bytes at :attr:`precision`.
+        passes the device its controller picked).
         """
-        precision = self.precision
         if not self.tiered:
             return KVCacheStore(
                 device=device if device is not None else get_device(self.tier_devices[0]),
                 capacity_bytes=self.capacity_bytes,
-                precision=precision,
             )
         capacities = self.tier_capacity_bytes or tuple(None for _ in self.tier_devices)
         return TieredKVStore(
             tiers=[
-                KVCacheStore(
-                    device=get_device(name), capacity_bytes=capacity, precision=precision
-                )
+                KVCacheStore(device=get_device(name), capacity_bytes=capacity)
                 for name, capacity in zip(self.tier_devices, capacities)
             ]
         )

@@ -8,11 +8,12 @@ story.  Four fault kinds model how a real KV store degrades:
   typed :class:`StoreReadTimeout`.
 * ``transient_miss``: the entry exists but this read fails (a dropped RPC,
   a mid-compaction tier) — raised as :class:`StoreUnavailable`.
-* ``corrupt_payload``: the stored bytes are damaged.  The injector
-  round-trips the entry through :func:`~repro.kvstore.serialization.
-  serialize_kv`, flips a payload byte, and decodes — so the resulting
-  :class:`~repro.kvstore.serialization.KVCorruptionError` is raised by the
-  *real* RPKV5 blake2b integrity check, end to end, not simulated.
+* ``corrupt_payload``: the stored bytes are damaged.  The injector flips a
+  payload byte in a copy of the entry's stored RPKV5 bytes and decodes the
+  copy with :func:`~repro.kvstore.serialization.deserialize_kv` — so the
+  resulting :class:`~repro.kvstore.serialization.KVCorruptionError` is
+  raised by the *real* blake2b integrity check, not simulated.  The stored
+  entry stays intact, so a retry can read it.
 * ``slow_read``: the read succeeds but the returned
   :class:`~repro.kvstore.protocol.StoreLookup` carries an inflated
   ``read_delay`` (a stalled slow tier) — what a per-lookup timeout policy
@@ -38,8 +39,7 @@ from enum import Enum
 import numpy as np
 
 from repro.kvstore.protocol import ChunkStore, StoreLookup
-from repro.kvstore.serialization import deserialize_kv, serialize_kv
-from repro.model.tensors import KVCache
+from repro.kvstore.serialization import KVBlob, deserialize_kv
 
 
 class StoreFault(RuntimeError):
@@ -148,21 +148,21 @@ class FaultyStore:
         if kind is FaultKind.TRANSIENT_MISS:
             raise StoreUnavailable(f"injected transient read failure for {key!r}")
         if kind is FaultKind.CORRUPT_PAYLOAD:
-            self._corrupt(found.cache)  # raises KVCorruptionError
+            self._corrupt(found.blob)  # raises KVCorruptionError
             raise AssertionError("corruption injection did not trip the checksum")
         return StoreLookup(
-            cache=found.cache,
+            blob=found.blob,
             read_delay=found.read_delay + self.config.slow_read_delay_s,
             tier_index=found.tier_index,
             nbytes=found.nbytes,
         )
 
-    def _corrupt(self, cache: KVCache) -> None:
-        """Trip the real RPKV5 integrity check on a damaged copy of *cache*."""
-        blob = bytearray(serialize_kv(cache))
-        flip = len(blob) - 1 - int(self._rng.integers(max(1, cache.n_tokens * 8)))
-        blob[max(0, flip)] ^= 0xFF
-        deserialize_kv(bytes(blob))
+    def _corrupt(self, blob: KVBlob) -> None:
+        """Trip the real RPKV5 integrity check on a damaged copy of *blob*."""
+        damaged = bytearray(blob.data)
+        flip = len(damaged) - 1 - int(self._rng.integers(max(1, blob.n_tokens * 8)))
+        damaged[max(0, flip)] ^= 0xFF
+        deserialize_kv(bytes(damaged))
 
     def reset_fault_stats(self) -> None:
         self.fault_stats = FaultStats()

@@ -6,7 +6,8 @@ slowest, hits below the fastest tier are copied up to it, and inserts go to
 the fastest tier whose capacity can hold the entry.  Capacity-driven
 evictions in a tier *demote* the victim to the next tier down (via the
 tiers' ``on_evict`` hooks) instead of dropping it, so the hierarchy behaves
-like an inclusive RAM cache over a larger SSD working set.
+like an inclusive RAM cache over a larger SSD working set.  Promotion and
+demotion move the same packed blob between tiers; nothing is repacked.
 
 :class:`TieredKVStore` implements the same :class:`~repro.kvstore.protocol.
 ChunkStore` surface as a single :class:`~repro.kvstore.store.KVCacheStore`
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 
 from repro.kvstore.device import StorageDevice
 from repro.kvstore.protocol import StoreLookup
+from repro.kvstore.serialization import KVBlob
 from repro.kvstore.store import CacheStats
-from repro.model.tensors import KVCache
 
 
 @dataclass
@@ -47,13 +48,12 @@ class TieredKVStore:
             tier.on_evict = self._demoter(index + 1)
 
     def _demoter(self, to_index: int):
-        def demote(key: str, cache: KVCache) -> None:
+        def demote(key: str, blob: KVBlob) -> None:
             below = self.tiers[to_index]
             if below.contains(key):
                 return  # inclusive hierarchy: a promoted copy already lives below
-            nbytes = below.cache_nbytes(cache)
-            if nbytes <= below.capacity_bytes:
-                below.put(key, cache)
+            if blob.nbytes <= below.capacity_bytes:
+                below.put(key, blob)
 
         return demote
 
@@ -70,24 +70,24 @@ class TieredKVStore:
             if found.hit:
                 self.stats.hits += 1
                 if index > 0:
-                    self._try_promote(key, found.cache)
+                    self._try_promote(key, found.blob)
                 return StoreLookup(
-                    cache=found.cache,
+                    blob=found.blob,
                     read_delay=found.read_delay,
                     tier_index=index,
                     nbytes=found.nbytes,
                 )
         self.stats.misses += 1
-        return StoreLookup(cache=None)
+        return StoreLookup(blob=None)
 
-    def put(self, key: str, cache: KVCache) -> None:
+    def put(self, key: str, blob: KVBlob) -> None:
         """Insert into the fastest tier whose capacity holds the entry."""
         for tier in self.tiers:
-            if tier.cache_nbytes(cache) <= tier.capacity_bytes:
+            if blob.nbytes <= tier.capacity_bytes:
                 self.stats.inserts += 1
-                tier.put(key, cache)
+                tier.put(key, blob)
                 return
-        raise ValueError("cache does not fit in any tier")
+        raise ValueError("blob does not fit in any tier")
 
     def remove(self, key: str) -> bool:
         removed = False
@@ -100,10 +100,10 @@ class TieredKVStore:
         for tier in self.tiers:
             tier.reset_stats()
 
-    def _try_promote(self, key: str, cache: KVCache) -> None:
+    def _try_promote(self, key: str, blob: KVBlob) -> None:
         fastest = self.tiers[0]
-        if fastest.cache_nbytes(cache) <= fastest.capacity_bytes:
-            fastest.put(key, cache)
+        if blob.nbytes <= fastest.capacity_bytes:
+            fastest.put(key, blob)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -112,11 +112,6 @@ class TieredKVStore:
     def device(self) -> StorageDevice:
         """The fastest tier's device (what callers price promotions at)."""
         return self.tiers[0].device
-
-    @property
-    def precision(self):
-        """The tiers' precision policy."""
-        return self.tiers[0].precision
 
     @property
     def bytes_stored(self) -> int:

@@ -1,11 +1,11 @@
 """Unified KV precision policy.
 
-One :class:`PrecisionPolicy` governs KV precision everywhere it matters:
-store pricing, the store put-path and the engine's in-memory round-trip
-(``StoreConfig.kv_dtype`` names the policy).  A policy is a per-layer dtype
-map: every layer of a KV cache is stored, priced, serialized and loaded at
-the dtype the policy assigns it, so byte accounting, eviction pressure,
-load-span pricing and the serialized wire format all agree by construction.
+One :class:`PrecisionPolicy` governs KV precision everywhere it matters: the
+engine packs each chunk at it before the chunk enters a store
+(``StoreConfig.kv_dtype`` names the policy), the executor loads only chunks
+packed at its own policy, and the analytic cost model prices KV traffic at
+its widths.  A policy is a per-layer dtype map: every layer of a KV cache is
+serialized and loaded at the dtype the policy assigns it.
 
 Presets
 -------
@@ -25,26 +25,22 @@ Presets
     the remaining layers drop to int8 — near-int8 density at below-int8
     deviation.
 
-Store *accounting* (what eviction pressure and ``bytes_stored`` count) uses
-pure element widths, so an entry's stored bytes are exactly proportional to
-its tokens; the serialized *payload* width (what the executor's load spans
-price, via :func:`layer_payload_nbytes`) additionally carries the int8
-scale pair.
+A policy only assigns dtypes.  What a stored chunk costs is the length of
+the blob :func:`~repro.kvstore.serialization.serialize_kv` packs at the
+policy (int8 layers carry their scale pair, and every blob its header and
+token index), and a store accounts exactly that.  The element widths below
+serve the analytic cost model, which prices KV traffic per token.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serialization)
-    from repro.model.tensors import KVCache
 
 #: Element dtypes a policy may assign to a layer.
 KV_ELEM_DTYPES = ("float32", "float16", "int8")
 
-#: In-store bytes per KV element for each element dtype.
+#: Bytes per KV element for each element dtype.
 ELEM_BYTES = {"float32": 4, "float16": 2, "int8": 1}
 
 #: Named policy presets resolvable by :meth:`PrecisionPolicy.get`.
@@ -52,27 +48,6 @@ PRECISION_PRESETS = ("float32", "float16", "int8", "mixed")
 
 #: Fraction of early (deviation-sensitive) layers ``mixed`` keeps at fp16.
 MIXED_FP16_FRACTION = 0.25
-
-#: Serialized overhead of one int8 layer payload: a float32 (k, v) scale pair.
-INT8_SCALE_OVERHEAD = 8
-
-
-def layer_payload_nbytes(
-    dtype: str, n_tokens: int, n_kv_heads: int, head_dim: int
-) -> int:
-    """Serialized payload bytes of one layer's K+V at *dtype*.
-
-    This is exactly what ``pack_layer_kv_as`` (and the per-layer slices of
-    an ``RPKV5`` blob) produce: raw element bytes for
-    the float dtypes, plus the per-tensor float32 scale pair for int8.
-    """
-    if dtype not in ELEM_BYTES:
-        raise ValueError(f"unknown element dtype {dtype!r}; expected one of {KV_ELEM_DTYPES}")
-    elements = 2 * n_tokens * n_kv_heads * head_dim
-    if dtype == "int8":
-        return INT8_SCALE_OVERHEAD + elements
-    return elements * ELEM_BYTES[dtype]
-
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
@@ -146,37 +121,12 @@ class PrecisionPolicy:
         return tuple(self.dtype_for_layer(i, n_layers) for i in range(n_layers))
 
     # ------------------------------------------------------------------
-    # Byte accounting
+    # Element widths (analytic pricing)
     # ------------------------------------------------------------------
-    def elem_bytes_for_layer(self, layer: int, n_layers: int) -> int:
-        return ELEM_BYTES[self.dtype_for_layer(layer, n_layers)]
-
     def mean_elem_bytes(self, n_layers: int) -> float:
-        """Average in-store bytes per KV element across the layer map."""
-        return sum(
-            self.elem_bytes_for_layer(i, n_layers) for i in range(n_layers)
-        ) / n_layers
+        """Average bytes per KV element across the layer map."""
+        return sum(ELEM_BYTES[dtype] for dtype in self.layer_dtype_table(n_layers)) / n_layers
 
     def kv_bytes_per_token_per_layer(self, n_kv_heads: int, head_dim: int, n_layers: int) -> float:
         """Mean stored K+V bytes per token per layer under this policy."""
         return 2.0 * n_kv_heads * head_dim * self.mean_elem_bytes(n_layers)
-
-    def cache_nbytes(self, cache: "KVCache") -> int:
-        """Stored bytes of a whole cache (element widths only).
-
-        Element-width accounting is exactly token-proportional, so eviction
-        pressure tracks resident tokens.
-        """
-        n_layers = cache.n_layers
-        return sum(
-            layer.nbytes(self.elem_bytes_for_layer(i, n_layers))
-            for i, layer in enumerate(cache.layers)
-        )
-
-    def layer_payload_nbytes(
-        self, layer: int, n_layers: int, n_tokens: int, n_kv_heads: int, head_dim: int
-    ) -> int:
-        """Serialized payload bytes of *layer* (incl. int8 scale overhead)."""
-        return layer_payload_nbytes(
-            self.dtype_for_layer(layer, n_layers), n_tokens, n_kv_heads, head_dim
-        )

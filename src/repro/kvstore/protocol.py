@@ -3,12 +3,14 @@
 Both store backends implement the same contract, so either can sit under a
 :class:`~repro.core.blend_engine.BlendEngine`:
 
-* ``lookup(key)`` returns a :class:`StoreLookup` carrying the cache (or
-  ``None``) *plus* the simulated read delay and, for tiered stores, which
-  tier served it, updating recency and hit/miss statistics;
-* ``put(key, cache)`` inserts, evicting as needed;
+* ``lookup(key)`` returns a :class:`StoreLookup` carrying the stored
+  :class:`~repro.kvstore.serialization.KVBlob` (or ``None``) *plus* the
+  simulated read delay and, for tiered stores, which tier served it,
+  updating recency and hit/miss statistics;
+* ``put(key, blob)`` inserts a chunk packed once, at the engine's precision,
+  evicting as needed;
 * ``stats`` / ``bytes_stored`` expose the shared
-  :class:`~repro.kvstore.store.CacheStats` accounting.
+  :class:`~repro.kvstore.store.CacheStats` accounting, in held blob bytes.
 
 Backends: the whole-chunk LRU :class:`~repro.kvstore.store.KVCacheStore` and
 the multi-tier :class:`~repro.kvstore.hierarchy.TieredKVStore` over such
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.kvstore.device import StorageDevice
-from repro.model.tensors import KVCache
+from repro.kvstore.serialization import KVBlob
 
 if TYPE_CHECKING:  # avoid a cycle: store.py imports StoreLookup from here
     from repro.kvstore.store import CacheStats
@@ -33,8 +35,9 @@ class StoreLookup:
 
     Attributes
     ----------
-    cache:
-        The stored KV cache, or ``None`` on a miss.
+    blob:
+        The stored chunk (its RPKV5 bytes and parsed header), or ``None`` on
+        a miss.
     read_delay:
         Simulated seconds to read the entry from its device (0.0 on a miss).
         For tiered stores this is the delay of the tier that actually served
@@ -44,19 +47,19 @@ class StoreLookup:
         Which tier served the hit (0 = fastest); ``None`` for single-tier
         stores and misses.
     nbytes:
-        Size of the entry in store bytes; lets callers convert
+        Length of the held blob; lets callers convert
         ``read_delay`` into a device-relative excess without re-deriving
         entry sizes.
     """
 
-    cache: KVCache | None
+    blob: KVBlob | None
     read_delay: float = 0.0
     tier_index: int | None = None
     nbytes: int = 0
 
     @property
     def hit(self) -> bool:
-        return self.cache is not None
+        return self.blob is not None
 
 
 @runtime_checkable
@@ -69,7 +72,7 @@ class ChunkStore(Protocol):
 
     def lookup(self, key: str) -> StoreLookup: ...
 
-    def put(self, key: str, cache: KVCache) -> None: ...
+    def put(self, key: str, blob: KVBlob) -> None: ...
 
     def reset_stats(self) -> None: ...
 

@@ -1,11 +1,12 @@
 """KV cache serialization: the RPKV5 wire format and its per-layer codec.
 
 KV caches are stored as float16, float32 or int8-scaled blobs, per layer as
-a :class:`~repro.kvstore.precision.PrecisionPolicy` assigns.
-``serialize_kv``/``deserialize_kv`` produce real byte buffers: the fault
-injector damages them to trip the integrity check, and the pipelined
-executor loads each layer through the same per-layer codec
-(``pack_layer_kv_as``/``unpack_layer_kv_as``).
+a :class:`~repro.kvstore.precision.PrecisionPolicy` assigns.  A chunk is
+packed once, with :func:`serialize_kv`, when it enters a store; the store
+holds the bytes as a :class:`KVBlob` (the blob plus its parsed header), and
+the pipelined executor decodes each layer straight from them
+(``unpack_layer_kv_as`` at the layer's offset).  The fault injector damages
+a copy of those bytes to trip the integrity check.
 
 The wire format is ``RPKV5``: the magic, a little-endian header length, a
 JSON header (shape, a **per-layer dtype table**, index and scale dtypes,
@@ -27,7 +28,7 @@ import json
 
 import numpy as np
 
-from repro.kvstore.precision import PrecisionPolicy, layer_payload_nbytes
+from repro.kvstore.precision import PrecisionPolicy
 from repro.model.tensors import KVCache, LayerKV
 
 _MAGIC = b"RPKV5\n"
@@ -54,8 +55,8 @@ _IDX_DTYPE = np.dtype(np.int64)
 
 
 # ----------------------------------------------------------------------
-# Per-layer raw payloads (shared with the pipelined executor, which loads
-# and decodes one layer at a time).
+# Per-layer raw payloads (a blob's layers; the pipelined executor decodes
+# them one layer at a time).
 # ----------------------------------------------------------------------
 def _pack_float(layer: LayerKV, dtype: np.dtype) -> bytes:
     """Raw *dtype* bytes of one layer: keys then values, C order."""
@@ -129,11 +130,15 @@ def _float_dtype(dtype: str) -> np.dtype:
         raise ValueError(f"unknown layer dtype {dtype!r}") from None
 
 
-def pack_layer_kv_as(layer: LayerKV, dtype: str) -> bytes:
-    """Pack one layer's K+V at *dtype* (``float32``/``float16``/``int8``).
+def _layer_nbytes(dtype: str, elements: int) -> int:
+    """Bytes :func:`pack_layer_kv_as` writes for *elements* K+V values."""
+    if dtype == "int8":
+        return 2 * _SCALE_DTYPE.itemsize + elements * _INT8_DTYPE.itemsize
+    return elements * _float_dtype(dtype).itemsize
 
-    Payload widths live in :func:`repro.kvstore.precision.layer_payload_nbytes`.
-    """
+
+def pack_layer_kv_as(layer: LayerKV, dtype: str) -> bytes:
+    """Pack one layer's K+V at *dtype* (``float32``/``float16``/``int8``)."""
     if dtype == "int8":
         return _pack_int8(layer)
     return _pack_float(layer, _float_dtype(dtype))
@@ -160,49 +165,6 @@ def _resolve_kv_dtype(kv_dtype: str | PrecisionPolicy) -> PrecisionPolicy:
         return PrecisionPolicy.get(kv_dtype)
     except ValueError as error:
         raise ValueError(f"unknown kv_dtype {kv_dtype!r}: {error}") from None
-
-
-def _quantize_layer(layer: LayerKV, dtype: str) -> LayerKV:
-    """Round-trip one layer through its store *dtype*, in memory."""
-    if dtype == "int8":
-        k_scale = int8_scale(layer.keys)
-        v_scale = int8_scale(layer.values)
-        return LayerKV(
-            dequantize_int8(quantize_int8(layer.keys, k_scale), k_scale),
-            dequantize_int8(quantize_int8(layer.values, v_scale), v_scale),
-        )
-    float_dtype = _float_dtype(dtype)
-    return LayerKV(
-        np.asarray(layer.keys, dtype=float_dtype),
-        np.asarray(layer.values, dtype=float_dtype),
-    )
-
-
-def quantize_kv_to_store_dtype(
-    cache: KVCache, kv_dtype: str | PrecisionPolicy = "float16"
-) -> KVCache:
-    """Round-trip *cache* through the store precision, in memory.
-
-    ``kv_dtype`` is a uniform dtype name, a precision preset name
-    (``"mixed"``, ``"float32"``) or a
-    :class:`~repro.kvstore.precision.PrecisionPolicy`; each layer is
-    round-tripped at the dtype the resolved policy assigns it.  Returns
-    exactly the cache that persisting with :func:`serialize_kv` (at the
-    same precision) and loading again would produce — float payloads kept
-    at their storage dtype, int8 dequantised at the per-tensor scale.
-    :class:`~repro.core.blend_engine.BlendEngine` stores chunk caches
-    through this so its in-memory fusion path and the
-    :class:`~repro.core.executor.PipelinedExecutor`'s byte-level load path
-    see bit-identical KV — the store never silently holds more precision
-    than it is priced (and serialized) at.
-    """
-    policy = _resolve_kv_dtype(kv_dtype)
-    n_layers = cache.n_layers
-    layers = [
-        _quantize_layer(layer, policy.dtype_for_layer(i, n_layers))
-        for i, layer in enumerate(cache.layers)
-    ]
-    return KVCache(layers, cache.token_ids.copy(), cache.positions.copy())
 
 
 # ----------------------------------------------------------------------
@@ -238,10 +200,17 @@ def serialize_kv(cache: KVCache, kv_dtype: str | PrecisionPolicy = "float16") ->
     ``"int8"``, ``"mixed"``) or a
     :class:`~repro.kvstore.precision.PrecisionPolicy`; each layer is packed
     at the dtype the resolved policy assigns it, and the header carries the
-    full per-layer dtype table.
+    full per-layer dtype table.  The blob stores one token id and one
+    position per token, so *cache* must carry both.
     """
     policy = _resolve_kv_dtype(kv_dtype)
     n_kv_heads, head_dim = _uniform_layer_shape(cache)
+    for name, index in (("token_ids", cache.token_ids), ("positions", cache.positions)):
+        if index.size != cache.n_tokens:
+            raise ValueError(
+                f"cache has {cache.n_tokens} tokens but {index.size} {name}; "
+                "RPKV5 stores one per token"
+            )
     table = list(policy.layer_dtype_table(cache.n_layers)) if cache.layers else []
     header = {
         "n_layers": cache.n_layers,
@@ -268,50 +237,90 @@ def serialize_kv(cache: KVCache, kv_dtype: str | PrecisionPolicy = "float16") ->
     )
 
 
+class KVBlob:
+    """One ``RPKV5`` blob with its header parsed: what a chunk store holds.
+
+    The header is parsed once, on construction; :meth:`layer` then decodes
+    one layer straight from :attr:`data` at its offset, and
+    :meth:`layer_nbytes` is that layer's stored payload length.  Neither
+    checks the payload digest: :func:`deserialize_kv` does.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        if not data.startswith(_MAGIC):
+            raise ValueError("not a serialized KV cache (bad magic)")
+        offset = len(_MAGIC) + 4
+        header_len = int.from_bytes(data[len(_MAGIC) : offset], "little")
+        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
+        offset += header_len
+        self.data = data
+        self._checksum: str | None = header.get("checksum")
+        self._payload_offset = offset
+        self.n_tokens: int = header["n_tokens"]
+        self.kv_shape: tuple[int, int] = (header["n_kv_heads"], header["head_dim"])
+        self.layer_dtypes: tuple[str, ...] = tuple(header["layer_dtypes"])
+        if len(self.layer_dtypes) != header["n_layers"]:
+            raise ValueError(
+                f"RPKV5 layer dtype table has {len(self.layer_dtypes)} entries for "
+                f"{header['n_layers']} layers"
+            )
+        idx_dtype = np.dtype(header["idx_dtype"])
+        index_bytes = self.n_tokens * idx_dtype.itemsize
+        elements = 2 * self.n_tokens * self.kv_shape[0] * self.kv_shape[1]
+        self._layer_offsets = [offset + 2 * index_bytes]
+        for dtype in self.layer_dtypes:
+            self._layer_offsets.append(self._layer_offsets[-1] + _layer_nbytes(dtype, elements))
+        if self._layer_offsets[-1] != len(data):
+            raise KVCorruptionError(
+                f"RPKV5 blob holds {len(data)} bytes but its header describes "
+                f"{self._layer_offsets[-1]} (truncated blob)"
+            )
+        self.token_ids = np.frombuffer(data, dtype=idx_dtype, count=self.n_tokens, offset=offset)
+        self.positions = np.frombuffer(
+            data, dtype=idx_dtype, count=self.n_tokens, offset=offset + index_bytes
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Length of the held blob: what a store accounts for this entry."""
+        return len(self.data)
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layer_dtypes)
+
+    def layer_nbytes(self, layer_idx: int) -> int:
+        """Stored payload bytes of one layer's K+V."""
+        return self._layer_offsets[layer_idx + 1] - self._layer_offsets[layer_idx]
+
+    def layer(self, layer_idx: int) -> LayerKV:
+        """Decode one layer (float32 compute dtype) from the held bytes."""
+        return unpack_layer_kv_as(
+            self.data,
+            self.layer_dtypes[layer_idx],
+            self.n_tokens,
+            *self.kv_shape,
+            offset=self._layer_offsets[layer_idx],
+        )
+
+
 def deserialize_kv(data: bytes) -> KVCache:
     """Inverse of :func:`serialize_kv`.
 
     The payload is integrity-checked first — a blake2b mismatch raises
-    :class:`KVCorruptionError` before any bytes are decoded.  Float payloads
+    :class:`KVCorruptionError` before any layer is decoded.  Float payloads
     are up-cast to the float32 compute dtype by
     :class:`~repro.model.tensors.LayerKV`; int8 payloads are dequantised at
     their per-tensor scales.
     """
-    if not data.startswith(_MAGIC):
-        raise ValueError("not a serialized KV cache (bad magic)")
-    offset = len(_MAGIC)
-    header_len = int.from_bytes(data[offset : offset + 4], "little")
-    offset += 4
-    header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-    offset += header_len
-    expected = header.get("checksum")
-    if not expected:
+    blob = KVBlob(data)
+    if not blob._checksum:
         raise KVCorruptionError("RPKV5 header is missing its payload checksum")
-    actual = _payload_checksum(data, offset)
-    if actual != expected:
+    actual = _payload_checksum(data, blob._payload_offset)
+    if actual != blob._checksum:
         raise KVCorruptionError(
-            f"KV payload checksum mismatch: header {expected!r} vs "
-            f"payload {actual!r} (corrupted or truncated blob)"
+            f"KV payload checksum mismatch: header {blob._checksum!r} vs "
+            f"payload {actual!r} (corrupted blob)"
         )
-    n_layers = header["n_layers"]
-    n_tokens = header["n_tokens"]
-    n_kv_heads = header["n_kv_heads"]
-    head_dim = header["head_dim"]
-    table = header["layer_dtypes"]
-    if len(table) != n_layers:
-        raise ValueError(
-            f"RPKV5 layer dtype table has {len(table)} entries for "
-            f"{n_layers} layers"
-        )
-    idx_dtype = np.dtype(header["idx_dtype"])
-    token_ids = np.frombuffer(data, dtype=idx_dtype, count=n_tokens, offset=offset)
-    offset += n_tokens * idx_dtype.itemsize
-    positions = np.frombuffer(data, dtype=idx_dtype, count=n_tokens, offset=offset)
-    offset += n_tokens * idx_dtype.itemsize
-    layers = []
-    for dtype in table:
-        layers.append(
-            unpack_layer_kv_as(data, dtype, n_tokens, n_kv_heads, head_dim, offset=offset)
-        )
-        offset += layer_payload_nbytes(dtype, n_tokens, n_kv_heads, head_dim)
-    return KVCache(layers, token_ids, positions)
+    layers = [blob.layer(i) for i in range(blob.n_layers)]
+    return KVCache(layers, blob.token_ids, blob.positions)

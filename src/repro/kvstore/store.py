@@ -2,8 +2,10 @@
 
 The store maps a *chunk key* (a stable hash of the chunk's token ids, the
 model name, and — for prefix caching — the prefix it was computed under) to a
-KV cache entry living on one storage device.  When the device is full, the
-least-recently-used entry is evicted (paper §5.1, "KV cache store").
+chunk's KV cache living on one storage device, held as the RPKV5 bytes it was
+packed into once, at ``put`` (a :class:`~repro.kvstore.serialization.KVBlob`).
+The store accounts each entry at its blob's length; when the device is full,
+the least-recently-used entry is evicted (paper §5.1, "KV cache store").
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from typing import Callable
 import numpy as np
 
 from repro.kvstore.device import StorageDevice
-from repro.kvstore.precision import PrecisionPolicy
 from repro.kvstore.protocol import StoreLookup
-from repro.model.tensors import KVCache
+from repro.kvstore.serialization import KVBlob
 
 #: Version prefix of :func:`chunk_key`.  v1 hashed a ","-joined decimal
 #: string of the token ids (O(T) Python string work per lookup); v2 hashes
@@ -87,12 +88,6 @@ class CacheStats:
 
 
 @dataclass
-class _Entry:
-    cache: KVCache
-    nbytes: int
-
-
-@dataclass
 class KVCacheStore:
     """A single-device KV cache store with LRU eviction.
 
@@ -105,35 +100,27 @@ class KVCacheStore:
         Optional override of the device capacity (useful to provoke evictions
         in experiments without multi-terabyte contexts).
     on_evict:
-        Optional callback invoked as ``on_evict(key, cache)`` for every
+        Optional callback invoked as ``on_evict(key, blob)`` for every
         capacity-driven eviction — the hook :class:`~repro.kvstore.hierarchy.
         TieredKVStore` uses to demote victims to the next tier instead of
         dropping them.
-    precision:
-        :class:`~repro.kvstore.precision.PrecisionPolicy` (or preset name;
-        ``None`` means ``float16``).  Byte accounting and eviction pressure
-        use the policy's per-layer element widths — an int8 policy
-        literally doubles the chunk count the same ``capacity_bytes`` holds
-        vs fp16.
+
+    Entries are accounted at their blob's length, so a chunk packed at int8
+    costs about half its fp16 bytes and the same ``capacity_bytes`` holds
+    about twice as many chunks.
     """
 
     device: StorageDevice
     capacity_bytes: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
-    on_evict: Callable[[str, KVCache], None] | None = field(default=None, repr=False)
-    precision: PrecisionPolicy | str | None = None
-    _entries: "OrderedDict[str, _Entry]" = field(default_factory=OrderedDict)
+    on_evict: Callable[[str, KVBlob], None] | None = field(default=None, repr=False)
+    _entries: "OrderedDict[str, KVBlob]" = field(default_factory=OrderedDict)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes is None:
             self.capacity_bytes = self.device.capacity_bytes
         if self.capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        self.precision = PrecisionPolicy.get(self.precision)
-
-    def cache_nbytes(self, cache: KVCache) -> int:
-        """Stored bytes of *cache* under this store's precision."""
-        return self.precision.cache_nbytes(cache)
 
     # ------------------------------------------------------------------
     # Core operations
@@ -144,44 +131,41 @@ class KVCacheStore:
     def lookup(self, key: str) -> StoreLookup:
         """Fetch *key* with its simulated read delay, updating recency and
         hit/miss statistics."""
-        entry = self._entries.get(key)
-        if entry is None:
+        blob = self._entries.get(key)
+        if blob is None:
             self.stats.misses += 1
-            return StoreLookup(cache=None)
+            return StoreLookup(blob=None)
         self.stats.hits += 1
         self._entries.move_to_end(key)
         return StoreLookup(
-            cache=entry.cache,
-            read_delay=self.device.read_time(entry.nbytes),
-            nbytes=entry.nbytes,
+            blob=blob, read_delay=self.device.read_time(blob.nbytes), nbytes=blob.nbytes
         )
 
-    def peek(self, key: str) -> KVCache | None:
+    def peek(self, key: str) -> KVBlob | None:
         """Fetch without touching statistics or recency (used by tooling)."""
-        entry = self._entries.get(key)
-        return entry.cache if entry else None
+        return self._entries.get(key)
 
-    def put(self, key: str, cache: KVCache) -> None:
-        """Insert (or overwrite) a cache, evicting LRU entries to make room."""
-        nbytes = self.cache_nbytes(cache)
+    def put(self, key: str, blob: KVBlob) -> None:
+        """Insert (or overwrite) a blob, evicting LRU entries to make room."""
+        nbytes = blob.nbytes
         if nbytes > self.capacity_bytes:
             raise ValueError(
-                f"cache of {nbytes} bytes cannot fit in capacity {self.capacity_bytes}"
+                f"blob of {nbytes} bytes cannot fit in capacity {self.capacity_bytes}"
             )
         if key in self._entries:
             self.stats.bytes_stored -= self._entries.pop(key).nbytes
         while self.stats.bytes_stored + nbytes > self.capacity_bytes:
             self._evict_one()
-        self._entries[key] = _Entry(cache=cache, nbytes=nbytes)
+        self._entries[key] = blob
         self.stats.bytes_stored += nbytes
         self.stats.inserts += 1
 
     def remove(self, key: str) -> bool:
         """Remove an entry; returns whether it existed."""
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        blob = self._entries.pop(key, None)
+        if blob is None:
             return False
-        self.stats.bytes_stored -= entry.nbytes
+        self.stats.bytes_stored -= blob.nbytes
         return True
 
     def clear(self) -> None:
@@ -196,11 +180,11 @@ class KVCacheStore:
         if not self._entries:
             raise RuntimeError("eviction requested on an empty store")
         # The front is the least recently used: lookup() moves hits to the end.
-        key, entry = self._entries.popitem(last=False)
-        self.stats.bytes_stored -= entry.nbytes
+        key, blob = self._entries.popitem(last=False)
+        self.stats.bytes_stored -= blob.nbytes
         self.stats.evictions += 1
         if self.on_evict is not None:
-            self.on_evict(key, entry.cache)
+            self.on_evict(key, blob)
 
     # ------------------------------------------------------------------
     # Introspection

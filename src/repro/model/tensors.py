@@ -62,10 +62,6 @@ class LayerKV:
     def slice(self, start: int, stop: int) -> "LayerKV":
         return LayerKV(self.keys[start:stop].copy(), self.values[start:stop].copy())
 
-    def nbytes(self, dtype_bytes: int = 2) -> int:
-        """Storage footprint assuming *dtype_bytes* per element."""
-        return 2 * self.keys.shape[0] * self.keys.shape[1] * self.keys.shape[2] * dtype_bytes
-
     @staticmethod
     def concat(parts: list["LayerKV"]) -> "LayerKV":
         if not parts:
@@ -118,6 +114,11 @@ class KVCache:
     def n_tokens(self) -> int:
         return self.layers[0].n_tokens if self.layers else 0
 
+    @property
+    def kv_shape(self) -> tuple[int, ...]:
+        """``(n_kv_heads, head_dim)`` of the layers (``(0, 0)`` without any)."""
+        return self.layers[0].keys.shape[1:] if self.layers else (0, 0)
+
     def copy(self) -> "KVCache":
         return KVCache(
             [layer.copy() for layer in self.layers],
@@ -131,9 +132,6 @@ class KVCache:
             self.token_ids[start:stop].copy() if self.token_ids.size else self.token_ids,
             self.positions[start:stop].copy() if self.positions.size else self.positions,
         )
-
-    def nbytes(self, dtype_bytes: int = 2) -> int:
-        return sum(layer.nbytes(dtype_bytes) for layer in self.layers)
 
     @staticmethod
     def concat(parts: list["KVCache"]) -> "KVCache":

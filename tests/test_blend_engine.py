@@ -325,3 +325,39 @@ class TestStoreParameter:
             paper_model="Mistral-7B", device="cpu_ram", seed=0, store=store
         )
         assert engine.kv_store is store
+
+
+class TestWarmReads:
+    """A chunk is packed, and its header parsed, once: when it enters the
+    store.  A warm read decodes the held bytes and does neither again."""
+
+    @pytest.mark.parametrize("backend", ["chunk", "tiered"])
+    @pytest.mark.parametrize("kv_dtype", ["float32", "float16", "int8", "mixed"])
+    def test_a_warm_batch_packs_nothing_and_parses_no_header(
+        self, backend, kv_dtype, monkeypatch
+    ):
+        import json
+
+        import repro.kvstore.serialization as codec
+        from repro.kvstore.config import StoreConfig
+
+        engine = BlendEngine.build(
+            paper_model="Mistral-7B",
+            device="cpu_ram",
+            seed=0,
+            store=StoreConfig(backend=backend, kv_dtype=kv_dtype),
+        )
+        engine.precompute_chunks(CHUNKS[:3])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm read packed a layer or parsed a header")
+
+        monkeypatch.setattr(codec, "_pack_float", refuse)
+        monkeypatch.setattr(codec, "_pack_int8", refuse)
+        monkeypatch.setattr(json, "loads", refuse)
+        results = engine.run_batch(
+            [(CHUNKS[:2], "which chunk mentions storage?"), (CHUNKS[1:3], "what else?")],
+            max_new_tokens=2,
+        )
+        assert [result.cache_hits for result in results] == [2, 2]
+        assert all(result.cache_misses == 0 for result in results)

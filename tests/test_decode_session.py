@@ -7,11 +7,14 @@ session — including under membership churn (joins/leaves mid-generation),
 EOS drop-out and pad growth — caches round-trip bitwise through a slot,
 steady-state steps perform *no* full K/V re-gather (copy-count
 instrumentation), and buffers are released when a member leaves (peak
-resident KV tracks the live batch).
+resident KV tracks the live batch).  A derandomized ``hypothesis`` state
+machine drives random join / step / leave / preempt / resume sequences.
 """
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.model.config import get_config
 from repro.model.tensors import DecodeSession, KVCache, LayerKV
@@ -540,3 +543,68 @@ class TestPreemptionInvariants:
             )
             for slot, m in enumerate(order):
                 np.testing.assert_array_equal(got[slot], ref[m])
+
+
+#: Operation lists for the state-machine test: each op carries a seed that
+#: picks its member, prompt or tokens.  Joins and steps are drawn more often
+#: than the ops that shrink the session, so most sequences keep several
+#: members stepping.
+_SESSION_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["join", "join", "step", "step", "step", "leave", "preempt", "resume", "resume"]
+        ),
+        st.integers(0, 2**16),
+    ),
+    min_size=8,
+    max_size=32,
+)
+
+
+class TestSessionStateMachine:
+    """Random join / step / leave / preempt / resume sequences on one session."""
+
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=100,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    @given(ops=_SESSION_OPS)
+    def test_random_membership_ops_match_per_member_references(self, model, ops):
+        """After every step each member's row matches its width-1 session and
+        its full prefill (``_References``); every resume re-joins the held
+        cache bitwise.  A preempted member keeps its references and resumes
+        where it stopped."""
+        session = model.new_decode_session()
+        references: dict[int, _References] = {}
+        held: dict[int, KVCache] = {}
+        reserve = len(ops)
+        for op, seed in ops:
+            rng = np.random.default_rng(seed)
+            live = list(session.member_ids)
+            if op == "join":
+                member = len(references)
+                prompt = _random_prompt(model, int(rng.integers(2, 12)), seed)
+                references[member] = _References(model, {member: prompt}, reserve=reserve)
+                session.join(member, model.full_prefill(prompt).kv_cache, reserve=reserve)
+            elif op == "step" and live:
+                tokens = rng.integers(4, model.config.vocab_size, size=len(live))
+                logits = model.decode_session_step(session, tokens)
+                for row, member in enumerate(live):
+                    references[member].check(member, int(tokens[row]), logits[row])
+            elif op == "leave" and live:
+                session.leave(live[int(rng.integers(len(live)))])
+            elif op == "preempt" and live:
+                member = live[int(rng.integers(len(live)))]
+                held[member] = session.preempt(member)
+            elif op == "resume" and held:
+                member = sorted(held)[int(rng.integers(len(held)))]
+                cache = held.pop(member)
+                session.join(member, cache, reserve=reserve)
+                resumed = session.extract(member)
+                np.testing.assert_array_equal(resumed.token_ids, cache.token_ids)
+                np.testing.assert_array_equal(resumed.positions, cache.positions)
+                for got, want in zip(resumed.layers, cache.layers):
+                    np.testing.assert_array_equal(got.keys, want.keys)
+                    np.testing.assert_array_equal(got.values, want.values)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.executor import PipelinedExecutor
 from repro.core.fusor import FusorConfig
+from repro.kvstore.serialization import KVBlob, serialize_kv
 from repro.model.config import ModelConfig, get_config
 from repro.model.transformer import TransformerModel
 
@@ -19,10 +20,15 @@ def model() -> TransformerModel:
 
 @pytest.fixture(scope="module")
 def chunk_caches(model):
+    """Three chunks packed at fp16, as a store holds them."""
     rng = np.random.default_rng(0)
     return [
-        model.chunk_prefill(
-            rng.integers(4, model.config.vocab_size, size=48).astype(np.int64)
+        KVBlob(
+            serialize_kv(
+                model.chunk_prefill(
+                    rng.integers(4, model.config.vocab_size, size=48).astype(np.int64)
+                )
+            )
         )
         for _ in range(3)
     ]
@@ -76,51 +82,52 @@ class TestTraceInvariants:
         assert np.all(trace.load_start[1:] >= trace.compute_end[:-1] - EPS)
 
 
-class TestPerLayerPacking:
-    """Each layer's store-precision bytes are packed inside that layer's
-    load, so a request's first layer never waits for its later layers."""
+class TestPerLayerDecode:
+    """Each layer is decoded from the stored bytes inside that layer's load,
+    so a request's first layer never waits for its later layers."""
 
     @staticmethod
-    def _log_packs_and_computes(monkeypatch) -> list[str]:
+    def _log_decodes_and_computes(monkeypatch) -> list[str]:
         import repro.core.executor as executor_module
 
         events: list[str] = []
-        pack = executor_module.pack_layer_kv_as
+        decode = KVBlob.layer
         compute_start = executor_module._SpanRecorder.compute_start
 
-        def logged_pack(layer, dtype):
-            events.append("pack")
-            return pack(layer, dtype)
+        def logged_decode(blob, layer_idx):
+            events.append(f"decode {layer_idx}")
+            return decode(blob, layer_idx)
 
         def logged_compute_start(recorder, layer_idx):
             events.append(f"compute {layer_idx}")
             compute_start(recorder, layer_idx)
 
-        monkeypatch.setattr(executor_module, "pack_layer_kv_as", logged_pack)
+        monkeypatch.setattr(KVBlob, "layer", logged_decode)
         monkeypatch.setattr(
             executor_module._SpanRecorder, "compute_start", logged_compute_start
         )
         return events
 
-    def test_sequential_packs_each_layer_right_before_its_compute(
+    def test_sequential_decodes_each_layer_right_before_its_compute(
         self, model, chunk_caches, suffix_ids, monkeypatch
     ):
-        events = self._log_packs_and_computes(monkeypatch)
+        events = self._log_decodes_and_computes(monkeypatch)
         _executor(model, 0.0).execute(chunk_caches, suffix_ids, pipelined=False)
         expected: list[str] = []
         for layer_idx in range(model.config.n_layers):
-            expected += ["pack"] * len(chunk_caches) + [f"compute {layer_idx}"]
+            expected += [f"decode {layer_idx}"] * len(chunk_caches) + [f"compute {layer_idx}"]
         assert events == expected
 
-    def test_pipelined_batch_packs_every_layer_once(
+    def test_pipelined_batch_decodes_every_layer_once(
         self, model, chunk_caches, suffix_ids, monkeypatch
     ):
-        events = self._log_packs_and_computes(monkeypatch)
+        events = self._log_decodes_and_computes(monkeypatch)
         _executor(model, 0.0005).execute_batch(
             [(chunk_caches, suffix_ids)] * 2, pipelined=True
         )
         n_layers = model.config.n_layers
-        assert events.count("pack") == 2 * n_layers * len(chunk_caches)
+        decodes = [event for event in events if event.startswith("decode")]
+        assert len(decodes) == 2 * n_layers * len(chunk_caches)
         assert sum(event.startswith("compute") for event in events) == 2 * n_layers
 
 
@@ -136,7 +143,7 @@ class TestNumericsMatch:
             assert np.allclose(a.values, b.values)
 
     def test_accounting_matches_in_memory_fusor(self, model, chunk_caches, suffix_ids):
-        """The executor (fp16 store round-trip) keeps the fusor's accounting."""
+        """The executor (fp16-packed chunks) keeps the fusor's accounting."""
         result = _executor(model, 0.0).execute(chunk_caches, suffix_ids)
         fusion = result.fusion
         n = fusion.n_tokens
@@ -150,9 +157,9 @@ class TestNumericsMatch:
         other = TransformerModel(
             ModelConfig(name="tiny-2kv", n_kv_heads=2, runnable=True), seed=0
         )
-        cache = other.chunk_prefill(np.arange(4, 20, dtype=np.int64))
+        blob = KVBlob(serialize_kv(other.chunk_prefill(np.arange(4, 20, dtype=np.int64))))
         with pytest.raises(ValueError):
-            _executor(model, 0.0).execute([cache], suffix_ids)
+            _executor(model, 0.0).execute([blob], suffix_ids)
 
 
 class TestMeasuredSpeedup:

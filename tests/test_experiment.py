@@ -15,6 +15,7 @@ from repro.bench.replay import simulate_fleet
 from repro.bench.workload import WorkloadGenerator
 from repro.kvstore.config import StoreConfig
 from repro.kvstore.device import get_device
+from repro.kvstore.serialization import KVBlob, serialize_kv
 from repro.model.config import get_config
 from repro.model.tensors import KVCache, LayerKV
 from repro.serving.costmodel import ServingCostModel
@@ -277,8 +278,16 @@ class TestStoreCapacityAxis:
             request_rate=config.request_rate, seed=config.seed
         )
         requests = generator.generate(config.n_requests)
-        entry = KVCache([LayerKV(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))])
-        nbytes = StoreConfig().precision.cache_nbytes(entry)
+        entry = KVBlob(
+            serialize_kv(
+                KVCache(
+                    [LayerKV(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))],
+                    token_ids=[0],
+                    positions=[0],
+                )
+            )
+        )
+        nbytes = entry.nbytes
         store_config = StoreConfig(
             backend="tiered", tier_capacity_bytes=(8 * nbytes, 32 * nbytes)
         )
@@ -549,6 +558,28 @@ class TestFleetAxis:
         assert cell.gpu_utilisation == pytest.approx(
             sum(run.per_replica_busy_s) / (2 * makespan)
         )
+
+    def test_every_replica_runs_n_servers_servers(self):
+        def fleet_cell(n_servers: int):
+            config = ExperimentConfig(
+                models=("mistral-7b",),
+                devices=("nvme_ssd",),
+                schemes=("cacheblend",),
+                n_requests=40,
+                n_servers=n_servers,
+                fleet_sizes=(2,),
+                routing_policies=("least_loaded",),
+                seed=0,
+            )
+            (cell,) = ExperimentRunner(config).run().cells
+            return cell
+
+        one, two = fleet_cell(1), fleet_cell(2)
+        assert two != one
+        # Twice the servers per replica: the same work over twice the
+        # capacity, and never a longer wait.
+        assert two.gpu_utilisation < one.gpu_utilisation
+        assert two.mean_ttft <= one.mean_ttft
 
     def test_affinity_beats_least_loaded_at_4_replicas(self, fleet_report):
         """The acceptance criterion at sweep level: under the default Zipf

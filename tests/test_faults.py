@@ -15,20 +15,26 @@ from repro.kvstore.faults import (
 )
 from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.protocol import ChunkStore
-from repro.kvstore.serialization import KVCorruptionError
+from repro.kvstore.serialization import (
+    KVBlob,
+    KVCorruptionError,
+    deserialize_kv,
+    serialize_kv,
+)
 from repro.kvstore.store import KVCacheStore
 from repro.model.tensors import KVCache, LayerKV
 
 
-def _cache(seed: int, n_tokens: int = 4) -> KVCache:
+def _blob(seed: int, n_tokens: int = 4) -> KVBlob:
     ids = np.arange(seed * 100, seed * 100 + n_tokens, dtype=np.int64)
     rows = np.full((n_tokens, 1, 2), float(seed), dtype=np.float32)
-    return KVCache([LayerKV(rows.copy(), rows.copy())], ids, np.arange(n_tokens))
+    cache = KVCache([LayerKV(rows.copy(), rows.copy())], ids, np.arange(n_tokens))
+    return KVBlob(serialize_kv(cache))
 
 
 def _faulty(rate=1.0, kinds=ALL_FAULT_KINDS, seed=0, **config_kw) -> FaultyStore:
     inner = KVCacheStore(device=get_device("cpu_ram"))
-    inner.put("a", _cache(1))
+    inner.put("a", _blob(1))
     return FaultyStore(inner, FaultConfig(rate=rate, kinds=kinds, seed=seed, **config_kw))
 
 
@@ -77,13 +83,35 @@ class TestInjection:
         with pytest.raises(KVCorruptionError):
             store.lookup("a")
 
+    def test_corruption_damages_a_copy_only(self):
+        # The stored bytes stay intact, so a retry reads a clean entry.
+        store = _faulty(kinds=(FaultKind.CORRUPT_PAYLOAD,))
+        intact = bytes(store.inner.peek("a").data)
+        with pytest.raises(KVCorruptionError):
+            store.lookup("a")
+        assert store.inner.peek("a").data == intact
+        restored = deserialize_kv(store.inner.lookup("a").blob.data)
+        np.testing.assert_array_equal(restored.token_ids, np.arange(100, 104))
+
+    def test_corruption_draws_one_flip_offset(self):
+        # Seeded fault sequences rest on the draws per fault: the fault roll,
+        # the kind, then one flip offset below n_tokens * 8.
+        store = _faulty(kinds=(FaultKind.CORRUPT_PAYLOAD,), seed=5)
+        with pytest.raises(KVCorruptionError):
+            store.lookup("a")
+        replay = np.random.default_rng(5)
+        replay.random()
+        replay.integers(1)
+        replay.integers(4 * 8)
+        assert store._rng.random() == replay.random()
+
     def test_slow_read_inflates_the_delay_only(self):
         store = _faulty(kinds=(FaultKind.SLOW_READ,), slow_read_delay_s=0.25)
         clean = store.inner.lookup("a")
         slow = store.lookup("a")
         assert slow.hit
         assert slow.read_delay == pytest.approx(clean.read_delay + 0.25)
-        np.testing.assert_array_equal(slow.cache.token_ids, clean.cache.token_ids)
+        assert slow.blob is clean.blob
 
     def test_typed_faults_share_a_base_class(self):
         assert issubclass(StoreReadTimeout, StoreFault)
@@ -145,7 +173,7 @@ class TestDelegation:
 
     def test_put_reaches_the_inner_store(self):
         store = _faulty(rate=0.0)
-        store.put("b", _cache(2))
+        store.put("b", _blob(2))
         assert store.inner.contains("b")
 
     def test_wraps_the_tiered_backend(self):
@@ -155,7 +183,7 @@ class TestDelegation:
                 KVCacheStore(device=get_device("nvme_ssd")),
             ]
         )
-        inner.put("a", _cache(1))
+        inner.put("a", _blob(1))
         wrapped = FaultyStore(inner, FaultConfig(rate=0.0))
         assert wrapped.lookup("a").hit
         assert isinstance(wrapped, ChunkStore)
@@ -168,7 +196,7 @@ class TestDelegation:
                 KVCacheStore(device=get_device("nvme_ssd")),
             ]
         )
-        inner.tiers[1].put("a", _cache(1))
+        inner.tiers[1].put("a", _blob(1))
         store = FaultyStore(
             inner, FaultConfig(rate=1.0, kinds=(kind,), slow_read_delay_s=0.25)
         )

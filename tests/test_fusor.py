@@ -74,16 +74,6 @@ class TestFusionAccounting:
         result = fusor.fuse(chunk_caches, suffix_ids)
         assert np.allclose(result.first_layer_deviation[result.suffix_start :], 0.0)
 
-
-class TestFullReuse:
-    def test_full_reuse_recomputes_only_suffix(self, model, chunk_caches, suffix_ids):
-        fusor = KVFusor(model)
-        result = fusor.full_reuse(chunk_caches, suffix_ids)
-        assert result.recompute_counts == [suffix_ids.size] * model.config.n_layers
-        assert result.mean_recompute_fraction == pytest.approx(
-            suffix_ids.size / result.n_tokens
-        )
-
     def test_fused_cache_covers_all_tokens(self, model, chunk_caches, suffix_ids):
         fusor = KVFusor(model)
         result = fusor.fuse(chunk_caches, suffix_ids)

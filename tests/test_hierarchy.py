@@ -7,17 +7,20 @@ from repro.kvstore.config import StoreConfig
 from repro.kvstore.device import get_device
 from repro.kvstore.hierarchy import TieredKVStore
 from repro.kvstore.protocol import ChunkStore
+from repro.kvstore.serialization import KVBlob, serialize_kv
 from repro.kvstore.store import KVCacheStore
 from repro.model.tensors import KVCache, LayerKV
 
 
-def _cache(seed: int, n_tokens: int = 4) -> KVCache:
+def _blob(seed: int, n_tokens: int = 4) -> KVBlob:
     ids = np.arange(seed * 100, seed * 100 + n_tokens, dtype=np.int64)
     rows = np.full((n_tokens, 1, 2), float(seed))
-    return KVCache([LayerKV(rows.copy(), rows.copy())], ids, np.arange(n_tokens))
+    cache = KVCache([LayerKV(rows.copy(), rows.copy())], ids, np.arange(n_tokens))
+    return KVBlob(serialize_kv(cache))
 
 
-ENTRY_BYTES = _cache(1).nbytes(2)
+#: Every 4-token blob holds the same number of bytes.
+ENTRY_BYTES = _blob(1).nbytes
 
 
 def _tiered(ram_entries: int = 2, ssd_entries: int = 8) -> TieredKVStore:
@@ -48,14 +51,14 @@ def _three_tiers() -> TieredKVStore:
 class TestTieredLookup:
     def test_put_lands_in_the_fastest_fitting_tier(self):
         store = _tiered()
-        store.put("a", _cache(1))
+        store.put("a", _blob(1))
         assert store.tiers[0].contains("a")
         assert not store.tiers[1].contains("a")
 
     def test_lookup_reports_the_serving_tier_and_its_delay(self):
         store = _tiered()
-        store.put("a", _cache(1))
-        store.tiers[1].put("b", _cache(2))
+        store.put("a", _blob(1))
+        store.tiers[1].put("b", _blob(2))
         fast = store.lookup("a")
         slow = store.lookup("b")
         assert fast.tier_index == 0
@@ -70,12 +73,12 @@ class TestTieredLookup:
     def test_miss_reports_no_tier(self):
         store = _tiered()
         found = store.lookup("nope")
-        assert found.cache is None and found.tier_index is None
+        assert found.blob is None and found.tier_index is None
         assert store.stats.misses == 1
 
     def test_promotion_copies_slow_hits_to_ram(self):
         store = _tiered()
-        store.tiers[1].put("b", _cache(2))
+        store.tiers[1].put("b", _blob(2))
         store.lookup("b")
         # Inclusive hierarchy: the promoted copy lands in RAM, the SSD copy
         # stays so a later RAM eviction does not have to write it back.
@@ -85,7 +88,7 @@ class TestTieredLookup:
 
     def test_bottom_tier_hit_promotes_to_the_fastest_tier(self):
         store = _three_tiers()
-        store.tiers[2].put("c", _cache(3))
+        store.tiers[2].put("c", _blob(3))
         found = store.lookup("c")
         assert found.tier_index == 2
         assert found.read_delay == get_device("slow_disk").read_time(ENTRY_BYTES)
@@ -96,8 +99,8 @@ class TestTieredLookup:
 
     def test_promotion_into_a_full_ram_tier_demotes_its_lru(self):
         store = _tiered(ram_entries=1)
-        store.put("a", _cache(1))
-        store.tiers[1].put("b", _cache(2))
+        store.put("a", _blob(1))
+        store.tiers[1].put("b", _blob(2))
         store.lookup("b")
         # b's promotion evicted a from RAM, and a went down, not away.
         assert store.tiers[0].keys() == ["b"]
@@ -109,7 +112,7 @@ class TestDemotionCascade:
     def test_ram_eviction_demotes_to_ssd(self):
         store = _tiered(ram_entries=2)
         for seed in (1, 2, 3):
-            store.put(f"c{seed}", _cache(seed))
+            store.put(f"c{seed}", _blob(seed))
         # c1 was evicted from RAM to make room for c3 and landed on SSD.
         assert not store.tiers[0].contains("c1")
         assert store.tiers[1].contains("c1")
@@ -118,7 +121,7 @@ class TestDemotionCascade:
     def test_eviction_cascades_through_three_tiers(self):
         store = _three_tiers()
         for seed, key in enumerate("abcd", start=1):
-            store.put(key, _cache(seed))
+            store.put(key, _blob(seed))
         # Each put pushes every resident one tier down; the last tier drops.
         assert [tier.keys() for tier in store.tiers] == [["d"], ["c"], ["b"]]
         assert not store.contains("a")
@@ -127,14 +130,14 @@ class TestDemotionCascade:
     def test_oversized_entry_rejected_by_every_tier(self):
         store = _tiered(ram_entries=1, ssd_entries=1)
         with pytest.raises(ValueError, match="does not fit"):
-            store.put("big", _cache(1, n_tokens=64))
+            store.put("big", _blob(1, n_tokens=64))
 
 
 class TestTieredStats:
     def test_stats_aggregate_across_tiers(self):
         store = _tiered()
-        store.put("a", _cache(1))
-        store.tiers[1].put("b", _cache(2))
+        store.put("a", _blob(1))
+        store.tiers[1].put("b", _blob(2))
         store.lookup("a")
         store.lookup("b")
         store.lookup("nope")
@@ -187,7 +190,7 @@ class TestCleanMissRegressions:
         # SSD, then demoting "b" evicts "a" from the SSD tier entirely.
         store = _tiered(ram_entries=1, ssd_entries=1)
         for seed, key in enumerate(("a", "b", "c"), start=1):
-            store.put(key, _cache(seed))
+            store.put(key, _blob(seed))
         assert not store.contains("a")
         return store
 
@@ -195,7 +198,7 @@ class TestCleanMissRegressions:
         store = self._demote_then_evict()
         found = store.lookup("a")  # must not raise
         assert not found.hit
-        assert found.cache is None and found.tier_index is None
+        assert found.blob is None and found.tier_index is None
         assert found.read_delay == 0.0
 
     def test_demoted_then_evicted_key_read_delay_is_zero(self):
@@ -209,7 +212,7 @@ class TestCleanMissRegressions:
 
     def test_read_delay_prices_the_serving_tier(self):
         store = _tiered()
-        store.tiers[1].put("b", _cache(2))
+        store.tiers[1].put("b", _blob(2))
         ram, ssd = get_device("cpu_ram"), get_device("nvme_ssd")
         # The first read is served, and priced, at the SSD; it promotes b,
         # so the second read is a RAM read.
@@ -228,10 +231,10 @@ class TestCleanMissRegressions:
             key = keys[int(rng.integers(len(keys)))]
             op = int(rng.integers(3))
             if op == 0:
-                store.put(key, _cache(int(rng.integers(1, 50))))
+                store.put(key, _blob(int(rng.integers(1, 50))))
             elif op == 1:
                 found = store.lookup(key)
-                assert found.hit == (found.cache is not None)
+                assert found.hit == (found.blob is not None)
                 if found.hit:
                     assert found.read_delay == delays[found.tier_index]
                 else:

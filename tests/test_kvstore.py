@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from repro.kvstore.device import get_device
+from repro.kvstore.serialization import KVBlob, serialize_kv
 from repro.kvstore.store import CacheStats, KVCacheStore, chunk_key
 from repro.model.tensors import KVCache, LayerKV
 
 
-def _make_cache(n_tokens: int = 4, n_layers: int = 2) -> KVCache:
+def _make_blob(n_tokens: int = 4, n_layers: int = 2) -> KVBlob:
     layers = [
         LayerKV(np.ones((n_tokens, 1, 2)), np.ones((n_tokens, 1, 2)))
         for _ in range(n_layers)
     ]
-    return KVCache(layers, np.arange(n_tokens), np.arange(n_tokens))
+    return KVBlob(serialize_kv(KVCache(layers, np.arange(n_tokens), np.arange(n_tokens))))
 
 
 def _store(capacity_entries: int) -> KVCacheStore:
-    entry_bytes = _make_cache().nbytes(2)
+    entry_bytes = _make_blob().nbytes
     return KVCacheStore(
         device=get_device("cpu_ram"),
         capacity_bytes=capacity_entries * entry_bytes,
@@ -28,7 +29,7 @@ class TestHitMissAccounting:
     def test_miss_then_hit(self):
         store = _store(4)
         assert not store.lookup("a").hit
-        store.put("a", _make_cache())
+        store.put("a", _make_blob())
         assert store.lookup("a").hit
         assert store.stats.hits == 1
         assert store.stats.misses == 1
@@ -39,31 +40,31 @@ class TestHitMissAccounting:
         # counted miss with nothing to read, priced at zero, never a raise.
         store = _store(4)
         found = store.lookup("never-stored")
-        assert not found.hit and found.cache is None
+        assert not found.hit and found.blob is None
         assert found.read_delay == 0.0
         assert found.tier_index is None and found.nbytes == 0
         assert (store.stats.hits, store.stats.misses) == (0, 1)
 
-    def test_hit_reports_its_bytes_at_the_device_price(self):
+    def test_hit_reports_its_held_bytes_at_the_device_price(self):
         # Callers turn read_delay into a device-relative excess with nbytes.
         store = _store(2)
-        cache = _make_cache()
-        store.put("a", cache)
+        blob = _make_blob()
+        store.put("a", blob)
         found = store.lookup("a")
-        assert found.cache is cache
-        assert found.nbytes == store.cache_nbytes(cache) == cache.nbytes(2)
+        assert found.blob is blob
+        assert found.nbytes == len(blob.data) == store.bytes_stored
         assert found.read_delay == get_device("cpu_ram").read_time(found.nbytes)
 
     def test_peek_does_not_touch_stats(self):
         store = _store(4)
-        store.put("a", _make_cache())
+        store.put("a", _make_blob())
         store.peek("a")
         store.peek("missing")
         assert store.stats.lookups == 0
 
     def test_stats_reset_keeps_bytes_stored(self):
         store = _store(4)
-        store.put("a", _make_cache())
+        store.put("a", _make_blob())
         store.lookup("a")
         bytes_stored = store.stats.bytes_stored
         store.stats.reset()
@@ -81,10 +82,10 @@ class TestHitMissAccounting:
 class TestEviction:
     def test_lru_evicts_least_recently_used(self):
         store = _store(2)
-        store.put("a", _make_cache())
-        store.put("b", _make_cache())
+        store.put("a", _make_blob())
+        store.put("b", _make_blob())
         store.lookup("a")  # refresh a; b becomes the LRU victim
-        store.put("c", _make_cache())
+        store.put("c", _make_blob())
         assert store.contains("a")
         assert not store.contains("b")
         assert store.stats.evictions == 1
@@ -92,23 +93,23 @@ class TestEviction:
     def test_oversized_entry_rejected(self):
         store = _store(1)
         with pytest.raises(ValueError):
-            store.put("big", _make_cache(n_tokens=64))
+            store.put("big", _make_blob(n_tokens=64))
 
     def test_overwrite_does_not_leak_bytes(self):
         store = _store(4)
-        store.put("a", _make_cache())
+        store.put("a", _make_blob())
         before = store.bytes_stored
-        store.put("a", _make_cache())
+        store.put("a", _make_blob())
         assert store.bytes_stored == before
 
     def test_on_evict_sees_each_capacity_victim_in_lru_order(self):
         # The hook the tiered store demotes through: it fires for capacity
-        # evictions only, oldest first, with the victim's cache.
+        # evictions only, oldest first, with the victim's blob.
         victims = []
         store = _store(2)
-        store.on_evict = lambda key, cache: victims.append((key, cache.n_tokens))
+        store.on_evict = lambda key, blob: victims.append((key, blob.n_tokens))
         for key in "abcd":
-            store.put(key, _make_cache())
+            store.put(key, _make_blob())
         store.remove("c")
         assert victims == [("a", 4), ("b", 4)]
         assert store.stats.evictions == 2

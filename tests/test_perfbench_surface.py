@@ -54,5 +54,8 @@ def test_perfbench_builds_and_serves_each_workload(perfbench, name):
     else:
         assert isinstance(store, TieredKVStore)
         assert len(store.tiers) == 2
-        assert store.precision.name == "int8"
-        assert [tier.precision.name for tier in store.tiers] == ["int8", "int8"]
+        # The request's cold chunks were packed at the workload's int8.
+        stored = [tier.peek(key) for tier in store.tiers for key in tier.keys()]
+        assert len(stored) == len(request.chunks)
+        n_layers = engine.model.config.n_layers
+        assert all(blob.layer_dtypes == ("int8",) * n_layers for blob in stored)

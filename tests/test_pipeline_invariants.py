@@ -24,6 +24,7 @@ from repro.core.pipeline import (
     cross_request_sequential_time,
 )
 from repro.kvstore.device import get_device
+from repro.kvstore.serialization import KVBlob, deserialize_kv, serialize_kv
 from repro.model.config import get_config
 from repro.model.transformer import TransformerModel
 from repro.serving.costmodel import ServingCostModel
@@ -99,8 +100,12 @@ class TestThreadedBatchInvariant:
         model = TransformerModel(get_config("small"), seed=0)
         rng = np.random.default_rng(0)
         caches = [
-            model.chunk_prefill(
-                rng.integers(4, model.config.vocab_size, size=64).astype(np.int64)
+            KVBlob(
+                serialize_kv(
+                    model.chunk_prefill(
+                        rng.integers(4, model.config.vocab_size, size=64).astype(np.int64)
+                    )
+                )
             )
             for _ in range(2)
         ]
@@ -139,7 +144,9 @@ class TestExecutionModeEquivalence:
     def test_fused_kv_bitwise_equal_between_modes(self, engine, ratio):
         question = "which chunk mentions storage?"
         caches = [
-            engine.kv_store.peek(engine.chunk_cache_key(engine.encode(text)))
+            deserialize_kv(
+                engine.kv_store.peek(engine.chunk_cache_key(engine.encode(text))).data
+            )
             for text in self.CHUNKS
         ]
         reference = engine.fusor.fuse(
@@ -154,7 +161,7 @@ class TestExecutionModeEquivalence:
         assert reference.recompute_counts == served.fusion.recompute_counts
 
     def test_executor_pipelined_bitwise_equals_sequential(self, engine):
-        caches = [
+        blobs = [
             engine.kv_store.peek(engine.chunk_cache_key(engine.encode(text)))
             for text in self.CHUNKS
         ]
@@ -162,8 +169,8 @@ class TestExecutionModeEquivalence:
         executor = PipelinedExecutor(
             engine.model, FusorConfig(recompute_ratio=0.15), layer_load_time=0.001
         )
-        seq = executor.execute(caches, suffix, pipelined=False)
-        pipe = executor.execute(caches, suffix, pipelined=True)
+        seq = executor.execute(blobs, suffix, pipelined=False)
+        pipe = executor.execute(blobs, suffix, pipelined=True)
         for a, b in zip(seq.fusion.kv_cache.layers, pipe.fusion.kv_cache.layers):
             assert np.array_equal(a.keys, b.keys)
             assert np.array_equal(a.values, b.values)

@@ -1,8 +1,8 @@
 """Unified KV precision policy: per-layer dtype maps end to end.
 
-Covers the precision tentpole: the :class:`PrecisionPolicy` map itself, the
-RPKV5 wire format at every preset, int8 quantisation idempotence, store byte
-accounting (whole-chunk / tiered demotion at non-fp16 widths), the
+Covers the :class:`PrecisionPolicy` map itself, the RPKV5 wire format at
+every preset, int8 quantisation idempotence, store byte accounting of
+blobs packed at non-fp16 widths (whole-chunk / tiered demotion), the
 backend-parity regression (identical payloads must cost the same bytes and
 fuse to the same KV on either backend), fp16 equivalence with the
 pre-policy behaviour, and the executor's per-layer wire precision.
@@ -19,16 +19,15 @@ from repro.core.fusor import FusorConfig
 from repro.kvstore.config import STORE_BACKENDS, StoreConfig
 from repro.kvstore.device import get_device
 from repro.kvstore.hierarchy import TieredKVStore
-from repro.kvstore.precision import (
-    INT8_SCALE_OVERHEAD,
-    PRECISION_PRESETS,
-    PrecisionPolicy,
-    layer_payload_nbytes,
-)
+from repro.kvstore.precision import PRECISION_PRESETS, PrecisionPolicy
 from repro.kvstore.serialization import (
+    KVBlob,
     KVCorruptionError,
+    dequantize_int8,
     deserialize_kv,
-    quantize_kv_to_store_dtype,
+    int8_scale,
+    pack_layer_kv_as,
+    quantize_int8,
     serialize_kv,
 )
 from repro.kvstore.store import KVCacheStore
@@ -60,6 +59,27 @@ def _deterministic_cache(token_ids, n_layers: int = 4) -> KVCache:
         rows = np.repeat(base, 4).reshape(ids.size, 1, 4)
         layers.append(LayerKV(rows.copy(), rows + 0.5))
     return KVCache(layers, ids, positions)
+
+
+def _stored(tensor: np.ndarray, dtype: str) -> np.ndarray:
+    """Reference for what a layer tensor decodes to once stored at *dtype*."""
+    if dtype == "int8":
+        scale = int8_scale(tensor)
+        return dequantize_int8(quantize_int8(tensor, scale), scale)
+    return tensor.astype(dtype).astype(np.float32)
+
+
+def _stored_cache(cache: KVCache, policy) -> KVCache:
+    table = PrecisionPolicy.get(policy).layer_dtype_table(cache.n_layers)
+    layers = [
+        LayerKV(_stored(layer.keys, dtype), _stored(layer.values, dtype))
+        for layer, dtype in zip(cache.layers, table)
+    ]
+    return KVCache(layers, cache.token_ids, cache.positions)
+
+
+def _pack(cache: KVCache, policy="float16") -> KVBlob:
+    return KVBlob(serialize_kv(cache, policy))
 
 
 def _caches_equal(a: KVCache, b: KVCache) -> bool:
@@ -123,13 +143,6 @@ class TestByteAccounting:
         # 2 fp16 layers + 6 int8 layers over 8.
         assert PrecisionPolicy("mixed").mean_elem_bytes(8) == pytest.approx(1.25)
 
-    def test_int8_cache_is_exactly_half_of_fp16(self):
-        cache = _make_cache()
-        fp16 = PrecisionPolicy("float16").cache_nbytes(cache)
-        int8 = PrecisionPolicy("int8").cache_nbytes(cache)
-        assert fp16 == cache.nbytes(2)
-        assert int8 * 2 == fp16
-
     def test_kv_bytes_per_token_per_layer(self):
         policy = PrecisionPolicy("mixed")
         assert policy.kv_bytes_per_token_per_layer(2, 4, 8) == pytest.approx(
@@ -137,50 +150,53 @@ class TestByteAccounting:
         )
 
     def test_payload_width_carries_int8_scale_overhead(self):
+        cache = _make_cache(n_layers=1)
         elements = 2 * 6 * 2 * 4
-        assert layer_payload_nbytes("float16", 6, 2, 4) == elements * 2
-        assert layer_payload_nbytes("float32", 6, 2, 4) == elements * 4
-        assert layer_payload_nbytes("int8", 6, 2, 4) == elements + INT8_SCALE_OVERHEAD
-        with pytest.raises(ValueError, match="unknown element dtype"):
-            layer_payload_nbytes("mixed", 6, 2, 4)
+        assert _pack(cache, "float16").layer_nbytes(0) == elements * 2
+        assert _pack(cache, "float32").layer_nbytes(0) == elements * 4
+        # int8: one byte per element plus a float32 (k, v) scale pair.
+        assert _pack(cache, "int8").layer_nbytes(0) == elements + 8
+        with pytest.raises(ValueError, match="unknown layer dtype"):
+            pack_layer_kv_as(cache.layers[0], "mixed")
 
     def test_cache_payload_matches_serialized_layer_bytes(self):
         cache = _make_cache()
         n_layers, n_tokens = cache.n_layers, cache.n_tokens
         for name in PRECISION_PRESETS:
-            policy = PrecisionPolicy.get(name)
-            payload = serialize_kv(cache, policy)
+            payload = serialize_kv(cache, name)
+            stored = KVBlob(payload)
             restored = deserialize_kv(payload)
-            assert _caches_equal(restored, quantize_kv_to_store_dtype(cache, policy))
-            # The serialized blob is magic + header length + header, then the
-            # ids and the layer payloads the policy's widths account for.
-            header_len = int.from_bytes(payload[6:10], "little")
-            index_bytes = 2 * n_tokens * 8
-            layer_bytes = sum(
-                policy.layer_payload_nbytes(i, n_layers, n_tokens, 2, 4)
+            assert _caches_equal(restored, _stored_cache(cache, name))
+            assert all(
+                np.array_equal(stored.layer(i).keys, restored.layers[i].keys)
                 for i in range(n_layers)
             )
-            assert len(payload) == 10 + header_len + index_bytes + layer_bytes
+            # The serialized blob is magic + header length + header, then the
+            # ids and the layer payloads, all of which a store accounts.
+            header_len = int.from_bytes(payload[6:10], "little")
+            index_bytes = 2 * n_tokens * 8
+            layer_bytes = sum(stored.layer_nbytes(i) for i in range(n_layers))
+            assert stored.nbytes == len(payload) == 10 + header_len + index_bytes + layer_bytes
 
 
 class TestQuantizeIdempotence:
     @pytest.mark.parametrize("dtype", ["float32", "float16", "int8", "mixed"])
     def test_double_round_trip_is_identity(self, dtype):
         cache = _make_cache(seed=3)
-        once = quantize_kv_to_store_dtype(cache, dtype)
-        twice = quantize_kv_to_store_dtype(once, dtype)
+        once = deserialize_kv(serialize_kv(cache, dtype))
+        twice = deserialize_kv(serialize_kv(once, dtype))
         assert _caches_equal(once, twice)
 
     def test_float16_policy_matches_legacy_string(self):
         cache = _make_cache(seed=7)
         assert _caches_equal(
-            quantize_kv_to_store_dtype(cache, PrecisionPolicy("float16")),
-            quantize_kv_to_store_dtype(cache, "float16"),
+            deserialize_kv(serialize_kv(cache, PrecisionPolicy("float16"))),
+            deserialize_kv(serialize_kv(cache, "float16")),
         )
 
 
 class TestWireFormatMatrix:
-    """RPKV5 at every precision preset round-trips to the in-memory quantisation."""
+    """RPKV5 at every precision preset round-trips to the per-tensor quantisation."""
 
     @pytest.mark.parametrize("kv_dtype", PRECISION_PRESETS)
     def test_format_round_trips(self, kv_dtype):
@@ -190,7 +206,7 @@ class TestWireFormatMatrix:
         restored = deserialize_kv(payload)
         assert np.array_equal(restored.token_ids, cache.token_ids)
         assert np.array_equal(restored.positions, cache.positions)
-        assert _caches_equal(restored, quantize_kv_to_store_dtype(cache, kv_dtype))
+        assert _caches_equal(restored, _stored_cache(cache, kv_dtype))
 
     def test_non_uniform_explicit_policy_writes_v5(self):
         cache = _make_cache(n_layers=3, seed=13)
@@ -198,7 +214,7 @@ class TestWireFormatMatrix:
         payload = serialize_kv(cache, policy)
         assert payload.startswith(b"RPKV5\n")
         restored = deserialize_kv(payload)
-        assert _caches_equal(restored, quantize_kv_to_store_dtype(cache, policy))
+        assert _caches_equal(restored, _stored_cache(cache, policy))
         # Layer 0 is stored at full fp32 width: bitwise-lossless.
         assert np.array_equal(restored.layers[0].keys, cache.layers[0].keys)
 
@@ -233,30 +249,23 @@ class TestWireFormatMatrix:
 
 
 class TestStoreAccounting:
-    """Satellite: nbytes under non-fp16 payloads on both backends."""
+    """Stores account the bytes of the blobs they hold, at any precision."""
 
-    def test_chunk_store_int8_doubles_effective_capacity(self):
-        cache = _deterministic_cache(range(8))
-        fp16_bytes = PrecisionPolicy("float16").cache_nbytes(cache)
-        # Capacity sized to hold exactly two caches at fp16 width...
-        fp16_store = KVCacheStore(
-            device=get_device("cpu_ram"),
-            capacity_bytes=2 * fp16_bytes,
-            precision="float16",
-        )
-        int8_store = KVCacheStore(
-            device=get_device("cpu_ram"),
-            capacity_bytes=2 * fp16_bytes,
-            precision="int8",
-        )
-        for i in range(4):
-            payload = _deterministic_cache(range(10 * i, 10 * i + 8))
-            fp16_store.put(f"c{i}", payload)
-            int8_store.put(f"c{i}", payload)
-        # ...holds four at int8 width, in the same byte budget.
-        assert fp16_store.n_entries == 2
-        assert int8_store.n_entries == 4
-        assert int8_store.bytes_stored == fp16_store.bytes_stored
+    def test_int8_blobs_fit_about_twice_the_chunks(self):
+        caches = [_make_cache(n_tokens=128, head_dim=32, seed=i) for i in range(8)]
+        capacity = 2 * _pack(caches[0], "float16").nbytes
+        stores = {
+            dtype: KVCacheStore(device=get_device("cpu_ram"), capacity_bytes=capacity)
+            for dtype in ("float16", "int8")
+        }
+        for i, cache in enumerate(caches):
+            for dtype, store in stores.items():
+                store.put(f"c{i}", _pack(cache, dtype))
+        int8_bytes = _pack(caches[0], "int8").nbytes
+        assert stores["float16"].n_entries == 2
+        # Each blob also holds its header and token index at any width.
+        assert stores["int8"].n_entries == capacity // int8_bytes == 3
+        assert stores["int8"].bytes_stored == 3 * int8_bytes
 
     @pytest.mark.parametrize(
         "make_store",
@@ -271,40 +280,28 @@ class TestStoreAccounting:
         ],
         ids=["chunk", "tiered"],
     )
-    def test_default_width_is_float16_at_two_bytes_per_element(self, make_store):
-        """Precision is a store's only width; unset, it is the float16
-        policy, which accounts two bytes per K/V element."""
+    def test_a_store_accounts_and_serves_the_held_blob(self, make_store):
         store = make_store()
-        assert store.precision.name == "float16"
-        cache = _deterministic_cache(range(8))
-        store.put("c", cache)
-        assert store.bytes_stored == cache.nbytes(2)
-        assert _caches_equal(store.lookup("c").cache, cache)
+        blob = _pack(_deterministic_cache(range(8)))
+        store.put("c", blob)
+        assert store.bytes_stored == blob.nbytes == len(blob.data)
+        assert store.lookup("c").blob is blob
 
-    def test_tiered_demotion_accounts_at_payload_dtype(self):
-        policy = PrecisionPolicy("int8")
-        caches = [_deterministic_cache(range(10 * i, 10 * i + 8)) for i in range(3)]
-        per_cache = policy.cache_nbytes(caches[0])
-        fast = KVCacheStore(
-            device=get_device("cpu_ram"),
-            capacity_bytes=per_cache,
-            precision=policy,
-        )
-        slow = KVCacheStore(
-            device=get_device("nvme_ssd"),
-            capacity_bytes=4 * per_cache,
-            precision=policy,
-        )
+    def test_tiered_demotion_moves_the_packed_blob(self):
+        blobs = [_pack(_deterministic_cache(range(10 * i, 10 * i + 8)), "int8") for i in range(3)]
+        per_blob = blobs[0].nbytes
+        fast = KVCacheStore(device=get_device("cpu_ram"), capacity_bytes=per_blob)
+        slow = KVCacheStore(device=get_device("nvme_ssd"), capacity_bytes=4 * per_blob)
         store = TieredKVStore(tiers=[fast, slow])
-        for i, cache in enumerate(caches):
-            store.put(f"c{i}", cache)
+        for i, blob in enumerate(blobs):
+            store.put(f"c{i}", blob)
         # Each insert evicts the previous resident of the RAM tier, which
-        # cascades into the slow tier at the same int8 width.
-        assert fast.bytes_stored == per_cache
-        assert slow.bytes_stored == 2 * per_cache
-        assert store.bytes_stored == 3 * per_cache
-        for i, cache in enumerate(caches):
-            assert _caches_equal(store.lookup(f"c{i}").cache, cache)
+        # cascades into the slow tier as the same blob.
+        assert fast.bytes_stored == per_blob
+        assert slow.bytes_stored == 2 * per_blob
+        assert store.bytes_stored == 3 * per_blob
+        for i, blob in enumerate(blobs):
+            assert store.lookup(f"c{i}").blob is blob
 
 
 class TestBackendPricingParity:
@@ -344,7 +341,7 @@ class TestBackendPricingParity:
         )
         chunk_engine.precompute_chunks(chunks)
         store = chunk_engine.kv_store
-        largest = max(store.cache_nbytes(store.peek(key)) for key in store.keys())
+        largest = max(store.peek(key).nbytes for key in store.keys())
         tiered_engine = BlendEngine.build(
             paper_model="Mistral-7B", device="cpu_ram", seed=0,
             store=StoreConfig(
@@ -359,14 +356,19 @@ class TestBackendPricingParity:
         assert np.array_equal(fused_chunk.token_ids, fused_tiered.token_ids)
         assert _caches_equal(fused_tiered, fused_chunk)
 
-    def test_engine_precision_derives_from_store_for_all_backends(self):
+    def test_engine_packs_at_the_store_recipe_precision_for_all_backends(self):
         for backend in STORE_BACKENDS:
             engine = BlendEngine.build(
                 paper_model="Yi-34B", device="cpu_ram", seed=0,
                 store=StoreConfig(backend=backend, kv_dtype="int8"),
             )
             assert engine.precision.name == "int8"
-            assert engine.kv_store.precision.name == "int8"
+            engine.precompute_chunks(["alpha bravo charlie delta"])
+            tiers = getattr(engine.kv_store, "tiers", [engine.kv_store])
+            stored = [tier.peek(key) for tier in tiers for key in tier.keys()]
+            assert stored
+            n_layers = engine.model.config.n_layers
+            assert all(blob.layer_dtypes == ("int8",) * n_layers for blob in stored)
 
 
 class TestEnginePrecision:
@@ -429,7 +431,7 @@ class TestExecutorPrecision:
         suffix = rng.integers(4, model.config.vocab_size, size=8).astype(np.int64)
         return chunk_caches, suffix
 
-    def test_plan_prices_layers_at_policy_payload_width(self, model, request_inputs):
+    def test_plan_prices_layers_at_the_stored_payload_length(self, model, request_inputs):
         chunk_caches, suffix = request_inputs
         device = get_device("nvme_ssd")
         plans = {}
@@ -438,13 +440,11 @@ class TestExecutorPrecision:
                 model, FusorConfig(recompute_ratio=0.2),
                 device=device, precision=dtype,
             )
-            plans[dtype] = executor._plan_request(chunk_caches, suffix, None)
-        n_layers = model.config.n_layers
-        assert plans["float16"].layer_dtypes == ("float16",) * n_layers
-        assert plans["int8"].layer_dtypes == ("int8",) * n_layers
-        assert plans["mixed"].layer_dtypes == PrecisionPolicy("mixed").layer_dtype_table(
-            n_layers
-        )
+            chunks = [_pack(cache, dtype) for cache in chunk_caches]
+            plans[dtype] = executor._plan_request(chunks, suffix, None)
+            for layer_idx, delay in enumerate(plans[dtype].layer_delays):
+                stored = sum(blob.layer_nbytes(layer_idx) for blob in chunks)
+                assert delay == device.read_time(stored)
         # Narrower payloads load faster, layer by layer.
         for fp16_delay, int8_delay in zip(
             plans["float16"].layer_delays, plans["int8"].layer_delays
@@ -457,12 +457,22 @@ class TestExecutorPrecision:
     @pytest.mark.parametrize("dtype", ["int8", "mixed"])
     def test_executes_through_quantised_wire_format(self, model, request_inputs, dtype):
         chunk_caches, suffix = request_inputs
-        quantised = [quantize_kv_to_store_dtype(c, dtype) for c in chunk_caches]
+        chunks = [_pack(cache, dtype) for cache in chunk_caches]
         executor = PipelinedExecutor(
             model, FusorConfig(recompute_ratio=0.2),
             layer_load_time=0.0005, precision=dtype,
         )
-        result = executor.execute(quantised, suffix, pipelined=True)
-        reference = executor.execute(quantised, suffix, pipelined=False)
+        result = executor.execute(chunks, suffix, pipelined=True)
+        reference = executor.execute(chunks, suffix, pipelined=False)
         # Pipelined and sequential execution agree bitwise at any precision.
         assert _caches_equal(result.fusion.kv_cache, reference.fusion.kv_cache)
+
+    @pytest.mark.parametrize("stored, loads", [("float16", "int8"), ("int8", "mixed")])
+    def test_rejects_a_chunk_stored_at_another_precision(
+        self, model, request_inputs, stored, loads
+    ):
+        chunk_caches, suffix = request_inputs
+        chunks = [_pack(chunk_caches[0], loads), _pack(chunk_caches[1], stored)]
+        executor = PipelinedExecutor(model, layer_load_time=0.0, precision=loads)
+        with pytest.raises(ValueError, match="chunk 1 is stored at layer dtypes"):
+            executor.execute(chunks, suffix)

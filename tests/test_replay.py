@@ -5,12 +5,14 @@ import pytest
 
 from repro.bench.replay import (
     PLACEHOLDER,
+    PLACEHOLDER_BLOB,
     chunk_store_config,
     replay_request,
     simulate_fleet,
 )
 from repro.bench.workload import WorkloadGenerator
 from repro.kvstore.hierarchy import TieredKVStore
+from repro.kvstore.serialization import deserialize_kv
 from repro.kvstore.store import KVCacheStore
 from repro.model.config import get_config
 from repro.serving.costmodel import ServingCostModel
@@ -31,18 +33,24 @@ def _replay_all(requests, chunk_ids, store, **faults):
 
 
 class TestChunkStoreConfig:
+    def test_the_stored_placeholder_is_a_readable_blob(self):
+        restored = deserialize_kv(PLACEHOLDER_BLOB.data)
+        assert restored.n_tokens == 1
+        np.testing.assert_array_equal(restored.token_ids, PLACEHOLDER.token_ids)
+        np.testing.assert_array_equal(restored.positions, PLACEHOLDER.positions)
+
     def test_a_store_of_n_entries_holds_n_chunks(self):
         store = chunk_store_config(3).build()
         assert isinstance(store, KVCacheStore)
         for chunk in range(5):
-            store.put(chunk, PLACEHOLDER)
+            store.put(chunk, PLACEHOLDER_BLOB)
         assert store.keys() == [2, 3, 4]
 
     def test_a_slow_tier_makes_a_tiered_store(self):
         store = chunk_store_config(2, 6).build()
         assert isinstance(store, TieredKVStore)
         for chunk in range(10):
-            store.put(chunk, PLACEHOLDER)
+            store.put(chunk, PLACEHOLDER_BLOB)
         assert [tier.n_entries for tier in store.tiers] == [2, 6]
 
 

@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.kvstore.precision import PRECISION_PRESETS, layer_payload_nbytes
+from repro.kvstore.precision import PRECISION_PRESETS
 from repro.kvstore.serialization import (
+    KVBlob,
     KVCorruptionError,
     deserialize_kv,
+    dequantize_int8,
     int8_scale,
     pack_layer_kv_as,
-    quantize_kv_to_store_dtype,
+    quantize_int8,
     serialize_kv,
     unpack_layer_kv_as,
 )
@@ -64,6 +66,21 @@ class TestRawFormatRoundTrip:
         assert header["n_kv_heads"] == 3
         assert header["layer_dtypes"] == ["float16", "float16"]
 
+    @pytest.mark.parametrize(
+        "cache",
+        [
+            KVCache([LayerKV(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))]),
+            KVCache([LayerKV(np.ones((3, 2, 4)), np.ones((3, 2, 4)))], token_ids=np.arange(3)),
+            KVCache([LayerKV(np.ones((3, 2, 4)), np.ones((3, 2, 4)))], positions=np.arange(3)),
+        ],
+        ids=["no-index", "no-positions", "no-token-ids"],
+    )
+    def test_a_cache_without_one_id_and_position_per_token_is_refused(self, cache):
+        # Such a blob's header would promise n_tokens index entries it does
+        # not hold, and no reader could decode it.
+        with pytest.raises(ValueError, match="tokens but 0"):
+            serialize_kv(cache)
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             deserialize_kv(b"NOTAKV\x00\x00")
@@ -108,12 +125,13 @@ class TestLayerPayloads:
         assert len(blob) == 2 * layer.keys.size * 2  # K and V, 2 bytes each
 
     @pytest.mark.parametrize("dtype", ["float32", "float16", "int8"])
-    def test_blob_size_is_the_accounted_payload_width(self, dtype):
-        # The executor and the store price a layer at this width without
-        # packing it; the codec must write exactly that many bytes.
-        layer = _make_cache(n_layers=1).layers[0]
-        blob = pack_layer_kv_as(layer, dtype)
-        assert len(blob) == layer_payload_nbytes(dtype, layer.n_tokens, 2, 4)
+    def test_stored_layer_length_is_the_packed_payload(self, dtype):
+        # The executor prices a layer's transfer at this length; it must be
+        # exactly what the codec packed for that layer.
+        cache = _make_cache(n_layers=2)
+        stored = KVBlob(serialize_kv(cache, dtype))
+        for i, layer in enumerate(cache.layers):
+            assert stored.layer_nbytes(i) == len(pack_layer_kv_as(layer, dtype))
 
 
 class TestInt8Format:
@@ -131,16 +149,16 @@ class TestInt8Format:
             assert np.abs(layer.values - ref.values).max() <= v_scale * 0.5 + 1e-7
             assert layer.keys.dtype == np.float32
 
-    def test_wire_matches_in_memory_quantisation(self):
-        """serialize→deserialize produces bitwise what the in-memory
-        quantize_kv_to_store_dtype round-trip produces — the invariant that
-        keeps the fusion path and the byte-level load path identical."""
+    def test_wire_matches_per_tensor_quantisation(self):
+        """Each stored int8 layer decodes to its tensors quantised at their
+        own per-tensor scale and dequantised again, bit for bit."""
         cache = _make_cache(seed=7)
         via_wire = deserialize_kv(serialize_kv(cache, kv_dtype="int8"))
-        in_memory = quantize_kv_to_store_dtype(cache, kv_dtype="int8")
-        for a, b in zip(via_wire.layers, in_memory.layers):
-            np.testing.assert_array_equal(a.keys, b.keys)
-            np.testing.assert_array_equal(a.values, b.values)
+        for restored, layer in zip(via_wire.layers, cache.layers):
+            for got, original in ((restored.keys, layer.keys), (restored.values, layer.values)):
+                scale = int8_scale(original)
+                expected = dequantize_int8(quantize_int8(original, scale), scale)
+                np.testing.assert_array_equal(got, expected)
 
     def test_payload_is_one_byte_per_element(self):
         cache = _make_cache(n_tokens=32)
@@ -169,7 +187,7 @@ class TestInt8Format:
         with pytest.raises(ValueError, match="kv_dtype"):
             serialize_kv(_make_cache(), kv_dtype="int4")
         with pytest.raises(ValueError, match="kv_dtype"):
-            quantize_kv_to_store_dtype(_make_cache(), kv_dtype="bfloat16")
+            serialize_kv(_make_cache(), kv_dtype="bfloat16")
 
 
 class TestChecksum:

@@ -20,6 +20,7 @@ from repro.core.blend_engine import BlendEngine
 from repro.core.executor import PipelinedExecutor
 from repro.core.fusor import FusorConfig
 from repro.kvstore.device import get_device
+from repro.kvstore.serialization import KVBlob, serialize_kv
 from repro.model.config import PAPER_MODEL_PAIRS, get_config
 from repro.serving.costmodel import GPUSpec, ServingCostModel
 from repro.serving.engine import SCHEMES, InferenceEngine
@@ -165,8 +166,12 @@ class TestCrossRequestPipelining:
         """Executor pinned to the load≈compute point of the proxy model."""
         rng = np.random.default_rng(0)
         caches = [
-            engine.model.chunk_prefill(
-                rng.integers(4, engine.model.config.vocab_size, size=64).astype(np.int64)
+            KVBlob(
+                serialize_kv(
+                    engine.model.chunk_prefill(
+                        rng.integers(4, engine.model.config.vocab_size, size=64).astype(np.int64)
+                    )
+                )
             )
             for _ in range(2)
         ]

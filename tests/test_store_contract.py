@@ -3,9 +3,10 @@
 Random lookup / put-on-miss / remove sequences run against a whole-chunk
 LRU ``KVCacheStore`` and a two-tier ``TieredKVStore``, each checked after
 every step against a reference model of entry counts.  The entry is either
-the sweep's one-row placeholder at float16 or a real 32-token chunk cache
-of the Mistral-7B proxy (perfbench's chunk) stored at every precision
-preset, so byte accounting is checked at the wide and the narrow widths.
+the sweep's one-row placeholder packed at float16 or a real 32-token chunk
+cache of the Mistral-7B proxy (perfbench's chunk) packed at every precision
+preset, so byte accounting — the sum of the held blobs' lengths — is checked
+at the wide and the narrow widths.
 """
 
 from collections import OrderedDict
@@ -17,25 +18,31 @@ from hypothesis import strategies as st
 
 from repro.kvstore.config import StoreConfig
 from repro.kvstore.precision import PRECISION_PRESETS
-from repro.kvstore.serialization import quantize_kv_to_store_dtype
+from repro.kvstore.serialization import KVBlob, serialize_kv
 from repro.model.config import get_config
 from repro.model.tensors import KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
-PLACEHOLDER = KVCache([LayerKV(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))])
+PLACEHOLDER = KVCache(
+    [LayerKV(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))], token_ids=[0], positions=[0]
+)
 PROXY_CHUNK = TransformerModel(get_config("proxy-mistral-7b"), seed=0).chunk_prefill(
     np.arange(4, 36, dtype=np.int64)
 )
 
-#: (kv_dtype, entry) pairs, the entry stored as the engine stores it: at
-#: the store precision.
+#: Entries packed as the engine packs them, at a store precision.
 ENTRIES = {
-    "placeholder-float16": ("float16", PLACEHOLDER),
+    "placeholder-float16": KVBlob(serialize_kv(PLACEHOLDER)),
     **{
-        f"proxy-{kv_dtype}": (kv_dtype, quantize_kv_to_store_dtype(PROXY_CHUNK, kv_dtype))
+        f"proxy-{kv_dtype}": KVBlob(serialize_kv(PROXY_CHUNK, kv_dtype))
         for kv_dtype in PRECISION_PRESETS
     },
 }
+
+
+def _held_bytes(tier) -> int:
+    """Sum of the lengths of the blobs a single-tier store holds."""
+    return sum(len(tier.peek(key).data) for key in tier.keys())
 
 
 class Tier:
@@ -98,11 +105,9 @@ _contract = settings(
 @_contract
 @given(capacity=st.integers(1, 5), ops=_ops)
 def test_chunk_store_matches_an_entry_count_model(entry_name, capacity, ops):
-    kv_dtype, entry = ENTRIES[entry_name]
-    entry_bytes = StoreConfig(kv_dtype=kv_dtype).precision.cache_nbytes(entry)
-    store = StoreConfig(
-        backend="chunk", capacity_bytes=capacity * entry_bytes, kv_dtype=kv_dtype
-    ).build()
+    entry = ENTRIES[entry_name]
+    entry_bytes = len(entry.data)
+    store = StoreConfig(backend="chunk", capacity_bytes=capacity * entry_bytes).build()
     model = Tier(capacity)
     for op, key in ops:
         if op == "lookup":
@@ -118,6 +123,7 @@ def test_chunk_store_matches_an_entry_count_model(entry_name, capacity, ops):
             model.keys.pop(key, None)
             assert store.remove(key) == held
         assert store.keys() == list(model.keys)
+        assert store.bytes_stored == _held_bytes(store)
         assert store.bytes_stored == store.n_entries * entry_bytes <= store.capacity_bytes
 
 
@@ -125,12 +131,10 @@ def test_chunk_store_matches_an_entry_count_model(entry_name, capacity, ops):
 @_contract
 @given(ram=st.integers(1, 4), slow=st.integers(1, 6), ops=_ops)
 def test_tiered_store_matches_the_inclusive_model(entry_name, ram, slow, ops):
-    kv_dtype, entry = ENTRIES[entry_name]
-    entry_bytes = StoreConfig(kv_dtype=kv_dtype).precision.cache_nbytes(entry)
+    entry = ENTRIES[entry_name]
+    entry_bytes = len(entry.data)
     store = StoreConfig(
-        backend="tiered",
-        kv_dtype=kv_dtype,
-        tier_capacity_bytes=(ram * entry_bytes, slow * entry_bytes),
+        backend="tiered", tier_capacity_bytes=(ram * entry_bytes, slow * entry_bytes)
     ).build()
     model = Inclusive(ram, slow)
     for op, key in ops:
@@ -149,6 +153,7 @@ def test_tiered_store_matches_the_inclusive_model(entry_name, ram, slow, ops):
                 tier.keys.pop(key, None)
         for real, tier in zip(store.tiers, model.tiers):
             assert real.keys() == list(tier.keys)
+            assert real.bytes_stored == _held_bytes(real)
             assert real.bytes_stored == real.n_entries * entry_bytes <= real.capacity_bytes
-        assert store.bytes_stored == store.n_entries * entry_bytes
+        assert store.bytes_stored == sum(_held_bytes(real) for real in store.tiers)
 
