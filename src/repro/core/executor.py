@@ -10,9 +10,12 @@ layer's serialized KV off a (simulated) storage device:
   the executor's :class:`~repro.kvstore.precision.PrecisionPolicy` (fp16 by
   default; fp32/int8/per-layer mixed); *loading* a layer means sleeping for
   the device's transfer delay priced at that layer's stored payload length,
-  then decoding it straight from the stored bytes (``np.frombuffer``),
-  RoPE re-aligning and padding the chunk entries — real work, on a real
-  thread;
+  then decoding each chunk's layer from the stored bytes (``np.frombuffer``
+  views, int8 dequantised) straight into the zero-padded fused buffers,
+  keys RoPE re-aligned on the way in — real work, on a real thread;
+* each chunk's re-alignment rotation is computed once per request, on the
+  compute thread, when the request is planned (before the loader starts),
+  and only read by the loader;
 * the fusor's compute for layer ``i`` blocks until layer ``i``'s load has
   finished, exactly the two-thread double buffer the paper describes in §6;
 * every load and compute span is measured with ``time.perf_counter`` and
@@ -21,7 +24,8 @@ layer's serialized KV off a (simulated) storage device:
 
 ``pipelined=False`` runs the identical code path without the background
 thread (each layer is loaded synchronously right before its compute), which
-is the sequential baseline the measured speedup is reported against.
+is the sequential baseline the measured speedup is reported against.  Both
+produce bitwise identical fusions.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ from repro.core.fusor import (
     FusorConfig,
     KVFusor,
     LayerProvider,
-    place_chunk_layer,
+    assemble_reused_layer,
 )
 from repro.core.pipeline import PipelineTrace
 from repro.kvstore.device import StorageDevice, get_device
 from repro.kvstore.precision import PrecisionPolicy
 from repro.kvstore.serialization import KVBlob
+from repro.model.rope import Rotation
 from repro.model.tensors import LayerKV
 from repro.model.transformer import TransformerModel
 
@@ -119,6 +124,8 @@ class _RequestPlan:
 
     layout: FusionLayout
     chunks: list[KVBlob]
+    #: Each chunk's re-alignment rotation (``None``: already in place).
+    rotations: list[Rotation | None]
     #: Per-layer simulated transfer delays (non-uniform under ``mixed``).
     layer_delays: tuple[float, ...]
     #: Mean per-layer delay, reported as ``simulated_load_delay``.
@@ -194,9 +201,8 @@ class PipelinedExecutor:
         With ``pipelined=True`` a background thread loads layer ``i+1, i+2,
         ...`` while layer ``i`` recomputes; with ``pipelined=False`` each
         layer is loaded synchronously immediately before its compute.  Both
-        paths run the identical fusor numerics and return identical
-        :class:`FusionResult` contents (up to float scheduling noise — the
-        numerics are deterministic).
+        paths run the identical fusor numerics and return bitwise identical
+        :class:`FusionResult` contents.
 
         ``extra_load_delay`` adds that many seconds of simulated transfer to
         the request's loads (spread evenly across layers) — how the engine
@@ -273,9 +279,7 @@ class PipelinedExecutor:
             load_start[req_idx][layer_idx] = time.perf_counter() - origin
             if plan.layer_delays[layer_idx] > 0.0:
                 time.sleep(plan.layer_delays[layer_idx])  # simulated device transfer
-            slots[req_idx][layer_idx] = self._decode_layer(
-                plan.chunks, layer_idx, plan.layout
-            )
+            slots[req_idx][layer_idx] = self._decode_layer(plan, layer_idx)
             load_end[req_idx][layer_idx] = time.perf_counter() - origin
             ready[req_idx][layer_idx].set()
 
@@ -379,11 +383,13 @@ class PipelinedExecutor:
         recompute_ratio: float | None,
         extra_load_delay: float = 0.0,
     ) -> _RequestPlan:
-        """Validate one request and plan its layout and simulated delay.
+        """Validate one request and plan its layout, re-alignment rotations
+        and simulated delay.
 
         Validation (layout, KV shapes, stored precision, ratio) happens
         here, before any loader thread starts, so a bad request fails fast
-        instead of from a background thread.
+        instead of from a background thread.  The rotations are built here
+        too, on the calling thread, so the loader only reads them.
         """
         if recompute_ratio is not None and not 0.0 <= recompute_ratio <= 1.0:
             raise ValueError("recompute_ratio must be in [0, 1]")
@@ -410,31 +416,34 @@ class PipelinedExecutor:
             per_layer = extra_load_delay / n_layers
             layer_delays = [delay + per_layer for delay in layer_delays]
         mean_delay = sum(layer_delays) / n_layers if n_layers else 0.0
+        # Stored layers decode to float16 or float32 views, or dequantised
+        # float32; the rotation runs in float32, as for an up-cast LayerKV.
+        rotations = [
+            self.fusor.realignment(blob.positions, offset, np.float32)
+            for blob, offset in zip(chunks, layout.chunk_offsets)
+        ]
         return _RequestPlan(
             layout=layout,
             chunks=chunks,
+            rotations=rotations,
             layer_delays=tuple(layer_delays),
             delay=float(mean_delay),
             recompute_ratio=recompute_ratio,
         )
 
     # ------------------------------------------------------------------
-    def _decode_layer(
-        self, chunks: list[KVBlob], layer_idx: int, layout: FusionLayout
-    ) -> LayerKV:
-        """Decode one layer of every chunk and assemble the padded reused buffers.
+    def _decode_layer(self, plan: _RequestPlan, layer_idx: int) -> LayerKV:
+        """Decode one layer of every chunk into the padded reused buffers.
 
         This is the per-layer "load" work that overlaps with compute:
         ``np.frombuffer`` decode of the stored bytes (dequantising int8
-        layers), RoPE re-alignment of the keys to the fused offsets, and the
-        scatter into the zero-padded ``(n_total, ...)`` buffers the fusor
-        merges into.
+        layers), written into the zero-padded ``(n_total, ...)`` buffers
+        the fusor merges into, with the keys rotated by the plan's
+        re-alignment on the way.
         """
-        cfg = self.model.config
-        keys = np.zeros((layout.n_tokens, cfg.n_kv_heads, cfg.head_dim), dtype=cfg.np_dtype)
-        values = np.zeros_like(keys)
-        for blob, offset in zip(chunks, layout.chunk_offsets):
-            place_chunk_layer(
-                keys, values, blob.layer(layer_idx), blob.positions, offset, cfg.rope_theta
-            )
-        return LayerKV(keys, values)
+        return assemble_reused_layer(
+            [blob.layer(layer_idx) for blob in plan.chunks],
+            plan.layout,
+            plan.rotations,
+            self.model.config.np_dtype,
+        )

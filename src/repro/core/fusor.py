@@ -19,6 +19,13 @@ that layer's recompute needs it, which is what lets
 with the recompute of earlier layers (paper §5).  The default provider
 assembles each layer on demand from the in-memory chunk caches.
 
+Rotations are computed once and shared by every layer: each chunk's
+re-alignment (:meth:`KVFusor.realignment`) when the default provider is
+built, or once per request in the executor's plan, on the compute thread,
+and applied to every layer by :func:`place_chunk_layer`; and the fused
+input's RoPE pair, in :meth:`KVFusor.fuse_layers`, which layer 0 uses whole
+and each selective layer at its selected rows.
+
 The fusor reports per-layer forward attention matrices, recompute counts and
 deviation statistics so the paper's analysis figures (6, 7, 8, 16) can be
 regenerated directly from it.
@@ -34,7 +41,7 @@ import numpy as np
 from repro.core.deviation import token_kv_deviation
 from repro.core.hkvd import HKVDSelector
 from repro.kvstore.serialization import KVBlob
-from repro.model.rope import shift_keys
+from repro.model.rope import Rotation, rope_cos_sin, rotate
 from repro.model.tensors import KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
@@ -104,50 +111,47 @@ LayerProvider = Callable[[int], LayerKV]
 def place_chunk_layer(
     keys: np.ndarray,
     values: np.ndarray,
-    layer: LayerKV,
-    old_positions: np.ndarray,
+    chunk_keys: np.ndarray,
+    chunk_values: np.ndarray,
     offset: int,
-    rope_theta: float,
+    rotation: Rotation | None,
 ) -> None:
-    """Scatter one chunk's layer KV into padded buffers at *offset*.
+    """Write one chunk's layer KV into padded buffers at *offset*.
 
-    Keys are rotated by the chunk's position delta (exact under RoPE, paper
-    Appendix A); values are position independent and copied as-is.  This is
-    the single definition of the re-alignment rule, shared by the in-memory
-    provider below and the executor's background loader.
+    Keys are rotated by the chunk's :meth:`KVFusor.realignment` (exact under
+    RoPE, paper Appendix A), straight into the buffer; values are position
+    independent and copied as-is.  Stored float16 tensors are cast on the
+    write, and the rotation runs in its pair's dtype.  This is the single
+    definition of the re-alignment rule, shared by the in-memory provider
+    below and the executor's background loader.
     """
-    n = layer.n_tokens
-    new_positions = np.arange(offset, offset + n, dtype=np.int64)
-    if np.array_equal(old_positions, new_positions):
-        keys[offset : offset + n] = layer.keys
+    n = len(chunk_keys)
+    if rotation is None:
+        keys[offset : offset + n] = chunk_keys
     else:
-        keys[offset : offset + n] = shift_keys(
-            layer.keys, old_positions, new_positions, rope_theta
-        )
-    values[offset : offset + n] = layer.values
+        rotate(chunk_keys, *rotation, out=keys[offset : offset + n])
+    values[offset : offset + n] = chunk_values
 
 
 def assemble_reused_layer(
-    chunk_caches: list[KVCache],
+    chunk_layers: Sequence[tuple[np.ndarray, np.ndarray]],
     layout: FusionLayout,
-    layer_idx: int,
-    rope_theta: float,
-    n_kv_heads: int,
-    head_dim: int,
+    rotations: Sequence[Rotation | None],
     dtype: np.dtype,
 ) -> LayerKV:
-    """Build one layer's reused KV: re-aligned chunk entries, zero-padded suffix.
+    """Build one layer's reused KV in *dtype* from each chunk's ``(keys,
+    values)`` of that layer: re-aligned chunk entries, zero-padded suffix.
 
     The suffix region stays zero — suffix tokens have no precomputed KV and
     are always recomputed.
     """
-    n_total = layout.n_tokens
-    keys = np.zeros((n_total, n_kv_heads, head_dim), dtype=dtype)
+    kv_shape = chunk_layers[0][0].shape[1:]
+    keys = np.zeros((layout.n_tokens, *kv_shape), dtype=dtype)
     values = np.zeros_like(keys)
-    for cache, offset in zip(chunk_caches, layout.chunk_offsets):
-        place_chunk_layer(
-            keys, values, cache.layers[layer_idx], cache.positions, offset, rope_theta
-        )
+    for (chunk_keys, chunk_values), offset, rotation in zip(
+        chunk_layers, layout.chunk_offsets, rotations
+    ):
+        place_chunk_layer(keys, values, chunk_keys, chunk_values, offset, rotation)
     return LayerKV(keys, values)
 
 
@@ -224,22 +228,35 @@ class KVFusor:
             chunk_offsets=tuple(offsets),
         )
 
+    def realignment(
+        self, positions: np.ndarray, offset: int, dtype: np.dtype | type
+    ) -> Rotation | None:
+        """The rotation moving a chunk's keys from their stored *positions*
+        to start at *offset* in the fused input: the RoPE pair of the
+        position deltas, in *dtype* (the dtype the chunk's keys decode to).
+        ``None`` when the chunk already sits at its stored positions."""
+        target = np.arange(offset, offset + len(positions), dtype=np.int64)
+        if np.array_equal(positions, target):
+            return None
+        cfg = self.model.config
+        return rope_cos_sin(target - positions, cfg.head_dim, cfg.rope_theta, dtype)
+
     def default_provider(
         self, chunk_caches: list[KVCache], layout: FusionLayout
     ) -> LayerProvider:
         """Provider assembling each reused layer on demand from memory."""
-        cfg = self.model.config
+        rotations = [
+            self.realignment(cache.positions, offset, cache.layers[0].keys.dtype)
+            for cache, offset in zip(chunk_caches, layout.chunk_offsets)
+        ]
+        dtype = self.model.config.np_dtype
 
         def provider(layer_idx: int) -> LayerKV:
-            return assemble_reused_layer(
-                chunk_caches,
-                layout,
-                layer_idx,
-                cfg.rope_theta,
-                cfg.n_kv_heads,
-                cfg.head_dim,
-                cfg.np_dtype,
-            )
+            chunk_layers = [
+                (cache.layers[layer_idx].keys, cache.layers[layer_idx].values)
+                for cache in chunk_caches
+            ]
+            return assemble_reused_layer(chunk_layers, layout, rotations, dtype)
 
         return provider
 
@@ -305,6 +322,7 @@ class KVFusor:
         )
 
         hidden = self.model.embed(token_ids)
+        rope = self.model.rotation(positions)
         fused_layers: list[LayerKV] = []
         forward_attention: list[np.ndarray] = []
         selected_per_layer: list[np.ndarray] = []
@@ -316,7 +334,7 @@ class KVFusor:
         if recorder is not None:
             recorder.compute_start(0)
         out0 = self.model.layer_full(
-            0, hidden, positions, query_window=self.config.query_window
+            0, hidden, positions, rope, query_window=self.config.query_window
         )
         fused_layers.append(out0.layer_kv)
         if out0.forward_attention is not None:
@@ -347,6 +365,7 @@ class KVFusor:
                 selected,
                 positions,
                 reused,
+                rope,
                 query_window=self.config.query_window,
                 in_place=True,
             )

@@ -5,8 +5,8 @@ a :class:`~repro.kvstore.precision.PrecisionPolicy` assigns.  A chunk is
 packed once, with :func:`serialize_kv`, when it enters a store; the store
 holds the bytes as a :class:`KVBlob` (the blob plus its parsed header), and
 the pipelined executor decodes each layer straight from them
-(``unpack_layer_kv_as`` at the layer's offset).  The fault injector damages
-a copy of those bytes to trip the integrity check.
+(``unpack_layer_kv_as`` at the layer's offset) into its fused buffers.  The
+fault injector damages a copy of those bytes to trip the integrity check.
 
 The wire format is ``RPKV5``: the magic, a little-endian header length, a
 JSON header (shape, a **per-layer dtype table**, index and scale dtypes,
@@ -68,7 +68,7 @@ def _pack_float(layer: LayerKV, dtype: np.dtype) -> bytes:
 
 def _unpack_float(
     data: bytes, dtype: np.dtype, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int
-) -> LayerKV:
+) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`_pack_float` (zero-copy ``np.frombuffer`` views)."""
     shape = (n_tokens, n_kv_heads, head_dim)
     count = n_tokens * n_kv_heads * head_dim
@@ -76,7 +76,7 @@ def _unpack_float(
     values = np.frombuffer(
         data, dtype=dtype, count=count, offset=offset + count * dtype.itemsize
     ).reshape(shape)
-    return LayerKV(keys, values)
+    return keys, values
 
 
 def int8_scale(tensor: np.ndarray) -> np.float32:
@@ -110,7 +110,7 @@ def _pack_int8(layer: LayerKV) -> bytes:
 
 def _unpack_int8(
     data: bytes, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int
-) -> LayerKV:
+) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`_pack_int8` (dequantised to float32)."""
     scales = np.frombuffer(data, dtype=_SCALE_DTYPE, count=2, offset=offset)
     offset += 2 * _SCALE_DTYPE.itemsize
@@ -120,7 +120,7 @@ def _unpack_int8(
     values = np.frombuffer(
         data, dtype=_INT8_DTYPE, count=count, offset=offset + count
     ).reshape(shape)
-    return LayerKV(dequantize_int8(keys, scales[0]), dequantize_int8(values, scales[1]))
+    return dequantize_int8(keys, scales[0]), dequantize_int8(values, scales[1])
 
 
 def _float_dtype(dtype: str) -> np.dtype:
@@ -147,12 +147,13 @@ def pack_layer_kv_as(layer: LayerKV, dtype: str) -> bytes:
 def unpack_layer_kv_as(
     data: bytes, dtype: str, n_tokens: int, n_kv_heads: int, head_dim: int,
     offset: int = 0,
-) -> LayerKV:
-    """Inverse of :func:`pack_layer_kv_as`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`pack_layer_kv_as`: the layer's keys and values.
 
     ``offset`` locates the layer payload inside a larger buffer, so callers
     holding a whole-cache blob never slice (= copy) the payload bytes; float
-    payloads decode to zero-copy ``np.frombuffer`` views.
+    payloads decode to zero-copy ``np.frombuffer`` views at their stored
+    dtype, and int8 payloads are dequantised to float32.
     """
     if dtype == "int8":
         return _unpack_int8(data, n_tokens, n_kv_heads, head_dim, offset)
@@ -293,8 +294,9 @@ class KVBlob:
         """Stored payload bytes of one layer's K+V."""
         return self._layer_offsets[layer_idx + 1] - self._layer_offsets[layer_idx]
 
-    def layer(self, layer_idx: int) -> LayerKV:
-        """Decode one layer (float32 compute dtype) from the held bytes."""
+    def layer(self, layer_idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Decode one layer's keys and values from the held bytes: float16
+        and float32 as zero-copy views, int8 dequantised to float32."""
         return unpack_layer_kv_as(
             self.data,
             self.layer_dtypes[layer_idx],
@@ -322,5 +324,5 @@ def deserialize_kv(data: bytes) -> KVCache:
             f"KV payload checksum mismatch: header {blob._checksum!r} vs "
             f"payload {actual!r} (corrupted blob)"
         )
-    layers = [blob.layer(i) for i in range(blob.n_layers)]
+    layers = [LayerKV(*blob.layer(i)) for i in range(blob.n_layers)]
     return KVCache(layers, blob.token_ids, blob.positions)

@@ -10,7 +10,7 @@ Three entry points are provided:
   CacheBlend's selective KV recompute (paper §4.2, Figure 5b).
 * :func:`batched_decode_attention` — one decode query per request, batched
   across N requests whose caches may have different lengths (padded keys plus
-  a length mask).  This is the layer primitive behind
+  a padding mask).  This is the layer primitive behind
   :meth:`~repro.model.transformer.TransformerModel.decode_session_step`.
 
 The two prefill entry points return the attention weights of a trailing
@@ -157,13 +157,13 @@ def batched_decode_attention(
     queries: np.ndarray,
     keys: np.ndarray,
     values: np.ndarray,
-    lengths: np.ndarray,
+    padding: np.ndarray | None,
 ) -> np.ndarray:
     """One-query-per-request attention over N padded per-request caches.
 
     During decode the query token is *temporally* after every cached token,
     so the only causal rule is cache membership: each request attends to all
-    of its ``lengths`` live rows, and only padding is masked.  Positions
+    of its live rows, and only padding is masked.  Positions
     play no masking role here (they parameterise RoPE on the way in) — in
     particular, context whose embedding positions exceed the query's (legal
     after non-contiguous chunk layouts) is still attended, exactly as a
@@ -176,10 +176,13 @@ def batched_decode_attention(
         ``(n_requests, n_heads, head_dim)`` — one query row per request.
     keys / values:
         Per-request caches padded to a shared length, shape
-        ``(n_requests, max_tokens, n_kv_heads, head_dim)``.  Rows at or past
-        a request's ``lengths`` entry are padding and are masked out.
-    lengths:
-        Live token count of each request's cache, shape ``(n_requests,)``.
+        ``(n_requests, max_tokens, n_kv_heads, head_dim)``.
+    padding:
+        ``True`` at each request's padding rows, shape ``(n_requests,
+        max_tokens)``; those rows are masked out.  ``None`` when no request
+        is padded.  A decode step builds it once
+        (:meth:`~repro.model.tensors.DecodeSession.claim_rows`) for all of
+        its layers.
 
     Returns the per-request context, shape ``(n_requests, n_heads, head_dim)``.
     """
@@ -191,9 +194,7 @@ def batched_decode_attention(
     # scores[n, h, g, t]: one (g, d) @ (d, t) product per (request, KV head).
     scores = np.matmul(q_grouped, keys.transpose(0, 2, 3, 1))
     scores *= scores.dtype.type(1.0 / np.sqrt(head_dim))
-    token_index = np.arange(keys.shape[1])
-    padding = token_index[None, :] >= np.asarray(lengths)[:, None]
-    if padding.any():
+    if padding is not None:
         np.copyto(scores, scores.dtype.type(-1e30), where=padding[:, None, None, :])
     weights = softmax(scores, axis=-1)
     context = np.matmul(weights, values.transpose(0, 2, 1, 3))  # (n, h, g, d)

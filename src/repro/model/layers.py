@@ -13,16 +13,29 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray
     """Root-mean-square layer normalisation (as in Llama/Mistral).
 
     Computes in the dtype of *x* (the model's compute dtype) rather than
-    up-casting to float64.
+    up-casting to float64.  The mean square is ``np.mean``'s sum and divide
+    without its Python wrapper, so the bits are the same.
     """
     x = np.asarray(x)
-    scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    scale = np.add.reduce(x * x, axis=-1, keepdims=True)
+    scale /= x.shape[-1]
+    scale += eps
+    np.sqrt(scale, out=scale)
     return x / scale * weight
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """SiLU (swish) activation, computed in a numerically stable way."""
-    return x / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    """SiLU (swish) activation, computed in a numerically stable way.
+
+    ``x / (1 + exp(-clip(x, -60, 60)))``, with the clip as its two bounds
+    and every step after the first in one buffer.
+    """
+    gate = np.maximum(x, -60.0)
+    np.minimum(gate, 60.0, out=gate)
+    np.negative(gate, out=gate)
+    np.exp(gate, out=gate)
+    gate += 1.0
+    return np.divide(x, gate, out=gate)
 
 
 def swiglu(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarray) -> np.ndarray:
@@ -37,9 +50,9 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     buffer, so *scores* is left untouched and no other full-size temporary
     is allocated.
     """
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
+    shifted = scores - np.maximum.reduce(scores, axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
-    shifted /= np.sum(shifted, axis=axis, keepdims=True)
+    shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
     return shifted
 
 

@@ -1,15 +1,27 @@
 """Rotary positional embeddings (RoPE) and positional re-alignment.
 
+A rotation is split in two: :func:`rope_cos_sin` evaluates the cos/sin of a
+set of positions, and :func:`rotate` applies them.  Each forward pass computes
+its pair once and hands it to every layer: ``TransformerModel.full_prefill``
+and layer 0 of ``KVFusor.fuse_layers`` for all positions (the selective
+layers take its rows at the selected tokens), and
+``TransformerModel.decode_session_step`` for the step's appended tokens.
+
 CacheBlend stores chunk KV caches computed at one absolute position and later
 reuses them at a different position.  Because RoPE attention scores depend only
 on *relative* position (paper Appendix A), the stored keys can be re-aligned by
-rotating them by the position delta — ``shift_keys`` implements exactly that
-correction.
+rotating them by the position delta: ``KVFusor.realignment`` evaluates that
+rotation once per chunk and request (in the executor, on the compute thread,
+before the loader starts), and ``fusor.place_chunk_layer`` applies it to
+every layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: A rotation: the ``(cos, sin)`` pair of :func:`rope_cos_sin`.
+Rotation = tuple[np.ndarray, np.ndarray]
 
 
 def rope_frequencies(head_dim: int, theta: float = 10_000.0) -> np.ndarray:
@@ -20,58 +32,45 @@ def rope_frequencies(head_dim: int, theta: float = 10_000.0) -> np.ndarray:
     return theta ** (-exponents)
 
 
-def rope_angles(positions: np.ndarray, head_dim: int, theta: float = 10_000.0) -> np.ndarray:
-    """Rotation angles of shape ``(len(positions), head_dim // 2)``."""
-    freqs = rope_frequencies(head_dim, theta)
-    positions = np.asarray(positions, dtype=np.float64)
-    return positions[:, None] * freqs[None, :]
+def rope_cos_sin(
+    positions: np.ndarray,
+    head_dim: int,
+    theta: float = 10_000.0,
+    dtype: np.dtype | type = np.float32,
+) -> Rotation:
+    """Cos and sin of the rotation angles of *positions*, each of shape
+    ``(len(positions), 1, head_dim // 2)``.
 
-
-def apply_rope(x: np.ndarray, positions: np.ndarray, theta: float = 10_000.0) -> np.ndarray:
-    """Apply rotary embedding to *x*.
-
-    Parameters
-    ----------
-    x:
-        Array of shape ``(n_tokens, n_heads, head_dim)``.  The output keeps
-        this array's floating dtype (the model's compute dtype); only the
-        rotation angles are evaluated in float64.
-    positions:
-        Integer positions of shape ``(n_tokens,)``.
+    The angles are evaluated in float64 and then cast to *dtype*, the compute
+    dtype of the tensors the pair rotates.  Rows are independent, so the rows
+    of a pair computed for many positions equal the pair of those positions
+    alone.
     """
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float64)
-    n_tokens, _, head_dim = x.shape
-    if len(positions) != n_tokens:
-        raise ValueError(f"positions length {len(positions)} != n_tokens {n_tokens}")
-    angles = rope_angles(positions, head_dim, theta)  # (T, d/2)
-    cos = np.cos(angles)[:, None, :].astype(x.dtype)
-    sin = np.sin(angles)[:, None, :].astype(x.dtype)
+    freqs = rope_frequencies(head_dim, theta)
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    return (
+        np.cos(angles)[:, None, :].astype(dtype),
+        np.sin(angles)[:, None, :].astype(dtype),
+    )
+
+
+def rotate(
+    x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rotate *x*, shape ``(n_tokens, n_heads, head_dim)``, by a
+    :func:`rope_cos_sin` pair of ``n_tokens`` rows.
+
+    Each product runs in the dtype NumPy promotes *x* and the pair to (the
+    pair's dtype for a float16 *x*), and the result is written into *out*
+    (a fresh array of *x*'s shape and dtype by default), which must not
+    overlap *x*.
+    """
+    if len(cos) != len(x):
+        raise ValueError(f"rotation has {len(cos)} rows but x has {len(x)} tokens")
+    if out is None:
+        out = np.empty_like(x)
     x_even = x[..., 0::2]
     x_odd = x[..., 1::2]
-    out = np.empty_like(x)
     out[..., 0::2] = x_even * cos - x_odd * sin
     out[..., 1::2] = x_even * sin + x_odd * cos
     return out
-
-
-def shift_keys(
-    keys: np.ndarray,
-    old_positions: np.ndarray,
-    new_positions: np.ndarray,
-    theta: float = 10_000.0,
-) -> np.ndarray:
-    """Re-align RoPE-rotated keys from *old_positions* to *new_positions*.
-
-    Rotating a key embedded at position ``m`` by the delta ``m' - m`` produces
-    the key as if it had been embedded at ``m'``.  This is the positional
-    correction CacheBlend applies when a cached chunk is placed at a new
-    offset inside the fused input (paper §4.3 footnote and Appendix A).
-    """
-    old_positions = np.asarray(old_positions)
-    new_positions = np.asarray(new_positions)
-    if old_positions.shape != new_positions.shape:
-        raise ValueError("old and new positions must have the same shape")
-    delta = new_positions.astype(np.int64) - old_positions.astype(np.int64)
-    return apply_rope(keys, delta, theta)

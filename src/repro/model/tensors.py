@@ -181,6 +181,45 @@ class DecodeSessionStats:
         self.preemptions = 0
 
 
+@dataclass
+class DecodeStep:
+    """What every layer of one decode step shares, built once per step by
+    :meth:`DecodeSession.claim_rows`.
+
+    Attributes
+    ----------
+    positions:
+        Embedding positions of the appended tokens, one per member.
+    keys / values:
+        Per layer, the zero-copy ``(n_members, max_len, n_kv_heads,
+        head_dim)`` view of the session pad, appended rows included — fed
+        straight to :func:`~repro.model.attention.batched_decode_attention`.
+    members / rows:
+        Index of each member's appended row in those views.
+    padding:
+        ``True`` at the views' rows past a member's length, shape
+        ``(n_members, max_len)``; ``None`` when no member is padded.
+    """
+
+    positions: np.ndarray
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
+    members: np.ndarray
+    rows: np.ndarray
+    padding: np.ndarray | None
+
+    def append(
+        self, layer_idx: int, keys: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Write one layer's appended rows into the pad, in place; returns
+        that layer's padded key/value views."""
+        layer_keys = self.keys[layer_idx]
+        layer_values = self.values[layer_idx]
+        layer_keys[self.members, self.rows] = keys
+        layer_values[self.members, self.rows] = values
+        return layer_keys, layer_values
+
+
 class DecodeSession:
     """Persistent padded batch of K/V buffers across decode steps.
 
@@ -391,12 +430,14 @@ class DecodeSession:
     # ------------------------------------------------------------------
     # Stepping (driven by TransformerModel.decode_session_step)
     # ------------------------------------------------------------------
-    def claim_rows(self, token_ids: np.ndarray) -> np.ndarray:
+    def claim_rows(self, token_ids: np.ndarray) -> DecodeStep:
         """Append one token row per member (in slot order); returns the
-        embedding positions of the appended tokens.
+        :class:`DecodeStep` every layer of the step shares: the appended
+        tokens' embedding positions, the padded pad views, the appended-row
+        index and the padding mask.
 
         The K/V of the appended rows is written layer by layer afterwards
-        via :meth:`write_layer`.
+        via :meth:`DecodeStep.append`.
         """
         n = self.n_members
         if n == 0:
@@ -415,27 +456,18 @@ class DecodeSession:
         self._next_positions[:n] = positions + 1
         self.stats.steps += 1
         self.stats.append_rows += n
-        return positions
-
-    def write_layer(self, layer_idx: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Write the current step's appended row of every member, in place."""
-        n = self.n_members
-        members = np.arange(n)
-        rows = self._lengths[:n] - 1
-        self._keys[layer_idx][members, rows] = keys
-        self._values[layer_idx][members, rows] = values
-
-    def layer_kv(self, layer_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy padded ``(n_members, max_len, kv_heads, head_dim)``
-        key/value views for one layer — fed straight to
-        :func:`~repro.model.attention.batched_decode_attention` (rows at or
-        past a member's length are padding, masked by the ``lengths``
-        argument)."""
-        n = self.n_members
-        max_len = int(self._lengths[:n].max()) if n else 0
-        return (
-            self._keys[layer_idx][:n, :max_len],
-            self._values[layer_idx][:n, :max_len],
+        max_len = int(rows.max()) + 1
+        lengths = self._lengths[:n]
+        padding = None
+        if int(lengths.min()) < max_len:
+            padding = np.arange(max_len)[None, :] >= lengths[:, None]
+        return DecodeStep(
+            positions=positions,
+            keys=[keys[:n, :max_len] for keys in self._keys],
+            values=[values[:n, :max_len] for values in self._values],
+            members=members,
+            rows=rows,
+            padding=padding,
         )
 
     # ------------------------------------------------------------------

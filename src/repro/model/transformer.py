@@ -9,6 +9,12 @@ access to the forward attention matrix of each layer.  Decoding runs on a
 persistent :class:`~repro.model.tensors.DecodeSession`:
 :meth:`TransformerModel.decode_session_step` steps every member at once with
 padded batched attention, and a single request is a width-1 session.
+
+Position- and step-invariant state is computed once per forward pass and
+handed to every layer: the RoPE ``(cos, sin)`` pair of a prefill's positions
+(:func:`~repro.model.rope.rope_cos_sin`), and a decode step's positions, pad
+views, appended-row index and padding mask
+(:class:`~repro.model.tensors.DecodeStep`).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from repro.model.attention import (
 )
 from repro.model.config import ModelConfig
 from repro.model.layers import ModelWeights, init_weights, rms_norm, swiglu
-from repro.model.rope import apply_rope
+from repro.model.rope import Rotation, rope_cos_sin, rotate
 from repro.model.tensors import DecodeSession, KVCache, LayerKV
 
 
@@ -117,19 +123,24 @@ class TransformerModel:
     # ------------------------------------------------------------------
     # Layer primitives
     # ------------------------------------------------------------------
+    def rotation(self, positions: np.ndarray) -> Rotation:
+        """The RoPE ``(cos, sin)`` pair of *positions* in the compute dtype,
+        computed once per forward pass and shared by its layers."""
+        cfg = self.config
+        return rope_cos_sin(positions, cfg.head_dim, cfg.rope_theta, cfg.np_dtype)
+
     def _project_qkv(
-        self, layer_idx: int, hidden: np.ndarray, positions: np.ndarray
+        self, layer_idx: int, hidden: np.ndarray, rope: Rotation
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Project hidden states into rotary-embedded Q, K and raw V."""
+        """Project hidden states into rotary-embedded Q, K and raw V; *rope*
+        is the :meth:`rotation` pair of the hidden rows' positions."""
         cfg = self.config
         w = self.weights.layers[layer_idx]
         normed = rms_norm(hidden, w.norm_attn)
         q = (normed @ w.wq).reshape(-1, cfg.n_heads, cfg.head_dim)
         k = (normed @ w.wk).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
         v = (normed @ w.wv).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
-        q = apply_rope(q, positions, cfg.rope_theta)
-        k = apply_rope(k, positions, cfg.rope_theta)
-        return normed, q, k, v
+        return normed, rotate(q, *rope), rotate(k, *rope), v
 
     def _finish_layer(
         self, layer_idx: int, hidden: np.ndarray, context: np.ndarray
@@ -147,10 +158,12 @@ class TransformerModel:
         layer_idx: int,
         hidden: np.ndarray,
         positions: np.ndarray,
+        rope: Rotation,
         query_window: int = 0,
     ) -> LayerFullOutput:
-        """Run one layer over all tokens (full prefill path)."""
-        _, q, k, v = self._project_qkv(layer_idx, hidden, positions)
+        """Run one layer over all tokens (full prefill path); *rope* is the
+        :meth:`rotation` pair of *positions*."""
+        _, q, k, v = self._project_qkv(layer_idx, hidden, rope)
         attn = full_attention(q, k, v, positions, query_window=query_window)
         new_hidden = self._finish_layer(layer_idx, hidden, attn.context)
         return LayerFullOutput(
@@ -166,6 +179,7 @@ class TransformerModel:
         selected_indices: np.ndarray,
         positions: np.ndarray,
         reused_kv: LayerKV,
+        rope: Rotation,
         query_window: int = 0,
         in_place: bool = False,
     ) -> LayerSelectiveOutput:
@@ -174,6 +188,8 @@ class TransformerModel:
         ``hidden_selected`` holds the hidden states of the selected tokens
         only.  The keys/values of all other tokens are taken from
         ``reused_kv`` (the loaded, positionally re-aligned chunk caches).
+        *rope* is the :meth:`rotation` pair of all *positions*; the selected
+        tokens rotate by its rows at *selected_indices*.
 
         With ``in_place=True`` the freshly computed K/V rows are scattered
         directly into ``reused_kv``'s buffers instead of copying the full
@@ -186,9 +202,9 @@ class TransformerModel:
                 f"reused KV has {reused_kv.n_tokens} tokens but positions has "
                 f"{len(positions)}"
             )
-        sel_positions = positions[selected_indices]
+        cos, sin = rope
         _, q_sel, k_sel, v_sel = self._project_qkv(
-            layer_idx, hidden_selected, sel_positions
+            layer_idx, hidden_selected, (cos[selected_indices], sin[selected_indices])
         )
         if in_place:
             merged_keys = reused_kv.keys
@@ -235,13 +251,14 @@ class TransformerModel:
         else:
             positions = np.asarray(positions, dtype=np.int64)
         hidden = self.embed(token_ids)
+        rope = self.rotation(positions)
         layers: list[LayerKV] = []
         forward_attention: list[np.ndarray] = []
         layer_inputs: list[np.ndarray] = []
         for layer_idx in range(self.config.n_layers):
             if collect_hidden:
                 layer_inputs.append(hidden.copy())
-            out = self.layer_full(layer_idx, hidden, positions, query_window)
+            out = self.layer_full(layer_idx, hidden, positions, rope, query_window)
             hidden = out.hidden
             layers.append(out.layer_kv)
             if out.forward_attention is not None:
@@ -292,7 +309,10 @@ class TransformerModel:
         The per-layer K/V the padded/masked attention reads is a zero-copy
         *slice of the session pad*, so a steady-state step writes only each
         member's newly appended row.  Each member's next position follows
-        its last token (see :meth:`DecodeSession.join`).
+        its last token (see :meth:`DecodeSession.join`).  The step's RoPE
+        pair and its :class:`~repro.model.tensors.DecodeStep` (pad views,
+        appended-row index, padding mask) are built once and shared by
+        every layer.
 
         ``token_ids`` is one token per member in :attr:`DecodeSession.
         member_ids` order; returns the appended tokens' LM-head logits,
@@ -309,13 +329,12 @@ class TransformerModel:
         # Embed first: it validates the token ids, so a bad id fails before
         # any slot has been extended (no phantom rows on error).
         hidden = self.embed(token_arr)
-        positions = session.claim_rows(token_arr)
-        lengths = session.lengths
+        step = session.claim_rows(token_arr)
+        rope = self.rotation(step.positions)
         for layer_idx in range(self.config.n_layers):
-            _, q, k, v = self._project_qkv(layer_idx, hidden, positions)
-            session.write_layer(layer_idx, k, v)
-            keys_all, values_all = session.layer_kv(layer_idx)
-            context = batched_decode_attention(q, keys_all, values_all, lengths)
+            _, q, k, v = self._project_qkv(layer_idx, hidden, rope)
+            keys_all, values_all = step.append(layer_idx, k, v)
+            context = batched_decode_attention(q, keys_all, values_all, step.padding)
             hidden = self._finish_layer(layer_idx, hidden, context)
         normalised = rms_norm(hidden, self.weights.norm_final)
         return normalised @ self.weights.lm_head

@@ -175,7 +175,8 @@ class TestBatchedDecodeAttention:
         keys = rng.normal(size=(width, max_tokens, n_kv_heads, head_dim)).astype(dtype)
         values = rng.normal(size=(width, max_tokens, n_kv_heads, head_dim)).astype(dtype)
 
-        context = batched_decode_attention(queries, keys, values, lengths)
+        padding = np.arange(max_tokens)[None, :] >= lengths[:, None]
+        context = batched_decode_attention(queries, keys, values, padding)
         assert context.shape == (width, n_heads, head_dim)
         assert context.dtype == dtype
         for member, length in enumerate(lengths):
@@ -187,10 +188,9 @@ class TestBatchedDecodeAttention:
             )
 
         # New padding values change nothing: the pad never leaks.
-        padding = np.arange(max_tokens)[None, :] >= lengths[:, None]
         keys[padding] = rng.normal(size=keys[padding].shape) * 100.0
         values[padding] = rng.normal(size=values[padding].shape) * 100.0
-        repadded = batched_decode_attention(queries, keys, values, lengths)
+        repadded = batched_decode_attention(queries, keys, values, padding)
         np.testing.assert_array_equal(repadded, context)
 
 
@@ -215,10 +215,11 @@ class TestLayerSelectiveInPlace:
             values = r.normal(size=(n_tokens, cfg.n_kv_heads, cfg.head_dim))
             return LayerKV(keys.astype(cfg.np_dtype), values.astype(cfg.np_dtype))
 
-        copied = model.layer_selective(0, hidden_sel, selected, positions, reused())
+        rope = model.rotation(positions)
+        copied = model.layer_selective(0, hidden_sel, selected, positions, reused(), rope)
         in_place_src = reused()
         in_place = model.layer_selective(
-            0, hidden_sel, selected, positions, in_place_src, in_place=True
+            0, hidden_sel, selected, positions, in_place_src, rope, in_place=True
         )
         assert np.allclose(copied.hidden_selected, in_place.hidden_selected, atol=1e-6)
         assert np.allclose(copied.merged_kv.keys, in_place.merged_kv.keys, atol=1e-6)

@@ -5,7 +5,8 @@ Locks down where decoding continues — a member's next position follows its
 former per-token ``positions.max()`` scan), so non-contiguous chunk
 positions decode in sequence order — how the session pad holds K/V (joins
 and extracts copy bitwise, steps append in place, the token axis grows
-geometrically, pad capacity never changes the logits) — and that greedy
+geometrically, every layer of a step reads zero-copy views of one pad,
+pad capacity never changes the logits) — and that greedy
 generation on a shared session is token-for-token the generation of width-1
 sessions and of greedy full prefill.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.model.config import get_config
-from repro.model.tensors import DecodeSession, KVCache, LayerKV
+from repro.model.tensors import DecodeSession, DecodeStep, KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
 
@@ -60,8 +61,8 @@ class TestSessionPositions:
         )
         session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2)
         session.join("r", cache)
-        positions = session.claim_rows(np.array([9]))
-        assert positions[0] == 4  # positions.max() + 1 would say 8
+        step = session.claim_rows(np.array([9]))
+        assert step.positions[0] == 4  # positions.max() + 1 would say 8
 
     def test_position_regression_non_contiguous_chunk_positions(self, model):
         """The appended token continues after the last chunk token even when
@@ -90,12 +91,14 @@ class TestSessionPositions:
         assert not np.allclose(with_context, without_context)
 
 
-def _append(session: DecodeSession, token_id: int, keys: np.ndarray, values: np.ndarray):
+def _append(
+    session: DecodeSession, token_id: int, keys: np.ndarray, values: np.ndarray
+) -> DecodeStep:
     """Append one row to a width-1 session the way a decode step does."""
-    position = session.claim_rows(np.array([token_id]))[0]
+    step = session.claim_rows(np.array([token_id]))
     for layer_idx in range(session.n_layers):
-        session.write_layer(layer_idx, keys[layer_idx][None], values[layer_idx][None])
-    return position
+        step.append(layer_idx, keys[layer_idx][None], values[layer_idx][None])
+    return step
 
 
 class TestSessionBuffers:
@@ -108,23 +111,37 @@ class TestSessionBuffers:
         np.testing.assert_array_equal(cache.token_ids, round_tripped.token_ids)
         np.testing.assert_array_equal(cache.positions, round_tripped.positions)
 
-    def test_layer_kv_aliases_the_pad(self, model):
+    def test_step_views_alias_the_pad(self, model, monkeypatch):
         cache = model.full_prefill(_random_prompt(model, 6, 0)).kv_cache
         session = _width1(model, cache, reserve=4)
-        keys_before, values_before = session.layer_kv(0)
+        steps: list[DecodeStep] = []
+        claim_rows = session.claim_rows
+
+        def recording_claim_rows(token_ids):
+            steps.append(claim_rows(token_ids))
+            return steps[-1]
+
+        monkeypatch.setattr(session, "claim_rows", recording_claim_rows)
         model.decode_session_step(session, [5])
-        keys_after, values_after = session.layer_kv(0)
-        # Zero-copy views of one buffer: the step wrote into the same pad.
-        assert np.shares_memory(keys_before, keys_after)
-        assert np.shares_memory(values_before, values_after)
-        np.testing.assert_array_equal(keys_after[0, :6], cache.layers[0].keys)
+        model.decode_session_step(session, [9])
+        first, second = steps
+        # Zero-copy views of one buffer: both steps wrote into the same pad.
+        for layer_idx in range(model.config.n_layers):
+            assert np.shares_memory(first.keys[layer_idx], second.keys[layer_idx])
+            assert np.shares_memory(first.values[layer_idx], second.values[layer_idx])
+        np.testing.assert_array_equal(second.keys[0][0, :6], cache.layers[0].keys)
+        stored = session.extract(0)
+        np.testing.assert_array_equal(second.keys[-1][0], stored.layers[-1].keys)
+        np.testing.assert_array_equal(second.values[-1][0], stored.layers[-1].values)
+        # Every member is as long as the views, so nothing is masked.
+        assert second.padding is None
 
     def test_append_writes_rows_in_place(self):
         layer = LayerKV(np.ones((1, 1, 4), dtype=np.float32), np.ones((1, 1, 4), dtype=np.float32))
         session = DecodeSession(n_layers=2, n_kv_heads=1, head_dim=4, token_capacity=8)
         session.join("r", KVCache([layer, layer.copy()], np.array([3]), np.array([0])))
         keys = np.arange(2 * 1 * 4, dtype=np.float32).reshape(2, 1, 4)
-        assert _append(session, 9, keys, keys * 2.0) == 1
+        assert _append(session, 9, keys, keys * 2.0).positions[0] == 1
         assert session.length_of("r") == 2
         assert session.stats.grows == 0
         extracted = session.extract("r")
@@ -152,11 +169,9 @@ class TestSessionBuffers:
         session = DecodeSession(n_layers=1, n_kv_heads=1, head_dim=2, token_capacity=1)
         session.join("r", KVCache([LayerKV(kv, kv.copy())]), reserve=64)
         grows_after_join = session.stats.grows
-        keys_before, _ = session.layer_kv(0)
-        for token in range(64):
-            _append(session, token, kv, kv)
+        steps = [_append(session, token, kv, kv) for token in range(64)]
         assert session.stats.grows == grows_after_join
-        assert np.shares_memory(keys_before, session.layer_kv(0)[0])
+        assert np.shares_memory(steps[0].keys[0], steps[-1].keys[0])
 
     def test_rejects_mismatched_caches_and_bad_claims(self, model):
         cache = model.full_prefill(_random_prompt(model, 4, 0)).kv_cache

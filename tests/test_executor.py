@@ -1,5 +1,9 @@
 """PipelinedExecutor: measured trace invariants and pipelined speedup."""
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -131,16 +135,58 @@ class TestPerLayerDecode:
         assert sum(event.startswith("compute") for event in events) == 2 * n_layers
 
 
+def _assert_same_fusion(a, b) -> None:
+    """Bitwise equal fused KV, last logits and per-layer selections."""
+    np.testing.assert_array_equal(a.last_logits, b.last_logits)
+    assert a.recompute_counts == b.recompute_counts
+    for x, y in zip(a.selected_per_layer, b.selected_per_layer):
+        np.testing.assert_array_equal(x, y)
+    for x, y in zip(a.kv_cache.layers, b.kv_cache.layers):
+        np.testing.assert_array_equal(x.keys, y.keys)
+        np.testing.assert_array_equal(x.values, y.values)
+
+
 class TestNumericsMatch:
     def test_pipelined_equals_sequential(self, model, chunk_caches, suffix_ids):
         executor = _executor(model, 0.001)
         seq = executor.execute(chunk_caches, suffix_ids, pipelined=False)
         pipe = executor.execute(chunk_caches, suffix_ids, pipelined=True)
-        assert np.allclose(seq.fusion.last_logits, pipe.fusion.last_logits)
-        assert seq.fusion.recompute_counts == pipe.fusion.recompute_counts
-        for a, b in zip(seq.fusion.kv_cache.layers, pipe.fusion.kv_cache.layers):
-            assert np.allclose(a.keys, b.keys)
-            assert np.allclose(a.values, b.values)
+        _assert_same_fusion(seq.fusion, pipe.fusion)
+
+    def test_batch_under_fast_thread_switching_equals_sequential(
+        self, model, chunk_caches, suffix_ids
+    ):
+        """The compute thread builds each request's re-alignment rotations
+        and the loader reads them while compute runs.  Switching threads
+        every microsecond, across 12 requests whose chunk orders (and so
+        rotations) all differ, the pipelined batch is still bitwise the
+        sequential one, and it finishes."""
+        orders = [
+            order
+            for size in (2, 3)
+            for order in itertools.permutations(range(len(chunk_caches)), size)
+        ]
+        items = [([chunk_caches[i] for i in order], suffix_ids) for order in orders]
+        executor = _executor(model, 0.0)
+        sequential = executor.execute_batch(items, pipelined=False)
+        pipelined: list = []
+
+        def run() -> None:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                pipelined.append(executor.execute_batch(items, pipelined=True))
+            finally:
+                sys.setswitchinterval(interval)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        (batch,) = pipelined
+        assert len(items) == len(batch) == len(sequential) == 12
+        for seq, pipe in zip(sequential, batch):
+            _assert_same_fusion(seq.fusion, pipe.fusion)
 
     def test_accounting_matches_in_memory_fusor(self, model, chunk_caches, suffix_ids):
         """The executor (fp16-packed chunks) keeps the fusor's accounting."""

@@ -1,7 +1,8 @@
 """Positional re-alignment of chunk KV caches (RoPE shift).
 
-``fusor.place_chunk_layer`` is the one definition of the re-alignment rule;
-``assemble_reused_layer`` lays a request's chunks out with it.
+``KVFusor.realignment`` builds a chunk's re-alignment rotation once,
+``fusor.place_chunk_layer`` is the one definition of the re-alignment rule,
+and ``assemble_reused_layer`` lays a request's chunks out with it.
 """
 
 import numpy as np
@@ -24,27 +25,30 @@ def chunk_cache(model):
     return model.chunk_prefill(token_ids, start_position=0)
 
 
-def _placed(cache: KVCache, offset: int, theta: float) -> KVCache:
+def _placed(model: TransformerModel, cache: KVCache, offset: int) -> KVCache:
     """*cache* re-aligned to start at *offset*, one layer at a time."""
     n = cache.n_tokens
+    dtype = cache.layers[0].keys.dtype
+    rotation = KVFusor(model).realignment(cache.positions, offset, dtype)
     layers = []
     for layer in cache.layers:
-        keys = np.zeros((offset + n,) + layer.keys.shape[1:], dtype=layer.keys.dtype)
+        keys = np.zeros((offset + n,) + layer.keys.shape[1:], dtype=dtype)
         values = np.zeros_like(keys)
-        place_chunk_layer(keys, values, layer, cache.positions, offset, theta)
+        place_chunk_layer(keys, values, layer.keys, layer.values, offset, rotation)
         layers.append(LayerKV(keys[offset:], values[offset:]))
     return KVCache(layers, cache.token_ids, np.arange(offset, offset + n))
 
 
 class TestPlaceChunkLayer:
     def test_same_offset_leaves_keys_unchanged(self, model, chunk_cache):
-        placed = _placed(chunk_cache, 0, model.config.rope_theta)
+        assert KVFusor(model).realignment(chunk_cache.positions, 0, np.float32) is None
+        placed = _placed(model, chunk_cache, 0)
         for layer, ref in zip(placed.layers, chunk_cache.layers):
             assert np.array_equal(layer.keys, ref.keys)
             assert np.array_equal(layer.values, ref.values)
 
     def test_shift_rotates_keys_and_leaves_values_untouched(self, model, chunk_cache):
-        placed = _placed(chunk_cache, 7, model.config.rope_theta)
+        placed = _placed(model, chunk_cache, 7)
         for layer, ref in zip(placed.layers, chunk_cache.layers):
             assert np.array_equal(layer.values, ref.values)
             assert not np.allclose(layer.keys, ref.keys)
@@ -58,16 +62,15 @@ class TestPlaceChunkLayer:
         """
         offset = 5
         direct = model.chunk_prefill(chunk_cache.token_ids, start_position=offset)
-        placed = _placed(chunk_cache, offset, model.config.rope_theta)
+        placed = _placed(model, chunk_cache, offset)
         # The compute path runs in float32; the correction is exact up to
         # fp32 rounding of the stored keys.
         for layer, ref in zip(placed.layers, direct.layers):
             assert np.allclose(layer.keys, ref.keys, atol=1e-5)
 
     def test_shifts_compose(self, model, chunk_cache):
-        theta = model.config.rope_theta
-        via_two_steps = _placed(_placed(chunk_cache, 3, theta), 9, theta)
-        direct = _placed(chunk_cache, 9, theta)
+        via_two_steps = _placed(model, _placed(model, chunk_cache, 3), 9)
+        direct = _placed(model, chunk_cache, 9)
         for layer, ref in zip(via_two_steps.layers, direct.layers):
             assert np.allclose(layer.keys, ref.keys, atol=1e-5)
 
@@ -81,9 +84,15 @@ class TestAssembleReusedLayer:
         layout = fusor.plan_layout([a, b], suffix)
         assert layout.chunk_offsets == (0, 5)
         assert layout.suffix_start == 12
-        cfg = model.config
+        rotations = [
+            fusor.realignment(c.positions, offset, np.float32)
+            for c, offset in zip([a, b], layout.chunk_offsets)
+        ]
+        assert rotations[0] is None and rotations[1] is not None
         layer = assemble_reused_layer(
-            [a, b], layout, 0, cfg.rope_theta, cfg.n_kv_heads, cfg.head_dim,
+            [(c.layers[0].keys, c.layers[0].values) for c in (a, b)],
+            layout,
+            rotations,
             np.float32,
         )
         b_at_5 = model.chunk_prefill(np.arange(7, dtype=np.int64), start_position=5)

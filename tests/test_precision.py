@@ -168,7 +168,7 @@ class TestByteAccounting:
             restored = deserialize_kv(payload)
             assert _caches_equal(restored, _stored_cache(cache, name))
             assert all(
-                np.array_equal(stored.layer(i).keys, restored.layers[i].keys)
+                np.array_equal(stored.layer(i)[0], restored.layers[i].keys)
                 for i in range(n_layers)
             )
             # The serialized blob is magic + header length + header, then the

@@ -115,9 +115,10 @@ class TestLayerPayloads:
     def test_pack_unpack_round_trip(self):
         layer = _make_cache(n_layers=1).layers[0]
         blob = pack_layer_kv_as(layer, "float16")
-        restored = unpack_layer_kv_as(blob, "float16", layer.n_tokens, 2, 4)
-        assert np.allclose(restored.keys, layer.keys, rtol=1e-2, atol=1e-2)
-        assert np.allclose(restored.values, layer.values, rtol=1e-2, atol=1e-2)
+        keys, values = unpack_layer_kv_as(blob, "float16", layer.n_tokens, 2, 4)
+        assert keys.dtype == values.dtype == np.float16
+        assert np.allclose(keys, layer.keys, rtol=1e-2, atol=1e-2)
+        assert np.allclose(values, layer.values, rtol=1e-2, atol=1e-2)
 
     def test_blob_size_is_exactly_fp16_payload(self):
         layer = _make_cache(n_layers=1).layers[0]
@@ -173,9 +174,10 @@ class TestInt8Format:
     def test_layer_pack_unpack_round_trip(self):
         layer = _make_cache(n_layers=1, seed=3).layers[0]
         blob = pack_layer_kv_as(layer, "int8")
-        restored = unpack_layer_kv_as(blob, "int8", layer.n_tokens, 2, 4)
+        keys, _ = unpack_layer_kv_as(blob, "int8", layer.n_tokens, 2, 4)
         k_scale = float(int8_scale(layer.keys))
-        assert np.abs(restored.keys - layer.keys).max() <= k_scale * 0.5 + 1e-7
+        assert keys.dtype == np.float32
+        assert np.abs(keys - layer.keys).max() <= k_scale * 0.5 + 1e-7
 
     def test_all_zero_tensor_survives(self):
         layers = [LayerKV(np.zeros((4, 2, 4)), np.zeros((4, 2, 4)))]
