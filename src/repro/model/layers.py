@@ -14,7 +14,8 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray
 
     Computes in the dtype of *x* (the model's compute dtype) rather than
     up-casting to float64.  The mean square is ``np.mean``'s sum and divide
-    without its Python wrapper, so the bits are the same.
+    without its Python wrapper; both round the quotient correctly, so the
+    bits are the same.
     """
     x = np.asarray(x)
     scale = np.add.reduce(x * x, axis=-1, keepdims=True)

@@ -9,12 +9,9 @@ access to the forward attention matrix of each layer.  Decoding runs on a
 persistent :class:`~repro.model.tensors.DecodeSession`:
 :meth:`TransformerModel.decode_session_step` steps every member at once with
 padded batched attention, and a single request is a width-1 session.
-
-Position- and step-invariant state is computed once per forward pass and
-handed to every layer: the RoPE ``(cos, sin)`` pair of a prefill's positions
-(:func:`~repro.model.rope.rope_cos_sin`), and a decode step's positions, pad
-views, appended-row index and padding mask
-(:class:`~repro.model.tensors.DecodeStep`).
+Each forward pass computes its RoPE pair (:meth:`TransformerModel.rotation`)
+once for all layers, and each decode step its
+:class:`~repro.model.tensors.DecodeStep` (pad views, row index, padding mask).
 """
 
 from __future__ import annotations

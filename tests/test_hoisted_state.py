@@ -83,7 +83,8 @@ def _project(model: TransformerModel, layer_idx: int, hidden, positions):
     q = (normed @ w.wq).reshape(-1, cfg.n_heads, cfg.head_dim)
     k = (normed @ w.wk).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
     v = (normed @ w.wv).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
-    return _apply_rope(q, positions, cfg.rope_theta), _apply_rope(k, positions, cfg.rope_theta), v
+    theta = cfg.rope_theta
+    return _apply_rope(q, positions, theta), _apply_rope(k, positions, theta), v
 
 
 def _finish(model: TransformerModel, layer_idx: int, hidden, context):
@@ -248,7 +249,9 @@ class TestForwardRotation:
             np.testing.assert_array_equal(layer.keys, k)
             np.testing.assert_array_equal(layer.values, v)
             attn = full_attention(q, k, v, positions, query_window=4)
-            np.testing.assert_array_equal(result.forward_attention[layer_idx], attn.forward_attention)
+            np.testing.assert_array_equal(
+                result.forward_attention[layer_idx], attn.forward_attention
+            )
             hidden = _finish(model, layer_idx, hidden, attn.context)
         np.testing.assert_array_equal(result.final_hidden, hidden)
 
