@@ -1,11 +1,12 @@
-"""Workload synthesis and serving-scheme experiment sweeps.
+"""Workload synthesis, projection sweeps and the profile harness.
 
-This package is the measurement substrate of the reproduction: it generates
-paper-style RAG request streams (:mod:`repro.bench.workload`), sweeps serving
-schemes over models, storage devices and recompute ratios
-(:mod:`repro.bench.experiment`) and writes machine-readable ``BENCH_*.json``
-reports (:mod:`repro.bench.report`).  ``python -m repro.bench --smoke`` runs
-the CI-sized sweep.
+This package generates paper-style RAG request streams
+(:mod:`repro.bench.workload`), sweeps serving schemes over models, storage
+devices and recompute ratios (:mod:`repro.bench.experiment`) and writes
+machine-readable ``BENCH_*.json`` reports (:mod:`repro.bench.report`).  A
+sweep report holds deterministic projections only; ``--profile``
+(:mod:`repro.bench.profile`) times the real code's ops.  ``python -m
+repro.bench --smoke`` runs the CI-sized sweep.
 """
 
 from repro.bench.experiment import (
@@ -15,7 +16,6 @@ from repro.bench.experiment import (
     ExperimentReport,
     ExperimentRunner,
     build_comparisons,
-    run_proxy_probe,
 )
 from repro.bench.report import (
     SCHEMA_VERSION,
@@ -39,7 +39,6 @@ __all__ = [
     "ExperimentReport",
     "ExperimentRunner",
     "build_comparisons",
-    "run_proxy_probe",
     "SCHEMA_VERSION",
     "format_summary",
     "report_to_dict",

@@ -1,8 +1,9 @@
 """CLI entrypoint: ``python -m repro.bench``.
 
 Runs a scheme × model × device × recompute-ratio sweep over a synthesized
-RAG workload and writes a ``BENCH_*.json`` report.  ``--smoke`` selects the
-small configuration CI runs on every push (finishes in seconds).
+RAG workload and writes a ``BENCH_*.json`` report of deterministic
+projections (no wall-clock field).  ``--smoke`` selects the small
+configuration CI runs on every push (finishes in seconds).
 
 ``--profile`` instead runs the profiled perf harness (hot-path op timings +
 measured pipelined-vs-sequential fuse speedup) and writes a
@@ -50,8 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--check-baseline", default=None, metavar="PATH",
-        help="with --profile: fail (exit 1) if fuse wall-clock regresses >2x "
-        "against this baseline profile JSON",
+        help="with --profile: fail (exit 1) if any gated op's best "
+        "wall-clock (fuse, served TTFT, decode, preemption, store lookup, "
+        "routing, int8 dequant) regresses >2x against this baseline "
+        "profile JSON",
     )
     parser.add_argument(
         "--models", nargs="+", default=None, metavar="MODEL",
@@ -95,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-rate", type=float, default=0.0, metavar="P",
         help="inject chunk-store lookup faults at this per-chunk probability: "
         "faulted chunks are recomputed (correct output, higher TTFT) and "
-        "cells report the measured TTFT inflation vs a clean twin; also "
-        "wraps the proxy probe's store in the fault injector",
+        "cells report the TTFT inflation vs a clean twin",
     )
     parser.add_argument("--n-requests", type=int, default=100)
     parser.add_argument("--n-servers", type=int, default=1)
@@ -133,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: all of {', '.join(ROUTING_POLICIES)})",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--with-proxy", action="store_true",
-        help="also run the NumPy BlendEngine probe (real fusion numerics)",
-    )
     parser.add_argument("--out-dir", default=".", help="directory for BENCH_*.json")
     parser.add_argument("--tag", default=None, help="label embedded in the filename")
     return parser
@@ -210,8 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         # Cross-flag validation (e.g. --admission-policies slo without
         # --ttft-slo) reads as a usage error, not a traceback.
         parser.error(str(error))
-    runner = ExperimentRunner(config)
-    report = runner.run(with_proxy=args.with_proxy or args.smoke)
+    report = ExperimentRunner(config).run()
     tag = args.tag if args.tag is not None else ("smoke" if args.smoke else "")
     out_path = save_report(report, out_dir=args.out_dir, tag=tag)
     print(format_summary(report_to_dict(report, tag=tag)))

@@ -8,11 +8,9 @@ batching schedules the stream, and the runner aggregates the serving metrics
 the paper reports: TTFT percentiles, throughput, queueing delay, GPU
 utilisation and the fraction of prefill compute actually spent (recompute
 fraction).  Every cell is a deterministic projection to the
-paper's architectures.  Optionally a small :class:`~repro.core.blend_engine.
-BlendEngine` probe runs the real NumPy fusion pipeline — *pipelined*, through
-the executor, with cross-request overlap — and attaches its measured
-trace-derived TTFTs (beside the analytic estimates), recompute fractions and
-KV-store hit rates to the report's ``proxy`` block; it never changes a cell.
+paper's architectures; no wall-clock measurement enters the report.  The
+real serving path is timed elsewhere: its ops by the profile harness
+(:mod:`repro.bench.profile`), its served requests by perfbench.
 
 Quality is attached per scheme as a static score calibrated to the paper's
 accuracy results (§6.2): full recompute and prefix caching are exact,
@@ -100,7 +98,7 @@ class ExperimentConfig:
     #: lookup with this probability (seeded binomial per request) and is
     #: recomputed from scratch — the sweep-level analogue of the engine's
     #: retry-then-recompute fallback.  Cells report the recomputed-chunk
-    #: count and the measured TTFT inflation against a clean twin run.
+    #: count and the TTFT inflation against a clean twin run.
     fault_rate: float = 0.0
     #: Fleet axis: replica counts to sweep (e.g. ``(1, 2, 4, 8)``).  For
     #: each size × routing policy the workload's chunk access trace is
@@ -266,7 +264,6 @@ class ExperimentReport:
     workload: dict[str, object]
     cells: list[CellResult]
     comparisons: list[dict[str, object]] = field(default_factory=list)
-    proxy: dict[str, object] | None = None
 
 
 class ExperimentRunner:
@@ -513,8 +510,8 @@ class ExperimentRunner:
         )
 
     # ------------------------------------------------------------------
-    def run(self, with_proxy: bool = False) -> ExperimentReport:
-        """Run the full sweep; optionally attach a BlendEngine probe.
+    def run(self) -> ExperimentReport:
+        """Run the full sweep.
 
         The axes compose: the cells are the product of store capacity ×
         fleet (size × routing policy) × model × KV dtype × device × scheme ×
@@ -523,17 +520,7 @@ class ExperimentRunner:
         ratio; the baseline schemes are served once per sweep point and
         their cell is replicated across ratios so every comparison row stays
         complete.
-
-        With ``with_proxy`` the measured probe also runs: it executes the
-        real pipelined fusion (cross-request) and its measurements fill the
-        report's ``proxy`` block.  The cells do not depend on it.
         """
-        proxy: dict[str, object] | None = None
-        if with_proxy:
-            proxy = run_proxy_probe(
-                seed=self.config.seed, fault_rate=self.config.fault_rate
-            )
-
         requests, workload_stats, chunk_ids = self._generate_workload()
         # The precision axis's measured fusion quality: one proxy-model probe
         # per dtype, shared by every cell at that dtype (it is scheme- and
@@ -588,7 +575,6 @@ class ExperimentRunner:
             workload=workload_stats,
             cells=cells,
             comparisons=build_comparisons(cells),
-            proxy=proxy,
         )
 
 
@@ -933,121 +919,3 @@ def run_quality_probe(
             "mean_recompute_fraction": fused.mean_recompute_fraction,
         }
     return probe
-
-
-def run_proxy_probe(seed: int = 0, fault_rate: float = 0.0) -> dict[str, object]:
-    """End-to-end run of the real fusion pipeline (NumPy proxy model).
-
-    Serves a small batch over a shared chunk set through
-    :meth:`~repro.core.blend_engine.BlendEngine.run_batch` — every request
-    goes through the :class:`~repro.core.executor.PipelinedExecutor` with
-    cross-request pipelining and carries a *measured* trace-derived TTFT,
-    reported beside the analytical estimate.
-
-    Also measures, on profile-sized synthetic caches at the calibrated
-    load≈compute operating point, the single-request pipelined-vs-sequential
-    fuse speedup and the cross-request batch makespan against the
-    load-then-compute-in-turn baseline.
-    """
-    from repro.bench.profile import measure_pipeline_speedup
-    from repro.core.blend_engine import BlendEngine
-    from repro.core.executor import PipelinedExecutor
-    from repro.kvstore.config import StoreConfig
-    from repro.kvstore.faults import FaultConfig
-    from repro.kvstore.serialization import KVBlob, serialize_kv
-
-    # The probe exercises the serving-path store stack end to end: a
-    # RAM→SSD tiered store behind the engine (the kind perfbench's
-    # rag_churn serves from), not the single-tier default.  A non-zero
-    # *fault_rate* additionally wraps the store in a fault injector (the
-    # chaos smoke): lookups fail/corrupt/stall at that rate and the engine
-    # must retry or recompute — with bitwise-identical generations either
-    # way.
-    engine = BlendEngine.build(
-        paper_model="Mistral-7B",
-        device="cpu_ram",
-        seed=seed,
-        store=StoreConfig(backend="tiered"),
-        faults=(
-            FaultConfig(rate=fault_rate, seed=seed) if fault_rate > 0.0 else None
-        ),
-    )
-    chunks = [
-        "retrieval augmented generation feeds reused text chunks to the model",
-        "the kv cache of each chunk can be precomputed offline and stored",
-        "cacheblend recomputes a small fraction of tokens to fix cross attention",
-    ]
-    engine.precompute_chunks(chunks)
-    engine.reset_cache_stats()
-    batch = [
-        (chunks[:2], "what does cacheblend recompute?"),
-        (chunks[1:], "where are kv caches stored?"),
-    ]
-    # max_new_tokens exercises the co-batched DecodeSession generation path:
-    # after the prefill's first token the batch decodes in lock-step (one
-    # session step per iteration).
-    results = engine.run_batch(batch, max_new_tokens=4)
-
-    # Measured load/compute pipelining: the text chunks above are only a few
-    # tokens (per-layer compute well under the sleep/thread granularity), so
-    # the executor is measured on profile-sized synthetic chunk caches, with
-    # the shared calibrate-then-compare methodology of repro.bench.profile.
-    # They are packed at fp16, the executors' precision, before any timing.
-    rng = np.random.default_rng(seed)
-    chunks_packed = [
-        KVBlob(
-            serialize_kv(
-                engine.model.chunk_prefill(
-                    rng.integers(4, engine.model.config.vocab_size, size=96).astype(np.int64)
-                )
-            )
-        )
-        for _ in range(2)
-    ]
-    suffix_ids = rng.integers(4, engine.model.config.vocab_size, size=12).astype(np.int64)
-    measurement = measure_pipeline_speedup(
-        engine.model, engine.fusor.config, chunks_packed, suffix_ids, repeats=2
-    )
-
-    # Cross-request pipelining at the same calibrated operating point: a
-    # queue of identical requests, pipelined (loader runs ahead into the next
-    # request) vs strictly in turn.
-    batch_executor = PipelinedExecutor(
-        engine.model, engine.fusor.config, layer_load_time=measurement.layer_load_time
-    )
-    items = [(chunks_packed, suffix_ids)] * 3
-    batch_pipelined = batch_executor.execute_batch(items, pipelined=True)
-    batch_sequential = batch_executor.execute_batch(items, pipelined=False)
-
-    return {
-        "paper_model": "Mistral-7B",
-        "execution": "pipelined",
-        "fault_rate": fault_rate,
-        "n_requests": len(results),
-        "mean_recompute_fraction": float(
-            np.mean([r.fusion.mean_recompute_fraction for r in results])
-        ),
-        "recompute_ratios_decided": [r.decision.recompute_ratio for r in results],
-        "estimated_ttfts": [r.ttft_estimate for r in results],
-        "measured_ttfts": [r.ttft for r in results],
-        "measured_stall_s": [r.measured_stall for r in results],
-        "n_generated": [len(r.generated_ids) for r in results],
-        "cache": engine.cache_stats,
-        "store": {
-            "backend": "tiered",
-            "bytes_stored": engine.kv_store.bytes_stored,
-            "n_entries": engine.kv_store.n_entries,
-            "tiers": engine.kv_store.stats_by_tier(),
-        },
-        "executor": measurement.as_dict(),
-        "batch": {
-            "n_requests": len(items),
-            "pipelined_makespan_s": batch_pipelined.makespan,
-            "sequential_makespan_s": batch_sequential.makespan,
-            "cross_request_speedup": (
-                batch_sequential.makespan / batch_pipelined.makespan
-                if batch_pipelined.makespan > 0
-                else float("inf")
-            ),
-        },
-    }

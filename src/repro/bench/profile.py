@@ -17,9 +17,12 @@ is the crossover §5 of the paper targets — where loading can fully hide the
 selective recompute — and it is where pipelining's measured speedup is
 meaningful rather than an artifact of one side dominating.
 
-:func:`check_against_baseline` is the CI regression gate: it fails when fuse
-wall-clock regresses more than ``max_regression``× against a checked-in
-baseline document (see ``benchmarks/profile_baseline.json``).
+:func:`check_against_baseline` is the CI regression gate: it fails when the
+best wall-clock of any of its eight gated ops (the two fuse schedules, the
+served TTFT, session decode, preemption round-trip, tiered-store lookup,
+routing decision and int8 dequantisation) regresses more than
+``max_regression``× against a checked-in baseline document (see
+``benchmarks/profile_baseline.json``).
 """
 
 from __future__ import annotations
@@ -142,88 +145,6 @@ def _time_op(fn: Callable[[], object], repeats: int, warmup: int) -> dict[str, f
         fn()
         samples.append(time.perf_counter() - start)
     return _stats(samples)
-
-
-@dataclass
-class PipelineMeasurement:
-    """Measured sequential-vs-pipelined executor runs at one operating point."""
-
-    layer_load_time: float
-    sequential_runs: list[ExecutionResult]
-    pipelined_runs: list[ExecutionResult]
-
-    @property
-    def best_sequential(self) -> ExecutionResult:
-        return min(self.sequential_runs, key=lambda r: r.total_time)
-
-    @property
-    def best_pipelined(self) -> ExecutionResult:
-        return min(self.pipelined_runs, key=lambda r: r.total_time)
-
-    @property
-    def speedup(self) -> float:
-        pipelined = self.best_pipelined.total_time
-        if pipelined <= 0:
-            return float("inf")
-        return self.best_sequential.total_time / pipelined
-
-    def as_dict(self) -> dict[str, float]:
-        """JSON-friendly block for bench/profile reports."""
-        return {
-            "layer_load_time_s": self.layer_load_time,
-            "sequential_total_s": self.best_sequential.total_time,
-            "pipelined_total_s": self.best_pipelined.total_time,
-            "measured_speedup": self.speedup,
-            "pipelined_stall_s": self.best_pipelined.stall_time,
-        }
-
-
-def measure_pipeline_speedup(
-    model,
-    fusor_config: FusorConfig,
-    chunks: list[KVBlob],
-    suffix_ids,
-    repeats: int = 2,
-    recompute_ratio: float | None = None,
-) -> PipelineMeasurement:
-    """Calibrate load≈compute and run both executor schedules *repeats* times.
-
-    A zero-delay sequential pass measures the per-layer compute; the
-    simulated per-layer device transfer is pinned to the mean compute of the
-    *selective* layers (layer 0's full recompute is excluded — including it
-    would push loads past compute and inflate the speedup with hidden sleep
-    time), i.e. the §5 crossover where loading can just hide the selective
-    recompute.  Sequential and pipelined schedules then run
-    best-of-*repeats*.  This is the single definition of the
-    measured-speedup methodology, shared by the profile harness and the sweep
-    runner's proxy probe.  *chunks* are packed at fp16, as a store holds them.
-    """
-    probe = PipelinedExecutor(model, fusor_config, layer_load_time=0.0)
-    calibration = probe.execute(
-        chunks, suffix_ids, recompute_ratio=recompute_ratio, pipelined=False
-    )
-    selective = calibration.compute_times[1:]
-    layer_load_time = float(
-        selective.mean() if selective.size else calibration.compute_times.mean()
-    )
-    executor = PipelinedExecutor(model, fusor_config, layer_load_time=layer_load_time)
-
-    def runs(pipelined: bool) -> list[ExecutionResult]:
-        return [
-            executor.execute(
-                chunks,
-                suffix_ids,
-                recompute_ratio=recompute_ratio,
-                pipelined=pipelined,
-            )
-            for _ in range(repeats)
-        ]
-
-    return PipelineMeasurement(
-        layer_load_time=layer_load_time,
-        sequential_runs=runs(pipelined=False),
-        pipelined_runs=runs(pipelined=True),
-    )
 
 
 def _measure_served_ttfts(
@@ -662,16 +583,35 @@ def run_profile(config: ProfileConfig | None = None) -> dict[str, object]:
     )
 
     # ---- calibrated pipelined-vs-sequential comparison -------------------
-    measurement = measure_pipeline_speedup(
-        model,
-        fusor_config,
-        chunks_packed,
-        suffix_ids,
-        repeats=config.repeats,
-        recompute_ratio=config.recompute_ratio,
+    # The simulated per-layer transfer is pinned to the mean compute of the
+    # *selective* layers: layer 0's full recompute would push loads past
+    # compute and inflate the speedup with hidden sleep.
+    calibration = PipelinedExecutor(model, fusor_config, layer_load_time=0.0).execute(
+        chunks_packed, suffix_ids, recompute_ratio=config.recompute_ratio, pipelined=False
     )
-    ops["fuse_sequential"] = _stats([r.total_time for r in measurement.sequential_runs])
-    ops["fuse_pipelined"] = _stats([r.total_time for r in measurement.pipelined_runs])
+    selective = calibration.compute_times[1:]
+    layer_load_time = float(
+        selective.mean() if selective.size else calibration.compute_times.mean()
+    )
+    executor = PipelinedExecutor(model, fusor_config, layer_load_time=layer_load_time)
+
+    def fuse_runs(pipelined: bool) -> list[ExecutionResult]:
+        return [
+            executor.execute(
+                chunks_packed,
+                suffix_ids,
+                recompute_ratio=config.recompute_ratio,
+                pipelined=pipelined,
+            )
+            for _ in range(config.repeats)
+        ]
+
+    sequential_runs = fuse_runs(pipelined=False)
+    pipelined_runs = fuse_runs(pipelined=True)
+    ops["fuse_sequential"] = _stats([r.total_time for r in sequential_runs])
+    ops["fuse_pipelined"] = _stats([r.total_time for r in pipelined_runs])
+    best_sequential = min(r.total_time for r in sequential_runs)
+    best_pipelined = min(pipelined_runs, key=lambda r: r.total_time)
 
     # ---- measured serving TTFT (workload -> engine -> executor) ----------
     ops["serve_pipelined"] = _stats(_measure_served_ttfts(model, config))
@@ -707,10 +647,18 @@ def run_profile(config: ProfileConfig | None = None) -> dict[str, object]:
         "pipeline": {
             "n_layers": model.config.n_layers,
             "n_tokens": int(fused.n_tokens),
-            "mean_compute_per_layer_s": measurement.layer_load_time,
-            **measurement.as_dict(),
+            "mean_compute_per_layer_s": layer_load_time,
+            "layer_load_time_s": layer_load_time,
+            "sequential_total_s": best_sequential,
+            "pipelined_total_s": best_pipelined.total_time,
+            "measured_speedup": (
+                best_sequential / best_pipelined.total_time
+                if best_pipelined.total_time > 0
+                else float("inf")
+            ),
+            "pipelined_stall_s": best_pipelined.stall_time,
             "mean_recompute_fraction": float(
-                measurement.best_pipelined.fusion.mean_recompute_fraction
+                best_pipelined.fusion.mean_recompute_fraction
             ),
         },
         "environment": {
@@ -848,12 +796,13 @@ def check_against_baseline(
     differences between the baseline machine and the runner.  Gated ops are
     the fuse wall-clocks, the measured end-to-end serving TTFT
     (``serve_pipelined``), the session decode wall-clock
-    (``decode_session``, the serving loop's steady-state path), the preemption round-trip (``preempt_resume``, the
-    SLO scheduler's per-preemption overhead) *and* the tiered-store lookup
-    (``store_lookup``, the gather path's store work) and the fleet routing
-    decision (``routing_decision``, the router tier's per-request overhead
-    under the affinity policy); ops absent from an older baseline are
-    skipped.
+    (``decode_session``, the serving loop's steady-state path), the
+    preemption round-trip (``preempt_resume``, the SLO scheduler's
+    per-preemption overhead), the tiered-store lookup (``store_lookup``, the
+    gather path's store work), the fleet routing decision
+    (``routing_decision``, the router tier's per-request overhead under the
+    affinity policy) and the int8 store round-trip (``dequant_int8``); ops
+    absent from an older baseline are skipped.
     """
     failures: list[str] = []
     base_ops = baseline.get("ops", {})

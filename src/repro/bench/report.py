@@ -5,15 +5,18 @@ One report is a single JSON document with a versioned schema:
 .. code-block:: text
 
     {
-      "schema_version": 11,
+      "schema_version": 13,
       "created": "<ISO-8601 UTC timestamp>",
       "tag": "<free-form label, e.g. 'smoke'>",
       "config": { ...ExperimentConfig fields... },
       "workload": { ...WorkloadStats fields... },
       "cells": [ { model, device, scheme, recompute_ratio, metrics... } ],
-      "comparisons": [ { model, device, cacheblend vs baselines... } ],
-      "proxy": { ...optional BlendEngine probe... } | null
+      "comparisons": [ { model, device, cacheblend vs baselines... } ]
     }
+
+Every field but ``created`` is a deterministic function of the config: the
+report projects to the paper's architectures and holds no wall-clock
+measurement.
 
 :func:`validate_report` checks structural invariants so CI (and tests) can
 fail fast when the schema drifts.
@@ -56,8 +59,9 @@ from repro.bench.experiment import ExperimentReport
 #: derives the ``dtype_*`` rows' ``bytes_density_gain`` from the dtypes' KV
 #: bytes per token; v12 counts the proxy block's ``bytes_stored`` (in
 #: ``cache`` and ``store``, per tier too) as the RPKV5 bytes the stores
-#: hold, not element widths.
-SCHEMA_VERSION = 12
+#: hold, not element widths; v13 drops the ``proxy`` block: a sweep report
+#: holds projections only (the profile harness times the real path).
+SCHEMA_VERSION = 13
 
 _REQUIRED_TOP_LEVEL = ("schema_version", "created", "tag", "config", "workload", "cells")
 _REQUIRED_CELL_FIELDS = (
@@ -108,7 +112,6 @@ def report_to_dict(report: ExperimentReport, tag: str = "") -> dict[str, object]
         "workload": report.workload,
         "cells": [cell.as_dict() for cell in report.cells],
         "comparisons": report.comparisons,
-        "proxy": report.proxy,
     }
 
 
@@ -298,21 +301,4 @@ def format_summary(document: dict[str, object]) -> str:
             f"{row['mean_kv_deviation_float16']:.4f}"
             + _axes_label(row, "store_capacity_chunks", "routing_policy", "n_replicas")
         )
-    proxy = document.get("proxy")
-    if proxy and proxy.get("measured_ttfts"):
-        measured = proxy["measured_ttfts"]
-        estimated = proxy.get("estimated_ttfts", [])
-        lines.append(
-            "proxy (pipelined executor, measured): "
-            f"TTFT {', '.join(f'{t * 1e3:.1f}' for t in measured)} ms "
-            f"vs analytic estimate {', '.join(f'{t * 1e3:.1f}' for t in estimated)} ms"
-        )
-        batch = proxy.get("batch")
-        if batch:
-            lines.append(
-                f"cross-request pipelining ({batch['n_requests']} requests): "
-                f"makespan {batch['pipelined_makespan_s'] * 1e3:.1f} ms vs "
-                f"{batch['sequential_makespan_s'] * 1e3:.1f} ms sequential "
-                f"({batch['cross_request_speedup']:.2f}x)"
-            )
     return "\n".join(lines)

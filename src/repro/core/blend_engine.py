@@ -235,7 +235,11 @@ class BlendEngine:
         self.precision = PrecisionPolicy.get(precision)
         self.controller = controller
         self.fusor = KVFusor(model, fusor_config or FusorConfig())
-        #: Architecture used for the TTFT estimates (defaults to the proxy).
+        #: The paper architecture this engine stands in for (defaults to the
+        #: proxy).  Nothing here prices with it: ``ttft_estimate`` reads
+        #: ``controller.cost_model``, which :meth:`build` makes for the same
+        #: architecture.  It is kept for callers that carry it from one
+        #: engine to the next (perfbench's loop).
         self.timing_model = timing_model or model.config
         #: The serving path; shares the store's device model and
         #: the engine's precision policy.

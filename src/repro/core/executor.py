@@ -229,13 +229,12 @@ class PipelinedExecutor:
         With ``pipelined=True`` one background loader thread streams layers
         *across request boundaries*: while request ``r``'s tail layers
         recompute, request ``r+1``'s layer 0 is already loading — the
-        cross-request extension of the paper's §5 pipeline (modeled
-        analytically by :func:`~repro.core.pipeline.cross_request_schedule`).
-        The loader runs at most one request ahead of compute, bounding peak
-        memory to ~two requests' decoded buffers regardless of queue depth.
-        With ``pipelined=False`` every request loads and computes strictly in
-        turn, which is the sequential baseline the batch speedup is reported
-        against.
+        cross-request extension of the paper's §5 pipeline.  The loader runs
+        at most one request ahead of compute, bounding peak memory to ~two
+        requests' decoded buffers regardless of queue depth.  If compute
+        fails, the loader stops within one layer and is joined before the
+        exception propagates.  With ``pipelined=False`` every request loads
+        and computes strictly in turn, the sequential baseline.
 
         ``recompute_ratio`` may be a single value for the whole queue or one
         value per request.  ``extra_load_delay`` (one value per request)
@@ -286,7 +285,7 @@ class PipelinedExecutor:
         # Backpressure: the loader may run at most one request ahead of the
         # compute stream (the §6 double buffer at request granularity), so
         # peak memory holds ~two requests' decoded buffers, not the queue's.
-        # ``abort`` stops it promptly if compute fails mid-batch.
+        # ``abort`` stops it within one layer if compute fails mid-batch.
         lookahead = threading.Semaphore(2)
         abort = threading.Event()
         thread: threading.Thread | None = None
@@ -296,10 +295,10 @@ class PipelinedExecutor:
                 try:
                     for req_idx in range(n_requests):
                         lookahead.acquire()
-                        if abort.is_set():
-                            return
                         plan = plans[req_idx]
                         for layer_idx in range(n_layers):
+                            if abort.is_set():
+                                return
                             if not plan.layer_delays[layer_idx]:
                                 # No simulated transfer, so this load would not
                                 # block. Block briefly anyway: otherwise the
@@ -366,8 +365,9 @@ class PipelinedExecutor:
             abort.set()
             lookahead.release()
             raise
-        if thread is not None:
-            thread.join()
+        finally:
+            if thread is not None:
+                thread.join()
 
         return BatchExecutionResult(
             requests=results,

@@ -94,71 +94,3 @@ def sequential_time(load_times: list[float], compute_times: list[float]) -> floa
     if len(load_times) != len(compute_times):
         raise ValueError("load_times and compute_times must have the same length")
     return float(sum(load_times) + sum(compute_times))
-
-
-# ----------------------------------------------------------------------
-# Cross-request pipelining (multi-request extension of the §5 schedule)
-# ----------------------------------------------------------------------
-def cross_request_schedule(
-    load_times: list[list[float]], compute_times: list[list[float]]
-) -> list[PipelineTrace]:
-    """Schedule a queue of requests over one loader and one compute stream.
-
-    The loader streams layers in request order: while request ``r``'s tail
-    layers recompute, it is already loading request ``r+1``'s layer 0 — the
-    cross-request extension of the §5 pipeline that
-    :meth:`~repro.core.executor.PipelinedExecutor.execute_batch` executes
-    with real threads (the executor additionally bounds the loader to one
-    request of lookahead for memory; this model's unbounded loader is its
-    lower envelope).  Compute is a single stream: layer ``(r, i)`` starts
-    once its own load finished and the previous layer (possibly of the
-    previous request) finished computing.
-
-    Returns one :class:`PipelineTrace` per request, all sharing the batch's
-    time origin, so request ``r``'s ``total_time`` is its completion offset
-    in the batch (queueing behind earlier requests included).
-    """
-    if len(load_times) != len(compute_times):
-        raise ValueError("need one compute list per load list")
-    for loads, computes in zip(load_times, compute_times):
-        if len(loads) != len(computes):
-            raise ValueError("each request needs equal load/compute layer counts")
-    flat_loads = [t for loads in load_times for t in loads]
-    flat_computes = [t for computes in compute_times for t in computes]
-    flat = pipeline_schedule(flat_loads, flat_computes)
-    traces: list[PipelineTrace] = []
-    offset = 0
-    for loads in load_times:
-        n = len(loads)
-        traces.append(
-            PipelineTrace(
-                load_start=flat.load_start[offset : offset + n],
-                load_end=flat.load_end[offset : offset + n],
-                compute_start=flat.compute_start[offset : offset + n],
-                compute_end=flat.compute_end[offset : offset + n],
-            )
-        )
-        offset += n
-    return traces
-
-
-def cross_request_pipelined_time(
-    load_times: list[list[float]], compute_times: list[list[float]]
-) -> float:
-    """Makespan of the whole queue under cross-request pipelining."""
-    traces = cross_request_schedule(load_times, compute_times)
-    return max((t.total_time for t in traces), default=0.0)
-
-
-def cross_request_sequential_time(
-    load_times: list[list[float]], compute_times: list[list[float]]
-) -> float:
-    """Makespan when every request loads and computes strictly in turn."""
-    if len(load_times) != len(compute_times):
-        raise ValueError("need one compute list per load list")
-    return float(
-        sum(
-            sequential_time(loads, computes)
-            for loads, computes in zip(load_times, compute_times)
-        )
-    )

@@ -66,15 +66,12 @@ class PrefillResult:
     forward_attention:
         Per-layer forward attention matrices of the trailing query window
         (each of shape ``(n_window, T)``); empty if no window was requested.
-    layer_inputs:
-        Per-layer hidden-state inputs, kept only when ``collect_hidden=True``.
     """
 
     kv_cache: KVCache
     final_hidden: np.ndarray
     last_logits: np.ndarray
     forward_attention: list[np.ndarray] = field(default_factory=list)
-    layer_inputs: list[np.ndarray] = field(default_factory=list)
 
 
 class TransformerModel:
@@ -237,7 +234,6 @@ class TransformerModel:
         token_ids: np.ndarray,
         positions: np.ndarray | None = None,
         query_window: int = 0,
-        collect_hidden: bool = False,
     ) -> PrefillResult:
         """Full KV recompute: prefill the whole input from scratch."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -251,10 +247,7 @@ class TransformerModel:
         rope = self.rotation(positions)
         layers: list[LayerKV] = []
         forward_attention: list[np.ndarray] = []
-        layer_inputs: list[np.ndarray] = []
         for layer_idx in range(self.config.n_layers):
-            if collect_hidden:
-                layer_inputs.append(hidden.copy())
             out = self.layer_full(layer_idx, hidden, positions, rope, query_window)
             hidden = out.hidden
             layers.append(out.layer_kv)
@@ -267,7 +260,6 @@ class TransformerModel:
             final_hidden=hidden,
             last_logits=last_logits,
             forward_attention=forward_attention,
-            layer_inputs=layer_inputs,
         )
 
     def chunk_prefill(self, token_ids: np.ndarray, start_position: int = 0) -> KVCache:

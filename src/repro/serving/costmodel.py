@@ -210,10 +210,6 @@ class ServingCostModel:
         layer_bytes = n_tokens * self.kv_bytes_per_token_per_layer()
         return device.read_time(layer_bytes)
 
-    def kv_load_time(self, n_tokens: int, device: StorageDevice) -> float:
-        """Delay of loading the whole KV cache sequentially from *device*."""
-        return self.model.n_layers * self.kv_load_time_per_layer(n_tokens, device)
-
     def kv_store_cost(
         self, n_tokens: int, device: StorageDevice, duration_months: float = 1.0
     ) -> float:

@@ -208,6 +208,25 @@ class TestNumericsMatch:
             _executor(model, 0.0).execute([blob], suffix_ids)
 
 
+class TestComputeFailure:
+    def test_loader_is_joined_before_the_error_reaches_the_caller(
+        self, model, chunk_caches, suffix_ids, monkeypatch
+    ):
+        """A failed compute stops the loader within one layer and joins it:
+        when the exception reaches the caller, no loader thread is left
+        sleeping and decoding into slots nobody reads."""
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("selective recompute failed")
+
+        monkeypatch.setattr(model, "layer_selective", fail)
+        with pytest.raises(RuntimeError, match="selective recompute failed"):
+            _executor(model, 0.01).execute_batch(
+                [(chunk_caches, suffix_ids)] * 3, pipelined=True
+            )
+        assert not [t for t in threading.enumerate() if t.name == "kv-loader"]
+
+
 class TestMeasuredSpeedup:
     def test_pipelining_hides_recompute(self, model, chunk_caches, suffix_ids):
         """At the calibrated load≈compute point, the pipelined schedule loads

@@ -1,15 +1,13 @@
-"""Property-style invariants of cross-request pipelining and fusion.
+"""Property-style invariants of fusion and of the pipeline schedules.
 
 Two families:
 
-* schedule invariants over randomized (n_layers, per-layer times, queue
-  depth) configurations, checked on the deterministic analytic
-  :func:`~repro.core.pipeline.cross_request_schedule` (no thread noise) and
-  once on the threaded executor at a delay-dominated operating point;
 * numerical equivalence: the fused KV BlendEngine serves (through the
   executor's byte-level load path) is bitwise-equal to the in-memory
   :meth:`~repro.core.fusor.KVFusor.fuse` reference over the same stored
-  caches, and the executor's pipelined and sequential schedules agree.
+  caches, and the executor's pipelined and sequential schedules agree;
+* schedule invariants over randomized configurations: the scheduler's
+  load/compute overlap and the cost model's §5.1 per-layer pipeline pricing.
 """
 
 import numpy as np
@@ -18,111 +16,15 @@ import pytest
 from repro.core.blend_engine import BlendEngine
 from repro.core.executor import PipelinedExecutor
 from repro.core.fusor import FusorConfig
-from repro.core.pipeline import (
-    cross_request_pipelined_time,
-    cross_request_schedule,
-    cross_request_sequential_time,
-)
 from repro.kvstore.device import get_device
-from repro.kvstore.serialization import KVBlob, deserialize_kv, serialize_kv
+from repro.kvstore.serialization import deserialize_kv
 from repro.model.config import get_config
-from repro.model.transformer import TransformerModel
 from repro.serving.costmodel import ServingCostModel
 from repro.serving.engine import EngineResult
 from repro.serving.request import GenerationRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
 EPS = 1e-9
-
-
-def _random_queue(rng: np.random.Generator):
-    """A random (loads, computes) queue: depth 1..6, 1..12 layers, mixed scales."""
-    depth = int(rng.integers(1, 7))
-    n_layers = int(rng.integers(1, 13))
-    loads, computes = [], []
-    for _ in range(depth):
-        scale = float(rng.choice([1e-4, 1e-3, 1e-2]))
-        loads.append(list(rng.uniform(0.0, scale, size=n_layers)))
-        computes.append(list(rng.uniform(0.0, scale, size=n_layers)))
-    return loads, computes
-
-
-class TestCrossRequestScheduleProperties:
-    @pytest.mark.parametrize("seed", range(25))
-    def test_pipelined_makespan_never_exceeds_sequential(self, seed):
-        loads, computes = _random_queue(np.random.default_rng(seed))
-        pipelined = cross_request_pipelined_time(loads, computes)
-        sequential = cross_request_sequential_time(loads, computes)
-        assert pipelined <= sequential + EPS
-
-    @pytest.mark.parametrize("seed", range(25))
-    def test_makespan_bounded_below_by_both_streams(self, seed):
-        """Loads are serial on the device, computes serial on the GPU."""
-        loads, computes = _random_queue(np.random.default_rng(seed))
-        pipelined = cross_request_pipelined_time(loads, computes)
-        total_load = sum(sum(request) for request in loads)
-        total_compute = sum(sum(request) for request in computes)
-        assert pipelined >= max(total_load, total_compute) - EPS
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_spans_well_formed_within_and_across_requests(self, seed):
-        loads, computes = _random_queue(np.random.default_rng(seed))
-        traces = cross_request_schedule(loads, computes)
-        previous_end = 0.0
-        for trace in traces:
-            assert np.all(trace.compute_start >= trace.load_end - EPS)
-            assert np.all(trace.load_start[1:] >= trace.load_end[:-1] - EPS)
-            assert np.all(trace.compute_start[1:] >= trace.compute_end[:-1] - EPS)
-            # Compute is one stream: request r starts after request r-1 ends.
-            if trace.compute_start.size:
-                assert trace.compute_start[0] >= previous_end - EPS
-                previous_end = float(trace.compute_end[-1])
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_makespan_monotone_in_queue_depth(self, seed):
-        loads, computes = _random_queue(np.random.default_rng(seed))
-        makespans = [
-            cross_request_pipelined_time(loads[: depth + 1], computes[: depth + 1])
-            for depth in range(len(loads))
-        ]
-        assert all(a <= b + EPS for a, b in zip(makespans, makespans[1:]))
-
-    def test_mismatched_queue_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            cross_request_schedule([[1.0]], [[1.0], [1.0]])
-        with pytest.raises(ValueError):
-            cross_request_schedule([[1.0, 2.0]], [[1.0]])
-
-
-class TestThreadedBatchInvariant:
-    def test_executed_pipelined_makespan_below_sequential_at_calibrated_point(self):
-        """At load≈compute, cross-request overlap must win despite thread noise."""
-        model = TransformerModel(get_config("small"), seed=0)
-        rng = np.random.default_rng(0)
-        caches = [
-            KVBlob(
-                serialize_kv(
-                    model.chunk_prefill(
-                        rng.integers(4, model.config.vocab_size, size=64).astype(np.int64)
-                    )
-                )
-            )
-            for _ in range(2)
-        ]
-        suffix = rng.integers(4, model.config.vocab_size, size=8).astype(np.int64)
-        config = FusorConfig(recompute_ratio=0.2)
-        probe = PipelinedExecutor(model, config, layer_load_time=0.0)
-        calibration = probe.execute(caches, suffix, pipelined=False)
-        load_time = float(calibration.compute_times[1:].mean())
-        executor = PipelinedExecutor(model, config, layer_load_time=load_time)
-        items = [(caches, suffix)] * 3
-        pipelined = min(
-            executor.execute_batch(items, pipelined=True).makespan for _ in range(2)
-        )
-        sequential = min(
-            executor.execute_batch(items, pipelined=False).makespan for _ in range(2)
-        )
-        assert pipelined < sequential
 
 
 class TestExecutionModeEquivalence:
