@@ -226,6 +226,31 @@ class TestComputeFailure:
             )
         assert not [t for t in threading.enumerate() if t.name == "kv-loader"]
 
+    def test_loader_stops_inside_the_failing_request(
+        self, model, chunk_caches, suffix_ids, monkeypatch
+    ):
+        """The loader checks for a failure before each layer, so it stops
+        inside the failing request instead of loading the rest of it."""
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("selective recompute failed")
+
+        executor = _executor(model, 0.05)
+        decode = executor._decode_layer
+        decoded = []
+
+        def counting_decode(plan, layer_idx):
+            decoded.append(layer_idx)
+            return decode(plan, layer_idx)
+
+        monkeypatch.setattr(model, "layer_selective", fail)
+        monkeypatch.setattr(executor, "_decode_layer", counting_decode)
+        with pytest.raises(RuntimeError, match="selective recompute failed"):
+            executor.execute_batch([(chunk_caches, suffix_ids)] * 3, pipelined=True)
+        # Compute fails at layer 1 with layer 2 in flight; a loader that only
+        # checked between requests would decode all 8 layers first.
+        assert len(decoded) < model.config.n_layers
+
 
 class TestMeasuredSpeedup:
     def test_pipelining_hides_recompute(self, model, chunk_caches, suffix_ids):

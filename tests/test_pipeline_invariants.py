@@ -2,12 +2,15 @@
 
 Two families:
 
+* schedule invariants over randomized configurations: the §5 layer
+  schedule (:func:`~repro.core.pipeline.pipeline_schedule`) over a queue of
+  requests streamed as one layer sequence and in its two closed-form
+  regimes, the scheduler's load/compute overlap, and the cost model's §5.1
+  per-layer pipeline pricing;
 * numerical equivalence: the fused KV BlendEngine serves (through the
   executor's byte-level load path) is bitwise-equal to the in-memory
   :meth:`~repro.core.fusor.KVFusor.fuse` reference over the same stored
-  caches, and the executor's pipelined and sequential schedules agree;
-* schedule invariants over randomized configurations: the scheduler's
-  load/compute overlap and the cost model's §5.1 per-layer pipeline pricing.
+  caches, and the executor's pipelined and sequential schedules agree.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from repro.core.blend_engine import BlendEngine
 from repro.core.executor import PipelinedExecutor
 from repro.core.fusor import FusorConfig
+from repro.core.pipeline import pipeline_schedule, pipelined_time, sequential_time
 from repro.kvstore.device import get_device
 from repro.kvstore.serialization import deserialize_kv
 from repro.model.config import get_config
@@ -25,6 +29,110 @@ from repro.serving.request import GenerationRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
 EPS = 1e-9
+
+
+def _random_queue(rng: np.random.Generator):
+    """A random (loads, computes) queue: depth 1..6, 1..12 layers, mixed scales."""
+    depth = int(rng.integers(1, 7))
+    n_layers = int(rng.integers(1, 13))
+    loads, computes = [], []
+    for _ in range(depth):
+        scale = float(rng.choice([1e-4, 1e-3, 1e-2]))
+        loads.append(list(rng.uniform(0.0, scale, size=n_layers)))
+        computes.append(list(rng.uniform(0.0, scale, size=n_layers)))
+    return loads, computes
+
+
+def _stream(queue: list[list[float]]) -> list[float]:
+    """A queue's per-layer times in the order one loader streams them."""
+    return [t for request in queue for t in request]
+
+
+class TestCrossRequestScheduleProperties:
+    """One loader and one compute stream serve a queue as a single layer
+    sequence: while request ``r``'s tail layers compute, request ``r+1``'s
+    layer 0 loads, as :meth:`PipelinedExecutor.execute_batch` runs it with
+    threads.  So the queue's schedule is :func:`pipeline_schedule` over the
+    requests' concatenated layers (the executor also bounds its loader to
+    one request of lookahead; this schedule is its lower envelope)."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_pipelined_makespan_never_exceeds_sequential(self, seed):
+        loads, computes = _random_queue(np.random.default_rng(seed))
+        pipelined = pipelined_time(_stream(loads), _stream(computes))
+        # Strict turns: every request loads all its layers, then computes.
+        sequential = sum(
+            sequential_time(load, compute) for load, compute in zip(loads, computes)
+        )
+        assert pipelined <= sequential + EPS
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_makespan_bounded_below_by_both_streams(self, seed):
+        """Loads are serial on the device, computes serial on the GPU."""
+        loads, computes = _random_queue(np.random.default_rng(seed))
+        pipelined = pipelined_time(_stream(loads), _stream(computes))
+        assert pipelined >= max(sum(_stream(loads)), sum(_stream(computes))) - EPS
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_spans_well_formed_within_and_across_requests(self, seed):
+        loads, computes = _random_queue(np.random.default_rng(seed))
+        trace = pipeline_schedule(_stream(loads), _stream(computes))
+        # Each span lasts exactly its layer's time, request boundaries included.
+        assert np.allclose(trace.load_end - trace.load_start, _stream(loads))
+        assert np.allclose(trace.compute_end - trace.compute_start, _stream(computes))
+        assert np.all(trace.compute_start >= trace.load_end - EPS)
+        assert np.all(trace.load_start[1:] >= trace.load_end[:-1] - EPS)
+        # Compute is one stream: request r's layer 0 starts after request
+        # r-1's last layer ends.
+        assert np.all(trace.compute_start[1:] >= trace.compute_end[:-1] - EPS)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_makespan_monotone_in_queue_depth(self, seed):
+        loads, computes = _random_queue(np.random.default_rng(seed))
+        makespans = [
+            pipelined_time(_stream(loads[: depth + 1]), _stream(computes[: depth + 1]))
+            for depth in range(len(loads))
+        ]
+        assert all(a <= b + EPS for a, b in zip(makespans, makespans[1:]))
+
+    def test_mismatched_queue_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            pipeline_schedule(_stream([[1.0]]), _stream([[1.0], [1.0]]))
+        with pytest.raises(ValueError):
+            sequential_time(_stream([[1.0, 2.0]]), _stream([[1.0]]))
+
+
+class TestScheduleClosedForms:
+    """§5's two regimes: when every layer's load outlasts the compute, the
+    recompute hides behind loading but for the last layer; when compute
+    outlasts every load, loading hides but for the first layer."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_load_bound_ttft_is_loading_plus_the_last_layer(self, seed):
+        rng = np.random.default_rng(seed)
+        n_layers = int(rng.integers(1, 13))
+        computes = rng.uniform(0.0, 1e-3, size=n_layers)
+        loads = rng.uniform(1e-3, 2e-3, size=n_layers)
+        trace = pipeline_schedule(loads, computes)
+        # Each layer computes the moment its load lands.
+        assert np.array_equal(trace.compute_start, trace.load_end)
+        assert trace.total_time == pytest.approx(loads.sum() + computes[-1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_compute_bound_ttft_is_the_first_load_plus_compute(self, seed):
+        rng = np.random.default_rng(seed)
+        n_layers = int(rng.integers(1, 13))
+        loads = rng.uniform(0.0, 1e-3, size=n_layers)
+        computes = rng.uniform(1e-3, 2e-3, size=n_layers)
+        trace = pipeline_schedule(loads, computes)
+        assert trace.stall_time == pytest.approx(loads[0])
+        assert trace.total_time == pytest.approx(loads[0] + computes.sum())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_makespan_is_compute_plus_stall(self, seed):
+        loads, computes = _random_queue(np.random.default_rng(seed))
+        trace = pipeline_schedule(_stream(loads), _stream(computes))
+        assert trace.total_time == pytest.approx(sum(_stream(computes)) + trace.stall_time)
 
 
 class TestExecutionModeEquivalence:
