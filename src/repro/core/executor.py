@@ -10,12 +10,13 @@ layer's serialized KV off a (simulated) storage device:
   the executor's :class:`~repro.kvstore.precision.PrecisionPolicy` (fp16 by
   default; fp32/int8/per-layer mixed); *loading* a layer means sleeping for
   the device's transfer delay priced at that layer's stored payload length,
-  then decoding each chunk's layer from the stored bytes (``np.frombuffer``
-  views, int8 dequantised) straight into the zero-padded fused buffers,
-  keys RoPE re-aligned on the way in — real work, on a real thread;
-* each chunk's re-alignment rotation is computed once per request, on the
-  compute thread, when the request is planned (before the loader starts),
-  and only read by the loader;
+  then decoding each chunk's layer from the stored bytes straight into the
+  request's zero-padded fused buffer (one copy per chunk, or one scaled
+  multiply for int8) and re-aligning the keys with one RoPE rotation per
+  run of adjacent re-aligned chunks — real work, on a real thread;
+* each request's fused buffer and re-alignment rotations are made once, on
+  the compute thread, when the request is planned (before the loader
+  starts), and only written and read by the loader;
 * the fusor's compute for layer ``i`` blocks until layer ``i``'s load has
   finished, exactly the two-thread double buffer the paper describes in §6;
 * every load and compute span is measured with ``time.perf_counter`` and
@@ -42,13 +43,13 @@ from repro.core.fusor import (
     FusorConfig,
     KVFusor,
     LayerProvider,
+    RealignedRows,
     assemble_reused_layer,
 )
 from repro.core.pipeline import PipelineTrace
 from repro.kvstore.device import StorageDevice, get_device
 from repro.kvstore.precision import PrecisionPolicy
 from repro.kvstore.serialization import KVBlob
-from repro.model.rope import Rotation
 from repro.model.tensors import LayerKV
 from repro.model.transformer import TransformerModel
 
@@ -124,8 +125,11 @@ class _RequestPlan:
 
     layout: FusionLayout
     chunks: list[KVBlob]
-    #: Each chunk's re-alignment rotation (``None``: already in place).
-    rotations: list[Rotation | None]
+    #: The request's zeroed fused KV, ``(n_layers, 2, n_tokens, n_kv_heads,
+    #: head_dim)``: each layer's load decodes into its slice.
+    kv: np.ndarray
+    #: The re-alignment rotation of each run of adjacent re-aligned chunks.
+    realigned: tuple[RealignedRows, ...]
     #: Per-layer simulated transfer delays (non-uniform under ``mixed``).
     layer_delays: tuple[float, ...]
     #: Mean per-layer delay, reported as ``simulated_load_delay``.
@@ -230,8 +234,8 @@ class PipelinedExecutor:
         *across request boundaries*: while request ``r``'s tail layers
         recompute, request ``r+1``'s layer 0 is already loading — the
         cross-request extension of the paper's §5 pipeline.  The loader runs
-        at most one request ahead of compute, bounding peak memory to ~two
-        requests' decoded buffers regardless of queue depth.  If compute
+        at most one request ahead of compute, so it decodes into at most
+        two requests' buffers regardless of queue depth.  If compute
         fails, the loader stops within one layer and is joined before the
         exception propagates.  With ``pipelined=False`` every request loads
         and computes strictly in turn, the sequential baseline.
@@ -283,8 +287,7 @@ class PipelinedExecutor:
             ready[req_idx][layer_idx].set()
 
         # Backpressure: the loader may run at most one request ahead of the
-        # compute stream (the §6 double buffer at request granularity), so
-        # peak memory holds ~two requests' decoded buffers, not the queue's.
+        # compute stream (the §6 double buffer at request granularity).
         # ``abort`` stops it within one layer if compute fails mid-batch.
         lookahead = threading.Semaphore(2)
         abort = threading.Event()
@@ -383,13 +386,14 @@ class PipelinedExecutor:
         recompute_ratio: float | None,
         extra_load_delay: float = 0.0,
     ) -> _RequestPlan:
-        """Validate one request and plan its layout, re-alignment rotations
-        and simulated delay.
+        """Validate one request and plan its layout, fused buffer,
+        re-alignment rotations and simulated delay.
 
         Validation (layout, KV shapes, stored precision, ratio) happens
         here, before any loader thread starts, so a bad request fails fast
-        instead of from a background thread.  The rotations are built here
-        too, on the calling thread, so the loader only reads them.
+        instead of from a background thread.  The buffer and rotations are
+        made here too, on the calling thread, so the loader only fills the
+        one and reads the other.
         """
         if recompute_ratio is not None and not 0.0 <= recompute_ratio <= 1.0:
             raise ValueError("recompute_ratio must be in [0, 1]")
@@ -416,16 +420,11 @@ class PipelinedExecutor:
             per_layer = extra_load_delay / n_layers
             layer_delays = [delay + per_layer for delay in layer_delays]
         mean_delay = sum(layer_delays) / n_layers if n_layers else 0.0
-        # Stored layers decode to float16 or float32 views, or dequantised
-        # float32; the rotation runs in float32, as for an up-cast LayerKV.
-        rotations = [
-            self.fusor.realignment(blob.positions, offset, np.float32)
-            for blob, offset in zip(chunks, layout.chunk_offsets)
-        ]
         return _RequestPlan(
             layout=layout,
             chunks=chunks,
-            rotations=rotations,
+            kv=self.fusor.fused_buffer(layout),
+            realigned=self.fusor.realignment(chunks, layout, self.model.config.np_dtype),
             layer_delays=tuple(layer_delays),
             delay=float(mean_delay),
             recompute_ratio=recompute_ratio,
@@ -433,17 +432,14 @@ class PipelinedExecutor:
 
     # ------------------------------------------------------------------
     def _decode_layer(self, plan: _RequestPlan, layer_idx: int) -> LayerKV:
-        """Decode one layer of every chunk into the padded reused buffers.
+        """Decode one layer of every chunk into the request's fused buffer.
 
-        This is the per-layer "load" work that overlaps with compute:
-        ``np.frombuffer`` decode of the stored bytes (dequantising int8
-        layers), written into the zero-padded ``(n_total, ...)`` buffers
-        the fusor merges into, with the keys rotated by the plan's
-        re-alignment on the way.
+        This is the per-layer "load" work that overlaps with compute: each
+        chunk's stored bytes decoded into the layer's slice of the
+        zero-padded buffer the fusor merges into, in one call per chunk
+        (int8 dequantised on the way), then one in-place rotation per run of
+        re-aligned rows (:func:`~repro.core.fusor.assemble_reused_layer`).
         """
         return assemble_reused_layer(
-            [blob.layer(layer_idx) for blob in plan.chunks],
-            plan.layout,
-            plan.rotations,
-            self.model.config.np_dtype,
+            plan.kv[layer_idx], plan.chunks, layer_idx, plan.layout, plan.realigned
         )

@@ -7,11 +7,18 @@ while recomputing only a small fraction of tokens per layer:
 
 1. re-align every chunk cache to its position in the fused input and
    concatenate them (the "full KV reuse" starting point);
-2. fully recompute layer 0 and measure each token's KV deviation against the
-   loaded cache;
+2. fully recompute layer 0's K/V and measure each token's KV deviation
+   against the loaded cache;
 3. on every subsequent layer, recompute only the High-KV-Deviation tokens
    (gradual filtering, paper §4.3 / Figure 9) together with the suffix tokens,
    merging the freshly computed K/V entries into the reused layer cache.
+
+Each layer computes and merges its K/V, ranks the tokens it recomputed, and
+only then runs attention, the output projection and the MLP — for the rows
+whose hidden state feeds something: the next layer's selection, the last
+token on the last layer (its logits start decoding), and the rows inside the
+forward-attention window.  The fused KV, the selections and the deviations
+are those of running every recomputed row, bit for bit.
 
 The reused KV of each layer is pulled through a *layer provider* exactly when
 that layer's recompute needs it, which is what lets
@@ -19,12 +26,13 @@ that layer's recompute needs it, which is what lets
 with the recompute of earlier layers (paper §5).  The default provider
 assembles each layer on demand from the in-memory chunk caches.
 
-Rotations are computed once and shared by every layer: each chunk's
-re-alignment (:meth:`KVFusor.realignment`) when the default provider is
-built, or once per request in the executor's plan, on the compute thread,
-and applied to every layer by :func:`place_chunk_layer`; and the fused
-input's RoPE pair, in :meth:`KVFusor.fuse_layers`, which layer 0 uses whole
-and each selective layer at its selected rows.
+Rotations are computed once and shared by every layer: the request's
+re-alignment (:meth:`KVFusor.realignment`, one RoPE pair per run of adjacent
+re-aligned chunks) when the default provider is built, or once per request
+in the executor's plan, on the compute thread, and applied to every layer by
+:func:`assemble_reused_layer`; and the fused input's RoPE pair, in
+:meth:`KVFusor.fuse_layers`, which layer 0 uses whole and each selective
+layer at its selected rows.
 
 The fusor reports per-layer forward attention matrices, recompute counts and
 deviation statistics so the paper's analysis figures (6, 7, 8, 16) can be
@@ -107,52 +115,39 @@ class ComputeSpanRecorder(Protocol):
 #: load of that layer to finish).
 LayerProvider = Callable[[int], LayerKV]
 
-
-def place_chunk_layer(
-    keys: np.ndarray,
-    values: np.ndarray,
-    chunk_keys: np.ndarray,
-    chunk_values: np.ndarray,
-    offset: int,
-    rotation: Rotation | None,
-) -> None:
-    """Write one chunk's layer KV into padded buffers at *offset*.
-
-    Keys are rotated by the chunk's :meth:`KVFusor.realignment` (exact under
-    RoPE, paper Appendix A), straight into the buffer; values are position
-    independent and copied as-is.  Stored float16 tensors are cast on the
-    write, and the rotation runs in its pair's dtype.  This is the single
-    definition of the re-alignment rule, shared by the in-memory provider
-    below and the executor's background loader.
-    """
-    n = len(chunk_keys)
-    if rotation is None:
-        keys[offset : offset + n] = chunk_keys
-    else:
-        rotate(chunk_keys, *rotation, out=keys[offset : offset + n])
-    values[offset : offset + n] = chunk_values
+#: One run of adjacent re-aligned chunks in a fused input: its rows
+#: ``[start, stop)`` and the RoPE pair of their position deltas.
+RealignedRows = tuple[int, int, Rotation]
 
 
 def assemble_reused_layer(
-    chunk_layers: Sequence[tuple[np.ndarray, np.ndarray]],
+    kv: np.ndarray,
+    chunks: Sequence[KVCache | KVBlob],
+    layer_idx: int,
     layout: FusionLayout,
-    rotations: Sequence[Rotation | None],
-    dtype: np.dtype,
+    realigned: Sequence[RealignedRows],
 ) -> LayerKV:
-    """Build one layer's reused KV in *dtype* from each chunk's ``(keys,
-    values)`` of that layer: re-aligned chunk entries, zero-padded suffix.
+    """Write one layer's reused KV into *kv*, its ``(2, n_tokens, n_kv_heads,
+    head_dim)`` slice of a fused buffer, and return it as a ``LayerKV``.
 
-    The suffix region stays zero — suffix tokens have no precomputed KV and
-    are always recomputed.
+    Each chunk's keys and values land at its offset in one call per chunk
+    (``chunk.layer(layer_idx, out=)``: a copy, or one scaled multiply for a
+    stored int8 layer); then each run of re-aligned rows has its keys
+    rotated in place by one :func:`~repro.model.rope.rotate` (exact under
+    RoPE, paper Appendix A).  Values are position independent.  Chunks
+    already at their stored positions are copied, never rotated by a zero
+    delta, which would turn ``-0.0`` into ``+0.0`` and ``inf`` into ``nan``.
+    The suffix rows stay as they are, zero in a fresh buffer: suffix tokens
+    have no precomputed KV and are always recomputed.  This is the single
+    definition of the re-alignment rule, shared by the in-memory provider
+    below and the executor's background loader.
     """
-    kv_shape = chunk_layers[0][0].shape[1:]
-    keys = np.zeros((layout.n_tokens, *kv_shape), dtype=dtype)
-    values = np.zeros_like(keys)
-    for (chunk_keys, chunk_values), offset, rotation in zip(
-        chunk_layers, layout.chunk_offsets, rotations
-    ):
-        place_chunk_layer(keys, values, chunk_keys, chunk_values, offset, rotation)
-    return LayerKV(keys, values)
+    for chunk, offset in zip(chunks, layout.chunk_offsets):
+        chunk.layer(layer_idx, out=kv[:, offset : offset + chunk.n_tokens])
+    keys = kv[0]
+    for start, stop, rotation in realigned:
+        rotate(keys[start:stop], *rotation, out=keys[start:stop])
+    return LayerKV(keys, kv[1])
 
 
 @dataclass
@@ -229,34 +224,51 @@ class KVFusor:
         )
 
     def realignment(
-        self, positions: np.ndarray, offset: int, dtype: np.dtype | type
-    ) -> Rotation | None:
-        """The rotation moving a chunk's keys from their stored *positions*
-        to start at *offset* in the fused input: the RoPE pair of the
-        position deltas, in *dtype* (the dtype the chunk's keys decode to).
-        ``None`` when the chunk already sits at its stored positions."""
-        target = np.arange(offset, offset + len(positions), dtype=np.int64)
-        if np.array_equal(positions, target):
-            return None
+        self,
+        chunks: Sequence[KVCache | KVBlob],
+        layout: FusionLayout,
+        dtype: np.dtype | type,
+    ) -> tuple[RealignedRows, ...]:
+        """The rotations moving the chunks' keys from their stored positions
+        to their places in *layout*: one per run of adjacent chunks that are
+        not already at their stored positions, the RoPE pair (in *dtype*,
+        the fused buffer's) of the run's position deltas.  Pair rows are
+        independent, so a run's pair equals its chunks' pairs stacked."""
+        runs: list[list] = []  # [start, stop, deltas]
+        for chunk, offset in zip(chunks, layout.chunk_offsets):
+            stop = offset + chunk.n_tokens
+            delta = np.arange(offset, stop, dtype=np.int64) - chunk.positions
+            if not delta.any():
+                continue
+            if runs and runs[-1][1] == offset:
+                runs[-1][1] = stop
+                runs[-1][2].append(delta)
+            else:
+                runs.append([offset, stop, [delta]])
         cfg = self.model.config
-        return rope_cos_sin(target - positions, cfg.head_dim, cfg.rope_theta, dtype)
+        return tuple(
+            (start, stop, rope_cos_sin(np.concatenate(deltas), cfg.head_dim, cfg.rope_theta, dtype))
+            for start, stop, deltas in runs
+        )
+
+    def fused_buffer(self, layout: FusionLayout) -> np.ndarray:
+        """A zeroed ``(n_layers, 2, n_tokens, n_kv_heads, head_dim)`` buffer
+        in the compute dtype: one request's fused KV, which each layer's
+        :func:`assemble_reused_layer` fills and the recompute merges into."""
+        cfg = self.model.config
+        return np.zeros(
+            (cfg.n_layers, 2, layout.n_tokens, cfg.n_kv_heads, cfg.head_dim), dtype=cfg.np_dtype
+        )
 
     def default_provider(
         self, chunk_caches: list[KVCache], layout: FusionLayout
     ) -> LayerProvider:
         """Provider assembling each reused layer on demand from memory."""
-        rotations = [
-            self.realignment(cache.positions, offset, cache.layers[0].keys.dtype)
-            for cache, offset in zip(chunk_caches, layout.chunk_offsets)
-        ]
-        dtype = self.model.config.np_dtype
+        realigned = self.realignment(chunk_caches, layout, self.model.config.np_dtype)
+        kv = self.fused_buffer(layout)
 
         def provider(layer_idx: int) -> LayerKV:
-            chunk_layers = [
-                (cache.layers[layer_idx].keys, cache.layers[layer_idx].values)
-                for cache in chunk_caches
-            ]
-            return assemble_reused_layer(chunk_layers, layout, rotations, dtype)
+            return assemble_reused_layer(kv[layer_idx], chunk_caches, layer_idx, layout, realigned)
 
         return provider
 
@@ -303,6 +315,14 @@ class KVFusor:
         (recomputed rows are scattered into them in place) and become part of
         the fused cache.  ``recorder``, when given, is notified at the start
         and end of each layer's compute span.
+
+        Each layer is one model call: ``layer_full`` on layer 0,
+        ``layer_selective`` after it.  The call computes and merges the K/V
+        of the layer's selected tokens (every token on layer 0); its
+        ``continuing`` hook then ranks them on their deviation from the
+        reused KV and picks the next selection, whose rows — the last token's
+        on the last layer — are the ones whose attention and MLP run, with
+        the rows inside the forward-attention window.
         """
         ratio = self.config.recompute_ratio if recompute_ratio is None else recompute_ratio
         if not 0.0 <= ratio <= 1.0:
@@ -311,14 +331,15 @@ class KVFusor:
         positions = layout.positions
         suffix_start = layout.suffix_start
         n_tokens = layout.n_tokens
-        suffix_indices = np.arange(suffix_start, n_tokens, dtype=np.int64)
+        last_layer = self.model.config.n_layers - 1
+        query_window = self.config.query_window
 
         selector = HKVDSelector(
             target_ratio=ratio,
-            n_layers=self.model.config.n_layers,
+            n_layers=last_layer + 1,
             boost=self.config.boost,
             floor=self.config.floor,
-            always_include=suffix_indices,
+            always_include=np.arange(suffix_start, n_tokens, dtype=np.int64),
         )
 
         hidden = self.model.embed(token_ids)
@@ -329,74 +350,73 @@ class KVFusor:
         recompute_counts: list[int] = []
         layer_deviations: list[np.ndarray] = []
 
-        # ---- layer 0: full recompute to seed HKVD selection -------------
-        reused0 = layer_provider(0)
-        if recorder is not None:
-            recorder.compute_start(0)
-        out0 = self.model.layer_full(
-            0, hidden, positions, rope, query_window=self.config.query_window
-        )
-        fused_layers.append(out0.layer_kv)
-        if out0.forward_attention is not None:
-            forward_attention.append(out0.forward_attention)
-        recompute_counts.append(n_tokens)
-        selected_per_layer.append(np.arange(n_tokens, dtype=np.int64))
-
-        deviation0 = self._deviation_against_reused(out0.layer_kv, reused0, suffix_start)
-        first_layer_deviation = deviation0
-        layer_deviations.append(deviation0)
-        selected = selector.first_selection(deviation0)
-        hidden_selected = out0.hidden[selected]
-        if recorder is not None:
-            recorder.compute_end(0)
-
-        # ---- layers 1..L-1: selective recompute --------------------------
-        for layer_idx in range(1, self.model.config.n_layers):
+        selected = np.arange(n_tokens, dtype=np.int64)  # layer 0 recomputes every token
+        for layer_idx in range(last_layer + 1):
             reused = layer_provider(layer_idx)
             if recorder is not None:
                 recorder.compute_start(layer_idx)
-            # Snapshot the reused rows being replaced: the in-place scatter
-            # below overwrites them, but the deviation metric needs them.
-            prev_keys = reused.keys[selected]
-            prev_values = reused.values[selected]
-            out = self.model.layer_selective(
-                layer_idx,
-                hidden_selected,
-                selected,
-                positions,
-                reused,
-                rope,
-                query_window=self.config.query_window,
-                in_place=True,
+            if layer_idx == last_layer and (not selected.size or selected[-1] != n_tokens - 1):
+                raise RuntimeError("the last input token was not recomputed; cannot decode")
+            # The reused rows the recompute replaces.  A selective layer
+            # merges in place, so snapshot them first: the deviation needs them.
+            replaced = (
+                reused
+                if layer_idx == 0
+                else LayerKV(reused.keys[selected], reused.values[selected])
             )
-            fused_layers.append(out.merged_kv)
+            next_selected = selected
+
+            def continuing(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+                """Rank the layer's recomputed tokens and return the rows of
+                ``selected`` that feed the next layer (the logits, last)."""
+                nonlocal next_selected
+                if layer_idx == 0:
+                    deviation = self._deviation_against_reused(
+                        LayerKV(keys, values), replaced, suffix_start
+                    )
+                else:
+                    deviation = self._selected_deviation(
+                        keys, values, replaced, selected, suffix_start, n_tokens
+                    )
+                layer_deviations.append(deviation)
+                if layer_idx == last_layer:
+                    next_selected = selected[-1:]
+                elif layer_idx == 0:
+                    next_selected = selector.first_selection(deviation)
+                else:
+                    next_selected = selector.next_selection(deviation)
+                return np.searchsorted(selected, next_selected)
+
+            if layer_idx == 0:
+                out = self.model.layer_full(
+                    0, hidden, positions, rope, query_window=query_window, continuing=continuing
+                )
+                fused_layers.append(out.layer_kv)
+                hidden = out.hidden
+            else:
+                out = self.model.layer_selective(
+                    layer_idx,
+                    hidden,
+                    selected,
+                    positions,
+                    reused,
+                    rope,
+                    query_window=query_window,
+                    in_place=True,
+                    continuing=continuing,
+                )
+                fused_layers.append(out.merged_kv)
+                hidden = out.hidden_selected
             if out.forward_attention is not None:
                 forward_attention.append(out.forward_attention)
             recompute_counts.append(int(selected.size))
             selected_per_layer.append(selected)
-
-            deviation = self._selected_deviation(
-                out.new_keys,
-                out.new_values,
-                prev_keys,
-                prev_values,
-                selected,
-                suffix_start,
-                n_tokens,
-            )
-            layer_deviations.append(deviation)
-
-            if layer_idx < self.model.config.n_layers - 1:
-                next_selected = selector.next_selection(deviation)
-                keep_mask = np.isin(selected, next_selected)
-                hidden_selected = out.hidden_selected[keep_mask]
-                selected = selected[keep_mask]
-            else:
-                hidden_selected = out.hidden_selected
+            selected = next_selected
             if recorder is not None:
                 recorder.compute_end(layer_idx)
 
-        last_logits = self._last_logits(hidden_selected, selected, n_tokens)
+        # The last layer's one continuing row is the last token's.
+        last_logits = self.model.logits(hidden[0])
         kv_cache = KVCache(fused_layers, token_ids, positions)
         return FusionResult(
             kv_cache=kv_cache,
@@ -408,7 +428,7 @@ class KVFusor:
             selected_per_layer=selected_per_layer,
             recompute_counts=recompute_counts,
             layer_deviations=layer_deviations,
-            first_layer_deviation=first_layer_deviation,
+            first_layer_deviation=layer_deviations[0],
         )
 
     # ------------------------------------------------------------------
@@ -432,33 +452,22 @@ class KVFusor:
     def _selected_deviation(
         new_keys: np.ndarray,
         new_values: np.ndarray,
-        prev_keys: np.ndarray,
-        prev_values: np.ndarray,
+        replaced: LayerKV,
         selected: np.ndarray,
         suffix_start: int,
         n_tokens: int,
     ) -> np.ndarray:
         """Full-length deviation array populated only at the selected tokens.
 
-        ``prev_keys``/``prev_values`` are the reused rows the selected tokens
-        replaced (snapshotted before the in-place merge).
+        *replaced* holds the reused rows the selected tokens replaced
+        (snapshotted before the in-place merge).
         """
         deviation = np.zeros(n_tokens)
-        key_diff = new_keys - prev_keys
-        value_diff = new_values - prev_values
+        key_diff = new_keys - replaced.keys
+        value_diff = new_values - replaced.values
         per_token = np.linalg.norm(
             key_diff.reshape(len(selected), -1), axis=1
         ) + np.linalg.norm(value_diff.reshape(len(selected), -1), axis=1)
         deviation[selected] = per_token
         deviation[suffix_start:] = 0.0
         return deviation
-
-    def _last_logits(
-        self, hidden_selected: np.ndarray, selected: np.ndarray, n_tokens: int
-    ) -> np.ndarray:
-        """Logits of the last input token (it is always in the selected set)."""
-        last_index = n_tokens - 1
-        rows = np.nonzero(np.asarray(selected) == last_index)[0]
-        if rows.size == 0:
-            raise RuntimeError("the last input token was not recomputed; cannot decode")
-        return self.model.logits(hidden_selected[rows[0]])

@@ -3,7 +3,8 @@
 Paper §4.3: recomputing the tokens whose KV deviates most from the
 full-prefill reference removes most of the attention deviation (Insight 1),
 and those tokens stay roughly the same across layers (Insight 2).  CacheBlend
-therefore fully recomputes layer 1, ranks tokens by their measured KV
+therefore fully recomputes the first layer (the paper's layer 1, layer 0 in
+this code, which counts layers from 0), ranks tokens by their measured KV
 deviation, and on each subsequent layer recomputes a gradually shrinking
 subset of the previously selected tokens (Figure 9).
 """
@@ -18,12 +19,13 @@ import numpy as np
 def ratio_schedule(
     target_ratio: float, n_layers: int, boost: float = 1.5, floor: float = 0.8
 ) -> list[float]:
-    """Per-layer recompute ratios whose average approximates *target_ratio*.
+    """Per-layer recompute ratios: a linear ramp around *target_ratio*.
 
     The first selective layer uses ``boost * target_ratio`` (picking slightly
     more candidates than needed, as the paper suggests) and the ratio decays
     linearly to ``floor * target_ratio`` on the last layer.  Ratios are clipped
-    to [0, 1].
+    to [0, 1].  Before clipping the ramp averages ``(boost + floor) / 2``
+    times the target: 1.15 times it with the defaults, not the target itself.
     """
     if not 0.0 <= target_ratio <= 1.0:
         raise ValueError(f"target_ratio must be in [0, 1], got {target_ratio}")

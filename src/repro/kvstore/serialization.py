@@ -66,17 +66,20 @@ def _pack_float(layer: LayerKV, dtype: np.dtype) -> bytes:
     )
 
 
-def _unpack_float(
-    data: bytes, dtype: np.dtype, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`_pack_float` (zero-copy ``np.frombuffer`` views)."""
-    shape = (n_tokens, n_kv_heads, head_dim)
-    count = n_tokens * n_kv_heads * head_dim
-    keys = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
-    values = np.frombuffer(
-        data, dtype=dtype, count=count, offset=offset + count * dtype.itemsize
-    ).reshape(shape)
-    return keys, values
+def _layer_view(
+    data: bytes, dtype: str, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One stored layer's keys and values as a single zero-copy ``(2,
+    n_tokens, n_kv_heads, head_dim)`` ``np.frombuffer`` view at the stored
+    dtype, with the int8 ``(k_scale, v_scale)`` pair (``None`` for a float
+    layer)."""
+    shape = (2, n_tokens, n_kv_heads, head_dim)
+    count = 2 * n_tokens * n_kv_heads * head_dim
+    if dtype != "int8":
+        return np.frombuffer(data, _float_dtype(dtype), count, offset).reshape(shape), None
+    scales = np.frombuffer(data, dtype=_SCALE_DTYPE, count=2, offset=offset)
+    offset += 2 * _SCALE_DTYPE.itemsize
+    return np.frombuffer(data, _INT8_DTYPE, count, offset).reshape(shape), scales
 
 
 def int8_scale(tensor: np.ndarray) -> np.float32:
@@ -106,21 +109,6 @@ def _pack_int8(layer: LayerKV) -> bytes:
         + quantize_int8(layer.keys, k_scale).tobytes()
         + quantize_int8(layer.values, v_scale).tobytes()
     )
-
-
-def _unpack_int8(
-    data: bytes, n_tokens: int, n_kv_heads: int, head_dim: int, offset: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`_pack_int8` (dequantised to float32)."""
-    scales = np.frombuffer(data, dtype=_SCALE_DTYPE, count=2, offset=offset)
-    offset += 2 * _SCALE_DTYPE.itemsize
-    shape = (n_tokens, n_kv_heads, head_dim)
-    count = n_tokens * n_kv_heads * head_dim
-    keys = np.frombuffer(data, dtype=_INT8_DTYPE, count=count, offset=offset).reshape(shape)
-    values = np.frombuffer(
-        data, dtype=_INT8_DTYPE, count=count, offset=offset + count
-    ).reshape(shape)
-    return dequantize_int8(keys, scales[0]), dequantize_int8(values, scales[1])
 
 
 def _float_dtype(dtype: str) -> np.dtype:
@@ -155,9 +143,10 @@ def unpack_layer_kv_as(
     payloads decode to zero-copy ``np.frombuffer`` views at their stored
     dtype, and int8 payloads are dequantised to float32.
     """
-    if dtype == "int8":
-        return _unpack_int8(data, n_tokens, n_kv_heads, head_dim, offset)
-    return _unpack_float(data, _float_dtype(dtype), n_tokens, n_kv_heads, head_dim, offset)
+    kv, scales = _layer_view(data, dtype, n_tokens, n_kv_heads, head_dim, offset)
+    if scales is None:
+        return kv[0], kv[1]
+    return dequantize_int8(kv[0], scales[0]), dequantize_int8(kv[1], scales[1])
 
 
 def _resolve_kv_dtype(kv_dtype: str | PrecisionPolicy) -> PrecisionPolicy:
@@ -294,16 +283,27 @@ class KVBlob:
         """Stored payload bytes of one layer's K+V."""
         return self._layer_offsets[layer_idx + 1] - self._layer_offsets[layer_idx]
 
-    def layer(self, layer_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    def layer(
+        self, layer_idx: int, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Decode one layer's keys and values from the held bytes: float16
-        and float32 as zero-copy views, int8 dequantised to float32."""
-        return unpack_layer_kv_as(
-            self.data,
-            self.layer_dtypes[layer_idx],
-            self.n_tokens,
-            *self.kv_shape,
-            offset=self._layer_offsets[layer_idx],
-        )
+        and float32 as zero-copy views, int8 dequantised to float32.
+
+        With *out*, a float ``(2, n_tokens, n_kv_heads, head_dim)`` buffer,
+        the layer is decoded into it instead, in one call — a copy (casting
+        float16) or, for int8, one multiply by the ``(k_scale, v_scale)``
+        pair — and its keys and values halves are returned.
+        """
+        args = (self.data, self.layer_dtypes[layer_idx], self.n_tokens, *self.kv_shape)
+        offset = self._layer_offsets[layer_idx]
+        if out is None:
+            return unpack_layer_kv_as(*args, offset=offset)
+        kv, scales = _layer_view(*args, offset)
+        if scales is None:
+            np.copyto(out, kv)
+        else:
+            np.multiply(kv, scales[:, None, None, None], out=out)
+        return out[0], out[1]
 
 
 def deserialize_kv(data: bytes) -> KVCache:

@@ -62,7 +62,10 @@ def _attend(
     ``np.matmul`` calls over that ``(n_kv_heads, group)`` stack, which NumPy
     hands to BLAS one GEMM per pair.  Scores and the causal mask are only
     allocated for the actual query rows — ``(n_queries, n_keys)`` — never the
-    full ``n_keys × n_keys``.
+    full ``n_keys × n_keys``.  The causal mask is additive: ``-inf`` at a
+    future key, 0 elsewhere.  A masked weight is ``exp(-inf) = 0``, exactly
+    what any score far below the row's maximum gives, and a query's own key
+    is always live, so no row is all ``-inf``.
     """
     n_queries, n_heads, head_dim = queries.shape
     n_kv_heads = keys.shape[1]
@@ -74,8 +77,8 @@ def _attend(
     # operand is a transposed view of keys[:, h], broadcast over g.
     scores = np.matmul(q_grouped, keys.transpose(1, 2, 0)[:, None])
     scores *= scores.dtype.type(1.0 / np.sqrt(head_dim))
-    mask = key_positions[None, :] > query_positions[:, None]  # (n_queries, n_keys)
-    np.copyto(scores, scores.dtype.type(-1e30), where=mask[None, None, :, :])
+    future = key_positions[None, :] > query_positions[:, None]  # (n_queries, n_keys)
+    scores += np.where(future, scores.dtype.type(-np.inf), scores.dtype.type(0.0))
     weights = softmax(scores, axis=-1)
 
     context = np.matmul(weights, values.transpose(1, 0, 2)[:, None])  # (h, g, q, d)

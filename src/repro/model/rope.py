@@ -11,9 +11,9 @@ CacheBlend stores chunk KV caches computed at one absolute position and later
 reuses them at a different position.  Because RoPE attention scores depend only
 on *relative* position (paper Appendix A), the stored keys can be re-aligned by
 rotating them by the position delta: ``KVFusor.realignment`` evaluates that
-rotation once per chunk and request (in the executor, on the compute thread,
-before the loader starts), and ``fusor.place_chunk_layer`` applies it to
-every layer.
+rotation once per request, one pair per run of adjacent re-aligned chunks
+(in the executor, on the compute thread, before the loader starts), and
+``fusor.assemble_reused_layer`` applies it to every layer, in place.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def rotate(
 
     Each product runs in the dtype NumPy promotes *x* and the pair to (the
     pair's dtype for a float16 *x*), and the result is written into *out*
-    (a fresh array of *x*'s shape and dtype by default), which must not
-    overlap *x*.
+    (a fresh array of *x*'s shape and dtype by default), which may be *x*
+    itself: both halves are computed before either is written.
     """
     if len(cos) != len(x):
         raise ValueError(f"rotation has {len(cos)} rows but x has {len(x)} tokens")
@@ -71,6 +71,10 @@ def rotate(
         out = np.empty_like(x)
     x_even = x[..., 0::2]
     x_odd = x[..., 1::2]
-    out[..., 0::2] = x_even * cos - x_odd * sin
-    out[..., 1::2] = x_even * sin + x_odd * cos
+    even = x_even * cos
+    even -= x_odd * sin
+    odd = x_even * sin
+    odd += x_odd * cos
+    out[..., 0::2] = even
+    out[..., 1::2] = odd
     return out

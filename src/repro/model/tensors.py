@@ -114,6 +114,15 @@ class KVCache:
     def n_tokens(self) -> int:
         return self.layers[0].n_tokens if self.layers else 0
 
+    def layer(self, layer_idx: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Copy one layer's keys and values into *out*, a ``(2, n_tokens,
+        n_kv_heads, head_dim)`` buffer, and return its two halves, as
+        :meth:`~repro.kvstore.serialization.KVBlob.layer` decodes a stored
+        chunk into one."""
+        out[0] = self.layers[layer_idx].keys
+        out[1] = self.layers[layer_idx].values
+        return out[0], out[1]
+
     @property
     def kv_shape(self) -> tuple[int, ...]:
         """``(n_kv_heads, head_dim)`` of the layers (``(0, 0)`` without any)."""

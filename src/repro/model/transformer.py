@@ -2,10 +2,14 @@
 
 The model is deliberately small (it runs on CPU with NumPy) but structurally
 faithful: RMSNorm pre-normalisation, grouped-query attention with rotary
-positional embeddings, SwiGLU MLP, residual connections and a tied LM head.
+positional embeddings, SwiGLU MLP, residual connections and an LM head of
+its own (not tied to the embedding).
 It exposes the exact primitives the paper's implementation adds to vLLM
 (§6): per-layer prefill with an optional subset of recomputed tokens, and
-access to the forward attention matrix of each layer.  Decoding runs on a
+access to the forward attention matrix of each layer.  A layer computes its
+K/V first; an optional ``continuing`` hook then names the rows whose hidden
+state the caller reads, and only those rows (and the forward-attention
+window's) run attention, the output projection and the MLP.  Decoding runs on a
 persistent :class:`~repro.model.tensors.DecodeSession`:
 :meth:`TransformerModel.decode_session_step` steps every member at once with
 padded batched attention, and a single request is a width-1 session.
@@ -17,6 +21,7 @@ once for all layers, and each decode step its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,9 +36,17 @@ from repro.model.rope import Rotation, rope_cos_sin, rotate
 from repro.model.tensors import DecodeSession, KVCache, LayerKV
 
 
+#: The ``continuing`` hook of :meth:`TransformerModel.layer_full` and
+#: :meth:`TransformerModel.layer_selective`: called with the K/V computed for
+#: the layer's input rows, once merged, it returns the ascending indices of
+#: the input rows whose hidden state the caller reads.
+Continuing = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 @dataclass
 class LayerFullOutput:
-    """Output of a full (all-token) pass through one layer."""
+    """Output of a full (all-token) pass through one layer: ``hidden`` holds
+    every row, or the continuing rows when a ``continuing`` hook was given."""
 
     hidden: np.ndarray
     layer_kv: LayerKV
@@ -42,7 +55,10 @@ class LayerFullOutput:
 
 @dataclass
 class LayerSelectiveOutput:
-    """Output of a selective (subset-of-tokens) pass through one layer."""
+    """Output of a selective (subset-of-tokens) pass through one layer:
+    ``hidden_selected`` holds the selected rows, or the continuing rows when
+    a ``continuing`` hook was given; ``new_keys``/``new_values`` are the
+    selected rows' recomputed K/V."""
 
     hidden_selected: np.ndarray
     merged_kv: LayerKV
@@ -123,18 +139,24 @@ class TransformerModel:
         cfg = self.config
         return rope_cos_sin(positions, cfg.head_dim, cfg.rope_theta, cfg.np_dtype)
 
-    def _project_qkv(
+    def _project_kv(
         self, layer_idx: int, hidden: np.ndarray, rope: Rotation
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Project hidden states into rotary-embedded Q, K and raw V; *rope*
-        is the :meth:`rotation` pair of the hidden rows' positions."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Normalise hidden states and project them into rotary-embedded K
+        and raw V; *rope* is the :meth:`rotation` pair of the rows' positions.
+        Returns the normalised rows too, for :meth:`_project_q`."""
         cfg = self.config
         w = self.weights.layers[layer_idx]
         normed = rms_norm(hidden, w.norm_attn)
-        q = (normed @ w.wq).reshape(-1, cfg.n_heads, cfg.head_dim)
         k = (normed @ w.wk).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
         v = (normed @ w.wv).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
-        return normed, rotate(q, *rope), rotate(k, *rope), v
+        return normed, rotate(k, *rope), v
+
+    def _project_q(self, layer_idx: int, normed: np.ndarray, rope: Rotation) -> np.ndarray:
+        """Rotary-embedded queries of normalised rows (see :meth:`_project_kv`)."""
+        cfg = self.config
+        q = (normed @ self.weights.layers[layer_idx].wq).reshape(-1, cfg.n_heads, cfg.head_dim)
+        return rotate(q, *rope)
 
     def _finish_layer(
         self, layer_idx: int, hidden: np.ndarray, context: np.ndarray
@@ -147,6 +169,50 @@ class TransformerModel:
         mlp_out = swiglu(rms_norm(hidden, w.norm_mlp), w.w_gate, w.w_up, w.w_down)
         return hidden + mlp_out
 
+    def _run_rows(
+        self,
+        layer_idx: int,
+        hidden: np.ndarray,
+        normed: np.ndarray,
+        rope: Rotation,
+        tokens: np.ndarray,
+        positions: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        query_window: int,
+        continuing: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Attention, output projection and MLP of a layer's input rows.
+
+        Row ``i`` of *hidden*, *normed* and *rope* is token ``tokens[i]`` of
+        the layer's *keys*/*values*.  Every row runs when *continuing* is
+        ``None``.  Otherwise the rows that run are the *continuing* ones and
+        those inside the forward-attention window, whose attention rows are
+        then the ones every row running would give; only the continuing rows'
+        hidden states are returned.  A one-row product runs as a BLAS GEMV,
+        which rounds differently from the GEMM of two or more rows, whose rows
+        do not depend on how many there are: so at least two rows run wherever
+        the layer has two, and each returned row equals the all-rows one bit
+        for bit.  Returns the hidden states and the forward attention.
+        """
+        if continuing is not None:
+            window_start = len(positions) - query_window if query_window > 0 else len(positions)
+            run = tokens >= window_start
+            run[continuing] = True
+            missing = min(2, run.size) - np.count_nonzero(run)
+            if missing > 0:
+                run[np.flatnonzero(~run)[-missing:]] = True
+            rows = np.flatnonzero(run)
+            if rows.size < run.size:
+                hidden, normed, tokens = hidden[rows], normed[rows], tokens[rows]
+                rope = (rope[0][rows], rope[1][rows])
+        q = self._project_q(layer_idx, normed, rope)
+        attn = selective_attention(q, keys, values, tokens, positions, query_window=query_window)
+        new_hidden = self._finish_layer(layer_idx, hidden, attn.context)
+        if continuing is not None and continuing.size < rows.size:
+            new_hidden = new_hidden[np.searchsorted(rows, continuing)]
+        return new_hidden, attn.forward_attention
+
     def layer_full(
         self,
         layer_idx: int,
@@ -154,16 +220,33 @@ class TransformerModel:
         positions: np.ndarray,
         rope: Rotation,
         query_window: int = 0,
+        continuing: Continuing | None = None,
     ) -> LayerFullOutput:
         """Run one layer over all tokens (full prefill path); *rope* is the
-        :meth:`rotation` pair of *positions*."""
-        _, q, k, v = self._project_qkv(layer_idx, hidden, rope)
-        attn = full_attention(q, k, v, positions, query_window=query_window)
-        new_hidden = self._finish_layer(layer_idx, hidden, attn.context)
+        :meth:`rotation` pair of *positions*.
+
+        Every token's K/V is computed.  Without *continuing* every token then
+        runs attention, the output projection and the MLP.  With it,
+        ``continuing(keys, values)`` sees the layer's K/V and names the rows
+        that continue; only those and the rows inside the forward-attention
+        window run attention and the MLP, and ``hidden`` holds the continuing
+        rows, each bitwise equal to its all-rows value (see :meth:`_run_rows`).
+        """
+        normed, k, v = self._project_kv(layer_idx, hidden, rope)
+        if continuing is None:
+            q = self._project_q(layer_idx, normed, rope)
+            attn = full_attention(q, k, v, positions, query_window=query_window)
+            new_hidden = self._finish_layer(layer_idx, hidden, attn.context)
+            forward_attention = attn.forward_attention
+        else:
+            new_hidden, forward_attention = self._run_rows(
+                layer_idx, hidden, normed, rope, np.arange(len(positions)), positions,
+                k, v, query_window, continuing(k, v),
+            )
         return LayerFullOutput(
             hidden=new_hidden,
             layer_kv=LayerKV(k, v),
-            forward_attention=attn.forward_attention,
+            forward_attention=forward_attention,
         )
 
     def layer_selective(
@@ -176,6 +259,7 @@ class TransformerModel:
         rope: Rotation,
         query_window: int = 0,
         in_place: bool = False,
+        continuing: Continuing | None = None,
     ) -> LayerSelectiveOutput:
         """Run one layer recomputing only *selected_indices* (CacheBlend path).
 
@@ -184,6 +268,14 @@ class TransformerModel:
         ``reused_kv`` (the loaded, positionally re-aligned chunk caches).
         *rope* is the :meth:`rotation` pair of all *positions*; the selected
         tokens rotate by its rows at *selected_indices*.
+
+        The selected tokens' K/V are computed and merged first.  Without
+        *continuing* every selected token then runs attention, the output
+        projection and the MLP.  With it, ``continuing(new_keys,
+        new_values)`` sees the merged tokens' fresh K/V and names the
+        selected rows that continue; only those and the selected rows inside
+        the forward-attention window run attention and the MLP (see
+        :meth:`_run_rows`).
 
         With ``in_place=True`` the freshly computed K/V rows are scattered
         directly into ``reused_kv``'s buffers instead of copying the full
@@ -197,9 +289,8 @@ class TransformerModel:
                 f"{len(positions)}"
             )
         cos, sin = rope
-        _, q_sel, k_sel, v_sel = self._project_qkv(
-            layer_idx, hidden_selected, (cos[selected_indices], sin[selected_indices])
-        )
+        selected_rope = (cos[selected_indices], sin[selected_indices])
+        normed, k_sel, v_sel = self._project_kv(layer_idx, hidden_selected, selected_rope)
         if in_place:
             merged_keys = reused_kv.keys
             merged_values = reused_kv.values
@@ -208,22 +299,18 @@ class TransformerModel:
             merged_values = reused_kv.values.copy()
         merged_keys[selected_indices] = k_sel
         merged_values[selected_indices] = v_sel
-        attn = selective_attention(
-            q_sel,
-            merged_keys,
-            merged_values,
-            selected_indices,
-            positions,
-            query_window=query_window,
+        new_hidden_selected, forward_attention = self._run_rows(
+            layer_idx, hidden_selected, normed, selected_rope, selected_indices, positions,
+            merged_keys, merged_values, query_window,
+            None if continuing is None else continuing(k_sel, v_sel),
         )
-        new_hidden_selected = self._finish_layer(layer_idx, hidden_selected, attn.context)
         merged_kv = reused_kv if in_place else LayerKV(merged_keys, merged_values)
         return LayerSelectiveOutput(
             hidden_selected=new_hidden_selected,
             merged_kv=merged_kv,
             new_keys=k_sel,
             new_values=v_sel,
-            forward_attention=attn.forward_attention,
+            forward_attention=forward_attention,
         )
 
     # ------------------------------------------------------------------
@@ -267,11 +354,25 @@ class TransformerModel:
 
         ``start_position`` plays the role of PromptCache's dummy-prefix offset:
         the chunk is embedded as if it started at that absolute position.
+        The last layer computes only its K/V: its attention and MLP would
+        feed only the logits, which a stored chunk never reads.  The K/V
+        equal :meth:`full_prefill`'s bit for bit.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
+        if token_ids.size == 0:
+            raise ValueError("cannot prefill an empty token sequence")
         positions = np.arange(start_position, start_position + token_ids.size, dtype=np.int64)
-        result = self.full_prefill(token_ids, positions=positions)
-        return result.kv_cache
+        hidden = self.embed(token_ids)
+        rope = self.rotation(positions)
+        layers: list[LayerKV] = []
+        last_layer = self.config.n_layers - 1
+        for layer_idx in range(last_layer):
+            out = self.layer_full(layer_idx, hidden, positions, rope)
+            hidden = out.hidden
+            layers.append(out.layer_kv)
+        _, k, v = self._project_kv(last_layer, hidden, rope)
+        layers.append(LayerKV(k, v))
+        return KVCache(layers, token_ids, positions)
 
     # ------------------------------------------------------------------
     # Decode sessions (persistent padded batch buffers across steps)
@@ -321,7 +422,8 @@ class TransformerModel:
         step = session.claim_rows(token_arr)
         rope = self.rotation(step.positions)
         for layer_idx in range(self.config.n_layers):
-            _, q, k, v = self._project_qkv(layer_idx, hidden, rope)
+            normed, k, v = self._project_kv(layer_idx, hidden, rope)
+            q = self._project_q(layer_idx, normed, rope)
             keys_all, values_all = step.append(layer_idx, k, v)
             context = batched_decode_attention(q, keys_all, values_all, step.padding)
             hidden = self._finish_layer(layer_idx, hidden, context)

@@ -98,9 +98,9 @@ class TestPerLayerDecode:
         decode = KVBlob.layer
         compute_start = executor_module._SpanRecorder.compute_start
 
-        def logged_decode(blob, layer_idx):
+        def logged_decode(blob, layer_idx, **kwargs):
             events.append(f"decode {layer_idx}")
-            return decode(blob, layer_idx)
+            return decode(blob, layer_idx, **kwargs)
 
         def logged_compute_start(recorder, layer_idx):
             events.append(f"compute {layer_idx}")

@@ -17,7 +17,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.executor import PipelinedExecutor
-from repro.core.fusor import KVFusor, place_chunk_layer
+from repro.core.fusor import FusionLayout, KVFusor, assemble_reused_layer
 from repro.kvstore.serialization import KVBlob, serialize_kv
 from repro.model.attention import full_attention, selective_attention
 from repro.model.config import get_config
@@ -195,14 +195,15 @@ class TestRealignment:
         cache = _shuffled_chunk(model, 3, seed=2)
         delta = np.arange(offset, offset + cache.n_tokens) - cache.positions
         assert (delta > 0).any() and (delta < 0).any()
-        rotation = KVFusor(model).realignment(cache.positions, offset, np.float32)
-        for layer in cache.layers:
-            keys = np.zeros((offset + cache.n_tokens, *layer.keys.shape[1:]), np.float32)
-            values = np.zeros_like(keys)
-            place_chunk_layer(keys, values, layer.keys, layer.values, offset, rotation)
+        total = offset + cache.n_tokens
+        layout = FusionLayout(np.zeros(total, np.int64), np.arange(total), total, (offset,))
+        realigned = KVFusor(model).realignment([cache], layout, np.float32)
+        for layer_idx, layer in enumerate(cache.layers):
+            kv = np.zeros((2, total, *layer.keys.shape[1:]), np.float32)
+            placed = assemble_reused_layer(kv, [cache], layer_idx, layout, realigned)
             expected = _apply_rope(layer.keys, delta, model.config.rope_theta)
-            np.testing.assert_array_equal(keys[offset:], expected)
-            np.testing.assert_array_equal(values[offset:], layer.values)
+            np.testing.assert_array_equal(placed.keys[offset:], expected)
+            np.testing.assert_array_equal(placed.values[offset:], layer.values)
 
     @pytest.mark.parametrize("precision", ["float32", "float16", "int8", "mixed"])
     def test_loader_buffers_match_up_cast_then_shift(self, model, precision):
@@ -217,8 +218,9 @@ class TestRealignment:
         blobs = [KVBlob(serialize_kv(cache, precision)) for cache in caches]
         executor = PipelinedExecutor(model, precision=precision, layer_load_time=0.0)
         plan = executor._plan_request(blobs, np.arange(4, 10), None)
-        assert plan.rotations[0] is None
-        assert all(rotation is not None for rotation in plan.rotations[1:])
+        # The first chunk is in place; the other two form one re-aligned run.
+        spans = [(start, stop) for start, stop, _ in plan.realigned]
+        assert spans == [(16, plan.layout.suffix_start)]
         for layer_idx in range(model.config.n_layers):
             expected_keys = np.zeros((plan.layout.n_tokens, 4, 16), dtype=np.float32)
             expected_values = np.zeros_like(expected_keys)
@@ -309,6 +311,63 @@ class TestPrimitives:
         before = scores.copy()
         np.testing.assert_array_equal(softmax(scores, axis=axis), _softmax(scores, axis=axis))
         np.testing.assert_array_equal(scores, before)
+
+    @DTYPES
+    def test_softmax_of_minus_inf_equals_softmax_of_minus_1e30(self, dtype):
+        """Attention masks with ``-inf``: a masked weight is ``exp(-inf) =
+        0``, exactly what ``-1e30`` below the row's live maximum gives."""
+        rng = np.random.default_rng(8)
+        scores = (rng.normal(size=(3, 2, 9, 17)) * 30.0).astype(dtype)
+        masked = np.zeros(scores.shape, dtype=bool)
+        masked[..., 5:9] = True
+        masked[..., 1, :16] = True  # a row with one live key
+        at_inf, at_1e30 = scores.copy(), scores.copy()
+        at_inf[masked] = -np.inf
+        at_1e30[masked] = dtype(-1e30)
+        got = softmax(at_inf)
+        np.testing.assert_array_equal(got, softmax(at_1e30))
+        np.testing.assert_array_equal(got, _softmax(at_inf))
+        assert not got[masked].any()
+
+    @DTYPES
+    @pytest.mark.parametrize("seed", range(3))
+    def test_additive_causal_mask_matches_the_copyto_mask(self, dtype, seed):
+        """``scores += mask`` (0 or ``-inf``) gives the weights that writing
+        ``-1e30`` over the future keys gives, for every and for selected
+        query rows, with GQA."""
+        rng = np.random.default_rng(seed)
+        n_tokens = int(rng.integers(2, 60))
+        positions = np.arange(n_tokens) + int(rng.integers(0, 50))
+        queries = rng.normal(size=(n_tokens, 8, 16)).astype(dtype) * 3
+        keys = rng.normal(size=(n_tokens, 4, 16)).astype(dtype) * 3
+        values = rng.normal(size=(n_tokens, 4, 16)).astype(dtype)
+        selected = np.sort(rng.choice(n_tokens, size=int(rng.integers(2, n_tokens + 1)), replace=False))
+
+        def copyto_attention(rows):
+            q = queries[rows].reshape(len(rows), 4, 2, 16).transpose(1, 2, 0, 3)
+            scores = np.matmul(q, keys.transpose(1, 2, 0)[:, None])
+            scores *= scores.dtype.type(1.0 / np.sqrt(16))
+            future = positions[None, :] > positions[rows][:, None]
+            np.copyto(scores, scores.dtype.type(-1e30), where=future[None, None])
+            weights = _softmax(scores)
+            context = np.matmul(weights, values.transpose(1, 0, 2)[:, None])
+            window = np.nonzero(rows >= n_tokens - 5)[0]
+            return (
+                context.transpose(2, 0, 1, 3).reshape(len(rows), 8, 16),
+                weights[:, :, window, :].mean(axis=(0, 1)),
+            )
+
+        full = full_attention(queries, keys, values, positions, query_window=5)
+        context, window = copyto_attention(np.arange(n_tokens))
+        np.testing.assert_array_equal(full.context, context)
+        np.testing.assert_array_equal(full.forward_attention, window)
+        part = selective_attention(
+            queries[selected], keys, values, selected, positions, query_window=5
+        )
+        context, window = copyto_attention(selected)
+        np.testing.assert_array_equal(part.context, context)
+        if window.size:
+            np.testing.assert_array_equal(part.forward_attention, window)
 
     @DTYPES
     def test_silu_matches_the_clip_form(self, dtype):

@@ -1,15 +1,17 @@
 """Positional re-alignment of chunk KV caches (RoPE shift).
 
-``KVFusor.realignment`` builds a chunk's re-alignment rotation once,
-``fusor.place_chunk_layer`` is the one definition of the re-alignment rule,
-and ``assemble_reused_layer`` lays a request's chunks out with it.
+``KVFusor.realignment`` builds a request's re-alignment rotations once, one
+per run of adjacent re-aligned chunks, and ``assemble_reused_layer`` is the
+one definition of the re-alignment rule: it lays a request's chunks out and
+rotates each run's keys in place.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.fusor import KVFusor, assemble_reused_layer, place_chunk_layer
+from repro.core.fusor import FusionLayout, KVFusor, assemble_reused_layer
 from repro.model.config import get_config
+from repro.model.rope import rope_cos_sin
 from repro.model.tensors import KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
@@ -25,23 +27,30 @@ def chunk_cache(model):
     return model.chunk_prefill(token_ids, start_position=0)
 
 
+def _layout(offset: int, n_tokens: int) -> FusionLayout:
+    """One chunk of *n_tokens* at *offset*, no suffix."""
+    total = offset + n_tokens
+    return FusionLayout(np.zeros(total, np.int64), np.arange(total), total, (offset,))
+
+
 def _placed(model: TransformerModel, cache: KVCache, offset: int) -> KVCache:
     """*cache* re-aligned to start at *offset*, one layer at a time."""
     n = cache.n_tokens
     dtype = cache.layers[0].keys.dtype
-    rotation = KVFusor(model).realignment(cache.positions, offset, dtype)
+    layout = _layout(offset, n)
+    realigned = KVFusor(model).realignment([cache], layout, dtype)
     layers = []
-    for layer in cache.layers:
-        keys = np.zeros((offset + n,) + layer.keys.shape[1:], dtype=dtype)
-        values = np.zeros_like(keys)
-        place_chunk_layer(keys, values, layer.keys, layer.values, offset, rotation)
-        layers.append(LayerKV(keys[offset:], values[offset:]))
+    for layer_idx in range(cache.n_layers):
+        kv = np.zeros((2, offset + n, *cache.kv_shape), dtype=dtype)
+        layer = assemble_reused_layer(kv, [cache], layer_idx, layout, realigned)
+        layers.append(LayerKV(layer.keys[offset:], layer.values[offset:]))
     return KVCache(layers, cache.token_ids, np.arange(offset, offset + n))
 
 
-class TestPlaceChunkLayer:
+class TestRealignChunk:
     def test_same_offset_leaves_keys_unchanged(self, model, chunk_cache):
-        assert KVFusor(model).realignment(chunk_cache.positions, 0, np.float32) is None
+        layout = _layout(0, chunk_cache.n_tokens)
+        assert KVFusor(model).realignment([chunk_cache], layout, np.float32) == ()
         placed = _placed(model, chunk_cache, 0)
         for layer, ref in zip(placed.layers, chunk_cache.layers):
             assert np.array_equal(layer.keys, ref.keys)
@@ -84,16 +93,10 @@ class TestAssembleReusedLayer:
         layout = fusor.plan_layout([a, b], suffix)
         assert layout.chunk_offsets == (0, 5)
         assert layout.suffix_start == 12
-        rotations = [
-            fusor.realignment(c.positions, offset, np.float32)
-            for c, offset in zip([a, b], layout.chunk_offsets)
-        ]
-        assert rotations[0] is None and rotations[1] is not None
+        realigned = fusor.realignment([a, b], layout, np.float32)
+        assert [(start, stop) for start, stop, _ in realigned] == [(5, 12)]
         layer = assemble_reused_layer(
-            [(c.layers[0].keys, c.layers[0].values) for c in (a, b)],
-            layout,
-            rotations,
-            np.float32,
+            fusor.fused_buffer(layout)[0], [a, b], 0, layout, realigned
         )
         b_at_5 = model.chunk_prefill(np.arange(7, dtype=np.int64), start_position=5)
         assert layer.n_tokens == 15
@@ -102,6 +105,41 @@ class TestAssembleReusedLayer:
         assert np.array_equal(layer.values[5:12], b.layers[0].values)
         # The suffix has no precomputed KV: always recomputed, zero here.
         assert not layer.keys[12:].any() and not layer.values[12:].any()
+
+    def test_adjacent_realigned_chunks_share_one_rotation(self, model):
+        """One rotation per run of adjacent re-aligned chunks; its pair is
+        the runs' chunks' pairs stacked, and a chunk in place splits runs."""
+        fusor = KVFusor(model)
+        chunks = [
+            model.chunk_prefill(np.arange(4, 9), start_position=3),
+            model.chunk_prefill(np.arange(9, 12), start_position=5),  # at its offset
+            model.chunk_prefill(np.arange(12, 18), start_position=0),
+            model.chunk_prefill(np.arange(18, 20), start_position=40),
+        ]
+        layout = fusor.plan_layout(chunks, np.arange(2))
+        realigned = fusor.realignment(chunks, layout, np.float32)
+        assert [(start, stop) for start, stop, _ in realigned] == [(0, 5), (8, 16)]
+        cfg = model.config
+        deltas = np.concatenate([np.full(6, 8), np.full(2, 14 - 40)])
+        for got, want in zip(
+            realigned[1][2], rope_cos_sin(deltas, cfg.head_dim, cfg.rope_theta, np.float32)
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_chunk_in_place_is_copied_bit_for_bit(self, model):
+        """No zero-delta rotation: it would turn -0.0 into +0.0 and inf into
+        nan; a chunk at its stored positions keeps its exact bits."""
+        cfg = model.config
+        shape = (6, cfg.n_kv_heads, cfg.head_dim)
+        keys = np.random.default_rng(3).normal(size=shape).astype(np.float32)
+        keys[0, 0, :4] = [-0.0, np.inf, -np.inf, -0.0]
+        cache = KVCache([LayerKV(keys, keys.copy())], np.arange(6), np.arange(6))
+        layout = _layout(0, 6)
+        realigned = KVFusor(model).realignment([cache], layout, np.float32)
+        layer = assemble_reused_layer(
+            np.zeros((2, 6, *shape[1:]), np.float32), [cache], 0, layout, realigned
+        )
+        assert layer.keys.tobytes() == keys.tobytes()
 
 
 class TestPlanLayout:

@@ -32,6 +32,32 @@ def _make_cache(n_tokens=6, n_layers=3, n_kv_heads=2, head_dim=4, seed=0) -> KVC
     return KVCache(layers, np.arange(n_tokens), np.arange(3, 3 + n_tokens))
 
 
+class TestDecodeInto:
+    @pytest.mark.parametrize("preset", sorted(PRECISION_PRESETS))
+    def test_decoding_into_a_buffer_matches_the_decoded_arrays(self, preset):
+        """``KVBlob.layer(i, out=)`` writes the stored layer in one call (a
+        cast copy, or one multiply by the int8 scale pair) and gives the
+        float32 values the plain decode up-casts to, bit for bit."""
+        cache = _make_cache(n_tokens=9, n_layers=4)
+        cache.layers[1].keys[0, 0, :2] = [-0.0, 1e4]
+        blob = KVBlob(serialize_kv(cache, preset))
+        for layer_idx in range(cache.n_layers):
+            out = np.full((2, 9, 2, 4), np.nan, dtype=np.float32)
+            keys, values = blob.layer(layer_idx, out=out)
+            assert np.shares_memory(keys, out) and np.shares_memory(values, out)
+            want = LayerKV(*blob.layer(layer_idx))
+            assert keys.tobytes() == want.keys.tobytes()
+            assert values.tobytes() == want.values.tobytes()
+
+    def test_in_memory_cache_copies_into_a_buffer(self):
+        cache = _make_cache()
+        out = np.zeros((2, 6, 2, 4), dtype=np.float32)
+        keys, values = cache.layer(2, out=out)
+        np.testing.assert_array_equal(out[0], cache.layers[2].keys)
+        np.testing.assert_array_equal(out[1], cache.layers[2].values)
+        assert keys.base is out and values.base is out
+
+
 class TestRawFormatRoundTrip:
     def test_round_trip_preserves_structure_and_values(self):
         cache = _make_cache()
