@@ -16,7 +16,9 @@ layer's serialized KV off a (simulated) storage device:
   run of adjacent re-aligned chunks — real work, on a real thread;
 * each request's fused buffer and re-alignment rotations are made once, on
   the compute thread, when the request is planned (before the loader
-  starts), and only written and read by the loader;
+  starts), and only written and read by the loader; the buffer becomes the
+  request's fused cache, which the batch result holds anyway, so making it
+  early does not raise the batch's peak memory;
 * the fusor's compute for layer ``i`` blocks until layer ``i``'s load has
   finished, exactly the two-thread double buffer the paper describes in §6;
 * every load and compute span is measured with ``time.perf_counter`` and
@@ -126,7 +128,8 @@ class _RequestPlan:
     layout: FusionLayout
     chunks: list[KVBlob]
     #: The request's zeroed fused KV, ``(n_layers, 2, n_tokens, n_kv_heads,
-    #: head_dim)``: each layer's load decodes into its slice.
+    #: head_dim)``: each layer's load decodes into its slice, and the fusion
+    #: leaves the fused cache in it.
     kv: np.ndarray
     #: The re-alignment rotation of each run of adjacent re-aligned chunks.
     realigned: tuple[RealignedRows, ...]

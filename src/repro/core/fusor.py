@@ -253,8 +253,9 @@ class KVFusor:
 
     def fused_buffer(self, layout: FusionLayout) -> np.ndarray:
         """A zeroed ``(n_layers, 2, n_tokens, n_kv_heads, head_dim)`` buffer
-        in the compute dtype: one request's fused KV, which each layer's
-        :func:`assemble_reused_layer` fills and the recompute merges into."""
+        in the compute dtype: one request's fused KV.  Each layer's
+        :func:`assemble_reused_layer` fills its slice with the reused KV and
+        the recompute writes into it, so the fused cache is this buffer."""
         cfg = self.model.config
         return np.zeros(
             (cfg.n_layers, 2, layout.n_tokens, cfg.n_kv_heads, cfg.head_dim), dtype=cfg.np_dtype
@@ -312,9 +313,10 @@ class KVFusor:
         reused KV; it is called exactly once per layer, immediately before
         that layer's recompute, so a pipelined provider can overlap loading
         with the compute of earlier layers.  The returned buffers are consumed
-        (recomputed rows are scattered into them in place) and become part of
-        the fused cache.  ``recorder``, when given, is notified at the start
-        and end of each layer's compute span.
+        and become the fused cache: once ranked, layer 0's buffer takes the
+        fresh K/V of every token, and a later layer's recomputed rows are
+        scattered into its buffer in place.  ``recorder``, when given, is
+        notified at the start and end of each layer's compute span.
 
         Each layer is one model call: ``layer_full`` on layer 0,
         ``layer_selective`` after it.  The call computes and merges the K/V
@@ -391,7 +393,11 @@ class KVFusor:
                 out = self.model.layer_full(
                     0, hidden, positions, rope, query_window=query_window, continuing=continuing
                 )
-                fused_layers.append(out.layer_kv)
+                # Ranked: the reused rows are spent, so the fresh K/V take
+                # their place and the fused cache stays the provider's buffers.
+                np.copyto(reused.keys, out.layer_kv.keys)
+                np.copyto(reused.values, out.layer_kv.values)
+                fused_layers.append(reused)
                 hidden = out.hidden
             else:
                 out = self.model.layer_selective(

@@ -4,8 +4,9 @@ KV caches are stored as float16, float32 or int8-scaled blobs, per layer as
 a :class:`~repro.kvstore.precision.PrecisionPolicy` assigns.  A chunk is
 packed once, with :func:`serialize_kv`, when it enters a store; the store
 holds the bytes as a :class:`KVBlob` (the blob plus its parsed header), and
-the pipelined executor decodes each layer straight from them
-(``unpack_layer_kv_as`` at the layer's offset) into its fused buffers.  The
+the pipelined executor decodes each layer straight from them into the
+request's fused buffer (:meth:`KVBlob.layer` with ``out=``: one copy, or one
+scaled multiply for int8).  The
 fault injector damages a copy of those bytes to trip the integrity check.
 
 The wire format is ``RPKV5``: the magic, a little-endian header length, a

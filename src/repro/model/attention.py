@@ -3,7 +3,7 @@
 Three entry points are provided:
 
 * :func:`full_attention` — the standard causal attention over all tokens,
-  used by full prefill and chunk prefill.
+  the reference the selective path equals when every token is selected.
 * :func:`selective_attention` — attention where only a *subset* of tokens act
   as queries (the tokens being recomputed) while the keys/values of all other
   tokens come from a reused KV cache.  This is the layer primitive behind

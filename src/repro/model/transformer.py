@@ -25,11 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.model.attention import (
-    batched_decode_attention,
-    full_attention,
-    selective_attention,
-)
+from repro.model.attention import batched_decode_attention, selective_attention
 from repro.model.config import ModelConfig
 from repro.model.layers import ModelWeights, init_weights, rms_norm, swiglu
 from repro.model.rope import Rotation, rope_cos_sin, rotate
@@ -233,16 +229,10 @@ class TransformerModel:
         rows, each bitwise equal to its all-rows value (see :meth:`_run_rows`).
         """
         normed, k, v = self._project_kv(layer_idx, hidden, rope)
-        if continuing is None:
-            q = self._project_q(layer_idx, normed, rope)
-            attn = full_attention(q, k, v, positions, query_window=query_window)
-            new_hidden = self._finish_layer(layer_idx, hidden, attn.context)
-            forward_attention = attn.forward_attention
-        else:
-            new_hidden, forward_attention = self._run_rows(
-                layer_idx, hidden, normed, rope, np.arange(len(positions)), positions,
-                k, v, query_window, continuing(k, v),
-            )
+        new_hidden, forward_attention = self._run_rows(
+            layer_idx, hidden, normed, rope, np.arange(len(positions)), positions,
+            k, v, query_window, None if continuing is None else continuing(k, v),
+        )
         return LayerFullOutput(
             hidden=new_hidden,
             layer_kv=LayerKV(k, v),

@@ -216,23 +216,52 @@ class TestEquivalence:
 
 
 # ----------------------------------------------------------------------
+# One fused buffer per request
+# ----------------------------------------------------------------------
+def _request(model, rng, n_chunks=3):
+    caches = [
+        model.chunk_prefill(rng.integers(4, model.config.vocab_size, size=20), start_position=50)
+        for _ in range(n_chunks)
+    ]
+    return caches, rng.integers(4, model.config.vocab_size, size=6)
+
+
+def _assert_one_buffer(fusion) -> None:
+    """Every layer's keys and values are views of one array, no bigger than
+    they are together."""
+    arrays = [array for layer in fusion.kv_cache.layers for array in (layer.keys, layer.values)]
+    assert len({id(array.base) for array in arrays}) == 1
+    assert arrays[0].base.nbytes == sum(array.nbytes for array in arrays)
+
+
+class TestFusedBuffer:
+    def test_the_fused_cache_is_the_providers_buffer(self, model):
+        """Layer 0's fresh K/V take its reused rows' place once ranked, so no
+        layer of the buffer is left dead beside the fused cache."""
+        rng = np.random.default_rng(3)
+        caches, suffix = _request(model, rng)
+        _assert_one_buffer(KVFusor(model).fuse(caches, suffix))
+        items = [_request(model, rng) for _ in range(3)]
+        items = [([KVBlob(serialize_kv(c, "float16")) for c in caches], q) for caches, q in items]
+        executor = PipelinedExecutor(model, layer_load_time=0.0)
+        for pipelined in (True, False):
+            for run in executor.execute_batch(items, pipelined=pipelined):
+                _assert_one_buffer(run.fusion)
+
+
+# ----------------------------------------------------------------------
 # Which rows run
 # ----------------------------------------------------------------------
 def _record_attended(monkeypatch) -> list[np.ndarray]:
     """Log the query tokens of every attention call a layer makes."""
     calls: list[np.ndarray] = []
-    full, selective = transformer_module.full_attention, transformer_module.selective_attention
+    selective = transformer_module.selective_attention
 
-    def logged_full(queries, keys, values, positions, query_window=0):
-        calls.append(np.arange(len(positions)))
-        return full(queries, keys, values, positions, query_window=query_window)
-
-    def logged_selective(queries, keys, values, selected, positions, query_window=0):
+    def logged(queries, keys, values, selected, positions, query_window=0):
         calls.append(np.asarray(selected).copy())
         return selective(queries, keys, values, selected, positions, query_window=query_window)
 
-    monkeypatch.setattr(transformer_module, "full_attention", logged_full)
-    monkeypatch.setattr(transformer_module, "selective_attention", logged_selective)
+    monkeypatch.setattr(transformer_module, "selective_attention", logged)
     return calls
 
 
