@@ -6,8 +6,8 @@ packed once, with :func:`serialize_kv`, when it enters a store; the store
 holds the bytes as a :class:`KVBlob` (the blob plus its parsed header), and
 the pipelined executor decodes each layer straight from them into the
 request's fused buffer (:meth:`KVBlob.layer` with ``out=``: one copy, or one
-scaled multiply for int8).  The
-fault injector damages a copy of those bytes to trip the integrity check.
+scaled multiply for int8).  The fault injector damages a copy of those bytes
+to trip the integrity check.
 
 The wire format is ``RPKV5``: the magic, a little-endian header length, a
 JSON header (shape, a **per-layer dtype table**, index and scale dtypes,
