@@ -15,7 +15,10 @@ operating point: a zero-delay sequential pass measures the mean per-layer
 compute, and the simulated per-layer device transfer is pinned to it.  That
 is the crossover §5 of the paper targets — where loading can fully hide the
 selective recompute — and it is where pipelining's measured speedup is
-meaningful rather than an artifact of one side dominating.
+meaningful rather than an artifact of one side dominating.  Because the
+load follows the compute, a compute change moves both fuse wall-clocks
+twice; the ``pipeline`` block reports the best runs' summed compute spans
+apart from the calibrated load, so the two can be told apart.
 
 :func:`check_against_baseline` is the CI regression gate: it fails when the
 best wall-clock of any of its eight gated ops (the two fuse schedules, the
@@ -69,8 +72,10 @@ from repro.model.transformer import TransformerModel
 #: ``ram_chunks``; v10 times only the gated ``affinity`` policy, so the
 #: ``fleet`` block's ``policies`` drops ``least_loaded`` and
 #: ``consistent_hash``; v11 counts the ``store`` block's ``bytes_stored`` as
-#: the RPKV5 bytes the tiers hold, not element widths.
-PROFILE_SCHEMA_VERSION = 11
+#: the RPKV5 bytes the tiers hold, not element widths; v12 adds the
+#: ``pipeline`` block's ``sequential_compute_s`` and ``pipelined_compute_s``,
+#: the best fuse runs' summed per-layer compute spans.
+PROFILE_SCHEMA_VERSION = 12
 
 _REQUIRED_OPS = (
     "chunk_prefill",
@@ -610,7 +615,7 @@ def run_profile(config: ProfileConfig | None = None) -> dict[str, object]:
     pipelined_runs = fuse_runs(pipelined=True)
     ops["fuse_sequential"] = _stats([r.total_time for r in sequential_runs])
     ops["fuse_pipelined"] = _stats([r.total_time for r in pipelined_runs])
-    best_sequential = min(r.total_time for r in sequential_runs)
+    best_sequential = min(sequential_runs, key=lambda r: r.total_time)
     best_pipelined = min(pipelined_runs, key=lambda r: r.total_time)
 
     # ---- measured serving TTFT (workload -> engine -> executor) ----------
@@ -649,10 +654,12 @@ def run_profile(config: ProfileConfig | None = None) -> dict[str, object]:
             "n_tokens": int(fused.n_tokens),
             "mean_compute_per_layer_s": layer_load_time,
             "layer_load_time_s": layer_load_time,
-            "sequential_total_s": best_sequential,
+            "sequential_compute_s": float(best_sequential.compute_times.sum()),
+            "pipelined_compute_s": float(best_pipelined.compute_times.sum()),
+            "sequential_total_s": best_sequential.total_time,
             "pipelined_total_s": best_pipelined.total_time,
             "measured_speedup": (
-                best_sequential / best_pipelined.total_time
+                best_sequential.total_time / best_pipelined.total_time
                 if best_pipelined.total_time > 0
                 else float("inf")
             ),
@@ -703,6 +710,11 @@ def validate_profile_report(document: dict[str, object]) -> None:
     pipeline = document["pipeline"]
     if pipeline["measured_speedup"] <= 0:
         raise ValueError("measured_speedup must be positive")
+    for key in ("sequential_compute_s", "pipelined_compute_s"):
+        if key not in pipeline:
+            raise ValueError(f"pipeline block is missing key {key!r}")
+        if pipeline[key] <= 0:
+            raise ValueError(f"pipeline {key!r} must be positive")
     decode = document["decode"]
     for key in (
         "batch_size",
@@ -839,7 +851,9 @@ def format_profile_summary(document: dict[str, object]) -> str:
         f"(seq {pipe['sequential_total_s'] * 1e3:.1f} ms, "
         f"pipe {pipe['pipelined_total_s'] * 1e3:.1f} ms, "
         f"stall {pipe['pipelined_stall_s'] * 1e3:.1f} ms, "
-        f"load/layer {pipe['layer_load_time_s'] * 1e3:.2f} ms)"
+        f"load/layer {pipe['layer_load_time_s'] * 1e3:.2f} ms; "
+        f"compute seq {pipe['sequential_compute_s'] * 1e3:.1f} ms, "
+        f"pipe {pipe['pipelined_compute_s'] * 1e3:.1f} ms)"
     )
     decode = document["decode"]
     scaling = decode["scaling"]

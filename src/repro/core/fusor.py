@@ -27,10 +27,10 @@ with the recompute of earlier layers (paper §5).  The default provider
 assembles each layer on demand from the in-memory chunk caches.
 
 Rotations are computed once and shared by every layer: the request's
-re-alignment (:meth:`KVFusor.realignment`, one RoPE pair per run of adjacent
-re-aligned chunks) when the default provider is built, or once per request
-in the executor's plan, on the compute thread, and applied to every layer by
-:func:`assemble_reused_layer`; and the fused input's RoPE pair, in
+re-alignment (:meth:`KVFusor.realignment`, one RoPE rotation per run of
+adjacent re-aligned chunks) when the default provider is built, or once per
+request in the executor's plan, on the compute thread, and applied to every
+layer by :func:`assemble_reused_layer`; and the fused input's rotation, in
 :meth:`KVFusor.fuse_layers`, which layer 0 uses whole and each selective
 layer at its selected rows.
 
@@ -116,7 +116,7 @@ class ComputeSpanRecorder(Protocol):
 LayerProvider = Callable[[int], LayerKV]
 
 #: One run of adjacent re-aligned chunks in a fused input: its rows
-#: ``[start, stop)`` and the RoPE pair of their position deltas.
+#: ``[start, stop)`` and the RoPE rotation of their position deltas.
 RealignedRows = tuple[int, int, Rotation]
 
 
@@ -146,7 +146,7 @@ def assemble_reused_layer(
         chunk.layer(layer_idx, out=kv[:, offset : offset + chunk.n_tokens])
     keys = kv[0]
     for start, stop, rotation in realigned:
-        rotate(keys[start:stop], *rotation, out=keys[start:stop])
+        rotate(keys[start:stop], rotation, out=keys[start:stop])
     return LayerKV(keys, kv[1])
 
 
@@ -231,9 +231,9 @@ class KVFusor:
     ) -> tuple[RealignedRows, ...]:
         """The rotations moving the chunks' keys from their stored positions
         to their places in *layout*: one per run of adjacent chunks that are
-        not already at their stored positions, the RoPE pair (in *dtype*,
-        the fused buffer's) of the run's position deltas.  Pair rows are
-        independent, so a run's pair equals its chunks' pairs stacked."""
+        not already at their stored positions, the RoPE rotation (in *dtype*,
+        the fused buffer's) of the run's position deltas.  Rotation rows are
+        independent, so a run's rotation equals its chunks' stacked."""
         runs: list[list] = []  # [start, stop, deltas]
         for chunk, offset in zip(chunks, layout.chunk_offsets):
             stop = offset + chunk.n_tokens

@@ -62,10 +62,11 @@ def _attend(
     ``np.matmul`` calls over that ``(n_kv_heads, group)`` stack, which NumPy
     hands to BLAS one GEMM per pair.  Scores and the causal mask are only
     allocated for the actual query rows — ``(n_queries, n_keys)`` — never the
-    full ``n_keys × n_keys``.  The causal mask is additive: ``-inf`` at a
-    future key, 0 elsewhere.  A masked weight is ``exp(-inf) = 0``, exactly
-    what any score far below the row's maximum gives, and a query's own key
-    is always live, so no row is all ``-inf``.
+    full ``n_keys × n_keys``, and the softmax normalises the scores in place.
+    The causal mask is additive: ``-inf`` at a future key, 0 elsewhere.  A
+    masked weight is ``exp(-inf) = 0``, exactly what any score far below the
+    row's maximum gives, and a query's own key is always live, so no row is
+    all ``-inf``.
     """
     n_queries, n_heads, head_dim = queries.shape
     n_kv_heads = keys.shape[1]
@@ -79,7 +80,7 @@ def _attend(
     scores *= scores.dtype.type(1.0 / np.sqrt(head_dim))
     future = key_positions[None, :] > query_positions[:, None]  # (n_queries, n_keys)
     scores += np.where(future, scores.dtype.type(-np.inf), scores.dtype.type(0.0))
-    weights = softmax(scores, axis=-1)
+    weights = softmax(scores, axis=-1, out=scores)
 
     context = np.matmul(weights, values.transpose(1, 0, 2)[:, None])  # (h, g, q, d)
     context = context.transpose(2, 0, 1, 3).reshape(n_queries, n_heads, head_dim)
@@ -199,6 +200,6 @@ def batched_decode_attention(
     scores *= scores.dtype.type(1.0 / np.sqrt(head_dim))
     if padding is not None:
         np.copyto(scores, scores.dtype.type(-1e30), where=padding[:, None, None, :])
-    weights = softmax(scores, axis=-1)
+    weights = softmax(scores, axis=-1, out=scores)
     context = np.matmul(weights, values.transpose(0, 2, 1, 3))  # (n, h, g, d)
     return context.reshape(n_requests, n_heads, head_dim)

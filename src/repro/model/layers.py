@@ -1,8 +1,14 @@
-"""Transformer building blocks: RMSNorm, SwiGLU MLP and weight containers."""
+"""Transformer building blocks: RMSNorm, SwiGLU MLP and weight containers.
+
+Each layer stores its query, key and value projections side by side as one
+matrix, :attr:`LayerWeights.wqkv`, so a decode step projects its rows with
+one product (as vLLM's merged ``qkv_proj`` does); ``wq``, ``wk`` and ``wv``
+are zero-copy column views of it, holding the bits they were drawn with.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,14 +50,19 @@ def swiglu(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarr
     return (silu(x @ w_gate) * (x @ w_up)) @ w_down
 
 
-def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(
+    scores: np.ndarray, axis: int = -1, out: np.ndarray | None = None
+) -> np.ndarray:
     """Numerically stable softmax.
 
-    ``exp`` and the normalisation run in place in the fresh ``scores - max``
-    buffer, so *scores* is left untouched and no other full-size temporary
-    is allocated.
+    ``scores - max`` is written into *out* (a fresh buffer by default, which
+    leaves *scores* untouched; *scores* itself to normalise in place), and
+    ``exp`` and the normalisation run in place in it, so no other full-size
+    temporary is allocated.
     """
-    shifted = scores - np.maximum.reduce(scores, axis=axis, keepdims=True)
+    shifted = np.subtract(
+        scores, np.maximum.reduce(scores, axis=axis, keepdims=True), out=out
+    )
     np.exp(shifted, out=shifted)
     shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
     return shifted
@@ -59,7 +70,13 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass
 class LayerWeights:
-    """Weights of one transformer block."""
+    """Weights of one transformer block.
+
+    The query, key and value projections given are copied side by side into
+    one ``(d, q_dim + 2 * kv_dim)`` matrix, :attr:`wqkv`, and ``wq``, ``wk``
+    and ``wv`` then name its column blocks: zero-copy views holding the
+    given bits, so the fused storage adds no bytes.
+    """
 
     wq: np.ndarray
     wk: np.ndarray
@@ -70,6 +87,14 @@ class LayerWeights:
     w_down: np.ndarray
     norm_attn: np.ndarray
     norm_mlp: np.ndarray
+    wqkv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.wqkv = np.concatenate([self.wq, self.wk, self.wv], axis=1)
+        q_dim, kv_dim = self.wq.shape[1], self.wk.shape[1]
+        self.wq = self.wqkv[:, :q_dim]
+        self.wk = self.wqkv[:, q_dim : q_dim + kv_dim]
+        self.wv = self.wqkv[:, q_dim + kv_dim :]
 
 
 @dataclass

@@ -13,9 +13,14 @@ window's) run attention, the output projection and the MLP.  Decoding runs on a
 persistent :class:`~repro.model.tensors.DecodeSession`:
 :meth:`TransformerModel.decode_session_step` steps every member at once with
 padded batched attention, and a single request is a width-1 session.
-Each forward pass computes its RoPE pair (:meth:`TransformerModel.rotation`)
-once for all layers, and each decode step its
+Each forward pass computes its RoPE rotation
+(:meth:`TransformerModel.rotation`, rows of a per-model table of every
+position so far) once for all layers, and each decode step its
 :class:`~repro.model.tensors.DecodeStep` (pad views, row index, padding mask).
+A decode step projects each layer's rows with one product by the layer's
+fused Q|K|V matrix and rotates the query and key heads together in one
+:func:`~repro.model.rope.rotate`; prefill projects K/V first and Q only for
+the rows that run attention.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from repro.model.layers import ModelWeights, init_weights, rms_norm, swiglu
 from repro.model.rope import Rotation, rope_cos_sin, rotate
 from repro.model.tensors import DecodeSession, KVCache, LayerKV
 
+
+#: Positions the RoPE table of a new model holds (it doubles on demand).
+_ROPE_TABLE_ROWS = 256
 
 #: The ``continuing`` hook of :meth:`TransformerModel.layer_full` and
 #: :meth:`TransformerModel.layer_selective`: called with the K/V computed for
@@ -107,6 +115,7 @@ class TransformerModel:
         self.config = config
         self.seed = seed
         self.weights: ModelWeights = init_weights(config, seed)
+        self._rope_table = self._rope_rows(_ROPE_TABLE_ROWS)
 
     # ------------------------------------------------------------------
     # Embedding and heads
@@ -129,30 +138,53 @@ class TransformerModel:
     # ------------------------------------------------------------------
     # Layer primitives
     # ------------------------------------------------------------------
-    def rotation(self, positions: np.ndarray) -> Rotation:
-        """The RoPE ``(cos, sin)`` pair of *positions* in the compute dtype,
-        computed once per forward pass and shared by its layers."""
+    def _rope_rows(self, n_rows: int) -> Rotation:
+        """The RoPE rotation of positions ``0 .. n_rows - 1`` in the compute dtype."""
         cfg = self.config
-        return rope_cos_sin(positions, cfg.head_dim, cfg.rope_theta, cfg.np_dtype)
+        return rope_cos_sin(np.arange(n_rows), cfg.head_dim, cfg.rope_theta, cfg.np_dtype)
+
+    def rotation(self, positions: np.ndarray) -> Rotation:
+        """The RoPE rotation of *positions* in the compute dtype, taken once
+        per forward pass and shared by its layers.
+
+        It is read from the model's table of the rotations of positions
+        ``0, 1, ...``, which doubles until it holds the largest position
+        asked for.  Rows are independent, so each row equals
+        :func:`~repro.model.rope.rope_cos_sin` of its position alone.
+        Growing replaces the table whole, so a concurrent caller reads a
+        complete one.  Negative positions raise ``ValueError``.
+        """
+        positions = np.asarray(positions)
+        table = self._rope_table
+        if positions.size:
+            if positions.min() < 0:
+                raise ValueError("RoPE positions must be non-negative")
+            top = int(positions.max())
+            n_rows = len(table.cos_sin)
+            if top >= n_rows:
+                while n_rows <= top:
+                    n_rows *= 2
+                table = self._rope_table = self._rope_rows(n_rows)
+        return table.rows(positions)
 
     def _project_kv(
         self, layer_idx: int, hidden: np.ndarray, rope: Rotation
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalise hidden states and project them into rotary-embedded K
-        and raw V; *rope* is the :meth:`rotation` pair of the rows' positions.
+        and raw V; *rope* is the :meth:`rotation` of the rows' positions.
         Returns the normalised rows too, for :meth:`_project_q`."""
         cfg = self.config
         w = self.weights.layers[layer_idx]
         normed = rms_norm(hidden, w.norm_attn)
         k = (normed @ w.wk).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
         v = (normed @ w.wv).reshape(-1, cfg.n_kv_heads, cfg.head_dim)
-        return normed, rotate(k, *rope), v
+        return normed, rotate(k, rope, out=k), v
 
     def _project_q(self, layer_idx: int, normed: np.ndarray, rope: Rotation) -> np.ndarray:
         """Rotary-embedded queries of normalised rows (see :meth:`_project_kv`)."""
         cfg = self.config
         q = (normed @ self.weights.layers[layer_idx].wq).reshape(-1, cfg.n_heads, cfg.head_dim)
-        return rotate(q, *rope)
+        return rotate(q, rope, out=q)
 
     def _finish_layer(
         self, layer_idx: int, hidden: np.ndarray, context: np.ndarray
@@ -201,7 +233,7 @@ class TransformerModel:
             rows = np.flatnonzero(run)
             if rows.size < run.size:
                 hidden, normed, tokens = hidden[rows], normed[rows], tokens[rows]
-                rope = (rope[0][rows], rope[1][rows])
+                rope = rope.rows(rows)
         q = self._project_q(layer_idx, normed, rope)
         attn = selective_attention(q, keys, values, tokens, positions, query_window=query_window)
         new_hidden = self._finish_layer(layer_idx, hidden, attn.context)
@@ -219,7 +251,7 @@ class TransformerModel:
         continuing: Continuing | None = None,
     ) -> LayerFullOutput:
         """Run one layer over all tokens (full prefill path); *rope* is the
-        :meth:`rotation` pair of *positions*.
+        :meth:`rotation` of *positions*.
 
         Every token's K/V is computed.  Without *continuing* every token then
         runs attention, the output projection and the MLP.  With it,
@@ -256,7 +288,7 @@ class TransformerModel:
         ``hidden_selected`` holds the hidden states of the selected tokens
         only.  The keys/values of all other tokens are taken from
         ``reused_kv`` (the loaded, positionally re-aligned chunk caches).
-        *rope* is the :meth:`rotation` pair of all *positions*; the selected
+        *rope* is the :meth:`rotation` of all *positions*; the selected
         tokens rotate by its rows at *selected_indices*.
 
         The selected tokens' K/V are computed and merged first.  Without
@@ -278,8 +310,7 @@ class TransformerModel:
                 f"reused KV has {reused_kv.n_tokens} tokens but positions has "
                 f"{len(positions)}"
             )
-        cos, sin = rope
-        selected_rope = (cos[selected_indices], sin[selected_indices])
+        selected_rope = rope.rows(selected_indices)
         normed, k_sel, v_sel = self._project_kv(layer_idx, hidden_selected, selected_rope)
         if in_place:
             merged_keys = reused_kv.keys
@@ -390,9 +421,12 @@ class TransformerModel:
         *slice of the session pad*, so a steady-state step writes only each
         member's newly appended row.  Each member's next position follows
         its last token (see :meth:`DecodeSession.join`).  The step's RoPE
-        pair and its :class:`~repro.model.tensors.DecodeStep` (pad views,
-        appended-row index, padding mask) are built once and shared by
-        every layer.
+        rotation and its :class:`~repro.model.tensors.DecodeStep` (pad
+        views, appended-row index, padding mask) are built once and shared
+        by every layer.  Each layer projects the rows with one product by
+        its fused ``wqkv``, rotates the query and key heads together in
+        place, and takes V as a view of the product: the bits of separate
+        ``wq``/``wk``/``wv`` products rotated one by one.
 
         ``token_ids`` is one token per member in :attr:`DecodeSession.
         member_ids` order; returns the appended tokens' LM-head logits,
@@ -411,9 +445,17 @@ class TransformerModel:
         hidden = self.embed(token_arr)
         step = session.claim_rows(token_arr)
         rope = self.rotation(step.positions)
-        for layer_idx in range(self.config.n_layers):
-            normed, k, v = self._project_kv(layer_idx, hidden, rope)
-            q = self._project_q(layer_idx, normed, rope)
+        cfg = self.config
+        n_members = len(token_arr)
+        qk_heads = cfg.n_heads + cfg.n_kv_heads
+        qk_width = qk_heads * cfg.head_dim
+        for layer_idx in range(cfg.n_layers):
+            w = self.weights.layers[layer_idx]
+            qkv = rms_norm(hidden, w.norm_attn) @ w.wqkv
+            qk = qkv[:, :qk_width].reshape(n_members, qk_heads, cfg.head_dim)
+            rotate(qk, rope, out=qk)
+            v = qkv[:, qk_width:].reshape(n_members, cfg.n_kv_heads, cfg.head_dim)
+            q, k = qk[:, : cfg.n_heads], qk[:, cfg.n_heads :]
             keys_all, values_all = step.append(layer_idx, k, v)
             context = batched_decode_attention(q, keys_all, values_all, step.padding)
             hidden = self._finish_layer(layer_idx, hidden, context)

@@ -9,7 +9,8 @@ call per chunk and one rotation per run of re-aligned chunks, and
 ``chunk_prefill`` stops at the last layer's K/V.  The reference here is the
 loop that runs every recomputed row: ``layer_full`` on every token, then
 ``layer_selective`` on every selected token, over reused KV assembled chunk
-by chunk with the rotation read from the stored keys.
+by chunk, each chunk's keys rotated from the stored ones by a cos/sin pair
+the test evaluates itself.
 """
 
 import numpy as np
@@ -22,9 +23,11 @@ from repro.core.deviation import token_kv_deviation
 from repro.core.executor import PipelinedExecutor
 from repro.core.fusor import FusionLayout, FusorConfig, KVFusor
 from repro.core.hkvd import HKVDSelector
-from repro.kvstore.serialization import KVBlob, serialize_kv
+from repro.kvstore.config import StoreConfig
+from repro.kvstore.precision import PRECISION_PRESETS
+from repro.kvstore.serialization import KVBlob, deserialize_kv, serialize_kv
 from repro.model.config import get_config
-from repro.model.rope import rope_cos_sin
+from repro.model.rope import rope_frequencies
 from repro.model.tensors import KVCache, LayerKV
 from repro.model.transformer import TransformerModel
 
@@ -38,6 +41,13 @@ def model() -> TransformerModel:
 # ----------------------------------------------------------------------
 # The all-rows reference
 # ----------------------------------------------------------------------
+def _cos_sin(delta: np.ndarray, cfg, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Cos and sin of the RoPE angles of *delta*: float64 angles, each value
+    rounded twice (in float64, then to *dtype*), shape ``(n, 1, d / 2)``."""
+    angles = delta.astype(np.float64)[:, None] * rope_frequencies(cfg.head_dim, cfg.rope_theta)
+    return np.cos(angles)[:, None, :].astype(dtype), np.sin(angles)[:, None, :].astype(dtype)
+
+
 def _rotate_into(out: np.ndarray, x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
     """RoPE of *x* written into *out*, products in the promoted dtype."""
     x_even = x[..., 0::2]
@@ -59,8 +69,7 @@ def _reused_layer(model, chunk_layers, positions, layout, rotation_dtype) -> Lay
         rows = slice(offset, offset + len(stored))
         delta = np.arange(offset, offset + len(stored)) - stored
         if delta.any():
-            pair = rope_cos_sin(delta, cfg.head_dim, cfg.rope_theta, rotation_dtype)
-            _rotate_into(keys[rows], chunk_keys, *pair)
+            _rotate_into(keys[rows], chunk_keys, *_cos_sin(delta, cfg, rotation_dtype))
         else:
             keys[rows] = chunk_keys
         values[rows] = chunk_values
@@ -181,6 +190,22 @@ def _chunk_caches(model, request) -> list[KVCache]:
     return caches
 
 
+def _served(blobs: list[KVBlob], backend: str) -> list[KVBlob]:
+    """*blobs* put into and looked up from a store: a ``chunk`` store, or a
+    ``tiered`` one whose RAM tier holds one chunk, so the others are
+    demoted on put and served from the slow tier (promoting, and demoting
+    another) on lookup."""
+    ram = max(blob.nbytes for blob in blobs)
+    store = StoreConfig(backend=backend, tier_capacity_bytes=(ram, None)).build()
+    keys = [f"chunk-{i}" for i in range(len(blobs))]
+    for key, blob in zip(keys, blobs):
+        store.put(key, blob)
+    found = [store.lookup(key) for key in keys]
+    if backend == "tiered" and len(blobs) > 1:
+        assert any(lookup.tier_index > 0 for lookup in found)
+    return [lookup.blob for lookup in found]
+
+
 class TestEquivalence:
     @settings(
         derandomize=True,
@@ -190,9 +215,12 @@ class TestEquivalence:
     )
     @given(request=_REQUEST)
     def test_fuse_equals_the_all_rows_loop(self, model, request):
-        """In memory, and through the executor pipelined and sequential over
-        float16 and int8 blobs: fused KV, last logits, forward attention,
-        recompute counts and deviations equal the reference bit for bit."""
+        """Fused KV, last logits, forward attention, recompute counts and
+        deviations equal the reference bit for bit: in memory; and over
+        blobs of every precision preset, through the executor pipelined and
+        sequential and through ``KVFusor.fuse`` over ``deserialize_kv`` of
+        the same blobs; and through the executor over blobs served by a
+        chunk store and by a tiered one."""
         caches = _chunk_caches(model, request)
         suffix = np.random.default_rng(request["seed"] + 1).integers(
             4, model.config.vocab_size, size=request["question"]
@@ -204,7 +232,9 @@ class TestEquivalence:
 
         fused = fusor.fuse(caches, suffix)
         _assert_fusion_equals(fused, _reference_fuse(model, config, caches, layout, ratio))
-        for precision in ("float16", "int8"):
+        # The store arm runs one preset per example, all four over the run.
+        stored = PRECISION_PRESETS[request["seed"] % len(PRECISION_PRESETS)]
+        for precision in PRECISION_PRESETS:
             blobs = [KVBlob(serialize_kv(cache, precision)) for cache in caches]
             reference = _reference_fuse(model, config, blobs, layout, ratio)
             executor = PipelinedExecutor(
@@ -213,6 +243,12 @@ class TestEquivalence:
             for pipelined in (True, False):
                 run = executor.execute(blobs, suffix, pipelined=pipelined)
                 _assert_fusion_equals(run.fusion, reference)
+            decoded = [deserialize_kv(blob.data) for blob in blobs]
+            _assert_fusion_equals(fusor.fuse(decoded, suffix), reference)
+            if precision == stored:
+                for backend in ("chunk", "tiered"):
+                    run = executor.execute(_served(blobs, backend), suffix)
+                    _assert_fusion_equals(run.fusion, reference)
 
 
 # ----------------------------------------------------------------------

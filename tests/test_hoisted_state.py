@@ -1,14 +1,16 @@
 """Bitwise oracles for the state computed once per forward pass or step.
 
-A prefill or fuse computes its RoPE pair once for every layer, a decode step
-builds its appended-row index, pad views and padding mask once
-(``DecodeStep``), each chunk's re-alignment rotation is computed once per
-request, and the layer primitives call the NumPy reductions directly.  None
+A prefill or fuse computes its RoPE rotation once for every layer (rows of
+the model's table), a decode step builds its appended-row index, pad views
+and padding mask once (``DecodeStep``) and projects each layer with one
+product by the fused Q|K|V matrix, each chunk's re-alignment rotation is
+computed once per request, ``rotate`` applies a packed rotation in five
+calls, and the layer primitives call the NumPy reductions directly.  None
 of that may change a bit.  Each test keeps the per-call formulation as a
-test-local reference (RoPE evaluated from positions in every call, the
-session's row write, padded views and length mask rebuilt in every layer,
-``np.mean``/``np.max``/``np.sum``/``np.clip``) and asserts exact equality
-against it.
+test-local reference (RoPE evaluated from positions in every call, q, k and
+v projected by the per-matrix weights, the session's row write, padded views
+and length mask rebuilt in every layer, ``np.mean``/``np.max``/``np.sum``/
+``np.clip``) and asserts exact equality against it.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import repro.model.transformer as transformer_module
 from repro.core.executor import PipelinedExecutor
 from repro.core.fusor import FusionLayout, KVFusor, assemble_reused_layer
 from repro.kvstore.serialization import KVBlob, serialize_kv
@@ -44,6 +47,13 @@ def _apply_rope(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarra
     out[..., 0::2] = x_even * cos - x_odd * sin
     out[..., 1::2] = x_even * sin + x_odd * cos
     return out
+
+
+def _assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and bits: ``-0.0`` differs from ``0.0`` and each
+    NaN must carry the same bits."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def _rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -126,6 +136,45 @@ def model() -> TransformerModel:
 
 
 # ----------------------------------------------------------------------
+# Weights
+# ----------------------------------------------------------------------
+class TestFusedWeights:
+    @pytest.mark.parametrize("name, seed", [("small", 0), ("tiny", 7)])
+    def test_views_of_wqkv_hold_the_drawn_weights(self, name, seed):
+        """Replaying ``init_weights``' draws (per layer ``wq, wk, wv, wo,
+        w_gate, w_up, w_down``, then the embedding and the LM head) gives
+        every matrix bit for bit, read through the fused storage's views;
+        ``wq``, ``wk`` and ``wv`` share ``wqkv``'s memory, which is no
+        bigger than the three."""
+        model = TransformerModel(get_config(name), seed=seed)
+        cfg = model.config
+        d, kv_dim, ffn = cfg.hidden_size, cfg.n_kv_heads * cfg.head_dim, cfg.ffn_size
+        rng = np.random.default_rng(seed)
+
+        def draw(rows: int, cols: int, scale: float) -> np.ndarray:
+            return rng.normal(0.0, scale, size=(rows, cols)).astype(cfg.np_dtype)
+
+        attn, mlp = 1.2 / np.sqrt(d), 1.0 / np.sqrt(d)
+        for w in model.weights.layers:
+            drawn = {
+                "wq": draw(d, d, attn),
+                "wk": draw(d, kv_dim, attn),
+                "wv": draw(d, kv_dim, attn),
+                "wo": draw(d, d, attn),
+                "w_gate": draw(d, ffn, mlp),
+                "w_up": draw(d, ffn, mlp),
+                "w_down": draw(ffn, d, 1.0 / np.sqrt(ffn)),
+            }
+            for attr, want in drawn.items():
+                _assert_bits_equal(getattr(w, attr), want)
+            for attr in ("wq", "wk", "wv"):
+                assert np.shares_memory(getattr(w, attr), w.wqkv)
+            assert w.wqkv.nbytes == sum(drawn[attr].nbytes for attr in ("wq", "wk", "wv"))
+        _assert_bits_equal(model.weights.embedding, draw(cfg.vocab_size, d, 1.0))
+        _assert_bits_equal(model.weights.lm_head, draw(d, cfg.vocab_size, 1.0 / np.sqrt(d)))
+
+
+# ----------------------------------------------------------------------
 # Rotations
 # ----------------------------------------------------------------------
 class TestRotation:
@@ -140,13 +189,34 @@ class TestRotation:
         positions[: n_tokens // 3] = max_position + np.arange(n_tokens // 3)
         head_dim = int(rng.choice([4, 8, 16, 128]))
         x = rng.normal(size=(n_tokens, int(rng.integers(1, 5)), head_dim)).astype(dtype)
-        cos, sin = rope_cos_sin(positions, head_dim, 10_000.0, dtype)
-        assert cos.dtype == sin.dtype == dtype
+        rotation = rope_cos_sin(positions, head_dim, 10_000.0, dtype)
+        assert rotation.cos_sin.dtype == rotation.sin_cos.dtype == dtype
         expected = _apply_rope(x, positions, 10_000.0)
-        np.testing.assert_array_equal(rotate(x, cos, sin), expected)
+        _assert_bits_equal(rotate(x, rotation), expected)
         out = np.full_like(x, np.nan)
-        assert rotate(x, cos, sin, out=out) is out
-        np.testing.assert_array_equal(out, expected)
+        assert rotate(x, rotation, out=out) is out
+        _assert_bits_equal(out, expected)
+        assert rotate(x, rotation, out=x) is x
+        _assert_bits_equal(x, expected)
+
+    @DTYPES
+    def test_signed_zeros_infinities_and_nans_rotate_like_the_formula(self, dtype):
+        """The packed rotation forms the same products and sums as the
+        formula, so ``-0.0``, ``±inf`` and NaN inputs (and the zeros, infs
+        and NaNs they produce) come out with the same bits, also in place."""
+        rng = np.random.default_rng(2)
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, -0.0, -np.inf])
+        x = rng.normal(size=(24, 3, 8))
+        x[:, 0] = rng.choice(specials, size=(24, 8))
+        x[:, 1, :4] = specials[:4]
+        x = x.astype(dtype)
+        positions = np.concatenate([np.zeros(4, np.int64), rng.integers(1, 5000, size=20)])
+        rotation = rope_cos_sin(positions, 8, 10_000.0, dtype)
+        with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 give NaN
+            expected = _apply_rope(x, positions, 10_000.0)
+            assert np.isnan(expected).any() and np.signbit(expected[expected == 0]).any()
+            _assert_bits_equal(rotate(x, rotation), expected)
+            _assert_bits_equal(rotate(x, rotation, out=x), expected)
 
     def test_rows_of_a_pair_are_the_pair_of_those_rows(self):
         """Selective layers rotate by the fused input's pair at the selected
@@ -161,18 +231,53 @@ class TestRotation:
 
     def test_float16_keys_rotate_like_their_float32_upcast(self):
         """The loader rotates stored float16 keys without up-casting them
-        first; the products run in the float32 pair's dtype."""
+        first; the products run in the float32 rotation's dtype, and a
+        float16 result is the float32 one rounded once."""
         rng = np.random.default_rng(1)
         keys = rng.normal(size=(32, 2, 16)).astype(np.float16)
+        keys[0, 0, :3] = [-0.0, np.inf, np.nan]
         deltas = rng.integers(-500, 500, size=32)
-        out = np.zeros((32, 2, 16), dtype=np.float32)
-        rotate(keys, *rope_cos_sin(deltas, 16, 10_000.0, np.float32), out=out)
-        np.testing.assert_array_equal(out, _apply_rope(keys.astype(np.float32), deltas, 1e4))
+        rotation = rope_cos_sin(deltas, 16, 10_000.0, np.float32)
+        with np.errstate(invalid="ignore"):  # the inf key meets inf - inf
+            expected = _apply_rope(keys.astype(np.float32), deltas, 1e4)
+            out = np.zeros((32, 2, 16), dtype=np.float32)
+            rotate(keys, rotation, out=out)
+            _assert_bits_equal(out, expected)
+            _assert_bits_equal(rotate(keys, rotation), expected.astype(np.float16))
+            _assert_bits_equal(rotate(keys, rotation, out=keys), expected.astype(np.float16))
 
     def test_row_count_mismatch_rejected(self):
-        cos, sin = rope_cos_sin(np.arange(3), 8)
+        rotation = rope_cos_sin(np.arange(3), 8)
         with pytest.raises(ValueError, match="rows"):
-            rotate(np.zeros((4, 1, 8), dtype=np.float32), cos, sin)
+            rotate(np.zeros((4, 1, 8), dtype=np.float32), rotation)
+
+    def test_model_rotation_reads_rows_of_a_growing_table(self):
+        """``TransformerModel.rotation`` reads its rows from a table that
+        doubles past its first size; every row equals ``rope_cos_sin`` of its
+        position, before and after the table grows."""
+        model = TransformerModel(get_config("tiny"), seed=0)
+        cfg = model.config
+        first = transformer_module._ROPE_TABLE_ROWS
+        rng = np.random.default_rng(3)
+        below = rng.integers(0, first, size=50)
+        past = np.array([0, first - 1, first, 3 * first + 5, 17, first + 1])
+        # 3 * first + 5 doubles the table twice; later calls fit in it.
+        calls = [
+            (below, first),
+            (past, 4 * first),
+            (below, 4 * first),
+            (np.arange(4 * first), 4 * first),
+        ]
+        for positions, table_rows in calls:
+            got = model.rotation(positions)
+            want = rope_cos_sin(positions, cfg.head_dim, cfg.rope_theta, cfg.np_dtype)
+            _assert_bits_equal(got.cos_sin, want.cos_sin)
+            _assert_bits_equal(got.sin_cos, want.sin_cos)
+            assert len(model._rope_table.cos_sin) == table_rows
+
+    def test_negative_position_rejected(self, model):
+        with pytest.raises(ValueError, match="non-negative"):
+            model.rotation(np.array([3, -1, 5]))
 
 
 def _shuffled_chunk(model: TransformerModel, start_position: int, seed: int) -> KVCache:
@@ -311,6 +416,20 @@ class TestPrimitives:
         before = scores.copy()
         np.testing.assert_array_equal(softmax(scores, axis=axis), _softmax(scores, axis=axis))
         np.testing.assert_array_equal(scores, before)
+
+    @DTYPES
+    def test_softmax_in_place_equals_out_of_place(self, dtype):
+        """Attention normalises its scores in place, ``softmax(scores,
+        out=scores)``: the bits of a fresh buffer."""
+        rng = np.random.default_rng(10)
+        scores = (rng.normal(size=(3, 2, 9, 17)) * 30.0).astype(dtype)
+        scores[..., 5:9] = dtype(-1e30)
+        scores[0, :, 2, :16] = -np.inf  # rows with one live key
+        for axis in (-1, 0):
+            inputs = scores.copy()
+            expected = softmax(inputs, axis=axis)
+            assert softmax(inputs, axis=axis, out=inputs) is inputs
+            _assert_bits_equal(inputs, expected)
 
     @DTYPES
     def test_softmax_of_minus_inf_equals_softmax_of_minus_1e30(self, dtype):

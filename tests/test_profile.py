@@ -47,6 +47,21 @@ class TestProfileReport:
         assert pipeline["measured_speedup"] > 0.0
         assert pipeline["layer_load_time_s"] > 0.0
 
+    def test_pipeline_block_reports_compute_apart_from_the_load(self, document):
+        """The best runs' summed compute spans sit beside the calibrated
+        per-layer load, each within its run's wall-clock."""
+        pipeline = document["pipeline"]
+        for schedule in ("sequential", "pipelined"):
+            compute = pipeline[f"{schedule}_compute_s"]
+            assert 0.0 < compute <= pipeline[f"{schedule}_total_s"]
+        assert "compute seq" in format_profile_summary(document)
+
+    def test_validation_rejects_missing_compute_span(self, document):
+        broken = copy.deepcopy(document)
+        del broken["pipeline"]["pipelined_compute_s"]
+        with pytest.raises(ValueError, match="pipelined_compute_s"):
+            validate_profile_report(broken)
+
     def test_save_writes_bench_profile_file(self, document, tmp_path):
         path = save_profile_report(document, out_dir=tmp_path, tag="test")
         assert path.name.startswith("BENCH_profile_test_")
